@@ -1,18 +1,38 @@
-"""Centralized offline monitoring: Boolean satisfaction signals, bottom-up.
+"""Offline monitoring: satisfaction signals from one memoized evaluator.
 
-Two evaluation routes live here on purpose. ``monitor_local`` and
-``monitor_global`` run the production evaluator: formulas are lowered to the
-core fragment and evaluated with a memo table per (subformula, agent, time).
+``Evaluator`` is the semantic kernel of the centralized and the distributed
+monitor alike. It evaluates a formula lowered to the core fragment pointwise
+and memoizes every (subformula, agent, time) cell. A cell is 1, 0 or None
+(?). Without a knowledge mask every state is visible and every cell is
+Boolean; ``monitor_local``, ``monitor_global`` and ``signal_table`` read the
+cells that way. Under a mask (``distributed.monitor_dist``) an atom over a
+hidden state is ?, negation and conjunction follow the strong Kleene tables,
+and Until is the Kleene disjunction over its witness times. A graph
+operator counts, per graph tag, the edges to neighbors that satisfy its
+child (n_sat) and to those that do not violate it (n_nviol), and decides
+with ``graph_op_verdict``; several tags combine by Kleene any (exists) or
+all (forall). With no ? among the neighbors the two counts are equal and
+the verdict is the Boolean count test, so the central monitor is the
+mask-free case of the distributed one.
+
 ``oracle_eval`` / ``oracle_eval_global`` are deliberately separate: a plain,
 memo-free recursive transcription of the semantics that also interprets
 sugar directly. The oracle is the reference the monitor is tested against
 and must not share evaluation logic with it.
 
-Finite traces: by default a window reaching past the trace end is clamped
+Finite traces: by default a window reaching past the trace end L is clamped
 to the available samples; for an unbounded interval the window becomes
 [min(t + lo, L), L], so "always" over [0, inf] means "at every available
-sample". With ``strict=True`` any bounded interval extending past L raises
-InsufficientTraceError instead, and the returned signal covers [0, T] only.
+sample". With ``strict=True`` the signal covers [0, T] only, and before any
+cell is evaluated the formula is refused with InsufficientTraceError if
+evaluation from [0, T] can reach a bounded window that ends past L. A
+subformula is evaluated at times up to T plus the upper bounds of its
+enclosing windows, capped at L; under an unbounded window, up to L. So
+``G[0,inf] F[0,3] p`` is refused for every T, because the outer window
+reaches t = L, where ``F[0,3]`` needs [L, L + 3]; ``F[0,3] G[0,inf] p`` is
+accepted when T + 3 <= L. The check reads no cell, so it cannot depend on
+which operands evaluation happens to skip, and both monitors raise on the
+same inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +42,7 @@ from typing import Iterable
 
 from . import formula as F
 from .formula import INF, eval_expr, expr_vars, horizon, lower
-from .model import MasRun, TimeOutOfRangeError, neighbors
+from .model import MasRun, TimeOutOfRangeError, neighbor_multiplicities
 
 
 class InsufficientTraceError(ValueError):
@@ -95,17 +115,20 @@ def validate_global(run: MasRun, f: F.GlobalFormula):
                 )
 
 
+def _operands(f) -> tuple:
+    """The direct subformulas of a formula node, sugar included."""
+    if hasattr(f, "child"):
+        return (f.child,)
+    if hasattr(f, "left"):
+        return (f.left, f.right)
+    return ()
+
+
 def _formula_exprs(f) -> Iterable[F.Expr]:
     if isinstance(f, (F.Atom, F.GlobalAtom)):
         yield f.expr
-    elif isinstance(f, (F.Not, F.GNot, F.Eventually, F.Always, F.GEventually,
-                        F.GAlways, F.GraphOp, F.AgentBind, F.ForAllAgents,
-                        F.ExistsAgent)):
-        yield from _formula_exprs(f.child)
-    elif isinstance(f, (F.And, F.Or, F.Implies, F.Until, F.GAnd, F.GOr,
-                        F.GImplies, F.GUntil)):
-        yield from _formula_exprs(f.left)
-        yield from _formula_exprs(f.right)
+    for sub in _operands(f):
+        yield from _formula_exprs(sub)
 
 
 def clamp_window(t: int, interval: F.TimeInterval, length: int) -> tuple[int, int]:
@@ -119,135 +142,221 @@ def clamp_window(t: int, interval: F.TimeInterval, length: int) -> tuple[int, in
     return (t + interval.lo, min(t + int(interval.hi), length))
 
 
-class CentralEvaluator:
-    """Memoized bottom-up evaluation of core formulas over one run.
+# ---------------------------------------------------------------------------
+# three-valued kernel
 
-    The memo table is written once per (subformula, agent, time) cell;
-    inputs are immutable, so distinct agents' signals may be computed
-    concurrently by separate evaluators.
+
+def k_not(a):
+    return None if a is None else 1 - a
+
+
+def k_and(a, b):
+    if a == 0 or b == 0:
+        return 0
+    if a is None or b is None:
+        return None
+    return 1
+
+
+def k_or(a, b):
+    if a == 1 or b == 1:
+        return 1
+    if a is None or b is None:
+        return None
+    return 0
+
+
+def graph_op_verdict(counts: F.CountSet, n_sat: int, n_nviol: int):
+    """Three-valued verdict of a counting operator from neighbor verdicts.
+
+    For one interval [e1, e2]: 1 when even the pessimistic count fits
+    (n_sat >= e1 and n_nviol <= e2), 0 when no completion can fit
+    (n_nviol < e1 or n_sat > e2), otherwise ?. Several intervals combine by
+    three-valued OR. With n_sat == n_nviol this is the exact Boolean test
+    ``counts.contains(n_sat)``.
+    """
+    out = 0
+    for e1, e2 in counts.intervals:
+        if n_sat >= e1 and n_nviol <= e2:
+            v = 1
+        elif n_nviol < e1 or n_sat > e2:
+            v = 0
+        else:
+            v = None
+        out = k_or(out, v)
+        if out == 1:
+            return 1
+    return out
+
+
+_UNSET = object()
+_TRUTHS = (F.Truth, F.GTruth)
+
+
+class Evaluator:
+    """Memoized pointwise evaluation of core formulas over one run.
+
+    ``eval(f, agent, t)`` is the cell of a lowered formula: an agent-local
+    subformula at (agent, t), a system-level one with agent None. Cells are
+    1, 0 or None (?). None occurs only under a ``mask`` (an object with
+    ``knows(subject, t)``, such as ``distributed.KnowledgeMask``), where an
+    agent-local atom over a hidden state is ?. Cells do not depend on the
+    order in which they are evaluated, so operators may skip operands that
+    cannot change their verdict.
     """
 
-    def __init__(self, run: MasRun, strict: bool = False):
+    def __init__(self, run: MasRun, mask=None):
         self.run = run
-        self.length = run.length
-        self.strict = strict
+        self.mask = mask
+        self._static = run.graphs.static
         self._memo: dict = {}
-        self._nbrs: dict = {}
+        self._mult: dict = {}
 
-    # -- window handling ---------------------------------------------------
-
-    def _window(self, t: int, interval: F.TimeInterval) -> tuple[int, int]:
-        if self.strict and interval.hi != INF and t + interval.hi > self.length:
-            raise InsufficientTraceError(
-                f"insufficient trace: window [{t + interval.lo}, "
-                f"{t + int(interval.hi)}] exceeds length {self.length}"
-            )
-        return clamp_window(t, interval, self.length)
-
-    # -- agent-local layer ---------------------------------------------------
-
-    def eval_local(self, f: F.LocalFormula, agent: int, t: int) -> int:
+    def eval(self, f, agent, t):
         key = (id(f), agent, t)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        v = self._eval_local(f, agent, t)
-        self._memo[key] = v
+        v = self._memo.get(key, _UNSET)
+        if v is _UNSET:
+            handler = _HANDLERS.get(type(f))
+            if handler is None:
+                raise TypeError(
+                    f"monitor requires a lowered core formula, got {type(f).__name__}"
+                )
+            v = self._memo[key] = handler(self, f, agent, t)
         return v
 
-    def _eval_local(self, f: F.LocalFormula, agent: int, t: int) -> int:
-        if isinstance(f, F.Truth):
-            return 1
-        if isinstance(f, F.Atom):
-            state = self.run.trajectory.state(agent, t)
-            return 1 if eval_expr(f.expr, local_state=state) >= 0 else 0
-        if isinstance(f, F.Not):
-            return 1 - self.eval_local(f.child, agent, t)
-        if isinstance(f, F.And):
-            if self.eval_local(f.left, agent, t) == 0:
-                return 0
-            return self.eval_local(f.right, agent, t)
-        if isinstance(f, F.Until):
-            # phi1 must hold on all of [t, t2], inclusive of the witness time
-            lo, hi = self._window(t, f.interval)
-            prefix_next = t
-            for t2 in range(lo, hi + 1):
-                while prefix_next <= t2:
-                    if self.eval_local(f.left, agent, prefix_next) == 0:
-                        return 0
-                    prefix_next += 1
-                if self.eval_local(f.right, agent, t2) == 1:
-                    return 1
-            return 0
-        if isinstance(f, F.GraphOp):
-            results = []
-            for tag in f.graphs:
-                count = 0
-                for j in self._neighbor_endpoints(tag, t, agent, f.direction, f.weights):
-                    count += self.eval_local(f.child, j, t)
-                results.append(f.counts.contains(count))
-            ok = any(results) if f.quantifier == "exists" else all(results)
-            return 1 if ok else 0
-        raise TypeError(f"monitor requires a lowered core formula, got {type(f).__name__}")
+    def _truth(self, f, agent, t):
+        return 1
 
-    def _neighbor_endpoints(self, tag, t, agent, direction, weights) -> tuple[int, ...]:
-        """Opposite endpoints, one entry per parallel edge in the window."""
-        key = (tag, t, agent, direction, weights.lo, weights.hi)
-        hit = self._nbrs.get(key)
+    def _atom(self, f, agent, t):
+        if self.mask is not None and not self.mask.knows(agent, t):
+            return None
+        state = self.run.trajectory.state(agent, t)
+        return 1 if eval_expr(f.expr, local_state=state) >= 0 else 0
+
+    def _global_atom(self, f, agent, t):
+        full = self.run.trajectory.full_state(t)
+        return 1 if eval_expr(f.expr, full_state=full) >= 0 else 0
+
+    def _bind(self, f, agent, t):
+        return self.eval(f.child, f.agent, t)
+
+    def _not(self, f, agent, t):
+        return k_not(self.eval(f.child, agent, t))
+
+    def _and(self, f, agent, t):
+        a = self.eval(f.left, agent, t)
+        return 0 if a == 0 else k_and(a, self.eval(f.right, agent, t))
+
+    def _until(self, f, agent, t):
+        # phi1 must hold on all of [t, t2], inclusive of the witness time;
+        # F and G lower to a Truth phi1, which is not scanned
+        lo, hi = clamp_window(t, f.interval, self.run.length)
+        scanned = hi + 1 if type(f.left) in _TRUTHS else t
+        prefix = 1
+        acc = 0
+        for t2 in range(lo, hi + 1):
+            while scanned <= t2:
+                prefix = k_and(prefix, self.eval(f.left, agent, scanned))
+                scanned += 1
+            if prefix == 0:
+                return acc
+            acc = k_or(acc, k_and(prefix, self.eval(f.right, agent, t2)))
+            if acc == 1:
+                return 1
+        return acc
+
+    def _graph_op(self, f, agent, t):
+        # exists is Kleene any over the tags, forall Kleene all; a decisive
+        # tag verdict ends the scan
+        decisive = 1 if f.quantifier == "exists" else 0
+        out = 1 - decisive
+        for tag in f.graphs:
+            n_sat, n_nviol = self._counts(f, tag, agent, t)
+            v = graph_op_verdict(f.counts, n_sat, n_nviol)
+            if v == decisive:
+                return v
+            if v is None:
+                out = None
+        return out
+
+    def _counts(self, f, tag, agent, t) -> tuple[int, int]:
+        """(n_sat, n_nviol) of one tag of a graph operator: edges to
+        neighbors whose child cell is 1, and is 1 or ?."""
+        key = (id(f), tag, agent, None if tag in self._static else t)
+        hit = self._mult.get(key)
         if hit is None:
-            edges = neighbors(self.run, tag, t, agent, direction, weights.bounds)
-            hit = tuple(e.src if direction == "in" else e.dst for e in edges)
-            self._nbrs[key] = hit
-        return hit
+            mult = neighbor_multiplicities(
+                self.run, tag, t, agent, f.direction, f.weights.bounds
+            )
+            hit = self._mult[key] = (tuple(mult.items()), sum(mult.values()))
+        mult, edges = hit
+        if type(f.child) is F.Truth:
+            return edges, edges
+        n_sat = n_unknown = 0
+        for j, m in mult:
+            v = self.eval(f.child, j, t)
+            if v == 1:
+                n_sat += m
+            elif v is None:
+                n_unknown += m
+        return n_sat, n_sat + n_unknown
 
-    # -- system layer --------------------------------------------------------
 
-    def eval_global(self, f: F.GlobalFormula, t: int) -> int:
-        key = (id(f), None, t)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        v = self._eval_global(f, t)
-        self._memo[key] = v
-        return v
-
-    def _eval_global(self, f: F.GlobalFormula, t: int) -> int:
-        if isinstance(f, F.GTruth):
-            return 1
-        if isinstance(f, F.GlobalAtom):
-            full = self.run.trajectory.full_state(t)
-            return 1 if eval_expr(f.expr, full_state=full) >= 0 else 0
-        if isinstance(f, F.AgentBind):
-            return self.eval_local(f.child, f.agent, t)
-        if isinstance(f, F.GNot):
-            return 1 - self.eval_global(f.child, t)
-        if isinstance(f, F.GAnd):
-            if self.eval_global(f.left, t) == 0:
-                return 0
-            return self.eval_global(f.right, t)
-        if isinstance(f, F.GUntil):
-            lo, hi = self._window(t, f.interval)
-            prefix_next = t
-            for t2 in range(lo, hi + 1):
-                while prefix_next <= t2:
-                    if self.eval_global(f.left, prefix_next) == 0:
-                        return 0
-                    prefix_next += 1
-                if self.eval_global(f.right, t2) == 1:
-                    return 1
-            return 0
-        raise TypeError(f"monitor requires a lowered core formula, got {type(f).__name__}")
+_HANDLERS = {
+    F.Truth: Evaluator._truth,
+    F.GTruth: Evaluator._truth,
+    F.Atom: Evaluator._atom,
+    F.GlobalAtom: Evaluator._global_atom,
+    F.AgentBind: Evaluator._bind,
+    F.Not: Evaluator._not,
+    F.GNot: Evaluator._not,
+    F.And: Evaluator._and,
+    F.GAnd: Evaluator._and,
+    F.Until: Evaluator._until,
+    F.GUntil: Evaluator._until,
+    F.GraphOp: Evaluator._graph_op,
+}
 
 
 def _signal_domain_end(f, T: int, length: int, strict: bool) -> int:
-    _, t_max = horizon(f)
-    if strict:
-        if t_max != INF and T + t_max > length:
-            raise InsufficientTraceError(
-                f"insufficient trace: need length {T + int(t_max)}, have {length}"
-            )
-        return T
-    return int(min(T + t_max, length))
+    """Last time of the signal: min(T + T_f, L), or T in strict mode once
+    no bounded window reachable from [0, T] is found to end past L."""
+    if not strict:
+        return int(min(T + horizon(f)[1], length))
+    # (subformula, latest time evaluation can reach it at)
+    pending = [(f, T)]
+    while pending:
+        node, t = pending.pop()
+        interval = getattr(node, "interval", None)
+        if interval is not None:
+            if interval.hi == INF:
+                t = length
+            elif t + interval.hi > length:
+                raise InsufficientTraceError(
+                    f"insufficient trace: window [{t + interval.lo}, "
+                    f"{t + interval.hi}] exceeds length {length}"
+                )
+            else:
+                t += interval.hi
+        pending.extend((sub, t) for sub in _operands(node))
+    return T
+
+
+def signal_cells(run: MasRun, f, agent, T: int, strict: bool = False, mask=None) -> tuple:
+    """Cells of f over its signal domain: at ``agent`` for an agent-local
+    formula, at system level for agent None; three-valued under a mask."""
+    if agent is None:
+        validate_global(run, f)
+    else:
+        validate_local(run, f)
+        if not 1 <= agent <= run.num_agents:
+            raise ValueError(f"unknown agent {agent}")
+    if not 0 <= T <= run.length:
+        raise TimeOutOfRangeError("time out of range")
+    end = _signal_domain_end(f, T, run.length, strict)
+    core = lower(f)
+    ev = Evaluator(run, mask)
+    return tuple(ev.eval(core, agent, t) for t in range(end + 1))
 
 
 def monitor_local(
@@ -258,28 +367,14 @@ def monitor_local(
     The signal covers [0, min(T + T_f, L)] (or [0, T] in strict mode); its
     value at t is 1 exactly when the run satisfies f at (agent, t).
     """
-    validate_local(run, f)
-    if not 1 <= agent <= run.num_agents:
-        raise ValueError(f"unknown agent {agent}")
-    if not 0 <= T <= run.length:
-        raise TimeOutOfRangeError("time out of range")
-    end = _signal_domain_end(f, T, run.length, strict)
-    core = lower(f)
-    ev = CentralEvaluator(run, strict)
-    return BoolSignal(0, tuple(ev.eval_local(core, agent, t) for t in range(end + 1)))
+    return BoolSignal(0, signal_cells(run, f, agent, T, strict))
 
 
 def monitor_global(
     run: MasRun, f: F.GlobalFormula, T: int, strict: bool = False
 ) -> BoolSignal:
     """Boolean satisfaction signal of a system-level formula."""
-    validate_global(run, f)
-    if not 0 <= T <= run.length:
-        raise TimeOutOfRangeError("time out of range")
-    end = _signal_domain_end(f, T, run.length, strict)
-    core = lower(f)
-    ev = CentralEvaluator(run, strict)
-    return BoolSignal(0, tuple(ev.eval_global(core, t) for t in range(end + 1)))
+    return BoolSignal(0, signal_cells(run, f, None, T, strict))
 
 
 def signal_table(
@@ -296,36 +391,18 @@ def signal_table(
         validate_global(run, f)
     end = _signal_domain_end(f, T, run.length, strict)
     core = lower(f)
-    ev = CentralEvaluator(run, strict)
+    ev = Evaluator(run)
     entries: dict = {}
 
-    def add_local(sub: F.LocalFormula):
-        for agent in range(1, run.num_agents + 1):
+    def add(sub, local: bool):
+        for agent in range(1, run.num_agents + 1) if local else (None,):
             entries[(sub, agent)] = BoolSignal(
-                0, tuple(ev.eval_local(sub, agent, t) for t in range(end + 1))
+                0, tuple(ev.eval(sub, agent, t) for t in range(end + 1))
             )
-        if isinstance(sub, (F.Not, F.GraphOp)):
-            add_local(sub.child)
-        elif isinstance(sub, (F.And, F.Until)):
-            add_local(sub.left)
-            add_local(sub.right)
+        for child in _operands(sub):
+            add(child, local or isinstance(sub, F.AgentBind))
 
-    def add_global(sub: F.GlobalFormula):
-        entries[(sub, None)] = BoolSignal(
-            0, tuple(ev.eval_global(sub, t) for t in range(end + 1))
-        )
-        if isinstance(sub, F.AgentBind):
-            add_local(sub.child)
-        elif isinstance(sub, F.GNot):
-            add_global(sub.child)
-        elif isinstance(sub, (F.GAnd, F.GUntil)):
-            add_global(sub.left)
-            add_global(sub.right)
-
-    if isinstance(core, F.LocalFormula):
-        add_local(core)
-    else:
-        add_global(core)
+    add(core, isinstance(core, F.LocalFormula))
     return SignalTable(entries)
 
 

@@ -5,9 +5,6 @@ t0 (or the command simply succeeded), 1 usage or parse error, 2 property
 violated at t0, 3 data error (bad bundle, unknown graph tag, insufficient
 trace). A distributed verdict of "?" at t0 exits with 4 (undetermined),
 leaving the meanings of 0 and 2 intact.
-
-STLGO_THREADS caps the number of worker threads the bench command may use;
-each benchmark step runs in its own evaluator, so any cap is safe.
 """
 
 from __future__ import annotations
@@ -15,14 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import formula as F
 from . import serialization as io
-from .central import CentralEvaluator, InsufficientTraceError, monitor_global, monitor_local
+from .central import Evaluator, InsufficientTraceError, monitor_global, monitor_local
 from .distributed import is_determinable, monitor_dist
 from .formula import (
     CountSet,
@@ -72,9 +67,19 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _read_formula_file(path: str, global_mode: bool):
-    with open(path, "r", encoding="utf-8") as fh:
-        src = fh.read()
-    return (parse_global(src) if global_mode else parse_local(src)), src
+    """The formula in a file, or None once the reason it cannot be read or
+    parsed is printed to stderr."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            src = fh.read()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    try:
+        return parse_global(src) if global_mode else parse_local(src)
+    except ParseError as exc:
+        print(exc.render(src), file=sys.stderr)
+        return None
 
 
 def _parse_weights(text: str) -> WeightInterval:
@@ -97,16 +102,8 @@ def _write_or_print(text: str, out: str | None):
 
 
 def cmd_parse(args) -> int:
-    try:
-        with open(args.formula, "r", encoding="utf-8") as fh:
-            src = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        f = parse_global(src) if args.global_ else parse_local(src)
-    except ParseError as exc:
-        print(exc.render(src), file=sys.stderr)
+    f = _read_formula_file(args.formula, args.global_)
+    if f is None:
         return EXIT_USAGE
     print(print_formula(f))
     return EXIT_SAT
@@ -117,13 +114,8 @@ def _load_bundle(args) -> MasRun:
 
 
 def cmd_monitor(args) -> int:
-    try:
-        f, src = _read_formula_file(args.formula, args.global_)
-    except ParseError as exc:
-        print(exc.render(open(args.formula, encoding="utf-8").read()), file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    f = _read_formula_file(args.formula, args.global_)
+    if f is None:
         return EXIT_USAGE
     try:
         run = _load_bundle(args)
@@ -143,13 +135,8 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_monitor_dist(args) -> int:
-    try:
-        f, src = _read_formula_file(args.formula, False)
-    except ParseError as exc:
-        print(exc.render(open(args.formula, encoding="utf-8").read()), file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    f = _read_formula_file(args.formula, False)
+    if f is None:
         return EXIT_USAGE
     try:
         run = _load_bundle(args)
@@ -343,23 +330,11 @@ def bench_scenario(sigma: int, steps: int, seed: int, anchor: int = 1):
     run = gen_drone(DroneScenarioConfig(sigma=sigma, seed=seed, horizon=steps + 2))
     run = with_anchor_graphs(run, anchor)
     rows = []
-    threads = max(1, int(os.environ.get("STLGO_THREADS", "1") or "1"))
-
     for name, formula, kind in drone_formulas(run, sigma, anchor):
         core = lower(formula)
-
-        def step(t: int) -> int:
-            ev = CentralEvaluator(run)
-            if kind == "local":
-                return ev.eval_local(core, anchor, t)
-            return ev.eval_global(core, t)
-
+        agent = anchor if kind == "local" else None
         start = time.perf_counter()
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                verdicts = list(pool.map(step, range(steps + 1)))
-        else:
-            verdicts = [step(t) for t in range(steps + 1)]
+        verdicts = [Evaluator(run).eval(core, agent, t) for t in range(steps + 1)]
         elapsed = time.perf_counter() - start
         sat = sum(verdicts)
         rows.append(

@@ -4,18 +4,29 @@ An observer agent holds a knowledge mask saying which (subject, time) states
 it can see; graph topology is always fully known. Verdicts are three-valued:
 0, 1, or ? (undetermined), with ? represented as None in signal values.
 
+``monitor_dist`` lowers the formula exactly as the centralized monitor does
+and runs the same ``central.Evaluator``, with the mask: atoms over masked
+states yield ? even when the expression would be constant in the masked
+components, Boolean and temporal operators follow the strong Kleene tables,
+and graph operators decide from the counts of satisfying and non-violating
+neighbor verdicts, weighted by edge multiplicity
+(``central.graph_op_verdict``). Finite traces and strict mode follow the
+centralized conventions, including the up-front strict-horizon check, so
+both monitors raise on the same inputs.
+
 The monitor is sound: a 0/1 verdict always agrees with the centralized
-verdict on the full run. Atoms over masked states yield ? even when the
-expression would be constant in the masked components; Boolean and temporal
-operators follow the strong Kleene tables; graph operators decide from the
-counts of satisfying and non-violating neighbor verdicts, weighted by edge
-multiplicity. Count sets with several intervals take the three-valued OR of
-the per-interval verdicts; since achievable counts form a contiguous range
-and canonical count sets keep their intervals non-adjacent, this is exact
-with respect to completion enumeration of the neighbor verdicts. Parallel
-edges are the one source of imprecision: a hidden neighbor contributes its
-whole multiplicity at once, and the scalar count bounds cannot express the
-resulting gaps, so some determined-by-enumeration cases report ?.
+verdict on the full run. Count sets with several intervals take the
+three-valued OR of the per-interval verdicts; since achievable counts form a
+contiguous range and canonical count sets keep their intervals non-adjacent,
+this is exact with respect to completion enumeration of the neighbor
+verdicts, and a negated graph operator is exactly the operator over the
+complemented count set. Parallel edges are the one source of imprecision: a
+hidden neighbor contributes its whole multiplicity at once, and the scalar
+count bounds cannot express the resulting gaps, so some
+determined-by-enumeration cases report ?.
+
+``is_determinable`` analyses the formula's graph-operator tree, built from
+``prepare_for_distributed``'s single-graph, negation-normalized form.
 """
 
 from __future__ import annotations
@@ -23,38 +34,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import formula as F
-from .central import InsufficientTraceError, clamp_window
+from .central import signal_cells, validate_local
 from .formula import (
     INF,
     build_operator_tree,
     contains_atom,
-    eval_expr,
     expand_graph_quantifier,
     horizon,
     lower,
     push_negations,
 )
 from .model import MasRun, TimeOutOfRangeError, agent_neighbors, neighbor_multiplicities
-
-
-def k_not(a):
-    return None if a is None else 1 - a
-
-
-def k_and(a, b):
-    if a == 0 or b == 0:
-        return 0
-    if a is None or b is None:
-        return None
-    return 1
-
-
-def k_or(a, b):
-    if a == 1 or b == 1:
-        return 1
-    if a is None or b is None:
-        return None
-    return 0
 
 
 @dataclass(frozen=True)
@@ -147,106 +137,11 @@ class TernarySignal:
         return any(v is None for v in self.values)
 
 
-def graph_op_verdict(counts: F.CountSet, n_sat: int, n_nviol: int):
-    """Three-valued verdict of a counting operator from neighbor verdicts.
-
-    For one interval [e1, e2]: 1 when even the pessimistic count fits
-    (n_sat >= e1 and n_nviol <= e2), 0 when no completion can fit
-    (n_nviol < e1 or n_sat > e2), otherwise ?. Several intervals combine by
-    three-valued OR.
-    """
-    out = 0
-    for e1, e2 in counts.intervals:
-        if n_sat >= e1 and n_nviol <= e2:
-            v = 1
-        elif n_nviol < e1 or n_sat > e2:
-            v = 0
-        else:
-            v = None
-        out = k_or(out, v)
-        if out == 1:
-            return 1
-    return out
-
-
 def prepare_for_distributed(f: F.LocalFormula) -> F.LocalFormula:
     """Lower to the core with single-graph operators and no negations
-    directly above them."""
+    directly above them: the form ``is_determinable`` builds its operator
+    tree from."""
     return push_negations(lower(expand_graph_quantifier(f)))
-
-
-class DistributedEvaluator:
-    """Kleene-style bottom-up evaluation under a knowledge mask."""
-
-    def __init__(self, run: MasRun, mask: KnowledgeMask, strict: bool = False):
-        self.run = run
-        self.mask = mask
-        self.length = run.length
-        self.strict = strict
-        self._memo: dict = {}
-
-    def _window(self, t: int, interval: F.TimeInterval) -> tuple[int, int]:
-        if self.strict and interval.hi != INF and t + interval.hi > self.length:
-            raise InsufficientTraceError(
-                f"insufficient trace: window [{t + interval.lo}, "
-                f"{t + int(interval.hi)}] exceeds length {self.length}"
-            )
-        return clamp_window(t, interval, self.length)
-
-    def eval(self, f: F.LocalFormula, agent: int, t: int):
-        key = (id(f), agent, t)
-        if key in self._memo:
-            return self._memo[key]
-        v = self._eval(f, agent, t)
-        self._memo[key] = v
-        return v
-
-    def _eval(self, f: F.LocalFormula, agent: int, t: int):
-        if isinstance(f, F.Truth):
-            return 1
-        if isinstance(f, F.Atom):
-            if not self.mask.knows(agent, t):
-                return None
-            state = self.run.trajectory.state(agent, t)
-            return 1 if eval_expr(f.expr, local_state=state) >= 0 else 0
-        if isinstance(f, F.Not):
-            return k_not(self.eval(f.child, agent, t))
-        if isinstance(f, F.And):
-            return k_and(self.eval(f.left, agent, t), self.eval(f.right, agent, t))
-        if isinstance(f, F.Until):
-            lo, hi = self._window(t, f.interval)
-            acc = 0
-            prefix = 1
-            prefix_next = t
-            for t2 in range(lo, hi + 1):
-                while prefix_next <= t2:
-                    prefix = k_and(prefix, self.eval(f.left, agent, prefix_next))
-                    prefix_next += 1
-                if prefix == 0:
-                    return acc
-                acc = k_or(acc, k_and(prefix, self.eval(f.right, agent, t2)))
-                if acc == 1:
-                    return 1
-            return acc
-        if isinstance(f, F.GraphOp):
-            if len(f.graphs) != 1:
-                raise ValueError("expand graphs first")
-            mult = neighbor_multiplicities(
-                self.run, f.graphs[0], t, agent, f.direction, f.weights.bounds
-            )
-            n_sat = 0
-            n_nviol = 0
-            for j, m in mult.items():
-                v = self.eval(f.child, j, t)
-                if v == 1:
-                    n_sat += m
-                    n_nviol += m
-                elif v is None:
-                    n_nviol += m
-            return graph_op_verdict(f.counts, n_sat, n_nviol)
-        raise TypeError(
-            f"distributed monitor requires a prepared core formula, got {type(f).__name__}"
-        )
 
 
 def monitor_dist(
@@ -261,25 +156,7 @@ def monitor_dist(
     the mask's observer. The observer may monitor a subject other than
     itself; the mask governs what is visible, the subject selects where the
     formula is imposed."""
-    from .central import validate_local
-
-    validate_local(run, f)
-    if not 1 <= subject <= run.num_agents:
-        raise ValueError(f"unknown agent {subject}")
-    if not 0 <= T <= run.length:
-        raise TimeOutOfRangeError("time out of range")
-    _, t_max = horizon(f)
-    if strict:
-        if t_max != INF and T + t_max > run.length:
-            raise InsufficientTraceError(
-                f"insufficient trace: need length {T + int(t_max)}, have {run.length}"
-            )
-        end = T
-    else:
-        end = int(min(T + t_max, run.length))
-    prepared = prepare_for_distributed(f)
-    ev = DistributedEvaluator(run, mask, strict)
-    return TernarySignal(0, tuple(ev.eval(prepared, subject, t) for t in range(end + 1)))
+    return TernarySignal(0, signal_cells(run, f, subject, T, strict, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +202,6 @@ def is_determinable(
     shift evaluation to instants where the topology differs, so the
     single-instant composition would not be sufficient there.
     """
-    from .central import validate_local
-
     validate_local(run, f)
     if not 1 <= subject <= run.num_agents:
         raise ValueError(f"unknown agent {subject}")

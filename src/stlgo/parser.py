@@ -26,6 +26,12 @@ time so the semantic kernel only ever sees predicates of the form
 (strict inequalities differ from non-strict readings only on the boundary).
 An omitted quantifier defaults to exists and an omitted W to [-inf, inf].
 The empty count set prints and parses as ``E[]``.
+
+Nesting is bounded: each prefix operator (!, F, G, In, Out), "->",
+parenthesis, agent binding and function call opens one level, and a formula
+nested deeper than ``MAX_NESTING`` levels is a ParseError at the token that
+opens the level past the limit. A formula at the limit still lowers,
+monitors and prints within Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -153,6 +159,9 @@ def tokenize(src: str) -> list[Token]:
     return tokens
 
 
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser over the token stream.
 
@@ -165,6 +174,7 @@ class _Parser:
         self.tokens = tokenize(src)
         self.pos = 0
         self.mode = mode
+        self.depth = 0
 
     # -- token helpers ----------------------------------------------------
 
@@ -193,6 +203,15 @@ class _Parser:
     def fail(self, message: str, expected: tuple[str, ...] = ()):
         raise ParseError(message, self.peek().span, expected)
 
+    def nested(self, opener: Token, parse):
+        """Run ``parse`` one nesting level deeper, in the level ``opener`` opens."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", opener.span)
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
+
     # -- entry ------------------------------------------------------------
 
     def parse(self):
@@ -206,8 +225,7 @@ class _Parser:
     def parse_implies(self):
         left = self.parse_or()
         if self.at("->"):
-            self.advance()
-            right = self.parse_implies()
+            right = self.nested(self.advance(), self.parse_implies)
             return GImplies(left, right) if self.mode == "global" else Implies(left, right)
         return left
 
@@ -239,20 +257,19 @@ class _Parser:
 
     def parse_unary(self):
         if self.at("!"):
-            self.advance()
-            child = self.parse_unary()
+            child = self.nested(self.advance(), self.parse_unary)
             return GNot(child) if self.mode == "global" else Not(child)
         if self.at("IDENT", "F"):
-            self.advance()
+            tok = self.advance()
             interval = self.parse_time_interval()
-            child = self.parse_unary()
+            child = self.nested(tok, self.parse_unary)
             if self.mode == "global":
                 return GEventually(child, interval)
             return Eventually(child, interval)
         if self.at("IDENT", "G"):
-            self.advance()
+            tok = self.advance()
             interval = self.parse_time_interval()
-            child = self.parse_unary()
+            child = self.nested(tok, self.parse_unary)
             if self.mode == "global":
                 return GAlways(child, interval)
             return Always(child, interval)
@@ -263,7 +280,8 @@ class _Parser:
         return self.parse_primary()
 
     def parse_graph_op(self):
-        direction = "in" if self.advance().text == "In" else "out"
+        head = self.advance()
+        direction = "in" if head.text == "In" else "out"
         quantifier = "exists"
         if self.at("<exists>") or self.at("<forall>"):
             quantifier = self.advance().text.strip("<>")
@@ -285,7 +303,7 @@ class _Parser:
         if self.at("IDENT", "W"):
             self.advance()
             weights = self.parse_weight_interval()
-        child = self.parse_unary()
+        child = self.nested(head, self.parse_unary)
         return GraphOp(direction, quantifier, tuple(tags), counts, weights, child)
 
     def parse_primary(self):
@@ -298,7 +316,7 @@ class _Parser:
             return GNot(GTruth()) if self.mode == "global" else Not(Truth())
         if tok.kind == "(":
             self.advance()
-            f = self.parse_implies()
+            f = self.nested(tok, self.parse_implies)
             self.expect(")", "')'")
             return f
         if tok.kind == "[":
@@ -309,7 +327,7 @@ class _Parser:
                 agent = self.parse_agent_index()
                 self.expect(".", "'.'")
                 self.expect("(", "'('")
-                child = self.parse_local_subformula()
+                child = self.nested(tok, self.parse_local_subformula)
                 self.expect(")", "')'")
                 return AgentBind(agent, child)
             if tok.kind == "IDENT" and tok.text in ("FA", "EX"):
@@ -318,7 +336,7 @@ class _Parser:
                 agents = self.parse_agent_set()
                 self.expect("}", "'}'")
                 self.expect("(", "'('")
-                child = self.parse_local_subformula()
+                child = self.nested(tok, self.parse_local_subformula)
                 self.expect(")", "')'")
                 cls = ForAllAgents if tok.text == "FA" else ExistsAgent
                 return cls(agents, child)
@@ -425,21 +443,21 @@ class _Parser:
             return Const(float(tok.text))
         if tok.kind == "(":
             self.advance()
-            e = self.parse_expr()
+            e = self.nested(tok, self.parse_expr)
             self.expect(")", "')'")
             return e
         if tok.kind == "IDENT" and tok.text in ("abs", "sqrt"):
             self.advance()
             self.expect("(", "'('")
-            arg = self.parse_expr()
+            arg = self.nested(tok, self.parse_expr)
             self.expect(")", "')'")
             return UnaryFn(tok.text, arg)
         if tok.kind == "IDENT" and tok.text in ("min", "max"):
             self.advance()
             self.expect("(", "'('")
-            a = self.parse_expr()
+            a = self.nested(tok, self.parse_expr)
             self.expect(",", "','")
-            b = self.parse_expr()
+            b = self.nested(tok, self.parse_expr)
             self.expect(")", "')'")
             return BinFn(tok.text, a, b)
         if tok.kind == "IDENT" and tok.text == "x":

@@ -62,7 +62,7 @@ from stlgo import (
 from stlgo import BikeScenarioConfig, DroneScenarioConfig
 from stlgo.central import oracle_eval, oracle_eval_global
 from stlgo.cli import bench_scenario, drone_formulas, with_anchor_graphs
-from stlgo.distributed import graph_op_verdict
+from stlgo.central import graph_op_verdict
 from stlgo.formula import FULL_WEIGHTS, graph_ops
 from stlgo.translators import psi_graph_tag
 

@@ -138,6 +138,31 @@ def test_strict_mode_raises_on_short_trace():
     assert monitor_local(run, f, 1, 0).values == (1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "G[0,inf] [x[0] >= 0]",
+        "[x[0] >= -2] U[0,inf] [x[0] >= 5]",
+        "F[3,40] [x[0] >= 5]",
+    ],
+)
+def test_monitor_matches_oracle_on_long_trace(text):
+    # L = 1200 with sparse events, so unbounded windows scan far ahead
+    rng = random.Random(text)
+    L = 1200
+    values = [1.0] * (L + 1)
+    for t in rng.sample(range(L + 1), 12):
+        values[t] = rng.choice([-3.0, -1.0, 6.0])
+    run = MasRun(
+        MasTrajectory.from_states([[(v,)] for v in values]), GraphTrajectory(L, static={})
+    )
+    f = parse_local(text)
+    sig = monitor_local(run, f, 1, L)
+    assert (sig.t0, sig.t1) == (0, L)
+    for t in sorted({0, L} | set(rng.sample(range(L + 1), 25))):
+        assert sig.values[t] == oracle_eval(run, f, 1, t), t
+
+
 def test_strict_mode_signal_covers_zero_to_T():
     run = star_run([1, 1], length=5)
     f = parse_local("G[0,2] true")

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -42,6 +44,27 @@ def test_parse_error_has_caret(tmp_path, capsys):
     assert main(["parse", str(f)]) == 1
     err = capsys.readouterr().err
     assert "^" in err
+
+
+def test_parse_too_deep_nesting_exits_one(tmp_path, capsys):
+    f = write_formula(tmp_path, "!" * 3000 + "true")
+    assert main(["parse", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert "nesting deeper than" in err and "^" in err
+
+
+@pytest.mark.parametrize("command", ["monitor", "monitor-dist"])
+def test_monitor_parse_error_closes_formula_file(bike_bundle, tmp_path, capsys, command):
+    _, run_path, graphs_path = bike_bundle
+    f = write_formula(tmp_path, "G[0,24] [x[0] >=")
+    argv = [command, "--formula", str(f), "--run", str(run_path), "--graphs", str(graphs_path)]
+    argv += ["--agent", "1"] if command == "monitor" else ["--mask", str(tmp_path / "m.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+        gc.collect()
+    assert "^" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_parse_empty_file_fails(tmp_path):
@@ -279,17 +302,6 @@ def test_bench_counts_deterministic_per_seed():
     b = bench_scenario(4, 5, seed=9)
     assert [(r["formula"], r["sat"], r["vio"]) for r in a] == [
         (r["formula"], r["sat"], r["vio"]) for r in b
-    ]
-
-
-def test_thread_cap_does_not_change_results(monkeypatch):
-    from stlgo.cli import bench_scenario
-
-    sequential = bench_scenario(4, 4, seed=2)
-    monkeypatch.setenv("STLGO_THREADS", "3")
-    threaded = bench_scenario(4, 4, seed=2)
-    assert [(r["formula"], r["sat"], r["vio"]) for r in sequential] == [
-        (r["formula"], r["sat"], r["vio"]) for r in threaded
     ]
 
 

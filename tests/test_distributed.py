@@ -11,6 +11,7 @@ from stlgo import (
     CountSet,
     GraphOp,
     GraphTrajectory,
+    InsufficientTraceError,
     KnowledgeMask,
     MasRun,
     MasTrajectory,
@@ -21,13 +22,14 @@ from stlgo import (
     is_determinable,
     monitor_dist,
     monitor_local,
+    parse_local,
     refine,
 )
-from stlgo.central import oracle_eval
-from stlgo.distributed import graph_op_verdict, k_and, k_not, k_or
+from stlgo.central import Evaluator, graph_op_verdict, k_and, k_not, k_or, oracle_eval
+from stlgo.distributed import prepare_for_distributed
 from stlgo.formula import FULL_WEIGHTS
 
-from conftest import random_local_formula, random_mask, random_run
+from conftest import nested_graph_formula, random_local_formula, random_mask, random_run
 from direct_semantics import completion_verdict
 
 INF = math.inf
@@ -279,6 +281,78 @@ def test_strict_mode_distributed():
         monitor_dist(run, mask, f, 1, 0, strict=True)
     sig = monitor_dist(run, mask, Always(count_op(0, INF), TimeInterval(0, 1)), 1, 1, strict=True)
     assert (sig.t0, sig.t1) == (0, 1)
+
+
+def test_strict_window_skipped_by_central_short_circuit_still_raises():
+    # The conjunction is decided by the U[2,inf] disjunct, so central
+    # evaluation never reads the F[2,3] window, which ends past L=3 from
+    # t=1. Strict mode refuses the formula up front in both monitors.
+    run = star_run([1, 1], length=3)
+    f = parse_local("true & ((true | true) U[2,inf] true | F[2,3] true)")
+    mask = KnowledgeMask.full(1, run.num_agents, run.length)
+    with pytest.raises(InsufficientTraceError):
+        monitor_local(run, f, 1, 2, strict=True)
+    with pytest.raises(InsufficientTraceError):
+        monitor_dist(run, mask, f, 1, 2, strict=True)
+
+
+def test_strict_bounded_window_under_unbounded_one_raises():
+    run = star_run([1, 1], length=4)
+    mask = KnowledgeMask.full(1, run.num_agents, run.length)
+    for monitor in (
+        lambda f: monitor_local(run, f, 1, 0, strict=True),
+        lambda f: monitor_dist(run, mask, f, 1, 0, strict=True),
+    ):
+        with pytest.raises(InsufficientTraceError):
+            monitor(parse_local("G[0,inf] F[0,1] [x[0] >= 0]"))
+        assert monitor(parse_local("F[0,1] G[0,inf] [x[0] >= 0]")).values == (1,)
+        assert monitor(parse_local("G[0,inf] F[0,0] [x[0] >= 0]")).values == (1,)
+
+
+def _strict_outcome(monitor):
+    try:
+        return monitor().values
+    except InsufficientTraceError:
+        return "raises"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_strict_mode_same_outcome_central_and_full_mask(seed):
+    rng = random.Random(seed)
+    run = random_run(rng, max_agents=4, max_len=5)
+    tags = tuple(sorted(run.graphs.types))
+    f = random_local_formula(rng, tags, run.trajectory.state_dim)
+    subject = rng.randint(1, run.num_agents)
+    T = rng.randint(0, run.length)
+    mask = KnowledgeMask.full(subject, run.num_agents, run.length)
+    central = _strict_outcome(lambda: monitor_local(run, f, subject, T, strict=True))
+    dist = _strict_outcome(lambda: monitor_dist(run, mask, f, subject, T, strict=True))
+    assert central == dist, f"seed={seed}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_monitor_dist_equals_evaluation_of_prepared_formula(seed):
+    # monitor_dist evaluates lower(f): several graph tags by Kleene any/all
+    # and a negated graph operator by Kleene negation. The single-graph,
+    # negation-normalized form must give the same cells.
+    rng = random.Random(seed)
+    run = random_run(rng, max_agents=4, max_len=4)
+    tags = tuple(sorted(run.graphs.types))
+    if rng.random() < 0.5:
+        f = nested_graph_formula(rng, tags, run.trajectory.state_dim)
+    else:
+        f = random_local_formula(rng, tags, run.trajectory.state_dim)
+    subject = rng.randint(1, run.num_agents)
+    observer = rng.randint(1, run.num_agents)
+    mask = random_mask(rng, run, observer, rng.choice([0.0, 0.3, 0.7, 1.0]))
+    T = rng.randint(0, run.length)
+    sig = monitor_dist(run, mask, f, subject, T)
+    ev = Evaluator(run, mask)
+    prepared = prepare_for_distributed(f)
+    expected = tuple(ev.eval(prepared, subject, t) for t in range(sig.t1 + 1))
+    assert sig.values == expected, f"seed={seed}"
 
 
 def test_negated_full_count_set_is_determined_false():

@@ -28,6 +28,7 @@ from stlgo import (
     print_formula,
 )
 from stlgo.formula import FULL_WEIGHTS
+from stlgo.parser import MAX_NESTING
 
 from conftest import random_global_formula, random_local_formula
 
@@ -272,3 +273,53 @@ def test_parser_never_crashes_on_garbage(src):
             parse(src)
         except ParseError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# nesting limit
+
+NESTINGS = {
+    # name: (formula nested n levels deep, text of the token opening a level)
+    "not": (lambda n: "!" * n + "[x[0] >= 3]", "!"),
+    "always": (lambda n: "G[0,1] " * n + "[x[0] >= 3]", "G"),
+    "graph": (lambda n: "In{d} E[1,inf] " * n + "[x[0] >= 3]", "In"),
+    "parens": (lambda n: "(" * n + "[x[0] >= 3]" + ")" * n, "("),
+    "implies": (lambda n: "[x[0] >= 3] -> " * n + "true", "->"),
+    "abs": (lambda n: "[" + "abs(" * n + "x[0]" + ")" * n + " >= 3]", "abs"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTINGS))
+def test_formula_at_nesting_limit_parses_lowers_monitors_and_prints(name):
+    from stlgo import KnowledgeMask, lower, monitor_dist, monitor_local
+
+    from conftest import make_fig_run
+
+    make, _ = NESTINGS[name]
+    f = parse_local(make(MAX_NESTING))
+    lower(f)
+    assert parse_local(print_formula(f)) == f
+    run = make_fig_run(length=1)
+    mask = KnowledgeMask.full(3, run.num_agents, run.length)
+    assert monitor_dist(run, mask, f, 3, 1).values == monitor_local(run, f, 3, 1).values
+
+
+@pytest.mark.parametrize("name", sorted(NESTINGS))
+def test_nesting_past_limit_is_parse_error_at_opening_token(name):
+    make, opener = NESTINGS[name]
+    src = make(MAX_NESTING + 1)
+    with pytest.raises(ParseError, match="nesting deeper than") as exc_info:
+        parse_local(src)
+    # the error points at the token that opens level MAX_NESTING + 1
+    starts = [i for i in range(len(src)) if src.startswith(opener, i)]
+    assert exc_info.value.span.start == starts[MAX_NESTING]
+
+
+def test_deep_nesting_in_global_layer_is_parse_error():
+    parse_global("!" * (MAX_NESTING - 1) + "@1.(true)")
+    src = "!" * MAX_NESTING + "FA{1,2}(true)"
+    with pytest.raises(ParseError, match="nesting deeper than") as exc_info:
+        parse_global(src)
+    assert exc_info.value.span.start == src.index("FA")
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_global("(" * 3000 + "true" + ")" * 3000)
