@@ -49,7 +49,7 @@ class InsufficientTraceError(ValueError):
     """Raised in strict mode when the trace is too short for a bounded window."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolSignal:
     """Boolean satisfaction signal over the contiguous domain t0..t0+len-1."""
 

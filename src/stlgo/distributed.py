@@ -26,17 +26,20 @@ count bounds cannot express the resulting gaps, so some
 determined-by-enumeration cases report ?.
 
 ``is_determinable`` analyses the formula's graph-operator tree, built from
-``prepare_for_distributed``'s single-graph, negation-normalized form.
+``prepare_for_distributed``'s single-graph, negation-normalized form. A
+leaf's composed neighbor set and chain count do not depend on the time
+step, so each is computed once per leaf and only the scan for hidden states
+in the leaf's window runs per step; the check stays sufficient.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import formula as F
 from .central import signal_cells, validate_local
 from .formula import (
-    INF,
     build_operator_tree,
     contains_atom,
     expand_graph_quantifier,
@@ -44,7 +47,7 @@ from .formula import (
     lower,
     push_negations,
 )
-from .model import MasRun, TimeOutOfRangeError, agent_neighbors, neighbor_multiplicities
+from .model import MasRun, TimeOutOfRangeError, neighbor_multiplicities
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ def refine(mask: KnowledgeMask, additions) -> KnowledgeMask:
     return KnowledgeMask(mask.observer, frozenset(pairs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TernarySignal:
     """Per-time verdicts over {0, 1, ?}; ? is stored as None."""
 
@@ -196,11 +199,13 @@ def is_determinable(
     count thresholds, so the outermost operator is determined regardless of
     any state. Counts are weighted by edge multiplicity.
 
-    For ancestor chains that touch a time-varying graph, the neighbor sets
-    and counts are over-approximated by their union (respectively, maximum)
-    across all times: temporal operators between nested graph operators can
-    shift evaluation to instants where the topology differs, so the
-    single-instant composition would not be sufficient there.
+    The neighbor set and the chain count do not depend on t: a chain of
+    static graphs has one topology, and a chain touching a time-varying
+    graph takes the union of neighbor sets (maximum of edge multiplicities)
+    over all times, since temporal operators between nested graph operators
+    can shift evaluation to instants where the topology differs. Both are
+    computed once per leaf, from per-call memos keyed by (operator, agent)
+    and (chain suffix, agent); only the window scan runs per time step.
     """
     validate_local(run, f)
     if not 1 <= subject <= run.num_agents:
@@ -209,76 +214,69 @@ def is_determinable(
         raise TimeOutOfRangeError("time out of range")
     _, t_max = horizon(f)
     end = int(min(T + t_max, run.length))
-    prepared = prepare_for_distributed(f)
-    tree = build_operator_tree(prepared)
+    tree = build_operator_tree(prepare_for_distributed(f))
     ops = {node.index: node for node in tree.operators}
-    static_tags = run.graphs.static_types
+    memo: dict = {}
     failures: list[LeafFailure] = []
 
     for leaf in tree.leaves:
         if not contains_atom(leaf.formula):
             continue
+        chain = leaf.ancestors
+        if chain and (_chain_count(run, subject, chain, ops, memo)
+                      < ops[chain[0]].counts.min_value()):
+            continue  # condition (b) holds at every t
+        agents = {subject}
+        for p in chain:
+            agents = {j for a in agents for j in _multiplicities(run, ops[p], a, memo)}
         _, leaf_t_max = horizon(leaf.formula)
-        exact = all(ops[p].graph in static_tags for p in leaf.ancestors)
+        last = int(min(end + leaf_t_max, run.length))
+        # per agent with hidden states: their times, and the (agent, time) pairs
+        hidden = []
+        for j in sorted(agents):
+            times = [u for u in range(last + 1) if not mask.knows(j, u)]
+            if times:
+                hidden.append((times, [(j, u) for u in times]))
         for t in range(end + 1):
-            agents = frozenset((subject,))
-            for p in leaf.ancestors:
-                agents = _level_neighbors(run, ops[p], agents, t if exact else None)
-            w_end = run.length if leaf_t_max == INF else int(min(t + leaf_t_max, run.length))
-            missing = tuple(
-                (j, u)
-                for j in sorted(agents)
-                for u in range(t, w_end + 1)
-                if not mask.knows(j, u)
-            )
-            if not missing:
-                continue
-            if leaf.ancestors:
-                count = _chain_count(
-                    run, subject, leaf.ancestors, t if exact else None, ops
-                )
-                if count < ops[leaf.ancestors[0]].counts.min_value():
-                    continue
-            failures.append(LeafFailure(leaf.index, t, missing))
+            w_end = int(min(t + leaf_t_max, run.length))
+            missing = []
+            for times, pairs in hidden:
+                missing.extend(pairs[bisect_left(times, t):bisect_right(times, w_end)])
+            if missing:
+                failures.append(LeafFailure(leaf.index, t, tuple(missing)))
 
     return DeterminabilityReport(not failures, tuple(failures), tree)
 
 
-def _level_neighbors(run: MasRun, node, agents, t) -> frozenset[int]:
-    """Neighbor set one operator level out; t=None unions over all times."""
-    if t is not None:
-        return agent_neighbors(run, node.graph, t, agents, node.direction, node.weights.bounds)
-    out: set[int] = set()
-    for u in range(run.length + 1):
-        out |= agent_neighbors(run, node.graph, u, agents, node.direction, node.weights.bounds)
-    return frozenset(out)
-
-
-def _level_multiplicities(run: MasRun, node, agent: int, t) -> dict[int, int]:
-    """Per-neighbor parallel-edge counts; t=None takes the maximum over times."""
-    if t is not None:
-        return neighbor_multiplicities(
-            run, node.graph, t, agent, node.direction, node.weights.bounds
-        )
-    out: dict[int, int] = {}
-    for u in range(run.length + 1):
-        for j, m in neighbor_multiplicities(
-            run, node.graph, u, agent, node.direction, node.weights.bounds
-        ).items():
-            out[j] = max(out.get(j, 0), m)
+def _multiplicities(run: MasRun, node, agent: int, memo: dict) -> dict[int, int]:
+    """Per-neighbor parallel-edge counts one operator level out, maximized
+    over all times (one time suffices for a static graph)."""
+    key = (node.index, agent)
+    out = memo.get(key)
+    if out is None:
+        times = (0,) if node.graph in run.graphs.static else range(run.length + 1)
+        out = {}
+        for u in times:
+            for j, m in neighbor_multiplicities(
+                run, node.graph, u, agent, node.direction, node.weights.bounds
+            ).items():
+                out[j] = max(out.get(j, 0), m)
+        memo[key] = out
     return out
 
 
-def _chain_count(run: MasRun, agent: int, chain: tuple[int, ...], t, ops) -> int:
+def _chain_count(run: MasRun, agent: int, chain: tuple[int, ...], ops, memo: dict) -> int:
     """Edges at the chain's first operator leading to agents whose own nested
     counts reach the downstream minimum thresholds."""
-    node = ops[chain[0]]
-    mult = _level_multiplicities(run, node, agent, t)
-    if len(chain) == 1:
-        return sum(mult.values())
-    threshold = ops[chain[1]].counts.min_value()
-    total = 0
-    for j, m in mult.items():
-        if _chain_count(run, j, chain[1:], t, ops) >= threshold:
-            total += m
+    key = (chain, agent)
+    total = memo.get(key)
+    if total is None:
+        mult = _multiplicities(run, ops[chain[0]], agent, memo)
+        if len(chain) == 1:
+            total = sum(mult.values())
+        else:
+            threshold = ops[chain[1]].counts.min_value()
+            total = sum(m for j, m in mult.items()
+                        if _chain_count(run, j, chain[1:], ops, memo) >= threshold)
+        memo[key] = total
     return total

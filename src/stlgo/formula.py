@@ -703,78 +703,76 @@ def build_operator_tree(f: LocalFormula) -> GraphOpTree:
     """
     operators: list[OperatorNode] = []
     leaves: list[LeafNode] = []
-
-    def visit(node: LocalFormula, chain: tuple[int, ...]):
-        if not contains_graph_op(node):
-            leaves.append(
-                LeafNode(len(leaves) + 1, len(chain) + 1, node, chain)
-            )
-            return
-        if isinstance(node, GraphOp):
-            if len(node.graphs) != 1:
-                raise ValueError("expand graphs first")
-            p = len(operators) + 1
-            operators.append(
-                OperatorNode(
-                    p, len(chain) + 1, node.direction, node.graphs[0],
-                    node.counts, node.weights,
-                )
-            )
-            visit(node.child, chain + (p,))
-            return
-        if isinstance(node, Not):
-            if isinstance(node.child, GraphOp):
-                raise ValueError("formula must be negation-normalized first")
-            visit(node.child, chain)
-            return
-        if isinstance(node, (Eventually, Always)):
-            visit(node.child, chain)
-            return
-        if isinstance(node, (And, Or, Implies, Until)):
-            visit(node.left, chain)
-            visit(node.right, chain)
-            return
-        raise TypeError(f"not a local formula: {node!r}")
-
-    visit(f, ())
+    _visit_operators(f, (), operators, leaves)
     return GraphOpTree(f, tuple(operators), tuple(leaves))
+
+
+def _visit_operators(node: LocalFormula, chain: tuple[int, ...], operators: list, leaves: list):
+    if not contains_graph_op(node):
+        leaves.append(LeafNode(len(leaves) + 1, len(chain) + 1, node, chain))
+        return
+    if isinstance(node, GraphOp):
+        if len(node.graphs) != 1:
+            raise ValueError("expand graphs first")
+        p = len(operators) + 1
+        operators.append(
+            OperatorNode(
+                p, len(chain) + 1, node.direction, node.graphs[0],
+                node.counts, node.weights,
+            )
+        )
+        _visit_operators(node.child, chain + (p,), operators, leaves)
+        return
+    if isinstance(node, Not):
+        if isinstance(node.child, GraphOp):
+            raise ValueError("formula must be negation-normalized first")
+        _visit_operators(node.child, chain, operators, leaves)
+        return
+    if isinstance(node, (Eventually, Always)):
+        _visit_operators(node.child, chain, operators, leaves)
+        return
+    if isinstance(node, (And, Or, Implies, Until)):
+        _visit_operators(node.left, chain, operators, leaves)
+        _visit_operators(node.right, chain, operators, leaves)
+        return
+    raise TypeError(f"not a local formula: {node!r}")
 
 
 def graph_ops(f: LocalFormula) -> list[GraphOp]:
     """All graph operator nodes of a local formula, in depth-first pre-order."""
     out: list[GraphOp] = []
-
-    def walk(node: LocalFormula):
-        if isinstance(node, GraphOp):
-            out.append(node)
-            walk(node.child)
-        elif isinstance(node, (Not, Eventually, Always)):
-            walk(node.child)
-        elif isinstance(node, (And, Or, Implies, Until)):
-            walk(node.left)
-            walk(node.right)
-
-    walk(f)
+    _collect_graph_ops(f, out)
     return out
+
+
+def _collect_graph_ops(node: LocalFormula, out: list):
+    if isinstance(node, GraphOp):
+        out.append(node)
+        _collect_graph_ops(node.child, out)
+    elif isinstance(node, (Not, Eventually, Always)):
+        _collect_graph_ops(node.child, out)
+    elif isinstance(node, (And, Or, Implies, Until)):
+        _collect_graph_ops(node.left, out)
+        _collect_graph_ops(node.right, out)
 
 
 def local_subformulas(f: GlobalFormula) -> list[tuple[int | None, LocalFormula]]:
     """All (bound agent, local formula) pairs embedded in a global formula."""
     out: list[tuple[int | None, LocalFormula]] = []
-
-    def walk(node: GlobalFormula):
-        if isinstance(node, AgentBind):
-            out.append((node.agent, node.child))
-        elif isinstance(node, (ForAllAgents, ExistsAgent)):
-            for a in node.agents:
-                out.append((a, node.child))
-        elif isinstance(node, GNot):
-            walk(node.child)
-        elif isinstance(node, (GEventually, GAlways)):
-            walk(node.child)
-        elif isinstance(node, (GAnd, GOr, GImplies, GUntil)):
-            walk(node.left)
-            walk(node.right)
-
-    walk(f)
+    _collect_local_subformulas(f, out)
     return out
+
+
+def _collect_local_subformulas(node: GlobalFormula, out: list):
+    if isinstance(node, AgentBind):
+        out.append((node.agent, node.child))
+    elif isinstance(node, (ForAllAgents, ExistsAgent)):
+        for a in node.agents:
+            out.append((a, node.child))
+    elif isinstance(node, GNot):
+        _collect_local_subformulas(node.child, out)
+    elif isinstance(node, (GEventually, GAlways)):
+        _collect_local_subformulas(node.child, out)
+    elif isinstance(node, (GAnd, GOr, GImplies, GUntil)):
+        _collect_local_subformulas(node.left, out)
+        _collect_local_subformulas(node.right, out)

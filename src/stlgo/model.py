@@ -293,15 +293,21 @@ def neighbors(
     are (i, j, u). On undirected snapshots both directions expose the same
     connections, re-oriented to the query.
     """
+    snap = _query_snapshot(run, graph_type, t, i, weights)
+    lo, hi = weights
+    return frozenset(
+        e for e in snap.oriented_edges(i, direction) if lo <= e.weight <= hi
+    )
+
+
+def _query_snapshot(run: MasRun, graph_type: str, t: int, i: int, weights) -> MultigraphSnapshot:
+    """Validate a neighbor query of agent i and return the snapshot it reads."""
     lo, hi = weights
     if lo > hi:
         raise ValueError(f"weight interval reversed: [{lo}, {hi}]")
     if not 1 <= i <= run.num_agents:
         raise ValueError(f"unknown agent {i}")
-    snap = run.graphs.at(graph_type, t)
-    return frozenset(
-        e for e in snap.oriented_edges(i, direction) if lo <= e.weight <= hi
-    )
+    return run.graphs.at(graph_type, t)
 
 
 def agent_neighbors(
@@ -332,9 +338,24 @@ def neighbor_multiplicities(
     direction: Direction,
     weights: tuple[float, float] = (NEG_INF, POS_INF),
 ) -> dict[int, int]:
-    """Opposite endpoint -> number of parallel edges inside the weight window."""
+    """Opposite endpoint -> number of parallel edges inside the weight window.
+
+    Counts the same edges as ``neighbors``, straight from the snapshot's
+    incidence lists: a self-loop counts once, toward agent i itself.
+    """
+    snap = _query_snapshot(run, graph_type, t, i, weights)
+    lo, hi = weights
+    directed = snap.directed
+    incoming = direction == "in"
     mult: dict[int, int] = {}
-    for e in neighbors(run, graph_type, t, i, direction, weights):
-        other = e.src if direction == "in" else e.dst
+    for src, dst, _, w in snap._incidence.get(i, ()):
+        if not lo <= w <= hi:
+            continue
+        if directed:
+            if (dst if incoming else src) != i:
+                continue
+            other = src if incoming else dst
+        else:
+            other = dst if src == i else src
         mult[other] = mult.get(other, 0) + 1
     return mult

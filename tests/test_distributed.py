@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -9,6 +10,8 @@ from stlgo import (
     Atom,
     Not,
     CountSet,
+    DroneScenarioConfig,
+    Eventually,
     GraphOp,
     GraphTrajectory,
     InsufficientTraceError,
@@ -19,6 +22,7 @@ from stlgo import (
     StateVar,
     TimeInterval,
     Truth,
+    gen_drone,
     is_determinable,
     monitor_dist,
     monitor_local,
@@ -27,10 +31,17 @@ from stlgo import (
 )
 from stlgo.central import Evaluator, graph_op_verdict, k_and, k_not, k_or, oracle_eval
 from stlgo.distributed import prepare_for_distributed
-from stlgo.formula import FULL_WEIGHTS
+from stlgo.formula import FULL_WEIGHTS, horizon
 
-from conftest import nested_graph_formula, random_local_formula, random_mask, random_run
+from conftest import (
+    make_fig_run,
+    nested_graph_formula,
+    random_local_formula,
+    random_mask,
+    random_run,
+)
 from direct_semantics import completion_verdict
+from reference_determinability import reference_is_determinable
 
 INF = math.inf
 POSITIVE = Atom(StateVar(0))
@@ -516,3 +527,106 @@ def test_determined_verdicts_hold_under_every_consistent_completion():
                     assert sig.values[t] == oracle_eval(alt, f, subject, t)
                     determined_points += 1
     assert determined_points > 1000
+
+
+# ---------------------------------------------------------------------------
+# determinability against the per-time-step reference
+
+
+def _reference_cases(count):
+    """Seeded (run, mask, formula, subject, T) cases: random formulas and
+    formulas nesting two or three graph operators, over runs whose tags are
+    static or time-varying at random."""
+    rng = random.Random(31_337)
+    for k in range(count):
+        run = random_run(rng, max_agents=5, max_len=6)
+        tags = tuple(sorted(run.graphs.types))
+        dim = run.trajectory.state_dim
+        if k % 3 == 0:
+            f = random_local_formula(rng, tags, dim)
+        else:
+            f = nested_graph_formula(rng, tags, dim)
+            if k % 3 == 2:
+                f = GraphOp(
+                    rng.choice(["in", "out"]), "exists", (rng.choice(tags),),
+                    CountSet.single(rng.randint(0, 2), INF), FULL_WEIGHTS,
+                    Eventually(f, TimeInterval(0, rng.randint(0, 2))),
+                )
+        observer = rng.randint(1, run.num_agents)
+        mask = random_mask(rng, run, observer, rng.choice([0.0, 0.3, 0.7, 1.0]))
+        yield run, mask, f, rng.randint(1, run.num_agents), rng.randint(0, run.length)
+
+
+def test_determinability_equals_per_time_step_reference():
+    outcomes = set()
+    time_varying_nested = 0
+    for run, mask, f, subject, T in _reference_cases(330):
+        report = is_determinable(run, mask, f, subject, T)
+        assert report == reference_is_determinable(run, mask, f, subject, T)
+        outcomes.add(report.determinable)
+        chains = [leaf.ancestors for leaf in report.tree.leaves]
+        graphs = {node.index: node.graph for node in report.tree.operators}
+        if any(
+            len(c) >= 2 and any(graphs[p] not in run.graphs.static_types for p in c)
+            for c in chains
+        ):
+            time_varying_nested += 1
+    assert outcomes == {True, False}
+    assert time_varying_nested >= 100
+
+
+def test_determinability_equals_reference_on_drone_observer_shapes():
+    run = gen_drone(DroneScenarioConfig(sigma=6, seed=7, horizon=10))
+    rng = random.Random(7)
+    shapes = (
+        "G[0,2](Out{s} E[0,2] (F[0,3](In{c} E[1,inf] [x[0] >= 4])))",
+        "F[0,3](Out{d} E[2,inf] W[0,3] (G[0,2](In{s} E[0,1] [x[1] >= 3])))",
+        "G[0,2](Out{d} E[1,inf] W[0,2] ([x[0] >= 2] & In{s} E[0,3] [x[1] <= 6]))",
+    )
+    for text in shapes:
+        f = parse_local(text)
+        T = run.length - int(horizon(f)[1])
+        for subject in (1, 4):
+            for p_known in (0.0, 0.5, 1.0):
+                mask = random_mask(rng, run, subject, p_known)
+                assert is_determinable(run, mask, f, subject, T) == reference_is_determinable(
+                    run, mask, f, subject, T
+                )
+
+
+def test_determinability_is_polynomial_in_nesting_depth(monkeypatch):
+    # 49 nested graph operators (98 parser levels, with the parentheses):
+    # the chain count must not recurse into every neighbor at every level
+    import stlgo.distributed as distributed
+
+    run = make_fig_run()
+    mask = KnowledgeMask.self_only(1)
+    bound = 49 * run.num_agents * (run.length + 1)  # operators x agents x times
+    calls = []
+    original = distributed.neighbor_multiplicities
+
+    def counting(*args):
+        calls.append(args)
+        # fail at once rather than run for an exponential number of calls
+        assert len(calls) <= bound, "neighbor_multiplicities called too often"
+        return original(*args)
+
+    def nested(depth):
+        return parse_local("In{d} E[0,inf] (" * depth + "[x[0] >= 3]" + ")" * depth)
+
+    shallow = is_determinable(run, mask, nested(12), 1, 0)
+    monkeypatch.setattr(distributed, "neighbor_multiplicities", counting)
+    deep = is_determinable(run, mask, nested(49), 1, 0)
+    assert (deep.determinable, deep.failures) == (shallow.determinable, shallow.failures)
+
+
+def test_determinability_leaves_no_reference_cycles():
+    run = make_fig_run(length=3)
+    f = parse_local("G[0,1](In{d} E[1,inf] (F[0,1] Out{d} E[0,2] W[0,6] [x[0] >= 3]))")
+    gc.collect()
+    gc.disable()
+    try:
+        is_determinable(run, KnowledgeMask.self_only(1), f, 1, 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

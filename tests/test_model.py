@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,3 +150,40 @@ def test_reversed_weight_window_rejected():
     run = two_edge_run()
     with pytest.raises(ValueError, match="reversed"):
         neighbors(run, "c", 0, 1, "in", (5.0, 2.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**9), lo=st.integers(-2, 9), width=st.integers(0, 9))
+def test_neighbor_multiplicities_count_neighbor_endpoints(seed, lo, width):
+    rng = random.Random(seed)
+    run = random_run(rng, max_agents=5, max_len=3)
+    # an undirected multigraph with self-loops, beside random_run's tags
+    edges = [
+        (i, j, k, float(rng.randint(0, 9)))
+        for i in range(1, run.num_agents + 1)
+        for j in range(i, run.num_agents + 1)
+        for k in (1, 2)
+        if rng.random() < 0.3
+    ]
+    run = run.with_graph("u", MultigraphSnapshot.make("u", False, edges))
+    windows = ((-math.inf, math.inf), (float(lo), float(lo + width)), (float(lo), math.inf))
+    for tag in sorted(run.graphs.types):
+        for t in range(run.length + 1):
+            for i in range(1, run.num_agents + 1):
+                for direction in ("in", "out"):
+                    for w in windows:
+                        want = Counter(
+                            e.src if direction == "in" else e.dst
+                            for e in neighbors(run, tag, t, i, direction, w)
+                        )
+                        assert neighbor_multiplicities(run, tag, t, i, direction, w) == want
+
+
+def test_neighbor_multiplicities_reject_bad_queries():
+    run = two_edge_run()
+    with pytest.raises(ValueError, match="reversed"):
+        neighbor_multiplicities(run, "c", 0, 1, "in", (5.0, 2.0))
+    with pytest.raises(ValueError, match="unknown agent"):
+        neighbor_multiplicities(run, "c", 0, 4, "in")
+    with pytest.raises(UnknownGraphTypeError):
+        neighbor_multiplicities(run, "x", 0, 1, "in")
