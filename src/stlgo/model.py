@@ -8,9 +8,10 @@ across concurrent evaluators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Mapping, NamedTuple
+from typing import Callable, Iterable, Literal, Mapping, NamedTuple
 
 Direction = Literal["in", "out"]
 
@@ -33,9 +34,65 @@ class Edge(NamedTuple):
     weight: float
 
 
-def _as_edge(e) -> Edge:
-    src, dst, index, weight = e
-    return Edge(int(src), int(dst), int(index), float(weight))
+_edge_key = operator.itemgetter(0, 1, 2)
+
+
+def _edge_weight(w, decode_weight) -> float:
+    """A weight that is not a plain non-NaN float, through ``decode_weight``
+    if given; otherwise any real number but a bool or NaN."""
+    if decode_weight is not None:
+        return decode_weight(w)
+    if isinstance(w, (int, float)) and not isinstance(w, bool):
+        w = float(w)
+        if not math.isnan(w):
+            return w
+        raise ValueError("edge weights may not be NaN")
+    raise ValueError(f"bad edge weight {w!r}")
+
+
+def _edge_set(directed: bool, rows: Iterable, decode_weight) -> tuple[frozenset[Edge], int]:
+    """Validate and canonicalise edge rows in one pass.
+
+    Each row must unpack to (src, dst, u, w) with endpoints of type int and
+    >= 1, an index u of type int and >= 1 (a bool is not an int here) and a
+    non-NaN real weight. Undirected edges are
+    oriented (min, max). Returns the edges and the largest endpoint (0 when
+    there are none); a repeated (src, dst, u) key is an error.
+    """
+    new = tuple.__new__
+    edges = []
+    top = 0
+    for row in rows:
+        try:
+            src, dst, index, weight = row
+        except (TypeError, ValueError):
+            raise ValueError("edge must be [src, dst, u, w]") from None
+        if type(src) is not int or type(dst) is not int or type(index) is not int:
+            raise ValueError(f"edge {row!r}: src, dst and u must be integers")
+        if type(weight) is not float or weight != weight:
+            weight = _edge_weight(weight, decode_weight)
+        if index < 1:
+            raise ValueError("edge index must be >= 1")
+        if src <= dst:
+            low, high = src, dst
+        elif directed:
+            low, high = dst, src
+        else:
+            src, dst = low, high = dst, src
+        if low < 1:
+            raise ValueError(f"edge {row!r} references agent {low} < 1")
+        if high > top:
+            top = high
+        edges.append(new(Edge, (src, dst, index, weight)))
+    # keys are counted after the loop: a set of short-lived key tuples built
+    # in C costs a fraction of one grown row by row alongside the edges
+    if len(set(map(_edge_key, edges))) < len(edges):
+        seen = set()
+        for e in edges:
+            if e[:3] in seen:
+                raise ValueError(f"duplicate edge {e[:3]} in snapshot")
+            seen.add(e[:3])
+    return frozenset(edges), top
 
 
 @dataclass(frozen=True)
@@ -112,33 +169,27 @@ class MultigraphSnapshot:
     Undirected edges are stored once in canonical (min, max) endpoint order
     and mirrored at query time. Parallel edges are distinguished by the edge
     index; self-loops are permitted and counted like any edge.
+
+    ``edges`` may be given as any iterable of (src, dst, u, w) rows; they are
+    checked and canonicalised in one pass (see ``_edge_set``) and stored as a
+    frozenset of ``Edge``. ``decode_weight``, if given, maps every weight that
+    is not a plain float (a file's ``"inf"`` token, say) to one, or raises.
     """
 
     graph_type: str
     directed: bool
     edges: frozenset[Edge]
+    decode_weight: InitVar[Callable[[object], float] | None] = None
+    _max_node: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        canon = set()
-        keys = set()
-        for e in self.edges:
-            e = _as_edge(e)
-            if math.isnan(e.weight):
-                raise ValueError("edge weights may not be NaN")
-            if e.index < 1:
-                raise ValueError("edge index must be >= 1")
-            if not self.directed and e.src > e.dst:
-                e = Edge(e.dst, e.src, e.index, e.weight)
-            key = (e.src, e.dst, e.index)
-            if key in keys:
-                raise ValueError(f"duplicate edge {key} in snapshot")
-            keys.add(key)
-            canon.add(e)
-        object.__setattr__(self, "edges", frozenset(canon))
+    def __post_init__(self, decode_weight):
+        edges, top = _edge_set(self.directed, self.edges, decode_weight)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_max_node", top)
 
     @classmethod
     def make(cls, graph_type: str, directed: bool, edges: Iterable) -> MultigraphSnapshot:
-        return cls(graph_type, directed, frozenset(_as_edge(e) for e in edges))
+        return cls(graph_type, directed, edges)
 
     @cached_property
     def _incidence(self) -> dict[int, tuple[Edge, ...]]:
@@ -178,7 +229,7 @@ class MultigraphSnapshot:
         return tuple(out)
 
     def max_node(self) -> int:
-        return max((max(e.src, e.dst) for e in self.edges), default=0)
+        return self._max_node
 
 
 @dataclass(frozen=True)
@@ -208,6 +259,8 @@ class GraphTrajectory:
             for snap in snaps:
                 if snap.graph_type != tag:
                     raise ValueError(f"snapshot for {tag!r} is typed {snap.graph_type!r}")
+                if snap.directed != snaps[0].directed:
+                    raise ValueError(f"graph {tag!r}: snapshots disagree on 'directed'")
         object.__setattr__(self, "static", dict(self.static))
         object.__setattr__(self, "dynamic", dict(self.dynamic))
 

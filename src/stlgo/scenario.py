@@ -251,8 +251,8 @@ def ingest_station_csv(states_path, distances_path, times_path) -> MasRun:
     """Assemble a bike-share-shaped run from three CSV files.
 
     Stations must be 1..N contiguous and every (station, hour) cell present
-    for hours 0..L; gaps, duplicates, and NaN values are schema errors with
-    row diagnostics.
+    for hours 0..L; gaps, duplicates (of a cell or of a station pair), and
+    NaN values are schema errors with row diagnostics.
     """
     cells: dict[tuple[int, int], tuple[float, float, float]] = {}
     for k, row in enumerate(_read_rows(states_path, STATES_HEADER), start=2):
@@ -287,24 +287,29 @@ def ingest_station_csv(states_path, distances_path, times_path) -> MasRun:
         [[cells[(s, t)] for s in range(1, num_agents + 1)] for t in range(length + 1)]
     )
 
-    def station_pair(path, hint, row) -> tuple[int, int]:
+    def station_pair(path, hint, row, seen) -> tuple[int, int]:
         src = int(_num(path, hint, "src", row["src"], integral=True))
         dst = int(_num(path, hint, "dst", row["dst"], integral=True))
         for v in (src, dst):
             if not 1 <= v <= num_agents:
                 raise ValueError(f"{path}: {hint}: station {v} out of range 1..{num_agents}")
+        if (src, dst) in seen:
+            raise ValueError(f"{path}: {hint}: duplicate pair (src {src}, dst {dst})")
+        seen.add((src, dst))
         return src, dst
 
     d_edges = []
+    seen = set()
     for k, row in enumerate(_read_rows(distances_path, DISTANCES_HEADER), start=2):
         hint = f"row {k}"
-        src, dst = station_pair(distances_path, hint, row)
+        src, dst = station_pair(distances_path, hint, row, seen)
         d_edges.append(Edge(src, dst, 1, _num(distances_path, hint, "miles", row["miles"])))
 
     mt_edges = []
+    seen = set()
     for k, row in enumerate(_read_rows(times_path, TIMES_HEADER), start=2):
         hint = f"row {k}"
-        src, dst = station_pair(times_path, hint, row)
+        src, dst = station_pair(times_path, hint, row, seen)
         mt_edges.append(Edge(src, dst, 1, _num(times_path, hint, "transit_min", row["transit_min"])))
         mt_edges.append(Edge(src, dst, 2, _num(times_path, hint, "walk_min", row["walk_min"])))
 

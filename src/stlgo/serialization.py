@@ -7,20 +7,30 @@ Mask file:   {"schema", "observer", "known": [[subject, t_from, t_to]]}
 Signal file: {"schema", "t0", "values": [0 | 1 | "?"]}
 Label file:  {"schema", "labels": {agent: [label, ...]}}
 
-Infinite edge weights serialize as the strings "inf" / "-inf" (JSON has no
-infinity literal); everything else is plain numbers. Files written here
-re-read to identical in-memory values.
+Agents are numbered 1..N. In a graph file src, dst and the edge index u are
+JSON integers (not booleans): src and dst in 1..N, u >= 1, and no
+(src, dst, u) key repeats within a snapshot. Undirected edges are written
+once, in (min, max) order. A weight w is a number or, for the infinities
+(JSON has no literal for them), the string "inf" or "-inf".
+
+Every file is written as one line of compact JSON (no spaces after "," and
+":") in a fixed key order, edges sorted, so saving the same value twice
+gives the same bytes; re-reading gives the same in-memory value. Readers
+check the shape of what they read and report any deviation as a
+``SchemaError`` naming the file; graph rows are checked in the same pass
+that builds each snapshot.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Iterable
 
 from .distributed import KnowledgeMask, TernarySignal
 from .central import BoolSignal
-from .model import Edge, GraphTrajectory, MasRun, MasTrajectory, MultigraphSnapshot
+from .model import GraphTrajectory, MasRun, MasTrajectory, MultigraphSnapshot
 
 SCHEMA = "stlgo/1"
 
@@ -37,14 +47,24 @@ def _check_schema(doc, path, *required):
             raise SchemaError(f"{path}: missing field {key!r}")
 
 
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 def _dump(doc, path):
+    # json.dumps without indent runs the C encoder (json.dump never does);
+    # the documents written here are trees, so the cycle check is skipped
+    text = json.dumps(doc, separators=(",", ":"), check_circular=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -61,7 +81,7 @@ def _weight_in(raw, path):
         return math.inf
     if raw == "-inf":
         return -math.inf
-    if isinstance(raw, (int, float)) and not math.isnan(raw):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and not math.isnan(raw):
         return float(raw)
     raise SchemaError(f"{path}: bad edge weight {raw!r}")
 
@@ -76,7 +96,7 @@ def save_trajectory(traj: MasTrajectory, path):
             "num_agents": traj.num_agents,
             "state_dim": traj.state_dim,
             "length": traj.length,
-            "states": [[list(vec) for vec in slice_] for slice_ in traj.states],
+            "states": traj.states,
         },
         path,
     )
@@ -85,9 +105,23 @@ def save_trajectory(traj: MasTrajectory, path):
 def load_trajectory(path) -> MasTrajectory:
     doc = _load(path)
     _check_schema(doc, path, "num_agents", "state_dim", "length", "states")
-    traj = MasTrajectory.from_states(doc["states"])
+    states = doc["states"]
+    if not isinstance(states, list) or not all(
+        isinstance(slice_, list) and all(isinstance(vec, list) for vec in slice_)
+        for slice_ in states
+    ):
+        raise SchemaError(f"{path}: 'states' must be nested lists states[t][i][k]")
+    for slice_ in states:
+        for vec in slice_:
+            for v in vec:
+                if type(v) is not float and not _is_int(v):
+                    raise SchemaError(f"{path}: state component {v!r} is not a number")
+    try:
+        traj = MasTrajectory.from_states(states)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     for key in ("num_agents", "state_dim", "length"):
-        if getattr(traj, key) != doc[key]:
+        if not _is_int(doc[key]) or getattr(traj, key) != doc[key]:
             raise SchemaError(
                 f"{path}: declared {key}={doc[key]} but states imply {getattr(traj, key)}"
             )
@@ -118,31 +152,50 @@ def save_graphs(graphs: GraphTrajectory, path):
 
 
 def _edges_out(snap: MultigraphSnapshot):
-    return [[e.src, e.dst, e.index, _weight_out(e.weight)] for e in sorted(snap.edges)]
+    # plain tuples encode as JSON arrays in C (an Edge, being a tuple
+    # subclass, is first copied to a list); only infinite weights need a token
+    inf = math.inf
+    return [
+        e[:] if -inf < e.weight < inf else (e.src, e.dst, e.index, _weight_out(e.weight))
+        for e in sorted(snap.edges)
+    ]
 
 
 def load_graphs(path, length: int) -> GraphTrajectory:
     doc = _load(path)
     _check_schema(doc, path, "types")
+    if not isinstance(doc["types"], dict):
+        raise SchemaError(f"{path}: 'types' must map graph tags to graphs")
+    decode_weight = functools.partial(_weight_in, path=path)
     static = {}
     dynamic = {}
     for tag, entry in doc["types"].items():
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{path}: graph {tag!r}: must be an object")
         if "directed" not in entry or "snapshots" not in entry:
             raise SchemaError(f"{path}: graph {tag!r}: need 'directed' and 'snapshots'")
-        directed = bool(entry["directed"])
+        directed = entry["directed"]
+        is_static = entry.get("static", False)
+        if type(directed) is not bool or type(is_static) is not bool:
+            raise SchemaError(f"{path}: graph {tag!r}: 'directed' and 'static' must be booleans")
         snaps = entry["snapshots"]
-        if entry.get("static"):
+        if not isinstance(snaps, list) or not all(isinstance(e, dict) for e in snaps):
+            raise SchemaError(f"{path}: graph {tag!r}: 'snapshots' must be a list of objects")
+        if is_static:
             if len(snaps) != 1:
                 raise SchemaError(f"{path}: static graph {tag!r} needs exactly one snapshot")
-            static[tag] = _snapshot_in(tag, directed, snaps[0], path)
+            static[tag] = _snapshot_in(tag, directed, snaps[0], path, decode_weight)
         else:
             by_t = {}
             for entry in snaps:
                 if "t" not in entry:
                     raise SchemaError(f"{path}: graph {tag!r}: dynamic snapshot without 't'")
+                if not _is_int(entry["t"]):
+                    raise SchemaError(f"{path}: graph {tag!r}: snapshot time {entry['t']!r} "
+                                      "is not an integer")
                 if entry["t"] in by_t:
                     raise SchemaError(f"{path}: graph {tag!r}: duplicate snapshot t={entry['t']}")
-                by_t[entry["t"]] = _snapshot_in(tag, directed, entry, path)
+                by_t[entry["t"]] = _snapshot_in(tag, directed, entry, path, decode_weight)
             missing = [t for t in range(length + 1) if t not in by_t]
             if missing:
                 raise SchemaError(f"{path}: graph {tag!r}: missing snapshots for t={missing}")
@@ -155,20 +208,27 @@ def load_graphs(path, length: int) -> GraphTrajectory:
     return GraphTrajectory(length, static, dynamic)
 
 
-def _snapshot_in(tag, directed, entry, path) -> MultigraphSnapshot:
-    edges = []
-    for raw in entry.get("edges", []):
-        if len(raw) != 4:
-            raise SchemaError(f"{path}: graph {tag!r}: edge must be [src, dst, u, w]")
-        src, dst, u, w = raw
-        edges.append(Edge(int(src), int(dst), int(u), _weight_in(w, path)))
-    return MultigraphSnapshot.make(tag, directed, edges)
+def _snapshot_in(tag, directed, entry, path, decode_weight) -> MultigraphSnapshot:
+    """The snapshot of one graph-file entry; its rows go to the constructor
+    unconverted, which checks them in the pass that builds the snapshot."""
+    rows = entry.get("edges", [])
+    if not isinstance(rows, list):
+        raise SchemaError(f"{path}: graph {tag!r}: 'edges' must be a list")
+    try:
+        return MultigraphSnapshot(tag, directed, rows, decode_weight)
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(f"{path}: graph {tag!r}: {exc}") from None
 
 
 def load_run(trajectory_path, graphs_path) -> MasRun:
     traj = load_trajectory(trajectory_path)
     graphs = load_graphs(graphs_path, traj.length)
-    return MasRun(traj, graphs)
+    try:
+        return MasRun(traj, graphs)
+    except ValueError as exc:
+        raise SchemaError(f"{graphs_path}: {exc}") from None
 
 
 def save_run(run: MasRun, trajectory_path, graphs_path):
@@ -200,15 +260,22 @@ def save_mask(mask: KnowledgeMask, path):
 def load_mask(path) -> KnowledgeMask:
     doc = _load(path)
     _check_schema(doc, path, "observer", "known")
+    if not _is_int(doc["observer"]) or not isinstance(doc["known"], list):
+        raise SchemaError(f"{path}: need an integer 'observer' and a list 'known'")
     pairs = set()
     for entry in doc["known"]:
-        if len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise SchemaError(f"{path}: mask entry must be [subject, t_from, t_to]")
+        if not all(map(_is_int, entry)):
+            raise SchemaError(f"{path}: mask entry {entry} must hold integers")
         j, t_from, t_to = entry
         if t_from > t_to:
             raise SchemaError(f"{path}: mask range reversed: {entry}")
-        pairs.update((int(j), t) for t in range(int(t_from), int(t_to) + 1))
-    return KnowledgeMask(int(doc["observer"]), frozenset(pairs))
+        pairs.update((j, t) for t in range(t_from, t_to + 1))
+    try:
+        return KnowledgeMask(doc["observer"], frozenset(pairs))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 # -- signals -----------------------------------------------------------------
@@ -222,15 +289,17 @@ def save_signal(signal: BoolSignal | TernarySignal, path):
 def load_signal(path) -> TernarySignal:
     doc = _load(path)
     _check_schema(doc, path, "t0", "values")
+    if not _is_int(doc["t0"]) or not isinstance(doc["values"], list):
+        raise SchemaError(f"{path}: need an integer 't0' and a list 'values'")
     values = []
     for v in doc["values"]:
         if v == "?":
             values.append(None)
-        elif v in (0, 1):
-            values.append(int(v))
+        elif _is_int(v) and v in (0, 1):
+            values.append(v)
         else:
             raise SchemaError(f"{path}: signal values must be 0, 1, or '?'")
-    return TernarySignal(int(doc["t0"]), tuple(values))
+    return TernarySignal(doc["t0"], tuple(values))
 
 
 # -- labels -----------------------------------------------------------------
@@ -249,4 +318,12 @@ def save_labels(labels: dict[int, Iterable[str]], path):
 def load_labels(path) -> dict[int, frozenset[str]]:
     doc = _load(path)
     _check_schema(doc, path, "labels")
-    return {int(a): frozenset(ls) for a, ls in doc["labels"].items()}
+    labels = doc["labels"]
+    if not isinstance(labels, dict) or not all(
+        isinstance(ls, list) and all(isinstance(x, str) for x in ls) for ls in labels.values()
+    ):
+        raise SchemaError(f"{path}: 'labels' must map agents to lists of strings")
+    try:
+        return {int(a): frozenset(ls) for a, ls in labels.items()}
+    except ValueError:
+        raise SchemaError(f"{path}: label keys must be agent numbers") from None

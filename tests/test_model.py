@@ -78,6 +78,56 @@ def test_duplicate_edge_key_rejected():
         MultigraphSnapshot.make("c", False, [(1, 2, 1, 5.0), (2, 1, 1, 7.0)])
 
 
+@pytest.mark.parametrize("row", [(1, 0, 1, 0.5), (0, 1, 1, 0.5), (1, -4, 1, 0.5)])
+@pytest.mark.parametrize("directed", [True, False])
+def test_nodes_below_one_rejected(row, directed):
+    with pytest.raises(ValueError, match=r"references agent -?\d+ < 1"):
+        MultigraphSnapshot.make("c", directed, [(1, 2, 1, 1.0), row])
+
+
+@pytest.mark.parametrize(
+    "row",
+    [(1, 2.7, 1, 0.5), (2.0, 1, 1, 0.5), ("2", 1, 1, 0.5), (True, 2, 1, 0.5),
+     (1, None, 1, 0.5), (1, 2, 1.0, 0.5), (1, 2, False, 0.5)],
+)
+def test_non_integer_endpoints_and_indices_rejected(row):
+    with pytest.raises(ValueError, match="must be integers"):
+        MultigraphSnapshot.make("c", True, [row])
+
+
+@pytest.mark.parametrize("weight", [True, None, "inf", "1.0"])
+def test_non_number_weights_rejected(weight):
+    with pytest.raises(ValueError, match="bad edge weight"):
+        MultigraphSnapshot.make("c", True, [(1, 2, 1, weight)])
+
+
+@pytest.mark.parametrize("row", [(1, 2, 1), (1, 2, 1, 0.5, 0), 7])
+def test_rows_of_other_shapes_rejected(row):
+    with pytest.raises(ValueError, match=r"edge must be \[src, dst, u, w\]"):
+        MultigraphSnapshot.make("c", True, [row])
+
+
+@pytest.mark.parametrize(
+    "directed,rows",
+    [
+        (True, [(1, 2, 1, 5.0), (1, 2, 1, 5.0)]),  # exact repeat
+        (True, [(1, 2, 1, 5.0), (1, 2, 1, 6.0)]),
+        (False, [(2, 1, 1, 5.0), (1, 2, 1, 5.0)]),  # mirrored exact repeat
+    ],
+)
+def test_repeated_keys_rejected(directed, rows):
+    with pytest.raises(ValueError, match=r"duplicate edge \(1, 2, 1\) in snapshot"):
+        MultigraphSnapshot.make("c", directed, rows)
+
+
+def test_integral_weights_become_floats():
+    snap = MultigraphSnapshot.make("c", False, [(3, 1, 1, 2), Edge(2, 2, 2, -math.inf)])
+    assert snap.edges == {Edge(1, 3, 1, 2.0), Edge(2, 2, 2, -math.inf)}
+    assert all(type(e.src) is int and type(e.weight) is float for e in snap.edges)
+    assert snap.max_node() == 3
+    assert MultigraphSnapshot.make("c", True, []).max_node() == 0
+
+
 def test_nan_weight_rejected():
     with pytest.raises(ValueError, match="NaN"):
         MultigraphSnapshot.make("c", False, [(1, 2, 1, float("nan"))])
@@ -107,6 +157,15 @@ def test_graph_trajectory_needs_full_coverage():
     snap = MultigraphSnapshot.make("c", False, [])
     with pytest.raises(ValueError, match="snapshots"):
         GraphTrajectory(2, dynamic={"c": (snap,)})
+
+
+def test_dynamic_graph_snapshots_share_direction():
+    """The graph file stores 'directed' once per tag, so a mixed tag could not
+    round-trip."""
+    undirected = MultigraphSnapshot.make("c", False, [(2, 1, 1, 1.0)])
+    directed = MultigraphSnapshot.make("c", True, [(2, 1, 1, 1.0)])
+    with pytest.raises(ValueError, match="disagree on 'directed'"):
+        GraphTrajectory(1, dynamic={"c": (undirected, directed)})
 
 
 def test_with_graph_replaces_and_adds(fig_run):

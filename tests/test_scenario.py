@@ -172,6 +172,22 @@ def test_nan_rejected_with_position(tmp_path):
         ingest_station_csv(states, dist, times)
 
 
+@pytest.mark.parametrize(
+    "dist_rows,times_rows,where",
+    [
+        ("1,2,3.0\n2,1,3.0\n1,2,3.0\n", "", "dist.csv: row 4"),
+        ("", "1,2,4.0,9.0\n1,2,4.0,9.0\n", "times.csv: row 3"),
+    ],
+)
+def test_repeated_station_pair_rejected_with_position(tmp_path, dist_rows, times_rows, where):
+    """An exact repeat is an error too, not dropped."""
+    states = write(tmp_path / "states.csv", "station,hour,n,n_in,n_out\n1,0,5,0,0\n2,0,5,0,0\n")
+    dist = write(tmp_path / "dist.csv", "src,dst,miles\n" + dist_rows)
+    times = write(tmp_path / "times.csv", "src,dst,transit_min,walk_min\n" + times_rows)
+    with pytest.raises(ValueError, match=rf"{where}: duplicate pair \(src 1, dst 2\)"):
+        ingest_station_csv(states, dist, times)
+
+
 def test_bad_header_reported(tmp_path):
     states = write(tmp_path / "states.csv", "station,hour,bikes\n1,0,5\n")
     dist = write(tmp_path / "dist.csv", "src,dst,miles\n")
