@@ -28,14 +28,6 @@ from .formula import (
     Eventually,
     ExistsAgent,
     ForAllAgents,
-    GAlways,
-    GAnd,
-    GEventually,
-    GImplies,
-    GNot,
-    GOr,
-    GTruth,
-    GUntil,
     GlobalAtom,
     GlobalFormula,
     GraphOp,

@@ -38,7 +38,6 @@ same inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import formula as F
 from .formula import INF, eval_expr, expr_vars, horizon, lower
@@ -82,37 +81,54 @@ class SignalTable:
         return self.entries[(subformula, agent)]
 
 
+_BINDERS = (F.AgentBind, F.ForAllAgents, F.ExistsAgent)
+_SYSTEM_ONLY = (F.GlobalAtom,) + _BINDERS
+
+
 def validate_local(run: MasRun, f: F.LocalFormula):
-    """Check state accessors against a run before evaluation."""
-    for expr in _formula_exprs(f):
-        for var in expr_vars(expr):
-            if isinstance(var, F.AgentStateVar):
-                raise ValueError("agent-indexed accessor inside an agent-local formula")
-            if var.index >= run.trajectory.state_dim:
-                raise ValueError(
-                    f"state component {var.index} out of range "
-                    f"(state_dim={run.trajectory.state_dim})"
-                )
+    """Check that f is agent-local and its state accessors fit the run."""
+    for node in _nodes(f):
+        if isinstance(node, _SYSTEM_ONLY):
+            raise ValueError(f"{type(node).__name__} inside an agent-local formula")
+        if isinstance(node, F.Atom):
+            for var in expr_vars(node.expr):
+                if isinstance(var, F.AgentStateVar):
+                    raise ValueError("agent-indexed accessor inside an agent-local formula")
+                _check_component(run, var)
 
 
 def validate_global(run: MasRun, f: F.GlobalFormula):
-    """Check agent references and state accessors against a run."""
-    for agent, local in F.local_subformulas(f):
-        if agent is not None and agent > run.num_agents:
-            raise ValueError(f"agent {agent} out of range (N={run.num_agents})")
-        validate_local(run, local)
-    for expr in _formula_exprs(f):
-        for var in expr_vars(expr):
-            if isinstance(var, F.AgentStateVar):
+    """Check that f reads agent states only through agent bindings, and its
+    agent references and state accessors fit the run."""
+    system = list(_nodes(f, into_binders=False))
+    for node in system:
+        if isinstance(node, (F.Atom, F.GraphOp)):
+            raise ValueError(
+                f"{type(node).__name__} outside an agent binding in a system-level formula"
+            )
+    for node in system:
+        if isinstance(node, _BINDERS):
+            agents = (node.agent,) if isinstance(node, F.AgentBind) else node.agents
+            for agent in agents:
+                if agent > run.num_agents:
+                    raise ValueError(f"agent {agent} out of range (N={run.num_agents})")
+            validate_local(run, node.child)
+    for node in system:
+        if isinstance(node, F.GlobalAtom):
+            for var in expr_vars(node.expr):
+                if isinstance(var, F.StateVar):
+                    raise ValueError("x[k] accessor inside a system-level atom")
                 if not 1 <= var.agent <= run.num_agents:
-                    raise ValueError(
-                        f"agent {var.agent} out of range (N={run.num_agents})"
-                    )
-            if var.index >= run.trajectory.state_dim:
-                raise ValueError(
-                    f"state component {var.index} out of range "
-                    f"(state_dim={run.trajectory.state_dim})"
-                )
+                    raise ValueError(f"agent {var.agent} out of range (N={run.num_agents})")
+                _check_component(run, var)
+
+
+def _check_component(run: MasRun, var):
+    if var.index >= run.trajectory.state_dim:
+        raise ValueError(
+            f"state component {var.index} out of range "
+            f"(state_dim={run.trajectory.state_dim})"
+        )
 
 
 def _operands(f) -> tuple:
@@ -124,11 +140,15 @@ def _operands(f) -> tuple:
     return ()
 
 
-def _formula_exprs(f) -> Iterable[F.Expr]:
-    if isinstance(f, (F.Atom, F.GlobalAtom)):
-        yield f.expr
-    for sub in _operands(f):
-        yield from _formula_exprs(sub)
+def _nodes(f, into_binders: bool = True):
+    """The nodes of f in pre-order; with ``into_binders`` False, only the
+    system-level part (binders are yielded, their children are not)."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        if into_binders or not isinstance(node, _BINDERS):
+            stack.extend(reversed(_operands(node)))
 
 
 def clamp_window(t: int, interval: F.TimeInterval, length: int) -> tuple[int, int]:
@@ -190,7 +210,6 @@ def graph_op_verdict(counts: F.CountSet, n_sat: int, n_nviol: int):
 
 
 _UNSET = object()
-_TRUTHS = (F.Truth, F.GTruth)
 
 
 class Evaluator:
@@ -251,7 +270,7 @@ class Evaluator:
         # phi1 must hold on all of [t, t2], inclusive of the witness time;
         # F and G lower to a Truth phi1, which is not scanned
         lo, hi = clamp_window(t, f.interval, self.run.length)
-        scanned = hi + 1 if type(f.left) in _TRUTHS else t
+        scanned = hi + 1 if type(f.left) is F.Truth else t
         prefix = 1
         acc = 0
         for t2 in range(lo, hi + 1):
@@ -304,16 +323,12 @@ class Evaluator:
 
 _HANDLERS = {
     F.Truth: Evaluator._truth,
-    F.GTruth: Evaluator._truth,
     F.Atom: Evaluator._atom,
     F.GlobalAtom: Evaluator._global_atom,
     F.AgentBind: Evaluator._bind,
     F.Not: Evaluator._not,
-    F.GNot: Evaluator._not,
     F.And: Evaluator._and,
-    F.GAnd: Evaluator._and,
     F.Until: Evaluator._until,
-    F.GUntil: Evaluator._until,
     F.GraphOp: Evaluator._graph_op,
 }
 
@@ -382,13 +397,15 @@ def signal_table(
 ) -> SignalTable:
     """Signals of every core subformula over [0, min(T + T_f, L)].
 
-    Local subformulas get one signal per agent; system-level subformulas one
-    signal under the agent key None.
+    f is system-level when it binds an agent or reads the whole state, and
+    agent-local otherwise. Local subformulas get one signal per agent;
+    system-level subformulas one signal under the agent key None.
     """
-    if isinstance(f, F.LocalFormula):
-        validate_local(run, f)
-    else:
+    system = any(isinstance(node, _SYSTEM_ONLY) for node in _nodes(f))
+    if system:
         validate_global(run, f)
+    else:
+        validate_local(run, f)
     end = _signal_domain_end(f, T, run.length, strict)
     core = lower(f)
     ev = Evaluator(run)
@@ -402,7 +419,7 @@ def signal_table(
         for child in _operands(sub):
             add(child, local or isinstance(sub, F.AgentBind))
 
-    add(core, isinstance(core, F.LocalFormula))
+    add(core, not system)
     return SignalTable(entries)
 
 
@@ -414,12 +431,23 @@ def signal_table(
 # the evaluator machinery above so the two routes can check each other.
 
 
-def oracle_eval(run: MasRun, f: F.LocalFormula, agent: int, t: int) -> int:
-    """1 iff the run satisfies the agent-local formula at (agent, t)."""
+def oracle_eval(run: MasRun, f, agent: int | None, t: int) -> int:
+    """1 iff the run satisfies f at (agent, t): an agent-local formula at an
+    agent, a system-level one at agent None."""
     if isinstance(f, F.Truth):
         return 1
+    if agent is None and isinstance(f, (F.Atom, F.GraphOp)):
+        raise TypeError(f"not a global formula: {f!r}")
+    if agent is not None and isinstance(
+        f, (F.GlobalAtom, F.AgentBind, F.ForAllAgents, F.ExistsAgent)
+    ):
+        raise TypeError(f"not a local formula: {f!r}")
     if isinstance(f, F.Atom):
         return 1 if eval_expr(f.expr, local_state=run.trajectory.state(agent, t)) >= 0 else 0
+    if isinstance(f, F.GlobalAtom):
+        return 1 if eval_expr(f.expr, full_state=run.trajectory.full_state(t)) >= 0 else 0
+    if isinstance(f, F.AgentBind):
+        return oracle_eval(run, f.child, f.agent, t)
     if isinstance(f, F.Not):
         return 1 - oracle_eval(run, f.child, agent, t)
     if isinstance(f, F.And):
@@ -458,48 +486,16 @@ def oracle_eval(run: MasRun, f: F.LocalFormula, agent: int, t: int) -> int:
             per_graph.append(f.counts.contains(count))
         ok = any(per_graph) if f.quantifier == "exists" else all(per_graph)
         return 1 if ok else 0
-    raise TypeError(f"not a local formula: {f!r}")
-
-
-def oracle_eval_global(run: MasRun, f: F.GlobalFormula, t: int) -> int:
-    """1 iff the run satisfies the system-level formula at time t."""
-    if isinstance(f, F.GTruth):
-        return 1
-    if isinstance(f, F.GlobalAtom):
-        return 1 if eval_expr(f.expr, full_state=run.trajectory.full_state(t)) >= 0 else 0
-    if isinstance(f, F.AgentBind):
-        return oracle_eval(run, f.child, f.agent, t)
-    if isinstance(f, F.GNot):
-        return 1 - oracle_eval_global(run, f.child, t)
-    if isinstance(f, F.GAnd):
-        return min(oracle_eval_global(run, f.left, t), oracle_eval_global(run, f.right, t))
-    if isinstance(f, F.GOr):
-        return max(oracle_eval_global(run, f.left, t), oracle_eval_global(run, f.right, t))
-    if isinstance(f, F.GImplies):
-        return max(1 - oracle_eval_global(run, f.left, t), oracle_eval_global(run, f.right, t))
-    if isinstance(f, F.GUntil):
-        lo, hi = _oracle_window(t, f.interval, run.length)
-        for t2 in range(lo, hi + 1):
-            if oracle_eval_global(run, f.right, t2) == 1 and all(
-                oracle_eval_global(run, f.left, u) == 1 for u in range(t, t2 + 1)
-            ):
-                return 1
-        return 0
-    if isinstance(f, F.GEventually):
-        lo, hi = _oracle_window(t, f.interval, run.length)
-        return 1 if any(
-            oracle_eval_global(run, f.child, t2) == 1 for t2 in range(lo, hi + 1)
-        ) else 0
-    if isinstance(f, F.GAlways):
-        lo, hi = _oracle_window(t, f.interval, run.length)
-        return 1 if all(
-            oracle_eval_global(run, f.child, t2) == 1 for t2 in range(lo, hi + 1)
-        ) else 0
     if isinstance(f, F.ForAllAgents):
         return 1 if all(oracle_eval(run, f.child, a, t) == 1 for a in f.agents) else 0
     if isinstance(f, F.ExistsAgent):
         return 1 if any(oracle_eval(run, f.child, a, t) == 1 for a in f.agents) else 0
-    raise TypeError(f"not a global formula: {f!r}")
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def oracle_eval_global(run: MasRun, f: F.GlobalFormula, t: int) -> int:
+    """1 iff the run satisfies the system-level formula at time t."""
+    return oracle_eval(run, f, None, t)
 
 
 def _oracle_window(t: int, interval: F.TimeInterval, length: int) -> tuple[int, int]:

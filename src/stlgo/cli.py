@@ -10,7 +10,6 @@ leaving the meanings of 0 and 2 intact.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -20,13 +19,13 @@ from . import serialization as io
 from .central import Evaluator, InsufficientTraceError, monitor_global, monitor_local
 from .distributed import is_determinable, monitor_dist
 from .formula import (
+    Always,
+    And,
     CountSet,
     ForAllAgents,
-    GAlways,
-    GAnd,
-    GImplies,
     GlobalAtom,
     GraphOp,
+    Implies,
     Truth,
     WeightInterval,
     lower,
@@ -140,7 +139,7 @@ def cmd_monitor_dist(args) -> int:
         return EXIT_USAGE
     try:
         run = _load_bundle(args)
-        mask = io.load_mask(args.mask)
+        mask = io.load_mask(args.mask, run.length)
         if args.observer is not None and mask.observer != args.observer:
             raise ValueError(
                 f"mask observer mismatch: file says {mask.observer}, "
@@ -153,18 +152,17 @@ def cmd_monitor_dist(args) -> int:
         if args.out:
             io.save_signal(signal, args.out)
         if args.report:
-            doc = {
-                "schema": io.SCHEMA,
-                "determinable": report.determinable,
-                "failures": [
-                    {"leaf": fl.leaf_index, "time": fl.time,
-                     "unknown_states": [list(p) for p in fl.unknown_states]}
-                    for fl in report.failures
-                ],
-            }
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1)
-                fh.write("\n")
+            io.save_report(
+                {
+                    "determinable": report.determinable,
+                    "failures": [
+                        {"leaf": fl.leaf_index, "time": fl.time,
+                         "unknown_states": [list(p) for p in fl.unknown_states]}
+                        for fl in report.failures
+                    ],
+                },
+                args.report,
+            )
         verdict = signal.value_at(args.t0)
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -280,7 +278,7 @@ def drone_formulas(run: MasRun, sigma: int, anchor: int):
                 F.FULL_WEIGHTS, Truth()),
         win,
     )
-    big_phi3 = GAlways(ForAllAgents(tuple(range(1, sigma + 1)), safe_out), win)
+    big_phi3 = Always(ForAllAgents(tuple(range(1, sigma + 1)), safe_out), win)
 
     def close_atom(j: int):
         # 1 - ||x^anchor - x^j||_2 >= 0
@@ -293,14 +291,14 @@ def drone_formulas(run: MasRun, sigma: int, anchor: int):
         "in", "exists", ("si", "ci"), CountSet.single(1, 1), F.FULL_WEIGHTS, Truth()
     )
     conjuncts = [
-        GImplies(close_atom(j), F.AgentBind(j, linked))
+        Implies(close_atom(j), F.AgentBind(j, linked))
         for j in range(1, sigma + 1)
         if j != anchor
     ]
     body = conjuncts[0]
     for c in conjuncts[1:]:
-        body = GAnd(body, c)
-    big_phi4 = GAlways(body, win)
+        body = And(body, c)
+    big_phi4 = Always(body, win)
 
     return [
         ("phi3", phi3, "local"),
@@ -363,9 +361,7 @@ def cmd_bench(args) -> int:
                     f"{row['vio']:>5} {row['mean_ms']:>13.3f}"
                 )
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump({"schema": io.SCHEMA, "results": all_rows}, fh, indent=1)
-                fh.write("\n")
+            io.save_report({"results": all_rows}, args.out)
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -1,10 +1,14 @@
 """Formula ASTs for the agent-local and the system-level logic layers.
 
-The agent-local layer (``LocalFormula``) carries temporal operators and the
-graph operators In/Out; the system-level layer (``GlobalFormula``) embeds
-local formulas via agent binding and adds predicates over the whole MAS
-state. Sugar (Or, Implies, F, G, FA, EX) is kept as explicit AST nodes;
-monitors lower to the core {truth, atom, not, and, until, graph op /
+Both layers are built from one set of Boolean and temporal nodes (Truth,
+Not, And, Or, Implies, Until, Eventually, Always), each a ``LocalFormula``
+and a ``GlobalFormula`` at once. The layers differ only in their leaves:
+the agent-local layer adds atoms over the current agent's state (``Atom``)
+and the graph operators In/Out (``GraphOp``); the system-level layer adds
+predicates over the whole MAS state (``GlobalAtom``) and embeds local
+formulas through agent binding (``AgentBind``, ``ForAllAgents``,
+``ExistsAgent``). Sugar (Or, Implies, F, G, FA, EX) is kept as explicit AST
+nodes; monitors lower to the core {truth, atom, not, and, until, graph op /
 agent bind} before evaluating, so there is a single semantic kernel.
 
 All nodes are frozen dataclasses; every operation here is a pure function.
@@ -120,12 +124,6 @@ class CountSet:
 
     def union(self, other: CountSet) -> CountSet:
         return CountSet(self.intervals + other.intervals)
-
-    def issubset(self, other: CountSet) -> bool:
-        return all(
-            any(olo <= lo and hi <= ohi for olo, ohi in other.intervals)
-            for lo, hi in self.intervals
-        )
 
 
 def _canon_intervals(intervals) -> tuple[tuple[int, float], ...]:
@@ -249,16 +247,62 @@ def expr_vars(expr: Expr) -> set[Expr]:
 
 
 # ---------------------------------------------------------------------------
-# local formulas
+# formulas
 
 
 class LocalFormula:
     __slots__ = ()
 
 
+class GlobalFormula:
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
-class Truth(LocalFormula):
+class Truth(LocalFormula, GlobalFormula):
     pass
+
+
+@dataclass(frozen=True)
+class Not(LocalFormula, GlobalFormula):
+    child: Formula
+
+
+@dataclass(frozen=True)
+class And(LocalFormula, GlobalFormula):
+    left: Formula
+    right: Formula
+
+
+@dataclass(frozen=True)
+class Or(LocalFormula, GlobalFormula):
+    left: Formula
+    right: Formula
+
+
+@dataclass(frozen=True)
+class Implies(LocalFormula, GlobalFormula):
+    left: Formula
+    right: Formula
+
+
+@dataclass(frozen=True)
+class Until(LocalFormula, GlobalFormula):
+    left: Formula
+    right: Formula
+    interval: TimeInterval
+
+
+@dataclass(frozen=True)
+class Eventually(LocalFormula, GlobalFormula):
+    child: Formula
+    interval: TimeInterval
+
+
+@dataclass(frozen=True)
+class Always(LocalFormula, GlobalFormula):
+    child: Formula
+    interval: TimeInterval
 
 
 @dataclass(frozen=True)
@@ -266,48 +310,6 @@ class Atom(LocalFormula):
     """Predicate mu(x_t^i) >= 0 over the current agent's state."""
 
     expr: Expr
-
-
-@dataclass(frozen=True)
-class Not(LocalFormula):
-    child: LocalFormula
-
-
-@dataclass(frozen=True)
-class And(LocalFormula):
-    left: LocalFormula
-    right: LocalFormula
-
-
-@dataclass(frozen=True)
-class Or(LocalFormula):
-    left: LocalFormula
-    right: LocalFormula
-
-
-@dataclass(frozen=True)
-class Implies(LocalFormula):
-    left: LocalFormula
-    right: LocalFormula
-
-
-@dataclass(frozen=True)
-class Until(LocalFormula):
-    left: LocalFormula
-    right: LocalFormula
-    interval: TimeInterval
-
-
-@dataclass(frozen=True)
-class Eventually(LocalFormula):
-    child: LocalFormula
-    interval: TimeInterval
-
-
-@dataclass(frozen=True)
-class Always(LocalFormula):
-    child: LocalFormula
-    interval: TimeInterval
 
 
 @dataclass(frozen=True)
@@ -335,22 +337,6 @@ class GraphOp(LocalFormula):
             raise ValueError("duplicate graph tag in graph operator")
 
 
-FALSITY = Not(Truth())
-
-
-# ---------------------------------------------------------------------------
-# global formulas
-
-
-class GlobalFormula:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class GTruth(GlobalFormula):
-    pass
-
-
 @dataclass(frozen=True)
 class GlobalAtom(GlobalFormula):
     """Predicate mu(x_t) >= 0 over the full MAS state."""
@@ -368,48 +354,6 @@ class AgentBind(GlobalFormula):
     def __post_init__(self):
         if self.agent < 1:
             raise ValueError("agent indices start at 1")
-
-
-@dataclass(frozen=True)
-class GNot(GlobalFormula):
-    child: GlobalFormula
-
-
-@dataclass(frozen=True)
-class GAnd(GlobalFormula):
-    left: GlobalFormula
-    right: GlobalFormula
-
-
-@dataclass(frozen=True)
-class GOr(GlobalFormula):
-    left: GlobalFormula
-    right: GlobalFormula
-
-
-@dataclass(frozen=True)
-class GImplies(GlobalFormula):
-    left: GlobalFormula
-    right: GlobalFormula
-
-
-@dataclass(frozen=True)
-class GUntil(GlobalFormula):
-    left: GlobalFormula
-    right: GlobalFormula
-    interval: TimeInterval
-
-
-@dataclass(frozen=True)
-class GEventually(GlobalFormula):
-    child: GlobalFormula
-    interval: TimeInterval
-
-
-@dataclass(frozen=True)
-class GAlways(GlobalFormula):
-    child: GlobalFormula
-    interval: TimeInterval
 
 
 @dataclass(frozen=True)
@@ -445,7 +389,7 @@ def _check_agent_set(agents: tuple[int, ...]):
 
 Formula = Union[LocalFormula, GlobalFormula]
 
-GLOBAL_FALSITY = GNot(GTruth())
+FALSITY = Not(Truth())
 
 
 # ---------------------------------------------------------------------------
@@ -461,25 +405,19 @@ def horizon(f: Formula) -> tuple[float, float]:
     Sugar is handled via its defining expansion, and agent binding is
     transparent. Infinite upper bounds propagate.
     """
-    if isinstance(f, (Truth, Atom, GTruth, GlobalAtom)):
+    if isinstance(f, (Truth, Atom, GlobalAtom)):
         return (0, 0)
-    if isinstance(f, (Not, GNot)):
+    if isinstance(f, (Not, GraphOp, AgentBind, ForAllAgents, ExistsAgent)):
         return horizon(f.child)
-    if isinstance(f, GraphOp):
-        return horizon(f.child)
-    if isinstance(f, AgentBind):
-        return horizon(f.child)
-    if isinstance(f, (ForAllAgents, ExistsAgent)):
-        return horizon(f.child)
-    if isinstance(f, (And, Or, Implies, GAnd, GOr, GImplies)):
+    if isinstance(f, (And, Or, Implies)):
         s1, t1 = horizon(f.left)
         s2, t2 = horizon(f.right)
         return (min(s1, s2), max(t1, t2))
-    if isinstance(f, (Until, GUntil)):
+    if isinstance(f, Until):
         s1, t1 = horizon(f.left)
         s2, t2 = horizon(f.right)
         return (f.interval.lo + min(s1, s2), f.interval.hi + max(t1, t2))
-    if isinstance(f, (Eventually, Always, GEventually, GAlways)):
+    if isinstance(f, (Eventually, Always)):
         # F_I phi = T U_I phi and G_I phi = !F_I !phi share one recursion
         s, t = horizon(f.child)
         return (f.interval.lo + min(0, s), f.interval.hi + max(0, t))
@@ -492,37 +430,28 @@ def horizon(f: Formula) -> tuple[float, float]:
 
 def lower(f: Formula) -> Formula:
     """Rewrite sugar into the core {truth, atom, not, and, until, graph op,
-    agent bind} fragment, preserving semantics."""
-    if isinstance(f, (Truth, Atom, GTruth, GlobalAtom)):
+    agent bind} fragment, preserving semantics.
+
+    FA and EX become a balanced conjunction of the bound copies, in the
+    order of the agent set, so the tree is logarithmically deep in the
+    number of agents; the copies share one lowered child.
+    """
+    if isinstance(f, (Truth, Atom, GlobalAtom)):
         return f
     if isinstance(f, Not):
         return Not(lower(f.child))
-    if isinstance(f, GNot):
-        return GNot(lower(f.child))
     if isinstance(f, And):
         return And(lower(f.left), lower(f.right))
-    if isinstance(f, GAnd):
-        return GAnd(lower(f.left), lower(f.right))
     if isinstance(f, Or):
         return Not(And(Not(lower(f.left)), Not(lower(f.right))))
-    if isinstance(f, GOr):
-        return GNot(GAnd(GNot(lower(f.left)), GNot(lower(f.right))))
     if isinstance(f, Implies):
         return Not(And(lower(f.left), Not(lower(f.right))))
-    if isinstance(f, GImplies):
-        return GNot(GAnd(lower(f.left), GNot(lower(f.right))))
     if isinstance(f, Until):
         return Until(lower(f.left), lower(f.right), f.interval)
-    if isinstance(f, GUntil):
-        return GUntil(lower(f.left), lower(f.right), f.interval)
     if isinstance(f, Eventually):
         return Until(Truth(), lower(f.child), f.interval)
-    if isinstance(f, GEventually):
-        return GUntil(GTruth(), lower(f.child), f.interval)
     if isinstance(f, Always):
         return Not(Until(Truth(), Not(lower(f.child)), f.interval))
-    if isinstance(f, GAlways):
-        return GNot(GUntil(GTruth(), GNot(lower(f.child)), f.interval))
     if isinstance(f, GraphOp):
         return GraphOp(
             f.direction, f.quantifier, f.graphs, f.counts, f.weights, lower(f.child)
@@ -530,18 +459,22 @@ def lower(f: Formula) -> Formula:
     if isinstance(f, AgentBind):
         return AgentBind(f.agent, lower(f.child))
     if isinstance(f, ForAllAgents):
-        parts = [AgentBind(i, lower(f.child)) for i in f.agents]
-        out = parts[0]
-        for p in parts[1:]:
-            out = GAnd(out, p)
-        return out
+        child = lower(f.child)
+        return _balanced_and([AgentBind(i, child) for i in f.agents])
     if isinstance(f, ExistsAgent):
-        parts = [GNot(AgentBind(i, lower(f.child))) for i in f.agents]
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = GAnd(acc, p)
-        return GNot(acc)
+        child = lower(f.child)
+        return Not(_balanced_and([Not(AgentBind(i, child)) for i in f.agents]))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _balanced_and(parts: list) -> Formula:
+    """The conjunction of parts, split at the middle. Evaluated left to
+    right it reads the same parts, and stops at the same one, as the
+    left-deep chain."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return And(_balanced_and(parts[:mid]), _balanced_and(parts[mid:]))
 
 
 # ---------------------------------------------------------------------------
@@ -754,25 +687,3 @@ def _collect_graph_ops(node: LocalFormula, out: list):
     elif isinstance(node, (And, Or, Implies, Until)):
         _collect_graph_ops(node.left, out)
         _collect_graph_ops(node.right, out)
-
-
-def local_subformulas(f: GlobalFormula) -> list[tuple[int | None, LocalFormula]]:
-    """All (bound agent, local formula) pairs embedded in a global formula."""
-    out: list[tuple[int | None, LocalFormula]] = []
-    _collect_local_subformulas(f, out)
-    return out
-
-
-def _collect_local_subformulas(node: GlobalFormula, out: list):
-    if isinstance(node, AgentBind):
-        out.append((node.agent, node.child))
-    elif isinstance(node, (ForAllAgents, ExistsAgent)):
-        for a in node.agents:
-            out.append((a, node.child))
-    elif isinstance(node, GNot):
-        _collect_local_subformulas(node.child, out)
-    elif isinstance(node, (GEventually, GAlways)):
-        _collect_local_subformulas(node.child, out)
-    elif isinstance(node, (GAnd, GOr, GImplies, GUntil)):
-        _collect_local_subformulas(node.left, out)
-        _collect_local_subformulas(node.right, out)

@@ -201,9 +201,6 @@ class MultigraphSnapshot:
                 by_node.setdefault(e.dst, []).append(e)
         return {n: tuple(es) for n, es in by_node.items()}
 
-    def nodes(self) -> frozenset[int]:
-        return frozenset(self._incidence)
-
     def oriented_edges(self, i: int, direction: Direction) -> tuple[Edge, ...]:
         """Edges of agent i in the given direction, oriented per the query.
 

@@ -54,17 +54,9 @@ from .formula import (
     ExistsAgent,
     Expr,
     ForAllAgents,
-    GAlways,
-    GAnd,
-    GEventually,
-    GImplies,
     GlobalAtom,
     GlobalFormula,
-    GNot,
-    GOr,
     GraphOp,
-    GTruth,
-    GUntil,
     Implies,
     LocalFormula,
     Not,
@@ -165,8 +157,9 @@ MAX_NESTING = 100
 class _Parser:
     """Recursive-descent parser over the token stream.
 
-    ``mode`` selects the local or the system-level grammar; the precedence
-    machinery is shared and only leaf parsing differs.
+    ``mode`` selects the local or the system-level grammar. Both layers
+    build the same Boolean and temporal nodes; the mode only decides the
+    leaves (``x[k]`` or ``s[i][k]`` atoms, graph operators, binders).
     """
 
     def __init__(self, src: str, mode: str):
@@ -225,16 +218,14 @@ class _Parser:
     def parse_implies(self):
         left = self.parse_or()
         if self.at("->"):
-            right = self.nested(self.advance(), self.parse_implies)
-            return GImplies(left, right) if self.mode == "global" else Implies(left, right)
+            return Implies(left, self.nested(self.advance(), self.parse_implies))
         return left
 
     def parse_or(self):
         left = self.parse_and_until()
         while self.at("|"):
             self.advance()
-            right = self.parse_and_until()
-            left = GOr(left, right) if self.mode == "global" else Or(left, right)
+            left = Or(left, self.parse_and_until())
         return left
 
     def parse_and_until(self):
@@ -242,37 +233,25 @@ class _Parser:
         while True:
             if self.at("&"):
                 self.advance()
-                right = self.parse_unary()
-                left = GAnd(left, right) if self.mode == "global" else And(left, right)
+                left = And(left, self.parse_unary())
             elif self.at("IDENT", "U"):
                 self.advance()
                 interval = self.parse_time_interval()
-                right = self.parse_unary()
-                if self.mode == "global":
-                    left = GUntil(left, right, interval)
-                else:
-                    left = Until(left, right, interval)
+                left = Until(left, self.parse_unary(), interval)
             else:
                 return left
 
     def parse_unary(self):
         if self.at("!"):
-            child = self.nested(self.advance(), self.parse_unary)
-            return GNot(child) if self.mode == "global" else Not(child)
+            return Not(self.nested(self.advance(), self.parse_unary))
         if self.at("IDENT", "F"):
             tok = self.advance()
             interval = self.parse_time_interval()
-            child = self.nested(tok, self.parse_unary)
-            if self.mode == "global":
-                return GEventually(child, interval)
-            return Eventually(child, interval)
+            return Eventually(self.nested(tok, self.parse_unary), interval)
         if self.at("IDENT", "G"):
             tok = self.advance()
             interval = self.parse_time_interval()
-            child = self.nested(tok, self.parse_unary)
-            if self.mode == "global":
-                return GAlways(child, interval)
-            return Always(child, interval)
+            return Always(self.nested(tok, self.parse_unary), interval)
         if self.at("IDENT", "In") or self.at("IDENT", "Out"):
             if self.mode == "global":
                 self.fail("graph operators belong to the agent-local layer")
@@ -310,10 +289,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "IDENT" and tok.text == "true":
             self.advance()
-            return GTruth() if self.mode == "global" else Truth()
+            return Truth()
         if tok.kind == "IDENT" and tok.text == "false":
             self.advance()
-            return GNot(GTruth()) if self.mode == "global" else Not(Truth())
+            return Not(Truth())
         if tok.kind == "(":
             self.advance()
             f = self.nested(tok, self.parse_implies)
@@ -392,10 +371,7 @@ class _Parser:
         return self._desugar_comparison(left, tok.kind, right)
 
     def _desugar_comparison(self, left: Expr, op: str, right: Expr):
-        if self.mode == "global":
-            mk_atom, mk_not, mk_and = GlobalAtom, GNot, GAnd
-        else:
-            mk_atom, mk_not, mk_and = Atom, Not, And
+        mk_atom = GlobalAtom if self.mode == "global" else Atom
 
         def ge(a: Expr, b: Expr):
             # a >= b is canonicalized to (a - b) >= 0; a literal zero on the
@@ -409,12 +385,12 @@ class _Parser:
         if op == "<=":
             return ge(right, left)
         if op == ">":
-            return mk_not(ge(right, left))
+            return Not(ge(right, left))
         if op == "<":
-            return mk_not(ge(left, right))
+            return Not(ge(left, right))
         if op == "==":
-            return mk_and(ge(left, right), ge(right, left))
-        return mk_not(mk_and(ge(left, right), ge(right, left)))
+            return And(ge(left, right), ge(right, left))
+        return Not(And(ge(left, right), ge(right, left)))
 
     def parse_expr(self) -> Expr:
         left = self.parse_term()
@@ -592,32 +568,30 @@ def _print(f, level: int) -> str:
 
 
 def _print_node(f) -> tuple[str, int]:
-    if isinstance(f, (Truth, GTruth)):
+    if isinstance(f, Truth):
         return "true", _LEVEL_UNARY + 1
-    if isinstance(f, (Not, GNot)):
-        if isinstance(f, Not) and isinstance(f.child, Truth):
-            return "false", _LEVEL_UNARY + 1
-        if isinstance(f, GNot) and isinstance(f.child, GTruth):
+    if isinstance(f, Not):
+        if isinstance(f.child, Truth):
             return "false", _LEVEL_UNARY + 1
         return "!" + _print(f.child, _LEVEL_UNARY), _LEVEL_UNARY
     if isinstance(f, (Atom, GlobalAtom)):
         return _print_atom(f.expr), _LEVEL_UNARY + 1
-    if isinstance(f, (And, GAnd)):
+    if isinstance(f, And):
         return (
             _print(f.left, _LEVEL_AND) + " & " + _print(f.right, _LEVEL_AND + 1),
             _LEVEL_AND,
         )
-    if isinstance(f, (Or, GOr)):
+    if isinstance(f, Or):
         return (
             _print(f.left, _LEVEL_OR) + " | " + _print(f.right, _LEVEL_OR + 1),
             _LEVEL_OR,
         )
-    if isinstance(f, (Implies, GImplies)):
+    if isinstance(f, Implies):
         return (
             _print(f.left, _LEVEL_OR) + " -> " + _print(f.right, _LEVEL_IMPLIES),
             _LEVEL_IMPLIES,
         )
-    if isinstance(f, (Until, GUntil)):
+    if isinstance(f, Until):
         return (
             _print(f.left, _LEVEL_AND)
             + " U"
@@ -626,9 +600,9 @@ def _print_node(f) -> tuple[str, int]:
             + _print(f.right, _LEVEL_AND + 1),
             _LEVEL_AND,
         )
-    if isinstance(f, (Eventually, GEventually)):
+    if isinstance(f, Eventually):
         return "F" + _print_tint(f.interval) + " " + _print(f.child, _LEVEL_UNARY), _LEVEL_UNARY
-    if isinstance(f, (Always, GAlways)):
+    if isinstance(f, Always):
         return "G" + _print_tint(f.interval) + " " + _print(f.child, _LEVEL_UNARY), _LEVEL_UNARY
     if isinstance(f, GraphOp):
         head = "In" if f.direction == "in" else "Out"

@@ -4,6 +4,9 @@ Run file:    {"schema", "num_agents", "state_dim", "length", "states"[t][i][k]}
 Graph file:  {"schema", "types": {tag: {"directed", "static"?, "snapshots":
              [{"t"?, "edges": [[src, dst, u, w]]}]}}}
 Mask file:   {"schema", "observer", "known": [[subject, t_from, t_to]]}
+Report file: {"schema", "determinable", "failures": [{"leaf", "time",
+             "unknown_states": [[agent, t]]}]} (monitor-dist) or
+             {"schema", "results": [{...}]} (bench)
 Signal file: {"schema", "t0", "values": [0 | 1 | "?"]}
 Label file:  {"schema", "labels": {agent: [label, ...]}}
 
@@ -257,7 +260,9 @@ def save_mask(mask: KnowledgeMask, path):
     _dump({"schema": SCHEMA, "observer": mask.observer, "known": ranges}, path)
 
 
-def load_mask(path) -> KnowledgeMask:
+def load_mask(path, length: int) -> KnowledgeMask:
+    """The mask in a file, for a run of the given length: each range is
+    clipped to the run's times 0..length."""
     doc = _load(path)
     _check_schema(doc, path, "observer", "known")
     if not _is_int(doc["observer"]) or not isinstance(doc["known"], list):
@@ -271,11 +276,19 @@ def load_mask(path) -> KnowledgeMask:
         j, t_from, t_to = entry
         if t_from > t_to:
             raise SchemaError(f"{path}: mask range reversed: {entry}")
-        pairs.update((j, t) for t in range(t_from, t_to + 1))
+        pairs.update((j, t) for t in range(max(t_from, 0), min(t_to, length) + 1))
     try:
         return KnowledgeMask(doc["observer"], frozenset(pairs))
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
+
+
+# -- reports -----------------------------------------------------------------
+
+
+def save_report(report: dict, path):
+    """Write a report's fields after the schema tag."""
+    _dump({"schema": SCHEMA, **report}, path)
 
 
 # -- signals -----------------------------------------------------------------

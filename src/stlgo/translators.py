@@ -21,20 +21,18 @@ import heapq
 import math
 from typing import Iterable, Literal, Mapping
 
-from . import formula as F
 from .formula import (
     INF,
     AgentBind,
     And,
     CountSet,
+    FALSITY,
     ForAllAgents,
-    GAnd,
-    GOr,
     GraphOp,
-    GLOBAL_FALSITY,
     LocalFormula,
     GlobalFormula,
     Not,
+    Or,
     WeightInterval,
     FULL_WEIGHTS,
 )
@@ -295,10 +293,10 @@ def enumerate_traces(
 
 def _fold_or(parts: list[GlobalFormula]) -> GlobalFormula:
     if not parts:
-        return GLOBAL_FALSITY
+        return FALSITY
     out = parts[0]
     for p in parts[1:]:
-        out = GOr(out, p)
+        out = Or(out, p)
     return out
 
 
@@ -321,7 +319,7 @@ def translate_strel_reach(
     for tau in sorted(traces, key=lambda s: (len(s), s)):
         bind = AgentBind(tau[-1], phi2)
         prefix = tuple(sorted(set(tau[:-1])))
-        parts.append(bind if not prefix else GAnd(ForAllAgents(prefix, phi1), bind))
+        parts.append(bind if not prefix else And(ForAllAgents(prefix, phi1), bind))
     return _fold_or(parts)
 
 
@@ -400,8 +398,8 @@ def translate_strel_reach_hops(
             )
         disjuncts.append(nested)
     if not disjuncts:
-        return GLOBAL_FALSITY
+        return FALSITY
     out = disjuncts[0]
     for d in disjuncts[1:]:
-        out = F.Or(out, d)
+        out = Or(out, d)
     return AgentBind(agent, out)

@@ -25,14 +25,6 @@ from stlgo import (
     Eventually,
     ExistsAgent,
     ForAllAgents,
-    GAlways,
-    GAnd,
-    GEventually,
-    GImplies,
-    GNot,
-    GOr,
-    GTruth,
-    GUntil,
     GlobalAtom,
     GraphOp,
     GraphTrajectory,
@@ -305,7 +297,7 @@ def random_global_formula(rng, tags, state_dim, num_agents, max_depth: int = 3):
             choices += ["guntil", "geventually", "galways"]
         kind = rng.choice(["gatom", "bind", "true"] if leaf_only else choices)
         if kind == "true":
-            return GTruth()
+            return Truth()
         if kind == "gatom":
             return GlobalAtom(_random_global_expr(rng, num_agents, state_dim))
         if kind == "bind":
@@ -321,14 +313,14 @@ def random_global_formula(rng, tags, state_dim, num_agents, max_depth: int = 3):
             )
             return (ForAllAgents if kind == "fa" else ExistsAgent)(agents, local)
         if kind == "gnot":
-            return GNot(gen(depth - 1))
+            return Not(gen(depth - 1))
         if kind in ("gand", "gor", "gimplies"):
-            cls = {"gand": GAnd, "gor": GOr, "gimplies": GImplies}[kind]
+            cls = {"gand": And, "gor": Or, "gimplies": Implies}[kind]
             return cls(gen(depth - 1), gen(depth - 1))
         b.temporal -= 1
         if kind == "guntil":
-            return GUntil(gen(depth - 1), gen(depth - 1), _random_time_interval(rng, 8))
-        cls = GEventually if kind == "geventually" else GAlways
+            return Until(gen(depth - 1), gen(depth - 1), _random_time_interval(rng, 8))
+        cls = Eventually if kind == "geventually" else Always
         return cls(gen(depth - 1), _random_time_interval(rng, 8))
 
     return gen(max_depth)

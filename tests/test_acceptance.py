@@ -23,14 +23,7 @@ from stlgo import (
     Eventually,
     ExistsAgent,
     ForAllAgents,
-    GAlways,
-    GAnd,
-    GEventually,
-    GImplies,
-    GNot,
-    GOr,
     GraphOp,
-    GUntil,
     Implies,
     KnowledgeMask,
     MasRun,
@@ -344,23 +337,23 @@ def _expand_fa_ex(f):
         parts = [AgentBind(a, f.child) for a in f.agents]
         out = parts[0]
         for p in parts[1:]:
-            out = GAnd(out, p)
+            out = And(out, p)
         return out
     if isinstance(f, ExistsAgent):
         parts = [AgentBind(a, f.child) for a in f.agents]
         out = parts[0]
         for p in parts[1:]:
-            out = GOr(out, p)
+            out = Or(out, p)
         return out
-    if isinstance(f, GNot):
-        return GNot(_expand_fa_ex(f.child))
-    if isinstance(f, (GAnd, GOr)):
+    if isinstance(f, Not):
+        return Not(_expand_fa_ex(f.child))
+    if isinstance(f, (And, Or)):
         return type(f)(_expand_fa_ex(f.left), _expand_fa_ex(f.right))
-    if isinstance(f, GUntil):
-        return GUntil(_expand_fa_ex(f.left), _expand_fa_ex(f.right), f.interval)
-    if isinstance(f, (GAlways, GEventually)):
+    if isinstance(f, Until):
+        return Until(_expand_fa_ex(f.left), _expand_fa_ex(f.right), f.interval)
+    if isinstance(f, (Always, Eventually)):
         return type(f)(_expand_fa_ex(f.child), f.interval)
-    if isinstance(f, GImplies):
+    if isinstance(f, Implies):
         return type(f)(_expand_fa_ex(f.left), _expand_fa_ex(f.right))
     return f
 

@@ -31,7 +31,7 @@ from stlgo import (
     signal_table,
 )
 from stlgo.central import oracle_eval, oracle_eval_global
-from stlgo.formula import FULL_WEIGHTS, GOr, AgentBind
+from stlgo.formula import FULL_WEIGHTS, Or, AgentBind
 
 from conftest import random_global_formula, random_local_formula, random_run
 
@@ -197,7 +197,7 @@ def test_exists_agent_equals_disjunction_of_binds():
         parts = [AgentBind(a, local) for a in agents]
         manual = parts[0]
         for p in parts[1:]:
-            manual = GOr(manual, p)
+            manual = Or(manual, p)
         T = rng.randint(0, run.length)
         assert monitor_global(run, ex, T).values == monitor_global(run, manual, T).values
 

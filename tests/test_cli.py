@@ -163,6 +163,36 @@ def test_monitor_dist_unknown_and_report(bike_bundle, tmp_path, capsys):
     assert report["failures"]
 
 
+def test_report_files_are_one_line_of_compact_json(bike_bundle, tmp_path):
+    from stlgo import is_determinable, parse_local
+
+    run, run_path, graphs_path = bike_bundle
+    f = write_formula(tmp_path, "F[0,2] [x[0] >= 3]")
+    mask = KnowledgeMask(1, frozenset({(2, 0), (2, 2)}))
+    save_mask(mask, tmp_path / "mask.json")
+    report_path = tmp_path / "report.json"
+    main(["monitor-dist", "--formula", str(f), "--run", str(run_path),
+          "--graphs", str(graphs_path), "--mask", str(tmp_path / "mask.json"),
+          "--subject", "2", "--tmax", "3", "--report", str(report_path)])
+    report = is_determinable(run, mask, parse_local("F[0,2] [x[0] >= 3]"), 2, 3)
+    assert report.failures
+    want = {
+        "schema": "stlgo/1",
+        "determinable": False,
+        "failures": [
+            {"leaf": fl.leaf_index, "time": fl.time,
+             "unknown_states": [list(p) for p in fl.unknown_states]}
+            for fl in report.failures
+        ],
+    }
+    assert report_path.read_text() == json.dumps(want, separators=(",", ":")) + "\n"
+    bench_path = tmp_path / "bench.json"
+    main(["bench", "--sigma", "4", "--steps", "2", "--out", str(bench_path)])
+    text = bench_path.read_text()
+    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+    assert len(json.loads(text)["results"]) == 4
+
+
 def test_monitor_dist_isolated_subject_below_threshold(tmp_path):
     # no knowledge at all, but the subject has no in-edges: the counting
     # property needing two neighbors is a determined violation

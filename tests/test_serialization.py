@@ -62,7 +62,18 @@ def test_infinite_weights_round_trip(tmp_path):
 def test_mask_round_trip(tmp_path):
     mask = KnowledgeMask(2, frozenset({(1, 0), (1, 1), (1, 2), (3, 5), (3, 7)}))
     save_mask(mask, tmp_path / "m.json")
-    assert load_mask(tmp_path / "m.json") == mask
+    assert load_mask(tmp_path / "m.json", 7) == mask
+
+
+def test_mask_ranges_are_clipped_to_the_run(tmp_path):
+    def load(known, length):
+        (tmp_path / "m.json").write_text(json.dumps(
+            {"schema": "stlgo/1", "observer": 1, "known": known}))
+        return load_mask(tmp_path / "m.json", length)
+
+    assert load([[2, 0, 100000]], 10) == load([[2, 0, 10]], 10)
+    assert load([[2, 0, 100000]], 10).known == {(2, t) for t in range(11)}
+    assert load([[2, 11, 10**9], [3, 4, 5]], 10).known == {(3, 4), (3, 5)}
 
 
 def test_signal_round_trip(tmp_path):

@@ -283,9 +283,9 @@ def test_fig_reach_formula_is_six_way_plus_anchor():
     disjuncts = []
 
     def collect(node):
-        from stlgo import GOr
+        from stlgo import Or
 
-        if isinstance(node, GOr):
+        if isinstance(node, Or):
             collect(node.left)
             collect(node.right)
         else:
