@@ -15,6 +15,18 @@ all (forall). With no ? among the neighbors the two counts are equal and
 the verdict is the Boolean count test, so the central monitor is the
 mask-free case of the distributed one.
 
+Until (and F, G, which lower to it) reads its window through next-witness
+searches rather than a scan per cell. Because phi1 must hold through the
+witness, the earliest candidate decides: the cell is 0 without a phi2 cell
+other than 0 in the window, at least ? iff phi1 has no 0 up to the first
+such r, and 1 iff phi1 is 1 up to the first p where phi2 is 1 (min and max
+commute with the thresholds "is 1" and "is not 0", so this is exact in
+strong Kleene logic). Each search keeps path-compressed next-hit pointers
+per (subformula, agent, kind of cell sought), so the windows of
+consecutive times share their work: a full signal of ``G[0,inf] p`` or
+``p U[a,b] q`` reads each cell of p and q O(1) times amortized, O(L) per
+agent in all, and never reads a cell outside [t, t + b].
+
 ``oracle_eval`` / ``oracle_eval_global`` are deliberately separate: a plain,
 memo-free recursive transcription of the semantics that also interprets
 sugar directly. The oracle is the reference the monitor is tested against
@@ -210,6 +222,11 @@ def graph_op_verdict(counts: F.CountSet, n_sat: int, n_nviol: int):
 
 
 _UNSET = object()
+# the cells a window search stops at: 1, not 0, 0, not 1
+_ONE = frozenset((1,))
+_NOT_ZERO = frozenset((1, None))
+_ZERO = frozenset((0,))
+_NOT_ONE = frozenset((0, None))
 
 
 class Evaluator:
@@ -230,6 +247,7 @@ class Evaluator:
         self._static = run.graphs.static
         self._memo: dict = {}
         self._mult: dict = {}
+        self._next: dict = {}
 
     def eval(self, f, agent, t):
         key = (id(f), agent, t)
@@ -267,22 +285,53 @@ class Evaluator:
         return 0 if a == 0 else k_and(a, self.eval(f.right, agent, t))
 
     def _until(self, f, agent, t):
-        # phi1 must hold on all of [t, t2], inclusive of the witness time;
-        # F and G lower to a Truth phi1, which is not scanned
+        # the earliest candidate witness decides (module docstring); F and
+        # G lower to a Truth phi1, which is not read
         lo, hi = clamp_window(t, f.interval, self.run.length)
-        scanned = hi + 1 if type(f.left) is F.Truth else t
-        prefix = 1
-        acc = 0
-        for t2 in range(lo, hi + 1):
-            while scanned <= t2:
-                prefix = k_and(prefix, self.eval(f.left, agent, scanned))
-                scanned += 1
-            if prefix == 0:
-                return acc
-            acc = k_or(acc, k_and(prefix, self.eval(f.right, agent, t2)))
-            if acc == 1:
-                return 1
-        return acc
+        r = self._first(f.right, agent, lo, hi, _NOT_ZERO)
+        if r is None:
+            return 0
+        left = None if type(f.left) is F.Truth else f.left
+        if self.mask is None:  # Boolean cells: r is the witness
+            return 1 if left is None or self._first(left, agent, t, r, _ZERO) is None else 0
+        p = r if self.eval(f.right, agent, r) == 1 else self._first(f.right, agent, r, hi, _ONE)
+        if left is None:
+            return None if p is None else 1
+        if p is not None and self._first(left, agent, t, p, _NOT_ONE) is None:
+            return 1
+        return None if self._first(left, agent, t, r, _ZERO) is None else 0
+
+    def _first(self, g, agent, s, hi, want):
+        """The first u in [s, hi] whose cell of g is in ``want``, or None.
+
+        Each (g, agent, want) has a table of next-hit pointers over 0..L+1:
+        ``nxt[u] == u`` marks a hit, ``nxt[u] = v > u`` says no cell in
+        [u, v) is a hit, and -1 that cell u has not been read. A search
+        points every entry on its path at the position it stopped at, so
+        overlapping windows share their scans and each cell is read O(1)
+        times amortized. No cell past ``hi`` is read.
+        """
+        key = (id(g), agent, want)
+        nxt = self._next.get(key)
+        if nxt is None:
+            nxt = self._next[key] = [-1] * (self.run.length + 2)
+        u = s
+        while u <= hi:
+            v = nxt[u]
+            if v == u:
+                break
+            if v < 0:
+                if self.eval(g, agent, u) in want:
+                    nxt[u] = u
+                    break
+                v = nxt[u] = u + 1
+            u = v
+        w = s
+        while w < u:
+            v = nxt[w]
+            nxt[w] = u
+            w = v
+        return u if u <= hi else None
 
     def _graph_op(self, f, agent, t):
         # exists is Kleene any over the tags, forall Kleene all; a decisive

@@ -37,7 +37,9 @@ monitors and prints within Python's default recursion limit.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .formula import (
     INF,
@@ -152,6 +154,9 @@ def tokenize(src: str) -> list[Token]:
 
 
 MAX_NESTING = 100
+# Integer tokens (time and count bounds, agent indices, state components)
+# stay within float range, so horizons can mix them with inf.
+_MAX_NAT = Decimal(sys.float_info.max)
 
 
 class _Parser:
@@ -461,9 +466,11 @@ class _Parser:
 
     def parse_nat(self, what: str) -> int:
         tok = self.expect("NUMBER", what)
-        value = float(tok.text)
-        if int(value) != value:
+        value = Decimal(tok.text)  # exact, whatever the exponent
+        if value != value.to_integral_value():
             raise ParseError(f"{what} must be an integer", tok.span)
+        if value > _MAX_NAT:
+            raise ParseError(f"{what} too large", tok.span)
         return int(value)
 
     def parse_time_interval(self) -> TimeInterval:
@@ -652,7 +659,7 @@ def _fmt_num(v: float) -> str:
         return "inf"
     if v == -INF:
         return "-inf"
-    if float(v) == int(v):
+    if isinstance(v, int) or float(v) == int(v):
         return str(int(v))
     return repr(float(v))
 

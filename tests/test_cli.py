@@ -46,6 +46,22 @@ def test_parse_error_has_caret(tmp_path, capsys):
     assert "^" in err
 
 
+@pytest.mark.parametrize(
+    "text, global_",
+    [
+        ("F[0,1E310] true", False),
+        ("G[1E400,2] true", False),
+        ("In{g} E[1E310,inf] true", False),
+        ("@1E310.(true)", True),
+    ],
+)
+def test_parse_bound_past_float_range_exits_one(tmp_path, capsys, text, global_):
+    f = write_formula(tmp_path, text)
+    assert main(["parse", str(f)] + (["--global"] if global_ else [])) == 1
+    err = capsys.readouterr().err
+    assert "too large" in err and "^" in err and "Traceback" not in err
+
+
 def test_parse_too_deep_nesting_exits_one(tmp_path, capsys):
     f = write_formula(tmp_path, "!" * 3000 + "true")
     assert main(["parse", str(f)]) == 1

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stlgo import (
     AgentBind,
@@ -267,6 +267,11 @@ def test_duplicate_graph_tag_is_parse_error():
 
 @settings(max_examples=400, deadline=None)
 @given(st.text(alphabet="GFU[](){}<>!&|->=@.,x s0123456789inftrueEW", max_size=40))
+@example("F[0,1E310] true")
+@example("G[1E400,2] true")
+@example("In{g} E[1E310,inf] true")
+@example("@1E310.(true)")
+@example("F[0,1E999999999999999999] true")
 def test_parser_never_crashes_on_garbage(src):
     for parse in (parse_local, parse_global):
         try:
@@ -323,3 +328,33 @@ def test_deep_nesting_in_global_layer_is_parse_error():
     assert exc_info.value.span.start == src.index("FA")
     with pytest.raises(ParseError, match="nesting deeper than"):
         parse_global("(" * 3000 + "true" + ")" * 3000)
+
+
+@pytest.mark.parametrize(
+    "src, col, what",
+    [
+        ("F[0,1E310] true", 5, "time bound"),
+        ("G[1E400,2] true", 3, "time bound"),
+        ("In{g} E[1E310,inf] true", 9, "count bound"),
+        ("[x[1E310] >= 0]", 4, "state component"),
+    ],
+)
+def test_integer_token_past_float_range_is_parse_error_at_token(src, col, what):
+    with pytest.raises(ParseError, match=f"{what} too large") as info:
+        parse_local(src)
+    assert info.value.span.column == col
+
+
+def test_agent_index_past_float_range_is_parse_error():
+    with pytest.raises(ParseError, match="agent index too large"):
+        parse_global("@1E310.(true)")
+
+
+def test_integer_tokens_parse_exactly():
+    big = 99999999999999999999999
+    f = parse_local(f"F[0,{big}] true")
+    assert f.interval.hi == big and type(f.interval.hi) is int
+    assert print_formula(f) == f"F[0,{big}] true"
+    assert parse_local("F[0,1e2] true").interval.hi == 100
+    with pytest.raises(ParseError, match="time bound must be an integer"):
+        parse_local("F[0,1E-999999999999] true")
