@@ -49,6 +49,7 @@ same inputs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from . import formula as F
@@ -93,13 +94,12 @@ class SignalTable:
         return self.entries[(subformula, agent)]
 
 
-_BINDERS = (F.AgentBind, F.ForAllAgents, F.ExistsAgent)
-_SYSTEM_ONLY = (F.GlobalAtom,) + _BINDERS
+_SYSTEM_ONLY = (F.GlobalAtom,) + F.BINDERS
 
 
 def validate_local(run: MasRun, f: F.LocalFormula):
     """Check that f is agent-local and its state accessors fit the run."""
-    for node in _nodes(f):
+    for node in F.nodes(f):
         if isinstance(node, _SYSTEM_ONLY):
             raise ValueError(f"{type(node).__name__} inside an agent-local formula")
         if isinstance(node, F.Atom):
@@ -112,14 +112,14 @@ def validate_local(run: MasRun, f: F.LocalFormula):
 def validate_global(run: MasRun, f: F.GlobalFormula):
     """Check that f reads agent states only through agent bindings, and its
     agent references and state accessors fit the run."""
-    system = list(_nodes(f, into_binders=False))
+    system = list(F.nodes(f, into_binders=False))
     for node in system:
         if isinstance(node, (F.Atom, F.GraphOp)):
             raise ValueError(
                 f"{type(node).__name__} outside an agent binding in a system-level formula"
             )
     for node in system:
-        if isinstance(node, _BINDERS):
+        if isinstance(node, F.BINDERS):
             agents = (node.agent,) if isinstance(node, F.AgentBind) else node.agents
             for agent in agents:
                 if agent > run.num_agents:
@@ -141,26 +141,6 @@ def _check_component(run: MasRun, var):
             f"state component {var.index} out of range "
             f"(state_dim={run.trajectory.state_dim})"
         )
-
-
-def _operands(f) -> tuple:
-    """The direct subformulas of a formula node, sugar included."""
-    if hasattr(f, "child"):
-        return (f.child,)
-    if hasattr(f, "left"):
-        return (f.left, f.right)
-    return ()
-
-
-def _nodes(f, into_binders: bool = True):
-    """The nodes of f in pre-order; with ``into_binders`` False, only the
-    system-level part (binders are yielded, their children are not)."""
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        yield node
-        if into_binders or not isinstance(node, _BINDERS):
-            stack.extend(reversed(_operands(node)))
 
 
 def clamp_window(t: int, interval: F.TimeInterval, length: int) -> tuple[int, int]:
@@ -402,7 +382,7 @@ def _signal_domain_end(f, T: int, length: int, strict: bool) -> int:
                 )
             else:
                 t += interval.hi
-        pending.extend((sub, t) for sub in _operands(node))
+        pending.extend((sub, t) for sub in F.operands(node))
     return T
 
 
@@ -420,7 +400,13 @@ def signal_cells(run: MasRun, f, agent, T: int, strict: bool = False, mask=None)
     end = _signal_domain_end(f, T, run.length, strict)
     core = lower(f)
     ev = Evaluator(run, mask)
-    return tuple(ev.eval(core, agent, t) for t in range(end + 1))
+    try:
+        return tuple(ev.eval(core, agent, t) for t in range(end + 1))
+    except RecursionError:
+        raise ValueError(
+            "formula too deep for the pointwise evaluator "
+            f"(Python recursion limit {sys.getrecursionlimit()})"
+        ) from None
 
 
 def monitor_local(
@@ -450,7 +436,7 @@ def signal_table(
     agent-local otherwise. Local subformulas get one signal per agent;
     system-level subformulas one signal under the agent key None.
     """
-    system = any(isinstance(node, _SYSTEM_ONLY) for node in _nodes(f))
+    system = any(isinstance(node, _SYSTEM_ONLY) for node in F.nodes(f))
     if system:
         validate_global(run, f)
     else:
@@ -459,16 +445,16 @@ def signal_table(
     core = lower(f)
     ev = Evaluator(run)
     entries: dict = {}
-
-    def add(sub, local: bool):
+    # (subformula, whether it is read per agent), in pre-order
+    pending = [(core, not system)]
+    while pending:
+        sub, local = pending.pop()
         for agent in range(1, run.num_agents + 1) if local else (None,):
             entries[(sub, agent)] = BoolSignal(
                 0, tuple(ev.eval(sub, agent, t) for t in range(end + 1))
             )
-        for child in _operands(sub):
-            add(child, local or isinstance(sub, F.AgentBind))
-
-    add(core, not system)
+        local = local or isinstance(sub, F.AgentBind)
+        pending.extend((child, local) for child in reversed(F.operands(sub)))
     return SignalTable(entries)
 
 

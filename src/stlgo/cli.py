@@ -28,6 +28,7 @@ from .formula import (
     Implies,
     Truth,
     WeightInterval,
+    join_left,
     lower,
 )
 from .model import MasRun, TimeOutOfRangeError, UnknownGraphTypeError
@@ -108,16 +109,12 @@ def cmd_parse(args) -> int:
     return EXIT_SAT
 
 
-def _load_bundle(args) -> MasRun:
-    return io.load_run(args.run, args.graphs)
-
-
 def cmd_monitor(args) -> int:
     f = _read_formula_file(args.formula, args.global_)
     if f is None:
         return EXIT_USAGE
     try:
-        run = _load_bundle(args)
+        run = io.load_run(args.run, args.graphs)
         T = args.tmax if args.tmax is not None else args.t0
         if args.global_:
             signal = monitor_global(run, f, T, strict=args.strict_horizon)
@@ -138,7 +135,7 @@ def cmd_monitor_dist(args) -> int:
     if f is None:
         return EXIT_USAGE
     try:
-        run = _load_bundle(args)
+        run = io.load_run(args.run, args.graphs)
         mask = io.load_mask(args.mask, run.length)
         if args.observer is not None and mask.observer != args.observer:
             raise ValueError(
@@ -176,7 +173,7 @@ def cmd_monitor_dist(args) -> int:
 
 def cmd_translate(args) -> int:
     try:
-        run = _load_bundle(args)
+        run = io.load_run(args.run, args.graphs)
         weights = _parse_weights(args.weights)
         inner = parse_local(args.inner) if args.inner else Truth()
         graphs = run.graphs
@@ -295,10 +292,7 @@ def drone_formulas(run: MasRun, sigma: int, anchor: int):
         for j in range(1, sigma + 1)
         if j != anchor
     ]
-    body = conjuncts[0]
-    for c in conjuncts[1:]:
-        body = And(body, c)
-    big_phi4 = Always(body, win)
+    big_phi4 = Always(join_left(And, conjuncts), win)
 
     return [
         ("phi3", phi3, "local"),

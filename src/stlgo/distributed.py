@@ -42,10 +42,8 @@ from .central import signal_cells, validate_local
 from .formula import (
     build_operator_tree,
     contains_atom,
-    expand_graph_quantifier,
     horizon,
-    lower,
-    push_negations,
+    prepare_for_distributed,
 )
 from .model import MasRun, TimeOutOfRangeError, neighbor_multiplicities
 
@@ -138,13 +136,6 @@ class TernarySignal:
 
     def has_unknown(self) -> bool:
         return any(v is None for v in self.values)
-
-
-def prepare_for_distributed(f: F.LocalFormula) -> F.LocalFormula:
-    """Lower to the core with single-graph operators and no negations
-    directly above them: the form ``is_determinable`` builds its operator
-    tree from."""
-    return push_negations(lower(expand_graph_quantifier(f)))
 
 
 def monitor_dist(
@@ -268,15 +259,23 @@ def _multiplicities(run: MasRun, node, agent: int, memo: dict) -> dict[int, int]
 def _chain_count(run: MasRun, agent: int, chain: tuple[int, ...], ops, memo: dict) -> int:
     """Edges at the chain's first operator leading to agents whose own nested
     counts reach the downstream minimum thresholds."""
-    key = (chain, agent)
-    total = memo.get(key)
-    if total is None:
-        mult = _multiplicities(run, ops[chain[0]], agent, memo)
-        if len(chain) == 1:
-            total = sum(mult.values())
-        else:
-            threshold = ops[chain[1]].counts.min_value()
-            total = sum(m for j, m in mult.items()
-                        if _chain_count(run, j, chain[1:], ops, memo) >= threshold)
-        memo[key] = total
-    return total
+    # (chain suffix, agent) pairs whose count is sought, innermost on top
+    pending = [(chain, agent)]
+    while pending:
+        key = pending[-1]
+        if key in memo:
+            pending.pop()
+            continue
+        suffix, a = key
+        mult = _multiplicities(run, ops[suffix[0]], a, memo)
+        if len(suffix) == 1:
+            memo[key] = sum(mult.values())
+            continue
+        rest = suffix[1:]
+        missing = [(rest, j) for j in mult if (rest, j) not in memo]
+        if missing:
+            pending += missing
+            continue
+        threshold = ops[rest[0]].counts.min_value()
+        memo[key] = sum(m for j, m in mult.items() if memo[(rest, j)] >= threshold)
+    return memo[(chain, agent)]

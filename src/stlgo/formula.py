@@ -17,7 +17,9 @@ All nodes are frozen dataclasses; every operation here is a pure function.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Literal, Union
 
 INF = math.inf
@@ -235,15 +237,17 @@ def eval_expr(expr: Expr, local_state=None, full_state=None) -> float:
 
 def expr_vars(expr: Expr) -> set[Expr]:
     """All StateVar/AgentStateVar leaves of an expression."""
-    if isinstance(expr, (StateVar, AgentStateVar)):
-        return {expr}
-    if isinstance(expr, BinOp):
-        return expr_vars(expr.left) | expr_vars(expr.right)
-    if isinstance(expr, UnaryFn):
-        return expr_vars(expr.arg)
-    if isinstance(expr, BinFn):
-        return expr_vars(expr.left) | expr_vars(expr.right)
-    return set()
+    out = set()
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (StateVar, AgentStateVar)):
+            out.add(e)
+        elif isinstance(e, (BinOp, BinFn)):
+            stack += (e.left, e.right)
+        elif isinstance(e, UnaryFn):
+            stack.append(e.arg)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +397,94 @@ FALSITY = Not(Truth())
 
 
 # ---------------------------------------------------------------------------
+# traversal: every structural pass is a step over ``fold`` or a scan of
+# ``nodes``, both explicit-stack walks; these tables record operand layout.
+
+_LEAVES = (Truth, Atom, GlobalAtom)
+_UNARY = (Not, Eventually, Always, GraphOp, AgentBind, ForAllAgents, ExistsAgent)
+_BINARY = (And, Or, Implies, Until)
+_OPERANDS = {**dict.fromkeys(_LEAVES, lambda f: ()), **dict.fromkeys(_UNARY, lambda f: (f.child,)),
+             **dict.fromkeys(_BINARY, operator.attrgetter("left", "right"))}
+# a node with new operands, built by its class: a copy filled in through
+# __dict__ would be slower for the evaluator to read
+_REBUILD = {
+    Not: lambda f, s: Not(*s), And: lambda f, s: And(*s), Or: lambda f, s: Or(*s),
+    Implies: lambda f, s: Implies(*s), Until: lambda f, s: Until(*s, f.interval),
+    Eventually: lambda f, s: Eventually(*s, f.interval), Always: lambda f, s: Always(*s, f.interval),
+    GraphOp: lambda f, s: GraphOp(f.direction, f.quantifier, f.graphs, f.counts, f.weights, *s),
+    AgentBind: lambda f, s: AgentBind(f.agent, *s),
+    ForAllAgents: lambda f, s: ForAllAgents(f.agents, *s),
+    ExistsAgent: lambda f, s: ExistsAgent(f.agents, *s),
+}
+BINDERS = (AgentBind, ForAllAgents, ExistsAgent)
+
+
+def operands(f) -> tuple:
+    """The direct subformulas of a formula node, sugar included."""
+    get = _OPERANDS.get(type(f))
+    if get is None:
+        raise TypeError(f"not a formula: {f!r}")
+    return get(f)
+
+
+def _with_operands(f, subs):
+    """f with its operands replaced by subs; f itself when none changed."""
+    if all(map(operator.is_, subs, _OPERANDS[type(f)](f))):
+        return f
+    return _REBUILD[type(f)](f, subs)
+
+
+def nodes(f, into_binders: bool = True):
+    """Every node occurrence of f in depth-first pre-order; with
+    ``into_binders`` False, only the system-level part (binders are yielded,
+    their children are not)."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        if into_binders or not isinstance(node, BINDERS):
+            stack.extend(reversed(operands(node)))
+
+
+def fold(f, step, memo: dict | None = None, layout: dict = _OPERANDS):
+    """Post-order fold: ``step(node, values)`` receives the values of the
+    node's subformulas, in order, and returns the node's own; the root's
+    value is returned. A subformula shared by several parents is stepped
+    once. ``memo``, when given, is filled with every node's value under
+    ``id(node)``; ``layout`` maps node types to their subformulas, for
+    passes that see some nodes' subformulas differently."""
+    done = {} if memo is None else memo
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # its operands are done
+            node, subs = node
+            done[id(node)] = step(node, [done[id(sub)] for sub in subs])
+            continue
+        key = id(node)
+        if key in done:
+            continue
+        get = layout.get(type(node))
+        if get is None:
+            raise TypeError(f"not a formula: {node!r}")
+        subs = get(node)
+        if subs:
+            stack.append((node, subs))
+            stack.extend(reversed(subs))
+        else:
+            done[key] = step(node, subs)
+    return done[id(f)]
+
+
+def join_left(cls, parts: list) -> Formula:
+    """parts joined by And or Or into a left-deep chain, as the parser reads
+    "p1 & p2 & p3"; no parts is the chain's unit (true, or false)."""
+    if not parts:
+        return Truth() if cls is And else FALSITY
+    return reduce(cls, parts)
+
+
+# ---------------------------------------------------------------------------
 # horizon
 
 
@@ -403,25 +495,25 @@ def horizon(f: Formula) -> tuple[float, float]:
     the graph operators are transparent; conjunction takes (min, max);
     until over [a, b] yields S = a + min(S1, S2) and T = b + max(T1, T2).
     Sugar is handled via its defining expansion, and agent binding is
-    transparent. Infinite upper bounds propagate.
+    transparent. An infinite upper bound absorbs whatever it is added to.
     """
-    if isinstance(f, (Truth, Atom, GlobalAtom)):
+    return fold(f, _horizon_step)
+
+
+def _horizon_step(f, subs):
+    if not subs:
         return (0, 0)
-    if isinstance(f, (Not, GraphOp, AgentBind, ForAllAgents, ExistsAgent)):
-        return horizon(f.child)
-    if isinstance(f, (And, Or, Implies)):
-        s1, t1 = horizon(f.left)
-        s2, t2 = horizon(f.right)
-        return (min(s1, s2), max(t1, t2))
-    if isinstance(f, Until):
-        s1, t1 = horizon(f.left)
-        s2, t2 = horizon(f.right)
-        return (f.interval.lo + min(s1, s2), f.interval.hi + max(t1, t2))
-    if isinstance(f, (Eventually, Always)):
-        # F_I phi = T U_I phi and G_I phi = !F_I !phi share one recursion
-        s, t = horizon(f.child)
-        return (f.interval.lo + min(0, s), f.interval.hi + max(0, t))
-    raise TypeError(f"not a formula: {f!r}")
+    s, t = subs[0]
+    if len(subs) == 2:
+        s2, t2 = subs[1]
+        s, t = min(s, s2), max(t, t2)
+    interval = getattr(f, "interval", None)
+    if interval is None:
+        return (s, t)
+    if len(subs) == 1:  # F_I phi = T U_I phi and G_I phi = !F_I !phi
+        s, t = min(0, s), max(0, t)
+    hi = interval.hi
+    return (interval.lo + s, INF if hi == INF or t == INF else hi + t)
 
 
 # ---------------------------------------------------------------------------
@@ -432,39 +524,49 @@ def lower(f: Formula) -> Formula:
     """Rewrite sugar into the core {truth, atom, not, and, until, graph op,
     agent bind} fragment, preserving semantics.
 
-    FA and EX become a balanced conjunction of the bound copies, in the
-    order of the agent set, so the tree is logarithmically deep in the
-    number of agents; the copies share one lowered child.
+    Each & (or |) chain becomes a balanced conjunction of its parts, and
+    FA and EX of the bound copies (which share one lowered child), in
+    order, so the tree is logarithmically deep in the number of parts.
+    Core nodes whose operands lower to themselves are returned as they are.
     """
-    if isinstance(f, (Truth, Atom, GlobalAtom)):
-        return f
-    if isinstance(f, Not):
-        return Not(lower(f.child))
-    if isinstance(f, And):
-        return And(lower(f.left), lower(f.right))
-    if isinstance(f, Or):
-        return Not(And(Not(lower(f.left)), Not(lower(f.right))))
-    if isinstance(f, Implies):
-        return Not(And(lower(f.left), Not(lower(f.right))))
-    if isinstance(f, Until):
-        return Until(lower(f.left), lower(f.right), f.interval)
-    if isinstance(f, Eventually):
-        return Until(Truth(), lower(f.child), f.interval)
-    if isinstance(f, Always):
-        return Not(Until(Truth(), Not(lower(f.child)), f.interval))
-    if isinstance(f, GraphOp):
-        return GraphOp(
-            f.direction, f.quantifier, f.graphs, f.counts, f.weights, lower(f.child)
-        )
-    if isinstance(f, AgentBind):
-        return AgentBind(f.agent, lower(f.child))
-    if isinstance(f, ForAllAgents):
-        child = lower(f.child)
-        return _balanced_and([AgentBind(i, child) for i in f.agents])
-    if isinstance(f, ExistsAgent):
-        child = lower(f.child)
-        return Not(_balanced_and([Not(AgentBind(i, child)) for i in f.agents]))
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, _lower_step, layout=_CHAINS)
+
+
+def _chain_parts(f) -> tuple:
+    """The parts of the maximal & (or |) chain at f, left to right."""
+    parts, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is type(f):
+            stack += (node.right, node.left)
+        else:
+            parts.append(node)
+    return tuple(parts)
+
+
+_CHAINS = {**_OPERANDS, And: _chain_parts, Or: _chain_parts}
+
+
+def _lower_step(f, subs, neg=Not):
+    # neg builds each negation whose operand may be a graph operator
+    kind = type(f)
+    if kind is And:
+        return _with_operands(f, subs) if len(subs) == 2 else _balanced_and(subs)
+    if kind is Or:
+        return Not(_balanced_and([neg(s) for s in subs]))
+    if kind is Implies:
+        return Not(And(subs[0], neg(subs[1])))
+    if kind is Eventually:
+        return Until(Truth(), subs[0], f.interval)
+    if kind is Always:
+        return Not(Until(Truth(), neg(subs[0]), f.interval))
+    if kind is Not and type(subs[0]) is GraphOp:
+        return neg(subs[0])
+    if kind is ForAllAgents:
+        return _balanced_and([AgentBind(i, subs[0]) for i in f.agents])
+    if kind is ExistsAgent:
+        return Not(_balanced_and([Not(AgentBind(i, subs[0])) for i in f.agents]))
+    return _with_operands(f, subs)
 
 
 def _balanced_and(parts: list) -> Formula:
@@ -487,110 +589,75 @@ def push_negations(f: LocalFormula) -> LocalFormula:
     A negated graph operator is replaced by the same operator with the
     complemented count set; all other structure is preserved.
     """
-    if isinstance(f, Not):
-        child = push_negations(f.child)
-        if isinstance(child, GraphOp):
-            # Over several graphs the negation also dualizes the quantifier:
-            # not(exists g: count in E) = forall g: count in complement(E).
-            # For a single graph the quantifier is immaterial and kept as is.
-            quant = child.quantifier
-            if len(child.graphs) > 1:
-                quant = "forall" if quant == "exists" else "exists"
-            return GraphOp(
-                child.direction,
-                quant,
-                child.graphs,
-                child.counts.complement(),
-                child.weights,
-                child.child,
-            )
-        return Not(child)
-    if isinstance(f, (Truth, Atom)):
-        return f
-    if isinstance(f, And):
-        return And(push_negations(f.left), push_negations(f.right))
-    if isinstance(f, Or):
-        return Or(push_negations(f.left), push_negations(f.right))
-    if isinstance(f, Implies):
-        return Implies(push_negations(f.left), push_negations(f.right))
-    if isinstance(f, Until):
-        return Until(push_negations(f.left), push_negations(f.right), f.interval)
-    if isinstance(f, Eventually):
-        return Eventually(push_negations(f.child), f.interval)
-    if isinstance(f, Always):
-        return Always(push_negations(f.child), f.interval)
-    if isinstance(f, GraphOp):
-        return GraphOp(
-            f.direction, f.quantifier, f.graphs, f.counts, f.weights,
-            push_negations(f.child),
-        )
-    raise TypeError(f"not a local formula: {f!r}")
+    return fold(f, _push_step)
+
+
+def _push_step(f, subs):
+    if type(f) is Not and type(subs[0]) is GraphOp:
+        return _negate(subs[0])
+    return _with_operands(f, subs)
+
+
+def _negate(g):
+    """Not(g), or for a graph operator the operator over the complemented
+    count set. Over several graphs the negation also dualizes the quantifier:
+    not(exists g: count in E) = forall g: count in complement(E). For a
+    single graph the quantifier is immaterial and kept as is.
+    """
+    if type(g) is not GraphOp:
+        return Not(g)
+    quant = g.quantifier
+    if len(g.graphs) > 1:
+        quant = "forall" if quant == "exists" else "exists"
+    return GraphOp(g.direction, quant, g.graphs, g.counts.complement(), g.weights, g.child)
 
 
 def expand_graph_quantifier(f: LocalFormula) -> LocalFormula:
     """Rewrite each graph operator over m > 1 graphs into m single-graph
     operators joined by disjunction (exists) or conjunction (forall)."""
-    if isinstance(f, (Truth, Atom)):
-        return f
-    if isinstance(f, Not):
-        return Not(expand_graph_quantifier(f.child))
-    if isinstance(f, And):
-        return And(expand_graph_quantifier(f.left), expand_graph_quantifier(f.right))
-    if isinstance(f, Or):
-        return Or(expand_graph_quantifier(f.left), expand_graph_quantifier(f.right))
-    if isinstance(f, Implies):
-        return Implies(
-            expand_graph_quantifier(f.left), expand_graph_quantifier(f.right)
+    return fold(f, _expand_step)
+
+
+def _expand_step(f, subs):
+    if type(f) is not GraphOp or len(f.graphs) == 1:
+        return _with_operands(f, subs)
+    return join_left(Or if f.quantifier == "exists" else And, _single_graph_ops(f, subs[0]))
+
+
+def _single_graph_ops(f: GraphOp, child) -> list:
+    return [GraphOp(f.direction, f.quantifier, (g,), f.counts, f.weights, child) for g in f.graphs]
+
+
+def prepare_for_distributed(f: LocalFormula) -> LocalFormula:
+    """push_negations(lower(expand_graph_quantifier(f))) in one pass, with
+    each & and | lowered on its own: the form ``is_determinable`` builds
+    its operator tree from. Chains keep their written shape because the
+    tree's leaves come from it; a balanced chain could split a leaf."""
+    return fold(f, _prepare_step)
+
+
+def _prepare_step(f, subs):
+    if type(f) is GraphOp and len(f.graphs) > 1:
+        # the expansion's | (or &) chain, lowered link by link
+        link = Or if f.quantifier == "exists" else And
+        return reduce(
+            lambda acc, single: _lower_step(link(acc, single), [acc, single], _negate),
+            _single_graph_ops(f, subs[0]),
         )
-    if isinstance(f, Until):
-        return Until(
-            expand_graph_quantifier(f.left),
-            expand_graph_quantifier(f.right),
-            f.interval,
-        )
-    if isinstance(f, Eventually):
-        return Eventually(expand_graph_quantifier(f.child), f.interval)
-    if isinstance(f, Always):
-        return Always(expand_graph_quantifier(f.child), f.interval)
-    if isinstance(f, GraphOp):
-        child = expand_graph_quantifier(f.child)
-        singles = [
-            GraphOp(f.direction, f.quantifier, (g,), f.counts, f.weights, child)
-            for g in f.graphs
-        ]
-        if len(singles) == 1:
-            return singles[0]
-        out = singles[0]
-        for s in singles[1:]:
-            out = Or(out, s) if f.quantifier == "exists" else And(out, s)
-        return out
-    raise TypeError(f"not a local formula: {f!r}")
+    return _lower_step(f, subs, _negate)
 
 
 def contains_graph_op(f: LocalFormula) -> bool:
-    if isinstance(f, GraphOp):
-        return True
-    if isinstance(f, (Truth, Atom)):
-        return False
-    if isinstance(f, (Not, Eventually, Always)):
-        return contains_graph_op(f.child)
-    if isinstance(f, (And, Or, Implies, Until)):
-        return contains_graph_op(f.left) or contains_graph_op(f.right)
-    raise TypeError(f"not a local formula: {f!r}")
+    return any(type(node) is GraphOp for node in nodes(f))
 
 
 def contains_atom(f: LocalFormula) -> bool:
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Truth):
-        return False
-    if isinstance(f, (Not, Eventually, Always)):
-        return contains_atom(f.child)
-    if isinstance(f, (And, Or, Implies, Until)):
-        return contains_atom(f.left) or contains_atom(f.right)
-    if isinstance(f, GraphOp):
-        return contains_atom(f.child)
-    raise TypeError(f"not a local formula: {f!r}")
+    return any(type(node) is Atom for node in nodes(f))
+
+
+def graph_ops(f: LocalFormula) -> list[GraphOp]:
+    """All graph operator nodes of a local formula, in depth-first pre-order."""
+    return [node for node in nodes(f) if type(node) is GraphOp]
 
 
 # ---------------------------------------------------------------------------
@@ -634,56 +701,28 @@ def build_operator_tree(f: LocalFormula) -> GraphOpTree:
     chain of operator indices connecting it to the root, so its level is
     one more than the chain length.
     """
+    has_op: dict = {}
+    fold(f, lambda node, subs: type(node) is GraphOp or any(subs), has_op)
     operators: list[OperatorNode] = []
     leaves: list[LeafNode] = []
-    _visit_operators(f, (), operators, leaves)
-    return GraphOpTree(f, tuple(operators), tuple(leaves))
-
-
-def _visit_operators(node: LocalFormula, chain: tuple[int, ...], operators: list, leaves: list):
-    if not contains_graph_op(node):
-        leaves.append(LeafNode(len(leaves) + 1, len(chain) + 1, node, chain))
-        return
-    if isinstance(node, GraphOp):
-        if len(node.graphs) != 1:
-            raise ValueError("expand graphs first")
-        p = len(operators) + 1
-        operators.append(
-            OperatorNode(
-                p, len(chain) + 1, node.direction, node.graphs[0],
-                node.counts, node.weights,
+    stack = [(f, ())]
+    while stack:
+        node, chain = stack.pop()
+        if not has_op[id(node)]:
+            leaves.append(LeafNode(len(leaves) + 1, len(chain) + 1, node, chain))
+            continue
+        if type(node) is GraphOp:
+            if len(node.graphs) != 1:
+                raise ValueError("expand graphs first")
+            p = len(operators) + 1
+            operators.append(
+                OperatorNode(
+                    p, len(chain) + 1, node.direction, node.graphs[0],
+                    node.counts, node.weights,
+                )
             )
-        )
-        _visit_operators(node.child, chain + (p,), operators, leaves)
-        return
-    if isinstance(node, Not):
-        if isinstance(node.child, GraphOp):
+            chain += (p,)
+        elif type(node) is Not and type(node.child) is GraphOp:
             raise ValueError("formula must be negation-normalized first")
-        _visit_operators(node.child, chain, operators, leaves)
-        return
-    if isinstance(node, (Eventually, Always)):
-        _visit_operators(node.child, chain, operators, leaves)
-        return
-    if isinstance(node, (And, Or, Implies, Until)):
-        _visit_operators(node.left, chain, operators, leaves)
-        _visit_operators(node.right, chain, operators, leaves)
-        return
-    raise TypeError(f"not a local formula: {node!r}")
-
-
-def graph_ops(f: LocalFormula) -> list[GraphOp]:
-    """All graph operator nodes of a local formula, in depth-first pre-order."""
-    out: list[GraphOp] = []
-    _collect_graph_ops(f, out)
-    return out
-
-
-def _collect_graph_ops(node: LocalFormula, out: list):
-    if isinstance(node, GraphOp):
-        out.append(node)
-        _collect_graph_ops(node.child, out)
-    elif isinstance(node, (Not, Eventually, Always)):
-        _collect_graph_ops(node.child, out)
-    elif isinstance(node, (And, Or, Implies, Until)):
-        _collect_graph_ops(node.left, out)
-        _collect_graph_ops(node.right, out)
+        stack.extend((sub, chain) for sub in reversed(operands(node)))
+    return GraphOpTree(f, tuple(operators), tuple(leaves))

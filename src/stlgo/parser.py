@@ -30,8 +30,9 @@ The empty count set prints and parses as ``E[]``.
 Nesting is bounded: each prefix operator (!, F, G, In, Out), "->",
 parenthesis, agent binding and function call opens one level, and a formula
 nested deeper than ``MAX_NESTING`` levels is a ParseError at the token that
-opens the level past the limit. A formula at the limit still lowers,
-monitors and prints within Python's default recursion limit.
+opens the level past the limit. A formula at the limit still monitors
+within Python's default recursion limit. Chains (``&``, ``|``, ``U``,
+``+``) are loops, not nesting: they parse and print at any length.
 """
 
 from __future__ import annotations
@@ -566,51 +567,53 @@ _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 0, 1, 2, 3
 
 def print_formula(f) -> str:
     """Canonical text of a formula; defaults (exists, full W) are elided."""
-    return _print(f, _LEVEL_IMPLIES)
+    return _render(f, _LEVEL_IMPLIES)
 
 
-def _print(f, level: int) -> str:
-    s, own = _print_node(f)
-    return f"({s})" if own < level else s
+def _render(root, level: int) -> str:
+    """Text of a formula or expression node printed where ``level`` binds.
+
+    Each node yields its parts, strings and (subnode, level) pairs, and a
+    node binding looser than its place is parenthesized. The parts are
+    expanded from one explicit stack, so chains of any length print.
+    """
+    out: list[str] = []
+    stack: list = [(root, level)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, level = item
+        parts, own = (_print_expr_node if isinstance(node, Expr) else _print_node)(node)
+        stack.extend(reversed(("(", *parts, ")") if own < level else parts))
+    return "".join(out)
 
 
-def _print_node(f) -> tuple[str, int]:
+def _print_node(f) -> tuple[tuple, int]:
     if isinstance(f, Truth):
-        return "true", _LEVEL_UNARY + 1
+        return ("true",), _LEVEL_UNARY + 1
     if isinstance(f, Not):
         if isinstance(f.child, Truth):
-            return "false", _LEVEL_UNARY + 1
-        return "!" + _print(f.child, _LEVEL_UNARY), _LEVEL_UNARY
+            return ("false",), _LEVEL_UNARY + 1
+        return ("!", (f.child, _LEVEL_UNARY)), _LEVEL_UNARY
     if isinstance(f, (Atom, GlobalAtom)):
         return _print_atom(f.expr), _LEVEL_UNARY + 1
     if isinstance(f, And):
-        return (
-            _print(f.left, _LEVEL_AND) + " & " + _print(f.right, _LEVEL_AND + 1),
-            _LEVEL_AND,
-        )
+        return ((f.left, _LEVEL_AND), " & ", (f.right, _LEVEL_AND + 1)), _LEVEL_AND
     if isinstance(f, Or):
-        return (
-            _print(f.left, _LEVEL_OR) + " | " + _print(f.right, _LEVEL_OR + 1),
-            _LEVEL_OR,
-        )
+        return ((f.left, _LEVEL_OR), " | ", (f.right, _LEVEL_OR + 1)), _LEVEL_OR
     if isinstance(f, Implies):
-        return (
-            _print(f.left, _LEVEL_OR) + " -> " + _print(f.right, _LEVEL_IMPLIES),
-            _LEVEL_IMPLIES,
-        )
+        return ((f.left, _LEVEL_OR), " -> ", (f.right, _LEVEL_IMPLIES)), _LEVEL_IMPLIES
     if isinstance(f, Until):
         return (
-            _print(f.left, _LEVEL_AND)
-            + " U"
-            + _print_tint(f.interval)
-            + " "
-            + _print(f.right, _LEVEL_AND + 1),
-            _LEVEL_AND,
-        )
-    if isinstance(f, Eventually):
-        return "F" + _print_tint(f.interval) + " " + _print(f.child, _LEVEL_UNARY), _LEVEL_UNARY
-    if isinstance(f, Always):
-        return "G" + _print_tint(f.interval) + " " + _print(f.child, _LEVEL_UNARY), _LEVEL_UNARY
+            (f.left, _LEVEL_AND),
+            " U" + _print_tint(f.interval) + " ",
+            (f.right, _LEVEL_AND + 1),
+        ), _LEVEL_AND
+    if isinstance(f, (Eventually, Always)):
+        op = "F" if isinstance(f, Eventually) else "G"
+        return (op + _print_tint(f.interval) + " ", (f.child, _LEVEL_UNARY)), _LEVEL_UNARY
     if isinstance(f, GraphOp):
         head = "In" if f.direction == "in" else "Out"
         if f.quantifier == "forall":
@@ -619,12 +622,14 @@ def _print_node(f) -> tuple[str, int]:
         head += " E" + _print_cset(f.counts)
         if f.weights != FULL_WEIGHTS:
             head += " W[" + _fmt_num(f.weights.lo) + "," + _fmt_num(f.weights.hi) + "]"
-        return head + " " + _print(f.child, _LEVEL_UNARY), _LEVEL_UNARY
+        return (head + " ", (f.child, _LEVEL_UNARY)), _LEVEL_UNARY
     if isinstance(f, AgentBind):
-        return f"@{f.agent}.({print_formula(f.child)})", _LEVEL_UNARY + 1
+        return (f"@{f.agent}.(", (f.child, _LEVEL_IMPLIES), ")"), _LEVEL_UNARY + 1
     if isinstance(f, (ForAllAgents, ExistsAgent)):
         head = "FA" if isinstance(f, ForAllAgents) else "EX"
-        return f"{head}{{{_print_agents(f.agents)}}}({print_formula(f.child)})", _LEVEL_UNARY + 1
+        return (
+            f"{head}{{{_print_agents(f.agents)}}}(", (f.child, _LEVEL_IMPLIES), ")"
+        ), _LEVEL_UNARY + 1
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -634,14 +639,14 @@ def _print_agents(agents: tuple[int, ...]) -> str:
     return ",".join(str(a) for a in agents)
 
 
-def _print_atom(expr: Expr) -> str:
+def _print_atom(expr: Expr) -> tuple:
     # (a - b) >= 0 prints as the comparison it came from; anything else
     # prints against a literal zero. Both forms re-parse to the same tree.
     if isinstance(expr, BinOp) and expr.op == "-":
         right = expr.right
         if not (isinstance(right, Const) and right.value == 0.0):
-            return f"[{_print_expr(expr.left, 1)} >= {_print_expr(right, 1)}]"
-    return f"[{_print_expr(expr, 1)} >= 0]"
+            return ("[", (expr.left, 1), " >= ", (right, 1), "]")
+    return ("[", (expr, 1), " >= 0]")
 
 
 def _print_tint(i: TimeInterval) -> str:
@@ -667,39 +672,20 @@ def _fmt_num(v: float) -> str:
 _EXPR_ADD, _EXPR_MUL, _EXPR_LEAF = 1, 2, 3
 
 
-def _print_expr(e: Expr, level: int) -> str:
-    s, own = _print_expr_node(e)
-    return f"({s})" if own < level else s
-
-
-def _print_expr_node(e: Expr) -> tuple[str, int]:
+def _print_expr_node(e: Expr) -> tuple[tuple, int]:
     if isinstance(e, Const):
         # negative literals bind like a leaf ("-5"); they only need parens
         # when they would fuse with a preceding operator, which spacing avoids
-        return _fmt_num(e.value), _EXPR_LEAF if e.value >= 0 else _EXPR_MUL
+        return (_fmt_num(e.value),), _EXPR_LEAF if e.value >= 0 else _EXPR_MUL
     if isinstance(e, StateVar):
-        return f"x[{e.index}]", _EXPR_LEAF
+        return (f"x[{e.index}]",), _EXPR_LEAF
     if isinstance(e, AgentStateVar):
-        return f"s[{e.agent}][{e.index}]", _EXPR_LEAF
+        return (f"s[{e.agent}][{e.index}]",), _EXPR_LEAF
     if isinstance(e, BinOp):
-        if e.op in ("+", "-"):
-            return (
-                _print_expr(e.left, _EXPR_ADD)
-                + f" {e.op} "
-                + _print_expr(e.right, _EXPR_ADD + 1),
-                _EXPR_ADD,
-            )
-        return (
-            _print_expr(e.left, _EXPR_MUL)
-            + f" {e.op} "
-            + _print_expr(e.right, _EXPR_MUL + 1),
-            _EXPR_MUL,
-        )
+        own = _EXPR_ADD if e.op in ("+", "-") else _EXPR_MUL
+        return ((e.left, own), f" {e.op} ", (e.right, own + 1)), own
     if isinstance(e, UnaryFn):
-        return f"{e.fn}({_print_expr(e.arg, _EXPR_ADD)})", _EXPR_LEAF
+        return (f"{e.fn}(", (e.arg, _EXPR_ADD), ")"), _EXPR_LEAF
     if isinstance(e, BinFn):
-        return (
-            f"{e.fn}({_print_expr(e.left, _EXPR_ADD)}, {_print_expr(e.right, _EXPR_ADD)})",
-            _EXPR_LEAF,
-        )
+        return (f"{e.fn}(", (e.left, _EXPR_ADD), ", ", (e.right, _EXPR_ADD), ")"), _EXPR_LEAF
     raise TypeError(f"not an expression: {e!r}")

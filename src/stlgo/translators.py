@@ -35,6 +35,7 @@ from .formula import (
     Or,
     WeightInterval,
     FULL_WEIGHTS,
+    join_left,
 )
 from .model import Edge, MasRun, MultigraphSnapshot
 
@@ -291,15 +292,6 @@ def enumerate_traces(
     raise ValueError(f"unsupported trace mode {mode!r}")
 
 
-def _fold_or(parts: list[GlobalFormula]) -> GlobalFormula:
-    if not parts:
-        return FALSITY
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
-
-
 def translate_strel_reach(
     phi1: LocalFormula,
     phi2: LocalFormula,
@@ -320,7 +312,7 @@ def translate_strel_reach(
         bind = AgentBind(tau[-1], phi2)
         prefix = tuple(sorted(set(tau[:-1])))
         parts.append(bind if not prefix else And(ForAllAgents(prefix, phi1), bind))
-    return _fold_or(parts)
+    return join_left(Or, parts)
 
 
 def translate_strel_escape(
@@ -338,7 +330,7 @@ def translate_strel_escape(
         ForAllAgents(tuple(sorted(set(tau))), phi)
         for tau in sorted(traces, key=lambda s: (len(s), s))
     ]
-    return _fold_or(parts)
+    return join_left(Or, parts)
 
 
 def translate_strel(
@@ -399,7 +391,4 @@ def translate_strel_reach_hops(
         disjuncts.append(nested)
     if not disjuncts:
         return FALSITY
-    out = disjuncts[0]
-    for d in disjuncts[1:]:
-        out = Or(out, d)
-    return AgentBind(agent, out)
+    return AgentBind(agent, join_left(Or, disjuncts))

@@ -202,6 +202,12 @@ def test_exists_agent_equals_disjunction_of_binds():
         assert monitor_global(run, ex, T).values == monitor_global(run, manual, T).values
 
 
+def test_monitor_answers_when_nested_bounds_sum_past_float_range():
+    run = star_run([1], length=3)
+    f = parse_local("G[0,inf] F[0,1E308] F[0,1E308] true")
+    assert monitor_local(run, f, 1, 0).values == (1, 1, 1, 1)
+
+
 def test_signal_table_has_every_subformula():
     run = star_run([1, -1])
     f = And(POSITIVE, GraphOp("in", "exists", ("g",), CountSet.single(1, INF), FULL_WEIGHTS, Truth()))

@@ -83,6 +83,49 @@ def test_monitor_parse_error_closes_formula_file(bike_bundle, tmp_path, capsys, 
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+# chains the printer handles at any length but the pointwise evaluator
+# follows one Python frame (or more) per term
+TOO_DEEP_TO_EVALUATE = {
+    "until": " U[0,2] ".join(["[x[0] >= 0]"] * 1000),
+    "sum": "[" + " + ".join(["x[0]"] * 1000) + " >= 0]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_DEEP_TO_EVALUATE))
+def test_parse_prints_chains_too_deep_to_evaluate(tmp_path, capsys, name):
+    f = write_formula(tmp_path, TOO_DEEP_TO_EVALUATE[name])
+    assert main(["parse", str(f)]) == 0
+    assert capsys.readouterr().out == TOO_DEEP_TO_EVALUATE[name] + "\n"
+
+
+@pytest.mark.parametrize("command", ["monitor", "monitor-dist"])
+@pytest.mark.parametrize("name", sorted(TOO_DEEP_TO_EVALUATE))
+def test_monitor_formula_too_deep_to_evaluate_is_data_error(
+    bike_bundle, tmp_path, capsys, command, name
+):
+    _, run_path, graphs_path = bike_bundle
+    f = write_formula(tmp_path, TOO_DEEP_TO_EVALUATE[name])
+    argv = [command, "--formula", str(f), "--run", str(run_path), "--graphs", str(graphs_path)]
+    if command == "monitor":
+        argv += ["--agent", "1"]
+    else:
+        save_mask(KnowledgeMask.self_only(1), tmp_path / "mask.json")
+        argv += ["--mask", str(tmp_path / "mask.json")]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "recursion limit" in err
+
+
+def test_monitor_answers_when_nested_bounds_sum_past_float_range(bike_bundle, tmp_path):
+    _, run_path, graphs_path = bike_bundle
+    f = write_formula(tmp_path, "G[0,inf] F[0,1E308] F[0,1E308] true")
+    code = main(["monitor", "--formula", str(f), "--run", str(run_path),
+                 "--graphs", str(graphs_path), "--agent", "1"])
+    assert code in (0, 2)
+
+
 def test_parse_empty_file_fails(tmp_path):
     f = write_formula(tmp_path, "")
     assert main(["parse", str(f)]) == 1

@@ -98,6 +98,14 @@ HORIZON_TABLE = [
         (0, 10),
     ),
     (gop(child=Eventually(ATOM, TimeInterval(0, 4))), (0, 4)),
+    # inf absorbs a finite sum past float range: G[0,inf] F[0,1E308] F[0,1E308] true
+    (
+        Always(
+            Eventually(Eventually(Truth(), TimeInterval(0, 10**308)), TimeInterval(0, 10**308)),
+            TimeInterval(0, INF),
+        ),
+        (0, INF),
+    ),
     (
         Until(ATOM, Until(ATOM, ATOM, TimeInterval(3, 4)), TimeInterval(1, 2)),
         (1, 6),

@@ -1,0 +1,89 @@
+"""Formulas far longer than the Python stack is deep: chains of thousands of
+terms parse, print, lower, monitor and analyse, and the STREL escape
+translation of a bike city prints and monitors."""
+
+import math
+
+import pytest
+
+from stlgo import (
+    BikeScenarioConfig,
+    GlobalFormula,
+    KnowledgeMask,
+    LocalFormula,
+    WeightInterval,
+    gen_bike,
+    is_determinable,
+    lower,
+    monitor_dist,
+    monitor_global,
+    monitor_local,
+    parse_global,
+    parse_local,
+    print_formula,
+    translate_strel,
+)
+from stlgo.formula import fold, nodes
+
+from conftest import make_fig_run
+from direct_semantics import strel_escape_direct
+
+ATOM_TEXT = "[x[0] >= 3]"
+CHAINS = {op: f" {op} ".join([ATOM_TEXT] * 10_000) for op in ("&", "|", "U[0,2]")}
+
+
+def depth(f) -> int:
+    return fold(f, lambda node, subs: 1 + max(subs, default=0))
+
+
+def same_formula(a, b) -> bool:
+    """Structural equality without recursing: the same node types and the
+    same non-formula fields, node for node in pre-order."""
+    def shape(f):
+        return [
+            (type(node), [v for v in vars(node).values()
+                          if not isinstance(v, (LocalFormula, GlobalFormula))])
+            for node in nodes(f)
+        ]
+    return shape(a) == shape(b)
+
+
+@pytest.fixture(scope="module")
+def chains():
+    return {op: parse_local(text) for op, text in CHAINS.items()}
+
+
+@pytest.mark.parametrize("op", sorted(CHAINS))
+def test_ten_thousand_term_chain_prints_as_written(chains, op):
+    assert print_formula(chains[op]) == CHAINS[op]
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_ten_thousand_term_chain_lowers_balanced_and_monitors(chains, op):
+    f = chains[op]
+    assert depth(lower(f)) <= math.ceil(math.log2(10_000)) + 4
+    run = make_fig_run(length=3)
+    atom = parse_local(ATOM_TEXT)
+    assert monitor_local(run, f, 3, 3) == monitor_local(run, atom, 3, 3)
+    for mask in (KnowledgeMask.full(3, run.num_agents, run.length), KnowledgeMask.self_only(1)):
+        assert monitor_dist(run, mask, f, 3, 3) == monitor_dist(run, mask, atom, 3, 3)
+        report = is_determinable(run, mask, f, 3, 3)
+        assert report.determinable == is_determinable(run, mask, atom, 3, 3).determinable
+
+
+@pytest.mark.parametrize("stations", [10, 12])
+def test_strel_escape_over_a_bike_city_prints_and_matches_direct_semantics(stations):
+    run = gen_bike(BikeScenarioConfig(stations=stations, seed=0, hours=12))
+    phi = parse_local("[x[0] >= 6]")
+    weights = WeightInterval(2, math.inf)
+    f = translate_strel("escape", weights, 1, run, 0, phi=phi)
+    text = print_formula(f)
+    assert text.count(" | ") >= 500
+    assert same_formula(parse_global(text), f)
+    signal = monitor_global(run, f, run.length)
+    # the d graph is static, so the encoding at t = 0 holds at every time
+    assert "d" in run.graphs.static
+    assert signal.values == tuple(
+        int(strel_escape_direct(run, phi, weights, 1, t)) for t in range(run.length + 1)
+    )
+    assert 0 < sum(signal.values) < len(signal.values)
