@@ -40,8 +40,7 @@ def visibility_mask(run, observer, d_radius=2.5, mt_minutes=7.0):
     visible |= agent_neighbors(run, "d", 0, observer, "in", (0.0, d_radius))
     visible |= agent_neighbors(run, "mt", 0, observer, "out", (0.0, mt_minutes))
     visible |= agent_neighbors(run, "mt", 0, observer, "in", (0.0, mt_minutes))
-    pairs = {(j, t) for j in visible for t in range(run.length + 1)}
-    return KnowledgeMask(observer, frozenset(pairs))
+    return KnowledgeMask(observer, [(j, 0, run.length) for j in visible])
 
 
 def main():

@@ -35,7 +35,7 @@ in the leaf's window runs per step; the check stays sufficient.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import formula as F
 from .central import signal_cells, validate_local
@@ -53,34 +53,58 @@ class KnowledgeMask:
     """Which (subject, time) states an observer can see.
 
     Self-knowledge is total: the observer always knows its own state, so
-    ``known`` only needs to carry other agents' visible samples.
+    ``ranges`` only needs to carry other agents' visible stretches. Built
+    from any mix of (subject, t) pairs and (subject, t_from, t_to) ranges,
+    it keeps them sorted, maximal and disjoint: equal sets, equal masks.
     """
 
     observer: int
-    known: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    ranges: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        if self.observer < 1:
-            raise ValueError("agent indices start at 1")
-        object.__setattr__(
-            self,
-            "known",
-            frozenset((int(j), int(t)) for j, t in self.known),
-        )
+        if type(self.observer) is not int or self.observer < 1:
+            raise ValueError(f"observer {self.observer!r}: agents are ints from 1")
+        ends: dict[int, dict[int, int]] = {}  # subject -> start -> furthest end + 1
+        for entry in self.ranges:
+            if len(entry) not in (2, 3):
+                raise ValueError(f"mask entry must be (subject, t) or (subject, t0, t1): {entry}")
+            j, lo, hi = entry[0], entry[1], entry[-1]
+            if type(j) is not int or type(lo) is not int or type(hi) is not int or not (
+                    j >= 1 and 0 <= lo <= hi):
+                raise ValueError(f"mask entry {entry}: need ints, subject >= 1, 0 <= t0 <= t1")
+            starts = ends.setdefault(j, {})
+            if starts.get(lo, 0) <= hi:
+                starts[lo] = hi + 1
+        # subject -> flat [start, end + 1, start, end + 1, ...] of its ranges
+        bounds = {}
+        for j, starts in sorted(ends.items()):
+            flat = bounds[j] = []
+            for lo in sorted(starts):
+                if not flat or lo > flat[-1]:
+                    flat += (lo, starts[lo])
+                elif starts[lo] > flat[-1]:  # overlaps or touches the last range
+                    flat[-1] = starts[lo]
+        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "ranges", tuple(
+            (j, flat[i], flat[i + 1] - 1) for j, flat in bounds.items()
+            for i in range(0, len(flat), 2)))
 
     def knows(self, subject: int, t: int) -> bool:
-        return subject == self.observer or (subject, t) in self.known
+        return subject == self.observer or bisect_right(self._bounds.get(subject, ()), t) % 2 == 1
+
+    def hidden_times(self, subject: int, last: int) -> list[int]:
+        """The times in [0, last] at which the subject's state is hidden."""
+        flat = [0, last + 1] if subject == self.observer else self._bounds.get(subject, [])
+        edges = [0, *flat, last + 1]  # the gaps between ranges, start and end + 1
+        return [u for lo, hi in zip(edges[::2], edges[1::2]) for u in range(lo, min(hi, last + 1))]
 
     @classmethod
     def self_only(cls, observer: int) -> KnowledgeMask:
-        return cls(observer, frozenset())
+        return cls(observer)
 
     @classmethod
     def full(cls, observer: int, num_agents: int, length: int) -> KnowledgeMask:
-        pairs = frozenset(
-            (j, t) for j in range(1, num_agents + 1) for t in range(length + 1)
-        )
-        return cls(observer, pairs)
+        return cls(observer, [(j, 0, length) for j in range(1, num_agents + 1)])
 
 
 def refine(mask: KnowledgeMask, additions) -> KnowledgeMask:
@@ -93,23 +117,10 @@ def refine(mask: KnowledgeMask, additions) -> KnowledgeMask:
     if isinstance(additions, KnowledgeMask):
         if additions.observer != mask.observer:
             raise ValueError("refine cannot change the observer")
-        if not mask.known <= additions.known:
+        if KnowledgeMask(mask.observer, mask.ranges + additions.ranges) != additions:
             raise ValueError("refine cannot hide previously known states")
         return additions
-    pairs = set(mask.known)
-    for entry in additions:
-        entry = tuple(entry)
-        if len(entry) == 2:
-            j, t = entry
-            pairs.add((int(j), int(t)))
-        elif len(entry) == 3:
-            j, t_from, t_to = entry
-            if t_from > t_to:
-                raise ValueError(f"mask range reversed: {entry}")
-            pairs.update((int(j), t) for t in range(int(t_from), int(t_to) + 1))
-        else:
-            raise ValueError(f"mask entry must be (subject, t) or (subject, t0, t1): {entry}")
-    return KnowledgeMask(mask.observer, frozenset(pairs))
+    return KnowledgeMask(mask.observer, (*mask.ranges, *additions))
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,11 +234,10 @@ def is_determinable(
         _, leaf_t_max = horizon(leaf.formula)
         last = int(min(end + leaf_t_max, run.length))
         # per agent with hidden states: their times, and the (agent, time) pairs
-        hidden = []
-        for j in sorted(agents):
-            times = [u for u in range(last + 1) if not mask.knows(j, u)]
-            if times:
-                hidden.append((times, [(j, u) for u in times]))
+        hidden = [(times, [(j, u) for u in times])
+                  for j in sorted(agents) if (times := mask.hidden_times(j, last))]
+        if not hidden:
+            continue
         for t in range(end + 1):
             w_end = int(min(t + leaf_t_max, run.length))
             missing = []

@@ -243,21 +243,7 @@ def save_run(run: MasRun, trajectory_path, graphs_path):
 
 
 def save_mask(mask: KnowledgeMask, path):
-    # collapse per-subject known times into maximal ranges
-    by_subject: dict[int, list[int]] = {}
-    for j, t in sorted(mask.known):
-        by_subject.setdefault(j, []).append(t)
-    ranges = []
-    for j, times in sorted(by_subject.items()):
-        start = prev = times[0]
-        for t in times[1:]:
-            if t == prev + 1:
-                prev = t
-                continue
-            ranges.append([j, start, prev])
-            start = prev = t
-        ranges.append([j, start, prev])
-    _dump({"schema": SCHEMA, "observer": mask.observer, "known": ranges}, path)
+    _dump({"schema": SCHEMA, "observer": mask.observer, "known": mask.ranges}, path)
 
 
 def load_mask(path, length: int) -> KnowledgeMask:
@@ -267,18 +253,19 @@ def load_mask(path, length: int) -> KnowledgeMask:
     _check_schema(doc, path, "observer", "known")
     if not _is_int(doc["observer"]) or not isinstance(doc["known"], list):
         raise SchemaError(f"{path}: need an integer 'observer' and a list 'known'")
-    pairs = set()
+    ranges = []
     for entry in doc["known"]:
         if not isinstance(entry, list) or len(entry) != 3:
             raise SchemaError(f"{path}: mask entry must be [subject, t_from, t_to]")
         if not all(map(_is_int, entry)):
             raise SchemaError(f"{path}: mask entry {entry} must hold integers")
         j, t_from, t_to = entry
-        if t_from > t_to:
-            raise SchemaError(f"{path}: mask range reversed: {entry}")
-        pairs.update((j, t) for t in range(max(t_from, 0), min(t_to, length) + 1))
+        if j < 1 or t_from > t_to:
+            raise SchemaError(f"{path}: mask entry {entry} needs subject >= 1, t_from <= t_to")
+        if t_to >= 0 and t_from <= length:
+            ranges.append((j, max(t_from, 0), min(t_to, length)))
     try:
-        return KnowledgeMask(doc["observer"], frozenset(pairs))
+        return KnowledgeMask(doc["observer"], ranges)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 

@@ -1,6 +1,9 @@
 import gc
 import math
 import random
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +35,7 @@ from stlgo import (
 from stlgo.central import Evaluator, graph_op_verdict, k_and, k_not, k_or, oracle_eval
 from stlgo.distributed import prepare_for_distributed
 from stlgo.formula import FULL_WEIGHTS, horizon
+from stlgo.serialization import load_mask, save_mask
 
 from conftest import (
     make_fig_run,
@@ -62,8 +66,11 @@ def count_op(lo, hi, child=POSITIVE):
 
 def hide(run, observer, hidden):
     """Mask knowing everything except the given (agent, t) pairs."""
-    full = KnowledgeMask.full(observer, run.num_agents, run.length)
-    return KnowledgeMask(observer, full.known - set(hidden))
+    hidden = set(hidden)
+    return KnowledgeMask(observer, [
+        (j, t) for j in range(1, run.num_agents + 1) for t in range(run.length + 1)
+        if (j, t) not in hidden
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +201,98 @@ def test_refine_contract():
     with pytest.raises(ValueError, match="hide"):
         refine(mask, target)
     with pytest.raises(ValueError, match="observer"):
-        refine(mask, KnowledgeMask(2, mask.known))
+        refine(mask, KnowledgeMask(2, mask.ranges))
+    wide = KnowledgeMask(1, [(2, 0, 10)])
+    covering = KnowledgeMask(1, [(2, 0, 4), (2, 5), (2, 6, 12), (3, 0, 20)])
+    assert refine(wide, covering) == covering
+    with pytest.raises(ValueError, match="hide"):
+        refine(wide, KnowledgeMask(1, [(2, 0, 4), (2, 6, 12), (3, 0, 20)]))
+
+
+@pytest.mark.parametrize("entries", [
+    [(2.7, 3)], [(True, 4)], [("5", 6)], [(2, 1.0)], [(2, 0, True)], [(0, 2)],
+    [(-3, -5, -4)], [(2, -1)], [(2, -1, 3)], [(2, 5, 4)], [(2,)], [(2, 0, 1, 2)],
+])
+def test_mask_entries_must_be_agents_and_times(entries):
+    with pytest.raises(ValueError):
+        KnowledgeMask(1, entries)
+    with pytest.raises(ValueError):
+        refine(KnowledgeMask(1), entries)
+
+
+@pytest.mark.parametrize("observer", [0, -1, True, 1.0, "1"])
+def test_mask_observer_must_be_an_agent(observer):
+    with pytest.raises(ValueError):
+        KnowledgeMask(observer)
+
+
+def _scrambled(rng, known):
+    """Pairs and ranges whose union is exactly ``known``: each maximal run of
+    times is cut into pieces written as ranges or pairs, some stretched to
+    overlap the next piece, some repeated, all shuffled."""
+    entries = []
+    for j in sorted({j for j, _ in known}):
+        times = sorted(t for i, t in known if i == j)
+        runs = [[times[0], times[0]]]
+        for t in times[1:]:
+            if t == runs[-1][1] + 1:
+                runs[-1][1] = t
+            else:
+                runs.append([t, t])
+        for lo, hi in runs:
+            while lo <= hi:
+                end = rng.randint(lo, hi)
+                stretched = min(hi, end + rng.randint(0, 2))
+                if rng.random() < 0.3:
+                    entries += [(j, t) for t in range(lo, stretched + 1)]
+                else:
+                    entries.append((j, lo, stretched))
+                if rng.random() < 0.2:
+                    entries.append(entries[-1])
+                lo = end + 1
+    rng.shuffle(entries)
+    return entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_mask_forms_agree(seed):
+    rng = random.Random(seed)
+    run = random_run(rng, max_agents=5, max_len=12)
+    N, L = run.num_agents, run.length
+    observer = rng.randint(1, N)
+    p_known = rng.choice((0.0, 0.3, 0.7, 1.0))
+    known = {(j, t) for j in range(1, N + 1) for t in range(L + 1) if rng.random() < p_known}
+    masks = [KnowledgeMask(observer, frozenset(known)),
+             KnowledgeMask(observer, _scrambled(rng, known)),
+             KnowledgeMask(observer, _scrambled(rng, known))]
+    for mask in masks:
+        assert mask == masks[0] and hash(mask) == hash(masks[0])
+        for j in range(N + 2):
+            for t in range(-1, L + 2):
+                assert mask.knows(j, t) == (j == observer or (j, t) in known), (j, t)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.json"
+        save_mask(masks[1], path)
+        first = path.read_bytes()
+        loaded = load_mask(path, L)
+        assert loaded == masks[0]
+        save_mask(loaded, path)
+        assert path.read_bytes() == first
+
+
+def _peak_bytes(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_masks_hold_ranges_not_instants():
+    assert _peak_bytes(lambda: refine(KnowledgeMask.self_only(1), [(2, 0, 100000)])) < 2**20
+    assert _peak_bytes(lambda: KnowledgeMask.full(1, 12, 10**6)) < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,8 @@ def test_mask_ranges_are_clipped_to_the_run(tmp_path):
         return load_mask(tmp_path / "m.json", length)
 
     assert load([[2, 0, 100000]], 10) == load([[2, 0, 10]], 10)
-    assert load([[2, 0, 100000]], 10).known == {(2, t) for t in range(11)}
-    assert load([[2, 11, 10**9], [3, 4, 5]], 10).known == {(3, 4), (3, 5)}
+    assert load([[2, 0, 100000]], 10) == KnowledgeMask(1, {(2, t) for t in range(11)})
+    assert load([[2, 11, 10**9], [3, 4, 5]], 10) == KnowledgeMask(1, {(3, 4), (3, 5)})
 
 
 def test_signal_round_trip(tmp_path):
@@ -259,6 +259,8 @@ MALFORMED = {
     "mask observer 0": ("mask", _set(["observer"], 0)),
     "mask known a number": ("mask", _set(["known"], 5)),
     "mask entry a number": ("mask", _set(["known"], [5])),
+    "mask subject 0": ("mask", _set(["known"], [[0, 0, 5]])),
+    "mask subject -2": ("mask", _set(["known"], [[-2, 0, 1]])),
 }
 
 _CASES = [
