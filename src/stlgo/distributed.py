@@ -53,9 +53,10 @@ class KnowledgeMask:
     """Which (subject, time) states an observer can see.
 
     Self-knowledge is total: the observer always knows its own state, so
-    ``ranges`` only needs to carry other agents' visible stretches. Built
-    from any mix of (subject, t) pairs and (subject, t_from, t_to) ranges,
-    it keeps them sorted, maximal and disjoint: equal sets, equal masks.
+    ``ranges`` carries only other agents' visible stretches, and an entry
+    that names the observer is checked and dropped. Built from any mix of
+    (subject, t) pairs and (subject, t_from, t_to) ranges, it keeps them
+    sorted, maximal and disjoint: equal sets, equal masks.
     """
 
     observer: int
@@ -72,6 +73,8 @@ class KnowledgeMask:
             if type(j) is not int or type(lo) is not int or type(hi) is not int or not (
                     j >= 1 and 0 <= lo <= hi):
                 raise ValueError(f"mask entry {entry}: need ints, subject >= 1, 0 <= t0 <= t1")
+            if j == self.observer:
+                continue
             starts = ends.setdefault(j, {})
             if starts.get(lo, 0) <= hi:
                 starts[lo] = hi + 1

@@ -41,6 +41,7 @@ import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from .formula import (
     INF,
@@ -106,17 +107,21 @@ class ParseError(ValueError):
         return self.span.line - 1
 
 
-@dataclass(frozen=True)
-class Token:
+def _span(src: str, start: int, end: int) -> SourceSpan:
+    """The span of ``src[start:end]``; its line and column count from 1."""
+    return SourceSpan(start, end, src.count("\n", 0, start) + 1, start - src.rfind("\n", 0, start))
+
+
+class Token(NamedTuple):
     kind: str  # NUMBER | IDENT | punctuation text | END
     text: str
-    span: SourceSpan
+    start: int  # offsets into the source; line and column are found on error
+    end: int
 
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>\s+)
-  | (?P<COMMENT>\#[^\n]*)
+    (?P<SKIP>(?:\s+|\#[^\n]*)+)
   | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<PUNCT><exists>|<forall>|->|<=|>=|==|!=|\.\.|[\[\]{}(),.@+\-*/!&|<>])
@@ -127,30 +132,20 @@ _TOKEN_RE = re.compile(
 
 def tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
+    new = tuple.__new__  # a Token without NamedTuple's Python-level __new__
     pos = 0
-    line = 1
-    line_start = 0
-    n = len(src)
-    while pos < n:
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
-            raise ParseError(f"unexpected character {src[pos]!r}", span)
+    for m in _TOKEN_RE.finditer(src):
+        start, end = m.span()
+        if start != pos:
+            break
+        pos = end
         kind = m.lastgroup
-        text = m.group()
-        if kind in ("WS", "COMMENT"):
-            nl = text.count("\n")
-            if nl:
-                line += nl
-                line_start = m.start() + text.rindex("\n") + 1
-        else:
-            span = SourceSpan(m.start(), m.end(), line, m.start() - line_start + 1)
-            if kind == "PUNCT":
-                tokens.append(Token(text, text, span))
-            else:
-                tokens.append(Token(kind, text, span))
-        pos = m.end()
-    tokens.append(Token("END", "", SourceSpan(n, n, line, n - line_start + 1)))
+        if kind != "SKIP":
+            text = m.group()
+            tokens.append(new(Token, (text if kind == "PUNCT" else kind, text, start, end)))
+    if pos < len(src):
+        raise ParseError(f"unexpected character {src[pos]!r}", _span(src, pos, pos + 1))
+    tokens.append(Token("END", "", pos, pos))
     return tokens
 
 
@@ -177,45 +172,56 @@ class _Parser:
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "END":
-            self.pos += 1
+        self.pos += 1  # only past a token that was checked, never past END
         return tok
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+    def at(self, *texts: str) -> bool:
+        # a keyword or punctuation text names one token kind: no NUMBER is
+        # spelled like an identifier, and only END has empty text
+        return self.tokens[self.pos].text in texts
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             self.fail(f"unexpected {self.describe(tok)}", (what or kind,))
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def describe(self, tok: Token) -> str:
         return "end of input" if tok.kind == "END" else repr(tok.text)
 
-    def fail(self, message: str, expected: tuple[str, ...] = ()):
-        raise ParseError(message, self.peek().span, expected)
+    def fail(self, message: str, expected: tuple[str, ...] = (),
+             first: Token | None = None, last: Token | None = None):
+        """Raise a ParseError over tokens ``first`` to ``last`` (default: the next)."""
+        first = first or self.peek()
+        raise ParseError(message, _span(self.src, first.start, (last or first).end), expected)
 
     def nested(self, opener: Token, parse):
         """Run ``parse`` one nesting level deeper, in the level ``opener`` opens."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", opener.span)
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", first=opener)
         self.depth += 1
         result = parse()
         self.depth -= 1
+        return result
+
+    def parenthesized(self, opener: Token, parse):
+        """``"(" parse ")"``, one nesting level deeper, in the level ``opener`` opens."""
+        self.expect("(", "'('")
+        result = self.nested(opener, parse)
+        self.expect(")", "')'")
         return result
 
     # -- entry ------------------------------------------------------------
 
     def parse(self):
         f = self.parse_implies()
-        if not self.at("END"):
+        if self.peek().kind != "END":
             self.fail(f"unexpected trailing {self.describe(self.peek())}")
         return f
 
@@ -240,9 +246,9 @@ class _Parser:
             if self.at("&"):
                 self.advance()
                 left = And(left, self.parse_unary())
-            elif self.at("IDENT", "U"):
+            elif self.at("U"):
                 self.advance()
-                interval = self.parse_time_interval()
+                interval = TimeInterval(*self.parse_interval("time"))
                 left = Until(left, self.parse_unary(), interval)
             else:
                 return left
@@ -250,15 +256,12 @@ class _Parser:
     def parse_unary(self):
         if self.at("!"):
             return Not(self.nested(self.advance(), self.parse_unary))
-        if self.at("IDENT", "F"):
+        if self.at("F", "G"):
             tok = self.advance()
-            interval = self.parse_time_interval()
-            return Eventually(self.nested(tok, self.parse_unary), interval)
-        if self.at("IDENT", "G"):
-            tok = self.advance()
-            interval = self.parse_time_interval()
-            return Always(self.nested(tok, self.parse_unary), interval)
-        if self.at("IDENT", "In") or self.at("IDENT", "Out"):
+            interval = TimeInterval(*self.parse_interval("time"))
+            cls = Eventually if tok.text == "F" else Always
+            return cls(self.nested(tok, self.parse_unary), interval)
+        if self.at("In", "Out"):
             if self.mode == "global":
                 self.fail("graph operators belong to the agent-local layer")
             return self.parse_graph_op()
@@ -268,42 +271,53 @@ class _Parser:
         head = self.advance()
         direction = "in" if head.text == "In" else "out"
         quantifier = "exists"
-        if self.at("<exists>") or self.at("<forall>"):
+        if self.at("<exists>", "<forall>"):
             quantifier = self.advance().text.strip("<>")
         self.expect("{", "'{'")
-        tag_tok = self.expect("IDENT", "graph tag")
-        tags = [tag_tok.text]
-        while self.at(","):
-            self.advance()
-            tag_tok = self.expect("IDENT", "graph tag")
-            if tag_tok.text in tags:
-                raise ParseError(f"duplicate graph tag {tag_tok.text!r}", tag_tok.span)
-            tags.append(tag_tok.text)
+        tags = self.parse_comma_list(self.parse_tag(), self.parse_tag, "graph tag")
         self.expect("}", "'}'")
-        if not self.at("IDENT", "E"):
+        if not self.at("E"):
             self.fail(f"unexpected {self.describe(self.peek())}", ("'E'",))
         self.advance()
         counts = self.parse_count_set()
         weights = FULL_WEIGHTS
-        if self.at("IDENT", "W"):
+        if self.at("W"):
             self.advance()
-            weights = self.parse_weight_interval()
+            weights = WeightInterval(*self.parse_interval("weight"))
         child = self.nested(head, self.parse_unary)
-        return GraphOp(direction, quantifier, tuple(tags), counts, weights, child)
+        return GraphOp(direction, quantifier, tags, counts, weights, child)
+
+    def parse_count_set(self) -> CountSet:
+        intervals = [self.parse_interval("count", empty_ok=True)]
+        if intervals[0] is None:
+            return CountSet.empty()
+        while self.at("u"):
+            self.advance()
+            intervals.append(self.parse_interval("count"))
+        return CountSet(tuple(intervals))
+
+    def parse_tag(self) -> str:
+        return self.expect("IDENT", "graph tag").text
+
+    def parse_comma_list(self, first, read, what: str) -> tuple:
+        """``first ("," item)*``, each further item from ``read``, none repeated."""
+        items = {first: None}
+        while self.at(","):
+            self.advance()
+            tok = self.peek()
+            item = read()
+            if item in items:
+                self.fail(f"duplicate {what} {item!r}", first=tok)
+            items[item] = None
+        return tuple(items)
 
     def parse_primary(self):
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "true":
+        if tok.text in ("true", "false"):
             self.advance()
-            return Truth()
-        if tok.kind == "IDENT" and tok.text == "false":
-            self.advance()
-            return Not(Truth())
+            return Truth() if tok.text == "true" else Not(Truth())
         if tok.kind == "(":
-            self.advance()
-            f = self.nested(tok, self.parse_implies)
-            self.expect(")", "')'")
-            return f
+            return self.parenthesized(tok, self.parse_implies)
         if tok.kind == "[":
             return self.parse_atom()
         if self.mode == "global":
@@ -311,55 +325,40 @@ class _Parser:
                 self.advance()
                 agent = self.parse_agent_index()
                 self.expect(".", "'.'")
-                self.expect("(", "'('")
-                child = self.nested(tok, self.parse_local_subformula)
-                self.expect(")", "')'")
-                return AgentBind(agent, child)
-            if tok.kind == "IDENT" and tok.text in ("FA", "EX"):
+                return AgentBind(agent, self.parse_local_parenthesized(tok))
+            if tok.text in ("FA", "EX"):
                 self.advance()
                 self.expect("{", "'{'")
                 agents = self.parse_agent_set()
                 self.expect("}", "'}'")
-                self.expect("(", "'('")
-                child = self.nested(tok, self.parse_local_subformula)
-                self.expect(")", "')'")
                 cls = ForAllAgents if tok.text == "FA" else ExistsAgent
-                return cls(agents, child)
+                return cls(agents, self.parse_local_parenthesized(tok))
         self.fail(f"unexpected {self.describe(tok)}", ("formula",))
 
-    def parse_local_subformula(self) -> LocalFormula:
-        saved = self.mode
+    def parse_local_parenthesized(self, opener: Token) -> LocalFormula:
+        """An agent-local formula in parentheses, bound by a system-level ``opener``."""
         self.mode = "local"
-        try:
-            return self.parse_implies()
-        finally:
-            self.mode = saved
+        child = self.parenthesized(opener, self.parse_implies)
+        self.mode = "global"
+        return child
 
     def parse_agent_index(self) -> int:
         tok = self.peek()
         value = self.parse_nat("agent index")
         if value < 1:
-            raise ParseError("agent indices start at 1", tok.span)
+            self.fail("agent indices start at 1", first=tok)
         return value
 
     def parse_agent_set(self) -> tuple[int, ...]:
-        first = self.parse_agent_index()
+        lo = self.parse_agent_index()
         if self.at(".."):
             self.advance()
-            span_start = self.peek().span
-            last = self.parse_agent_index()
-            if last < first:
-                raise ParseError(f"agent range reversed: {first}..{last}", span_start)
-            return tuple(range(first, last + 1))
-        agents = [first]
-        while self.at(","):
-            self.advance()
             tok = self.peek()
-            agent = self.parse_agent_index()
-            if agent in agents:
-                raise ParseError(f"duplicate agent {agent}", tok.span)
-            agents.append(agent)
-        return tuple(agents)
+            hi = self.parse_agent_index()
+            if hi < lo:
+                self.fail(f"agent range reversed: {lo}..{hi}", first=tok)
+            return tuple(range(lo, hi + 1))
+        return self.parse_comma_list(lo, self.parse_agent_index, "agent")
 
     # -- atoms and expressions ---------------------------------------------
 
@@ -400,68 +399,55 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         left = self.parse_term()
-        while self.at("+") or self.at("-"):
-            op = self.advance().text
-            right = self.parse_term()
-            left = BinOp(op, left, right)
+        while self.at("+", "-"):
+            left = BinOp(self.advance().text, left, self.parse_term())
         return left
 
     def parse_term(self) -> Expr:
         left = self.parse_factor()
-        while self.at("*") or self.at("/"):
-            op = self.advance().text
-            right = self.parse_factor()
-            left = BinOp(op, left, right)
+        while self.at("*", "/"):
+            left = BinOp(self.advance().text, left, self.parse_factor())
         return left
 
     def parse_factor(self) -> Expr:
         tok = self.peek()
         if tok.kind == "-":
             self.advance()
-            num = self.expect("NUMBER", "number")
-            return Const(-float(num.text))
+            return Const(-float(self.expect("NUMBER", "number").text))
         if tok.kind == "NUMBER":
             self.advance()
             return Const(float(tok.text))
         if tok.kind == "(":
+            return self.parenthesized(tok, self.parse_expr)
+        if tok.text in ("abs", "sqrt"):
             self.advance()
-            e = self.nested(tok, self.parse_expr)
-            self.expect(")", "')'")
-            return e
-        if tok.kind == "IDENT" and tok.text in ("abs", "sqrt"):
+            return UnaryFn(tok.text, self.parenthesized(tok, self.parse_expr))
+        if tok.text in ("min", "max"):
             self.advance()
-            self.expect("(", "'('")
-            arg = self.nested(tok, self.parse_expr)
-            self.expect(")", "')'")
-            return UnaryFn(tok.text, arg)
-        if tok.kind == "IDENT" and tok.text in ("min", "max"):
-            self.advance()
-            self.expect("(", "'('")
-            a = self.nested(tok, self.parse_expr)
-            self.expect(",", "','")
-            b = self.nested(tok, self.parse_expr)
-            self.expect(")", "')'")
-            return BinFn(tok.text, a, b)
-        if tok.kind == "IDENT" and tok.text == "x":
+            return BinFn(tok.text, *self.parenthesized(tok, self.parse_expr_pair))
+        if tok.text == "x":
             if self.mode == "global":
                 self.fail("x[k] accessors belong to the agent-local layer; use s[i][k]")
             self.advance()
-            self.expect("[", "'['")
-            k = self.parse_nat("state component")
-            self.expect("]", "']'")
-            return StateVar(k)
-        if tok.kind == "IDENT" and tok.text == "s":
+            return StateVar(self.parse_bracketed(self.parse_nat, "state component"))
+        if tok.text == "s":
             if self.mode == "local":
                 self.fail("s[i][k] accessors belong to the system layer; use x[k]")
             self.advance()
-            self.expect("[", "'['")
-            agent = self.parse_agent_index()
-            self.expect("]", "']'")
-            self.expect("[", "'['")
-            k = self.parse_nat("state component")
-            self.expect("]", "']'")
-            return AgentStateVar(agent, k)
+            agent = self.parse_bracketed(self.parse_agent_index)
+            return AgentStateVar(agent, self.parse_bracketed(self.parse_nat, "state component"))
         self.fail(f"unexpected {self.describe(tok)}", ("expression",))
+
+    def parse_expr_pair(self) -> tuple[Expr, Expr]:
+        a = self.parse_expr()
+        self.expect(",", "','")
+        return a, self.parse_expr()
+
+    def parse_bracketed(self, read, *args):
+        self.expect("[", "'['")
+        value = read(*args)
+        self.expect("]", "']'")
+        return value
 
     # -- intervals ----------------------------------------------------------
 
@@ -469,84 +455,42 @@ class _Parser:
         tok = self.expect("NUMBER", what)
         value = Decimal(tok.text)  # exact, whatever the exponent
         if value != value.to_integral_value():
-            raise ParseError(f"{what} must be an integer", tok.span)
+            self.fail(f"{what} must be an integer", first=tok)
         if value > _MAX_NAT:
-            raise ParseError(f"{what} too large", tok.span)
+            self.fail(f"{what} too large", first=tok)
         return int(value)
 
-    def parse_time_interval(self) -> TimeInterval:
+    def parse_interval(self, kind: str, empty_ok: bool = False):
+        """A bracketed ``kind`` interval as (lo, hi), or None for ``[]`` where
+        ``empty_ok``. Time and count bounds are integers with an optional
+        ``inf`` upper bound; weight bounds are signed reals or +-inf."""
         open_tok = self.expect("[", "'['")
-        lo = self.parse_nat("time bound")
-        self.expect(",", "','")
-        if self.at("IDENT", "inf"):
+        if empty_ok and self.at("]"):
             self.advance()
-            hi: float = INF
-        else:
-            hi = self.parse_nat("time bound")
-        close = self.expect("]", "']'")
-        if lo > hi:
-            raise ParseError(
-                f"time interval reversed: [{lo}, {_fmt_num(hi)}]",
-                _join_spans(open_tok.span, close.span),
-            )
-        return TimeInterval(lo, hi)
-
-    def parse_weight_interval(self) -> WeightInterval:
-        open_tok = self.expect("[", "'['")
-        lo = self.parse_signed_num()
+            return None
+        lo = self.parse_bound(kind, upper=False)
         self.expect(",", "','")
-        hi = self.parse_signed_num()
+        hi = self.parse_bound(kind, upper=True)
         close = self.expect("]", "']'")
         if lo > hi:
-            raise ParseError(
-                f"weight interval reversed: [{_fmt_num(lo)}, {_fmt_num(hi)}]",
-                _join_spans(open_tok.span, close.span),
-            )
-        return WeightInterval(lo, hi)
+            self.fail(f"{kind} interval reversed: [{_fmt_num(lo)}, {_fmt_num(hi)}]",
+                      first=open_tok, last=close)
+        return lo, hi
 
-    def parse_signed_num(self) -> float:
+    def parse_bound(self, kind: str, upper: bool) -> float:
+        if kind != "weight":
+            if upper and self.at("inf"):
+                self.advance()
+                return INF
+            return self.parse_nat(f"{kind} bound")
         sign = 1.0
         if self.at("-"):
             self.advance()
             sign = -1.0
-        if self.at("IDENT", "inf"):
+        if self.at("inf"):
             self.advance()
             return sign * INF
-        tok = self.expect("NUMBER", "number or 'inf'")
-        return sign * float(tok.text)
-
-    def parse_count_set(self) -> CountSet:
-        intervals = [self.parse_count_interval(allow_empty=True)]
-        if intervals[0] is None:
-            return CountSet.empty()
-        while self.at("IDENT", "u"):
-            self.advance()
-            intervals.append(self.parse_count_interval(allow_empty=False))
-        return CountSet(tuple(intervals))
-
-    def parse_count_interval(self, allow_empty: bool):
-        open_tok = self.expect("[", "'['")
-        if allow_empty and self.at("]"):
-            self.advance()
-            return None
-        lo = self.parse_nat("count bound")
-        self.expect(",", "','")
-        if self.at("IDENT", "inf"):
-            self.advance()
-            hi: float = INF
-        else:
-            hi = self.parse_nat("count bound")
-        close = self.expect("]", "']'")
-        if lo > hi:
-            raise ParseError(
-                f"count interval reversed: [{lo}, {_fmt_num(hi)}]",
-                _join_spans(open_tok.span, close.span),
-            )
-        return (lo, hi)
-
-
-def _join_spans(a: SourceSpan, b: SourceSpan) -> SourceSpan:
-    return SourceSpan(a.start, b.end, a.line, a.column)
+        return sign * float(self.expect("NUMBER", "number or 'inf'").text)
 
 
 def parse_local(src: str) -> LocalFormula:

@@ -74,12 +74,13 @@ def gen_drone(cfg: DroneScenarioConfig) -> MasRun:
     target: list[tuple[float, float] | None] = [None] * sigma
     dwell = [rng.randrange(0, 3) for _ in range(sigma)]
     returning = [False] * sigma
+    category = [cfg.category(i) for i in range(1, sigma + 1)]
     positions: list[list[tuple[float, float]]] = []
 
     for _ in range(L + 1):
         positions.append([(x, y) for x, y in pos])
         for i in range(sigma):
-            speed = cfg.speeds[cfg.category(i + 1) % len(cfg.speeds)]
+            speed = cfg.speeds[category[i] % len(cfg.speeds)]
             if target[i] is None:
                 if dwell[i] > 0:
                     dwell[i] -= 1
@@ -102,37 +103,22 @@ def gen_drone(cfg: DroneScenarioConfig) -> MasRun:
                 pos[i][0] += speed * dx / dist
                 pos[i][1] += speed * dy / dist
 
-    trajectory = MasTrajectory.from_states(
-        [[(x, y) for x, y in slice_] for slice_ in positions]
-    )
+    trajectory = MasTrajectory.from_states(positions)
 
-    def euclid(t: int, i: int, j: int) -> float:
-        (x1, y1), (x2, y2) = positions[t][i - 1], positions[t][j - 1]
-        return math.hypot(x1 - x2, y1 - y2)
-
+    pairs = [(i, j) for i in range(1, sigma + 1) for j in range(i + 1, sigma + 1)]
+    kin = [category[i - 1] == category[j - 1] for i, j in pairs]
     d_snaps = []
     s_snaps = []
-    for t in range(L + 1):
-        d_edges = [
-            Edge(i, j, 1, euclid(t, i, j))
-            for i in range(1, sigma + 1)
-            for j in range(i + 1, sigma + 1)
-        ]
+    for here in positions:
+        d_edges = [Edge(i, j, 1, math.dist(here[i - 1], here[j - 1])) for i, j in pairs]
         d_snaps.append(MultigraphSnapshot.make("d", False, d_edges))
         s_edges = [
-            Edge(i, j, 1, 1.0)
-            for i in range(1, sigma + 1)
-            for j in range(i + 1, sigma + 1)
-            if cfg.category(i) == cfg.category(j)
-            and euclid(t, i, j) <= cfg.sensing_radius
+            Edge(e.src, e.dst, 1, 1.0)
+            for e, same in zip(d_edges, kin)
+            if same and e.weight <= cfg.sensing_radius
         ]
         s_snaps.append(MultigraphSnapshot.make("s", False, s_edges))
-    c_edges = [
-        Edge(i, j, 1, 1.0)
-        for i in range(1, sigma + 1)
-        for j in range(i + 1, sigma + 1)
-        if cfg.category(i) == cfg.category(j)
-    ]
+    c_edges = [Edge(i, j, 1, 1.0) for (i, j), same in zip(pairs, kin) if same]
     graphs = GraphTrajectory(
         L,
         static={"c": MultigraphSnapshot.make("c", False, c_edges)},

@@ -207,11 +207,18 @@ def test_refine_contract():
     assert refine(wide, covering) == covering
     with pytest.raises(ValueError, match="hide"):
         refine(wide, KnowledgeMask(1, [(2, 0, 4), (2, 6, 12), (3, 0, 20)]))
+    # self-knowledge is total: an entry naming the observer adds nothing
+    listed_self = KnowledgeMask(1, [(1, 0, 5), (2, 0)])
+    assert listed_self == mask and listed_self.ranges == ((2, 0, 0),)
+    assert KnowledgeMask(1, [(1, 0, 5)]) == KnowledgeMask(1)
+    assert refine(KnowledgeMask(1, [(1, 0, 5)]), KnowledgeMask(1)) == KnowledgeMask(1)
+    assert refine(mask, [(1, 3, 9)]) == mask
 
 
 @pytest.mark.parametrize("entries", [
     [(2.7, 3)], [(True, 4)], [("5", 6)], [(2, 1.0)], [(2, 0, True)], [(0, 2)],
     [(-3, -5, -4)], [(2, -1)], [(2, -1, 3)], [(2, 5, 4)], [(2,)], [(2, 0, 1, 2)],
+    [(1, 5, 4)], [(1, -1)], [(1, 0.5)],  # entries naming the observer are checked too
 ])
 def test_mask_entries_must_be_agents_and_times(entries):
     with pytest.raises(ValueError):
@@ -293,6 +300,7 @@ def _peak_bytes(build):
 def test_masks_hold_ranges_not_instants():
     assert _peak_bytes(lambda: refine(KnowledgeMask.self_only(1), [(2, 0, 100000)])) < 2**20
     assert _peak_bytes(lambda: KnowledgeMask.full(1, 12, 10**6)) < 2**20
+    assert KnowledgeMask.full(2, 3, 4).ranges == ((1, 0, 4), (3, 0, 4))
 
 
 # ---------------------------------------------------------------------------

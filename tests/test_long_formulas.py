@@ -3,6 +3,7 @@ terms parse, print, lower, monitor and analyse, and the STREL escape
 translation of a bike city prints and monitors."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from stlgo import (
     translate_strel,
 )
 from stlgo.formula import fold, nodes
+from stlgo.parser import tokenize
 
 from conftest import make_fig_run
 from direct_semantics import strel_escape_direct
@@ -51,6 +53,17 @@ def same_formula(a, b) -> bool:
 @pytest.fixture(scope="module")
 def chains():
     return {op: parse_local(text) for op, text in CHAINS.items()}
+
+
+def test_tokens_of_a_ten_thousand_term_chain_stay_small():
+    # one small tuple per token: about 80 000 tokens peak well under 16 MB
+    tracemalloc.start()
+    try:
+        tokenize(CHAINS["&"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("op", sorted(CHAINS))

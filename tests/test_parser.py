@@ -189,6 +189,53 @@ def test_malformed_inputs_raise_with_spans(src):
     assert err.message
 
 
+# Each merged reader's errors, pinned exactly: the message, the span as
+# (start, end, line, column) and the expected tuple. The sources start on
+# line 2 after a comment and a tab, and some run on to line 3.
+ERROR_TABLE = [
+    ("local", "# reversed bounds\n\tF[5,  # read as written\n\t1] true",
+     "2:3: time interval reversed: [5, 1]", (20, 46, 2, 3), ()),
+    ("local", "# reversed bounds\n\ttrue U[7,3] true",
+     "2:8: time interval reversed: [7, 3]", (25, 30, 2, 8), ()),
+    ("local", "# reversed bounds\n\tIn{d}\tE[4,  # read as written\n2] true",
+     "2:9: count interval reversed: [4, 2]", (26, 51, 2, 9), ()),
+    ("local", "# reversed bounds\n\tOut{d} E[1,inf]\n\tW[3,-2] true",
+     "3:3: weight interval reversed: [3, -2]", (37, 43, 3, 3), ()),
+    ("local", "# empty count sets\n\tIn{d} E[0,1]u[] true",
+     "2:16: unexpected ']' (expected count bound)", (34, 35, 2, 16), ("count bound",)),
+    ("local", "# empty count sets\n\tIn{d} E[]\n\tW[] true",
+     "3:4: unexpected ']' (expected number or 'inf')", (33, 34, 3, 4), ("number or 'inf'",)),
+    ("local", "# empty count sets\n\tIn{d} E[]u[1,2] true",
+     "2:11: unexpected 'u' (expected formula)", (29, 30, 2, 11), ("formula",)),
+    ("local", "# repeated items\n\tIn{d,\n\tc,d} E[1,2] true",
+     "3:4: duplicate graph tag 'd'", (27, 28, 3, 4), ()),
+    ("global", "# repeated items\n\tFA{1,2,\n\t2}(true)",
+     "3:2: duplicate agent 2", (27, 28, 3, 2), ()),
+    ("global", "# repeated items\n\tEX{3..\n\t1}(true)",
+     "3:2: agent range reversed: 3..1", (26, 27, 3, 2), ()),
+    ("local", "# cut short\n\tG[0,1]\n\t",
+     "3:2: unexpected end of input (expected formula)", (21, 21, 3, 2), ("formula",)),
+]
+
+
+@pytest.mark.parametrize("mode, src, text, span, expected", ERROR_TABLE)
+def test_error_message_span_and_expected_are_exact(mode, src, text, span, expected):
+    with pytest.raises(ParseError) as exc_info:
+        (parse_local if mode == "local" else parse_global)(src)
+    err = exc_info.value
+    assert str(err) == text
+    assert (err.span.start, err.span.end, err.span.line, err.span.column) == span
+    assert err.expected == expected
+
+
+def test_error_rendering_points_into_a_later_line():
+    src = "# reversed bounds\n\ttrue U[7,3] true"
+    with pytest.raises(ParseError) as exc_info:
+        parse_local(src)
+    assert exc_info.value.render(src) == (
+        "2:8: time interval reversed: [7, 3]\n  \ttrue U[7,3] true\n         ^")
+
+
 def test_error_rendering_has_caret():
     src = "G[0,24]([x[0] >= 8)"
     with pytest.raises(ParseError) as exc_info:

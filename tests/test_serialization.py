@@ -74,6 +74,13 @@ def test_mask_ranges_are_clipped_to_the_run(tmp_path):
     assert load([[2, 0, 100000]], 10) == load([[2, 0, 10]], 10)
     assert load([[2, 0, 100000]], 10) == KnowledgeMask(1, {(2, t) for t in range(11)})
     assert load([[2, 11, 10**9], [3, 4, 5]], 10) == KnowledgeMask(1, {(3, 4), (3, 5)})
+    # a file that lists the observer loads as the same mask without that entry
+    assert load([[1, 0, 10], [3, 4, 5]], 10) == load([[3, 4, 5]], 10)
+
+
+def test_saved_mask_never_lists_the_observer(tmp_path):
+    save_mask(KnowledgeMask.full(2, 3, 4), tmp_path / "m.json")
+    assert json.loads((tmp_path / "m.json").read_text())["known"] == [[1, 0, 4], [3, 0, 4]]
 
 
 def test_signal_round_trip(tmp_path):
