@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 from . import formula as F
 from .formula import INF, eval_expr, expr_vars, horizon, lower
-from .model import MasRun, TimeOutOfRangeError, neighbor_multiplicities
+from .model import MasRun, TimeOutOfRangeError
 
 
 class InsufficientTraceError(ValueError):
@@ -333,9 +333,8 @@ class Evaluator:
         key = (id(f), tag, agent, None if tag in self._static else t)
         hit = self._mult.get(key)
         if hit is None:
-            mult = neighbor_multiplicities(
-                self.run, tag, t, agent, f.direction, f.weights.bounds
-            )
+            snap = self.run.graphs.at(tag, t)
+            mult = snap.multiplicities(agent, f.direction, f.weights.lo, f.weights.hi)
             hit = self._mult[key] = (tuple(mult.items()), sum(mult.values()))
         mult, edges = hit
         if type(f.child) is F.Truth:

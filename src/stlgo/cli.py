@@ -178,31 +178,31 @@ def cmd_translate(args) -> int:
         inner = parse_local(args.inner) if args.inner else Truth()
         graphs = run.graphs
 
-        if args.source == "sastl":
-            if args.psi is None or args.anchor is None or args.cmp is None or args.count is None:
+        if args.source in ("sastl", "sstl"):
+            if args.source == "sastl" and None in (args.psi, args.anchor, args.cmp, args.count):
                 raise ValueError("sastl needs --psi, --anchor, --cmp, --count")
-            raw = io.load_labels(args.labels) if args.labels else {}
-            labels = normalize_labels(raw, run.num_agents)
-            ds = shortest_distance_graph(
-                run.graphs.at(args.d_tag, args.time), "ds",
-                nodes=range(1, run.num_agents + 1),
-            )
-            psi_graph = labeled_subgraph(ds, labels, args.psi, args.anchor)
-            out = translate_sastl_count(
-                args.psi, weights, args.cmp, args.count, inner, args.anchor,
-                op=args.op or "sum", n_prime=args.n_prime,
-            )
-            graphs = graphs.with_graph("ds", ds)
-            graphs = graphs.with_graph(psi_graph_tag(args.psi, args.anchor), psi_graph)
-        elif args.source == "sstl":
-            if args.op not in ("somewhere", "everywhere") or args.anchor is None:
+            if args.source == "sstl" and (
+                args.op not in ("somewhere", "everywhere") or args.anchor is None
+            ):
                 raise ValueError("sstl needs --op somewhere|everywhere and --anchor")
             ds = shortest_distance_graph(
                 run.graphs.at(args.d_tag, args.time), "ds",
                 nodes=range(1, run.num_agents + 1),
             )
-            out = translate_sstl(args.op, weights, inner, args.anchor)
             graphs = graphs.with_graph("ds", ds)
+            if args.source == "sastl":
+                raw = io.load_labels(args.labels) if args.labels else {}
+                labels = normalize_labels(raw, run.num_agents)
+                out = translate_sastl_count(
+                    args.psi, weights, args.cmp, args.count, inner, args.anchor,
+                    op=args.op or "sum", n_prime=args.n_prime,
+                )
+                graphs = graphs.with_graph(
+                    psi_graph_tag(args.psi, args.anchor),
+                    labeled_subgraph(ds, labels, args.psi, args.anchor),
+                )
+            else:
+                out = translate_sstl(args.op, weights, inner, args.anchor)
         elif args.source == "strel":
             if args.op not in ("reach", "escape") or args.anchor is None:
                 raise ValueError("strel needs --op reach|escape and --anchor")

@@ -45,7 +45,7 @@ from .formula import (
     horizon,
     prepare_for_distributed,
 )
-from .model import MasRun, TimeOutOfRangeError, neighbor_multiplicities
+from .model import MasRun, TimeOutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -261,9 +261,10 @@ def _multiplicities(run: MasRun, node, agent: int, memo: dict) -> dict[int, int]
         times = (0,) if node.graph in run.graphs.static else range(run.length + 1)
         out = {}
         for u in times:
-            for j, m in neighbor_multiplicities(
-                run, node.graph, u, agent, node.direction, node.weights.bounds
-            ).items():
+            mult = run.graphs.at(node.graph, u).multiplicities(
+                agent, node.direction, node.weights.lo, node.weights.hi
+            )
+            for j, m in mult.items():
                 out[j] = max(out.get(j, 0), m)
         memo[key] = out
     return out

@@ -335,6 +335,8 @@ class GraphOp(LocalFormula):
     child: LocalFormula
 
     def __post_init__(self):
+        if self.direction not in ("in", "out"):
+            raise ValueError(f"direction must be 'in' or 'out', not {self.direction!r}")
         if not self.graphs:
             raise ValueError("graph operator needs at least one graph tag")
         if len(set(self.graphs)) != len(self.graphs):

@@ -162,6 +162,12 @@ class MasTrajectory:
         return self.states[t]
 
 
+def _packed(table: dict[int, list[Edge]]) -> dict[int, tuple[Edge, ...]]:
+    # tuples hold a table's lists without their spare capacity; a snapshot
+    # keeps its tables for its lifetime
+    return {n: tuple(es) for n, es in table.items()}
+
+
 @dataclass(frozen=True)
 class MultigraphSnapshot:
     """One multigraph at one instant: typed, possibly directed, weighted edges.
@@ -192,14 +198,30 @@ class MultigraphSnapshot:
         return cls(graph_type, directed, edges)
 
     @cached_property
-    def _incidence(self) -> dict[int, tuple[Edge, ...]]:
-        """node -> incident edges; for directed graphs keyed by both roles."""
-        by_node: dict[int, list[Edge]] = {}
+    def _tables(self) -> tuple[dict[int, tuple[Edge, ...]], dict[int, tuple[Edge, ...]]]:
+        """(out-table, in-table): node i -> the edges a query of i in that
+        direction sees.
+
+        A directed graph lists each edge under its ``src`` in the out-table
+        and under its ``dst`` in the in-table. An undirected graph has one
+        table for both directions, with each edge under both endpoints and a
+        self-loop once. Either way every edge listed under i has i as an
+        endpoint, and its other endpoint is the neighbor.
+        """
+        if self.directed:
+            out: dict[int, list[Edge]] = {}
+            into: dict[int, list[Edge]] = {}
+            for e in self.edges:
+                out.setdefault(e.src, []).append(e)
+                into.setdefault(e.dst, []).append(e)
+            return _packed(out), _packed(into)
+        both: dict[int, list[Edge]] = {}
         for e in self.edges:
-            by_node.setdefault(e.src, []).append(e)
+            both.setdefault(e.src, []).append(e)
             if e.dst != e.src:
-                by_node.setdefault(e.dst, []).append(e)
-        return {n: tuple(es) for n, es in by_node.items()}
+                both.setdefault(e.dst, []).append(e)
+        table = _packed(both)
+        return table, table
 
     def oriented_edges(self, i: int, direction: Direction) -> tuple[Edge, ...]:
         """Edges of agent i in the given direction, oriented per the query.
@@ -207,23 +229,22 @@ class MultigraphSnapshot:
         For ``in`` the result edges read (j, i, u); for ``out`` they read
         (i, j, u). Undirected snapshots yield the same connections either way.
         """
-        out = []
-        for e in self._incidence.get(i, ()):
-            if self.directed:
-                if direction == "out" and e.src == i:
-                    out.append(e)
-                elif direction == "in" and e.dst == i:
-                    out.append(e)
-            else:
-                if e.src == i and e.dst == i:
-                    out.append(e)
-                elif direction == "out":
-                    other = e.dst if e.src == i else e.src
-                    out.append(Edge(i, other, e.index, e.weight))
-                else:
-                    other = e.dst if e.src == i else e.src
-                    out.append(Edge(other, i, e.index, e.weight))
-        return tuple(out)
+        edges = self._tables[direction == "in"].get(i, ())
+        if direction == "in":
+            return tuple(Edge(d if s == i else s, i, u, w) for s, d, u, w in edges)
+        return tuple(Edge(i, d if s == i else s, u, w) for s, d, u, w in edges)
+
+    def multiplicities(
+        self, i: int, direction: Direction, lo: float = NEG_INF, hi: float = POS_INF
+    ) -> dict[int, int]:
+        """Neighbor j -> number of i's edges in the direction to j whose
+        weight lies in [lo, hi]; the same edges ``oriented_edges`` yields."""
+        mult: dict[int, int] = {}
+        for s, d, _, w in self._tables[direction == "in"].get(i, ()):
+            if lo <= w <= hi:
+                j = d if s == i else s
+                mult[j] = mult.get(j, 0) + 1
+        return mult
 
     def max_node(self) -> int:
         return self._max_node
@@ -343,15 +364,19 @@ def neighbors(
     are (i, j, u). On undirected snapshots both directions expose the same
     connections, re-oriented to the query.
     """
-    snap = _query_snapshot(run, graph_type, t, i, weights)
+    snap = _query_snapshot(run, graph_type, t, i, direction, weights)
     lo, hi = weights
     return frozenset(
         e for e in snap.oriented_edges(i, direction) if lo <= e.weight <= hi
     )
 
 
-def _query_snapshot(run: MasRun, graph_type: str, t: int, i: int, weights) -> MultigraphSnapshot:
+def _query_snapshot(
+    run: MasRun, graph_type: str, t: int, i: int, direction: Direction, weights
+) -> MultigraphSnapshot:
     """Validate a neighbor query of agent i and return the snapshot it reads."""
+    if direction not in ("in", "out"):
+        raise ValueError(f"direction must be 'in' or 'out', not {direction!r}")
     lo, hi = weights
     if lo > hi:
         raise ValueError(f"weight interval reversed: [{lo}, {hi}]")
@@ -375,8 +400,7 @@ def agent_neighbors(
         agents = tuple(i)
     found: set[int] = set()
     for a in agents:
-        for e in neighbors(run, graph_type, t, a, direction, weights):
-            found.add(e.src if direction == "in" else e.dst)
+        found.update(neighbor_multiplicities(run, graph_type, t, a, direction, weights))
     return frozenset(found)
 
 
@@ -390,22 +414,8 @@ def neighbor_multiplicities(
 ) -> dict[int, int]:
     """Opposite endpoint -> number of parallel edges inside the weight window.
 
-    Counts the same edges as ``neighbors``, straight from the snapshot's
-    incidence lists: a self-loop counts once, toward agent i itself.
+    Counts the same edges as ``neighbors``: a self-loop counts once, toward
+    agent i itself.
     """
-    snap = _query_snapshot(run, graph_type, t, i, weights)
-    lo, hi = weights
-    directed = snap.directed
-    incoming = direction == "in"
-    mult: dict[int, int] = {}
-    for src, dst, _, w in snap._incidence.get(i, ()):
-        if not lo <= w <= hi:
-            continue
-        if directed:
-            if (dst if incoming else src) != i:
-                continue
-            other = src if incoming else dst
-        else:
-            other = dst if src == i else src
-        mult[other] = mult.get(other, 0) + 1
-    return mult
+    snap = _query_snapshot(run, graph_type, t, i, direction, weights)
+    return snap.multiplicities(i, direction, *weights)

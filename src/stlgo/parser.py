@@ -97,10 +97,12 @@ class ParseError(ValueError):
 
     def render(self, src: str) -> str:
         """Multi-line rendering with the offending source line and a caret."""
-        lines = src.splitlines() or [""]
-        line = lines[self.line_index] if self.line_index < len(lines) else ""
-        caret = " " * (self.span.column - 1) + "^"
-        return f"{self}\n  {line}\n  {caret}"
+        # lines split at "\n" alone, as the span counts them; the caret's
+        # indent keeps the tabs before the column so that it lines up
+        lines = src.split("\n")
+        line = lines[self.line_index].removesuffix("\r") if self.line_index < len(lines) else ""
+        indent = "".join(c if c == "\t" else " " for c in line[: self.span.column - 1])
+        return f"{self}\n  {line}\n  {indent}^"
 
     @property
     def line_index(self) -> int:

@@ -46,23 +46,21 @@ LabelMap = Mapping[int, frozenset[str] | set[str]]
 
 
 def _distance_adjacency(g: MultigraphSnapshot) -> dict[int, list[tuple[int, float]]]:
-    adj: dict[int, list[tuple[int, float]]] = {}
-    best: dict[tuple[int, int], float] = {}
+    """node -> (neighbor, cheapest weight) over the node's out-edges."""
+    nodes = set()
     for e in g.edges:
         if math.isinf(e.weight):
             raise ValueError("distance graphs need finite weights")
         if e.weight < 0:
             raise ValueError("negative weights unsupported")
-        pairs = [(e.src, e.dst)]
-        if not g.directed and e.src != e.dst:
-            pairs.append((e.dst, e.src))
-        for u, v in pairs:
-            key = (u, v)
-            if key not in best or e.weight < best[key]:
-                best[key] = e.weight
-    for (u, v), w in best.items():
-        adj.setdefault(u, []).append((v, w))
-        adj.setdefault(v, [])
+        nodes.update(e[:2])
+    adj = {}
+    for u in nodes:
+        best: dict[int, float] = {}
+        for _, v, _, w in g.oriented_edges(u, "out"):
+            if w < best.get(v, math.inf):
+                best[v] = w
+        adj[u] = list(best.items())
     return adj
 
 
@@ -249,47 +247,27 @@ def enumerate_traces(
     """
     adj = _distance_adjacency(g)
     if mode == "reach":
-        for nbrs in adj.values():
-            if any(w <= 0 for _, w in nbrs):
-                raise ValueError("positive weights required")
-        found: set[tuple[int, ...]] = set()
-
-        def walk(path: list[int], total: float):
-            if weights.contains(total):
-                found.add(tuple(path))
-            if total > weights.hi:
-                return
-            here = path[-1]
-            for nxt, w in adj.get(here, ()):
-                if nxt in path:
-                    continue
-                if total + w > weights.hi:
-                    continue
-                path.append(nxt)
-                walk(path, total + w)
-                path.pop()
-
-        walk([agent], 0.0)
-        return frozenset(found)
-
-    if mode == "escape":
+        if any(w <= 0 for nbrs in adj.values() for _, w in nbrs):
+            raise ValueError("positive weights required")
+        limit = weights.hi
+    elif mode == "escape":
         dist = _dijkstra(adj, agent)
-        found = set()
+        limit = math.inf
+    else:
+        raise ValueError(f"unsupported trace mode {mode!r}")
 
-        def walk_all(path: list[int]):
-            if weights.contains(dist.get(path[-1], math.inf)):
-                found.add(tuple(path))
-            for nxt, _ in adj.get(path[-1], ()):
-                if nxt in path:
-                    continue
-                path.append(nxt)
-                walk_all(path)
-                path.pop()
-
-        walk_all([agent])
-        return frozenset(found)
-
-    raise ValueError(f"unsupported trace mode {mode!r}")
+    # depth-first over simple paths, on an explicit stack of
+    # (path, its last node, its weight sum)
+    found = set()
+    pending = [((agent,), agent, 0.0)]
+    while pending:
+        path, last, total = pending.pop()
+        if weights.contains(total if mode == "reach" else dist.get(last, math.inf)):
+            found.add(path)
+        for nxt, w in adj.get(last, ()):
+            if nxt not in path and (longer := total + w) <= limit:
+                pending.append((path + (nxt,), nxt, longer))
+    return frozenset(found)
 
 
 def translate_strel_reach(

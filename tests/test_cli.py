@@ -9,7 +9,11 @@ from stlgo.serialization import load_signal, load_run, save_run, save_mask, save
 from stlgo import (
     BikeScenarioConfig,
     DroneScenarioConfig,
+    GraphTrajectory,
     KnowledgeMask,
+    MasRun,
+    MasTrajectory,
+    MultigraphSnapshot,
     gen_bike,
     gen_drone,
 )
@@ -344,6 +348,26 @@ def test_translate_sstl_and_strel(tmp_path):
          "--out-formula", str(out_reach)]
     ) == 0
     assert "@3." in out_reach.read_text()
+
+
+@pytest.mark.parametrize("op, inner", [
+    ("escape", ["--inner", "[x[0] >= 0]"]),
+    ("reach", ["--inner", "[x[0] >= 0]", "--inner2", "[x[0] >= 0]"]),
+])
+def test_translate_strel_along_a_long_path(tmp_path, op, inner):
+    n = 1100
+    path = MultigraphSnapshot.make("d", False, [(k, k + 1, 1, 1.0) for k in range(1, n)])
+    run = MasRun(MasTrajectory.from_states([[(0.0,)] * n]),
+                 GraphTrajectory(0, static={"d": path}))
+    run_path, graphs_path = tmp_path / "run.json", tmp_path / "graphs.json"
+    save_run(run, run_path, graphs_path)
+    out = tmp_path / "strel.stlgo"
+    assert main(
+        ["translate", "--from", "strel", "--run", str(run_path), "--graphs",
+         str(graphs_path), "--op", op, "--anchor", "1", "--weights", "0,inf",
+         *inner, "--out-formula", str(out)]
+    ) == 0
+    assert out.read_text().count(" | ") == n - 1
 
 
 def test_translate_avg_without_n_prime_fails(tmp_path):

@@ -703,25 +703,23 @@ def test_determinability_equals_reference_on_drone_observer_shapes():
 def test_determinability_is_polynomial_in_nesting_depth(monkeypatch):
     # 49 nested graph operators (98 parser levels, with the parentheses):
     # the chain count must not recurse into every neighbor at every level
-    import stlgo.distributed as distributed
-
     run = make_fig_run()
     mask = KnowledgeMask.self_only(1)
     bound = 49 * run.num_agents * (run.length + 1)  # operators x agents x times
     calls = []
-    original = distributed.neighbor_multiplicities
+    original = MultigraphSnapshot.multiplicities
 
     def counting(*args):
         calls.append(args)
         # fail at once rather than run for an exponential number of calls
-        assert len(calls) <= bound, "neighbor_multiplicities called too often"
+        assert len(calls) <= bound, "neighbor multiplicities queried too often"
         return original(*args)
 
     def nested(depth):
         return parse_local("In{d} E[0,inf] (" * depth + "[x[0] >= 3]" + ")" * depth)
 
     shallow = is_determinable(run, mask, nested(12), 1, 0)
-    monkeypatch.setattr(distributed, "neighbor_multiplicities", counting)
+    monkeypatch.setattr(MultigraphSnapshot, "multiplicities", counting)
     deep = is_determinable(run, mask, nested(49), 1, 0)
     assert (deep.determinable, deep.failures) == (shallow.determinable, shallow.failures)
 

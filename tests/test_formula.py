@@ -291,3 +291,8 @@ def test_graph_op_rejects_bad_tag_sets():
         GraphOp("in", "exists", (), E_ANY, FULL_WEIGHTS, Truth())
     with pytest.raises(ValueError, match="duplicate"):
         GraphOp("in", "exists", ("g", "g"), E_ANY, FULL_WEIGHTS, Truth())
+
+
+def test_graph_op_rejects_unknown_direction():
+    with pytest.raises(ValueError, match="direction must be"):
+        GraphOp("sideways", "exists", ("g",), E_ANY, FULL_WEIGHTS, Truth())

@@ -211,31 +211,58 @@ def test_reversed_weight_window_rejected():
         neighbors(run, "c", 0, 1, "in", (5.0, 2.0))
 
 
+def expected_multiplicities(snap, i, direction, lo, hi) -> Counter:
+    """The orientation rule, read straight off the edge set: In counts the
+    edges into i and Out the edges out of i; an undirected edge is seen from
+    both endpoints in both directions; a self-loop counts once, toward i."""
+    want = Counter()
+    for e in snap.edges:
+        if not lo <= e.weight <= hi:
+            continue
+        if snap.directed:
+            here, there = (e.dst, e.src) if direction == "in" else (e.src, e.dst)
+            if here == i:
+                want[there] += 1
+        elif e.src == i:
+            want[e.dst] += 1
+        elif e.dst == i:
+            want[e.src] += 1
+    return want
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10**9), lo=st.integers(-2, 9), width=st.integers(0, 9))
 def test_neighbor_multiplicities_count_neighbor_endpoints(seed, lo, width):
     rng = random.Random(seed)
     run = random_run(rng, max_agents=5, max_len=3)
-    # an undirected multigraph with self-loops, beside random_run's tags
-    edges = [
-        (i, j, k, float(rng.randint(0, 9)))
-        for i in range(1, run.num_agents + 1)
-        for j in range(i, run.num_agents + 1)
-        for k in (1, 2)
-        if rng.random() < 0.3
-    ]
-    run = run.with_graph("u", MultigraphSnapshot.make("u", False, edges))
+
+    def multigraph(directed):
+        # up to two parallel edges per pair, self-loops included
+        return [
+            (i, j, k, float(rng.randint(0, 9)))
+            for i in range(1, run.num_agents + 1)
+            for j in range(1 if directed else i, run.num_agents + 1)
+            for k in (1, 2)
+            if rng.random() < 0.3
+        ]
+
+    # an undirected and a directed multigraph, beside random_run's tags
+    run = run.with_graph("u", MultigraphSnapshot.make("u", False, multigraph(False)))
+    run = run.with_graph("v", MultigraphSnapshot.make("v", True, multigraph(True)))
     windows = ((-math.inf, math.inf), (float(lo), float(lo + width)), (float(lo), math.inf))
     for tag in sorted(run.graphs.types):
         for t in range(run.length + 1):
+            snap = run.graphs.at(tag, t)
             for i in range(1, run.num_agents + 1):
                 for direction in ("in", "out"):
                     for w in windows:
-                        want = Counter(
-                            e.src if direction == "in" else e.dst
-                            for e in neighbors(run, tag, t, i, direction, w)
-                        )
+                        want = expected_multiplicities(snap, i, direction, *w)
                         assert neighbor_multiplicities(run, tag, t, i, direction, w) == want
+                        edges = neighbors(run, tag, t, i, direction, w)
+                        ends = [(e.dst, e.src) if direction == "in" else e[:2] for e in edges]
+                        assert Counter(there for _, there in ends) == want
+                        assert all(here == i for here, _ in ends)
+                        assert agent_neighbors(run, tag, t, i, direction, w) == set(want)
 
 
 def test_neighbor_multiplicities_reject_bad_queries():
@@ -246,3 +273,6 @@ def test_neighbor_multiplicities_reject_bad_queries():
         neighbor_multiplicities(run, "c", 0, 4, "in")
     with pytest.raises(UnknownGraphTypeError):
         neighbor_multiplicities(run, "x", 0, 1, "in")
+    for query in (neighbors, agent_neighbors, neighbor_multiplicities):
+        with pytest.raises(ValueError, match="direction must be"):
+            query(run, "c", 0, 1, "sideways")

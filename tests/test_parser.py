@@ -232,8 +232,21 @@ def test_error_rendering_points_into_a_later_line():
     src = "# reversed bounds\n\ttrue U[7,3] true"
     with pytest.raises(ParseError) as exc_info:
         parse_local(src)
+    # the caret's indent copies the tab, so it sits under the bracket
     assert exc_info.value.render(src) == (
-        "2:8: time interval reversed: [7, 3]\n  \ttrue U[7,3] true\n         ^")
+        "2:8: time interval reversed: [7, 3]\n  \ttrue U[7,3] true\n  \t      ^")
+
+
+@pytest.mark.parametrize("src, rendered", [
+    # only "\n" ends a line, as in the span: the form feed stays on line 1
+    ("# c\x0c\n\tG[5,1] true",
+     "2:3: time interval reversed: [5, 1]\n  \tG[5,1] true\n  \t ^"),
+    ("\t\t]", "1:3: unexpected ']' (expected formula)\n  \t\t]\n  \t\t^"),
+])
+def test_error_rendering_splits_lines_like_the_span_and_keeps_tabs(src, rendered):
+    with pytest.raises(ParseError) as exc_info:
+        parse_local(src)
+    assert exc_info.value.render(src) == rendered
 
 
 def test_error_rendering_has_caret():

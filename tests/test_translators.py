@@ -269,6 +269,17 @@ def test_traces_are_simple_and_satisfy_mode(fig_snapshot):
             assert tau[0] == 3
 
 
+def long_path(n: int) -> MultigraphSnapshot:
+    return MultigraphSnapshot.make("d", False, [(k, k + 1, 1, 1.0) for k in range(1, n)])
+
+
+@pytest.mark.parametrize("mode", ["reach", "escape"])
+def test_traces_along_a_long_path_need_no_recursion(mode):
+    # deeper than the interpreter's recursion limit
+    traces = enumerate_traces(long_path(1100), 1, W(0, INF), mode)
+    assert traces == {tuple(range(1, k + 1)) for k in range(1, 1101)}
+
+
 def test_reach_requires_positive_weights():
     g = MultigraphSnapshot.make("d", False, [(1, 2, 1, 0.0)])
     with pytest.raises(ValueError, match="positive weights required"):
