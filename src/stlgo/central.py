@@ -1,18 +1,18 @@
 """Offline monitoring: satisfaction signals from one memoized evaluator.
 
 ``Evaluator`` is the semantic kernel of the centralized and the distributed
-monitor alike. It evaluates a formula lowered to the core fragment pointwise
-and memoizes every (subformula, agent, time) cell. A cell is 1, 0 or None
-(?). Without a knowledge mask every state is visible and every cell is
-Boolean; ``monitor_local``, ``monitor_global`` and ``signal_table`` read the
-cells that way. Under a mask (``distributed.monitor_dist``) an atom over a
-hidden state is ?, negation and conjunction follow the strong Kleene tables,
-and Until is the Kleene disjunction over its witness times. A graph
-operator counts, per graph tag, the edges to neighbors that satisfy its
-child (n_sat) and to those that do not violate it (n_nviol), and decides
-with ``graph_op_verdict``; several tags combine by Kleene any (exists) or
-all (forall). With no ? among the neighbors the two counts are equal and
-the verdict is the Boolean count test, so the central monitor is the
+monitor alike. It evaluates a formula lowered to the core fragment (see
+``lower``) pointwise and memoizes every (subformula, agent, time) cell. A
+cell is 1, 0 or None (?). Without a knowledge mask every state is visible
+and every cell is Boolean; ``monitor_local``, ``monitor_global`` and
+``signal_table`` read the cells that way. Under a mask
+(``distributed.monitor_dist``) an atom over a hidden state is ?, negation
+and conjunction follow the strong Kleene tables, and Until is the Kleene
+disjunction over its witness times. A graph operator, over one graph in the
+core, counts the edges to neighbors that satisfy its child (n_sat) and to
+those that do not violate it (n_nviol), and decides with
+``graph_op_verdict``. With no ? among the neighbors the two counts are equal
+and the verdict is the Boolean count test, so the central monitor is the
 mask-free case of the distributed one.
 
 Until (and F, G, which lower to it) reads its window through next-witness
@@ -314,23 +314,13 @@ class Evaluator:
         return u if u <= hi else None
 
     def _graph_op(self, f, agent, t):
-        # exists is Kleene any over the tags, forall Kleene all; a decisive
-        # tag verdict ends the scan
-        decisive = 1 if f.quantifier == "exists" else 0
-        out = 1 - decisive
-        for tag in f.graphs:
-            n_sat, n_nviol = self._counts(f, tag, agent, t)
-            v = graph_op_verdict(f.counts, n_sat, n_nviol)
-            if v == decisive:
-                return v
-            if v is None:
-                out = None
-        return out
+        return graph_op_verdict(f.counts, *self._counts(f, agent, t))
 
-    def _counts(self, f, tag, agent, t) -> tuple[int, int]:
-        """(n_sat, n_nviol) of one tag of a graph operator: edges to
-        neighbors whose child cell is 1, and is 1 or ?."""
-        key = (id(f), tag, agent, None if tag in self._static else t)
+    def _counts(self, f, agent, t) -> tuple[int, int]:
+        """(n_sat, n_nviol) of a single-graph operator: edges to neighbors
+        whose child cell is 1, and is 1 or ?."""
+        (tag,) = f.graphs
+        key = (id(f), agent, None if tag in self._static else t)
         hit = self._mult.get(key)
         if hit is None:
             snap = self.run.graphs.at(tag, t)

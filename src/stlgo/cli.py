@@ -174,6 +174,8 @@ def cmd_monitor_dist(args) -> int:
 def cmd_translate(args) -> int:
     try:
         run = io.load_run(args.run, args.graphs)
+        if args.anchor is not None and not 1 <= args.anchor <= run.num_agents:
+            raise ValueError(f"anchor {args.anchor} out of range 1..{run.num_agents}")
         weights = _parse_weights(args.weights)
         inner = parse_local(args.inner) if args.inner else Truth()
         graphs = run.graphs
@@ -319,6 +321,10 @@ def bench_scenario(sigma: int, steps: int, seed: int, anchor: int = 1):
     evaluator, mirroring repeated one-shot monitoring; reported times are
     per-step means in milliseconds.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, not {steps}")
+    if not 1 <= anchor <= sigma:
+        raise ValueError(f"anchor {anchor} out of range 1..{sigma}")
     run = gen_drone(DroneScenarioConfig(sigma=sigma, seed=seed, horizon=steps + 2))
     run = with_anchor_graphs(run, anchor)
     rows = []

@@ -26,8 +26,8 @@ count bounds cannot express the resulting gaps, so some
 determined-by-enumeration cases report ?.
 
 ``is_determinable`` analyses the formula's graph-operator tree, built from
-``prepare_for_distributed``'s single-graph, negation-normalized form. A
-leaf's composed neighbor set and chain count do not depend on the time
+the core form with & and | chains as written (``prepare_for_distributed``).
+A leaf's composed neighbor set and chain count do not depend on the time
 step, so each is computed once per leaf and only the scan for hidden states
 in the leaf's window runs per step; the check stays sufficient.
 """

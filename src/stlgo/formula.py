@@ -8,8 +8,9 @@ and the graph operators In/Out (``GraphOp``); the system-level layer adds
 predicates over the whole MAS state (``GlobalAtom``) and embeds local
 formulas through agent binding (``AgentBind``, ``ForAllAgents``,
 ``ExistsAgent``). Sugar (Or, Implies, F, G, FA, EX) is kept as explicit AST
-nodes; monitors lower to the core {truth, atom, not, and, until, graph op /
-agent bind} before evaluating, so there is a single semantic kernel.
+nodes; monitors lower to the core {truth, atom, not, and, until,
+single-graph op / agent bind} before evaluating, so there is a single
+semantic kernel.
 
 All nodes are frozen dataclasses; every operation here is a pure function.
 """
@@ -523,13 +524,17 @@ def _horizon_step(f, subs):
 
 
 def lower(f: Formula) -> Formula:
-    """Rewrite sugar into the core {truth, atom, not, and, until, graph op,
-    agent bind} fragment, preserving semantics.
+    """Rewrite sugar into the core fragment, preserving semantics:
+    ``h ::= true | atom | global atom | !h | h & h | h U_I h | In/Out{tag} h
+    | i.h``, with one tag per graph operator and no negation directly above
+    a negation or a graph operator.
 
-    Each & (or |) chain becomes a balanced conjunction of its parts, and
-    FA and EX of the bound copies (which share one lowered child), in
-    order, so the tree is logarithmically deep in the number of parts.
-    Core nodes whose operands lower to themselves are returned as they are.
+    Several tags combine by Kleene any/all: forall is the conjunction of the
+    single-tag copies, exists its dual. Each & (or |) chain becomes a
+    balanced conjunction of its parts, and FA and EX of the bound copies
+    (which share one lowered child), in order, so the tree is
+    logarithmically deep in the number of parts. Core nodes whose operands
+    lower to themselves are returned as they are.
     """
     return fold(f, _lower_step, layout=_CHAINS)
 
@@ -549,25 +554,27 @@ def _chain_parts(f) -> tuple:
 _CHAINS = {**_OPERANDS, And: _chain_parts, Or: _chain_parts}
 
 
-def _lower_step(f, subs, neg=Not):
-    # neg builds each negation whose operand may be a graph operator
+def _lower_step(f, subs):
     kind = type(f)
     if kind is And:
         return _with_operands(f, subs) if len(subs) == 2 else _balanced_and(subs)
     if kind is Or:
-        return Not(_balanced_and([neg(s) for s in subs]))
+        return _negate(_balanced_and([_negate(s) for s in subs]))
     if kind is Implies:
-        return Not(And(subs[0], neg(subs[1])))
+        return _negate(And(subs[0], _negate(subs[1])))
     if kind is Eventually:
         return Until(Truth(), subs[0], f.interval)
     if kind is Always:
-        return Not(Until(Truth(), neg(subs[0]), f.interval))
-    if kind is Not and type(subs[0]) is GraphOp:
-        return neg(subs[0])
+        return _negate(Until(Truth(), _negate(subs[0]), f.interval))
+    if kind is Not and type(subs[0]) in (Not, GraphOp):
+        return _negate(subs[0])
+    if kind is GraphOp and len(f.graphs) > 1:  # the | (or &) chain of its single-tag copies
+        chain = _expand_step(f, subs)
+        return _lower_step(chain, _chain_parts(chain))
     if kind is ForAllAgents:
         return _balanced_and([AgentBind(i, subs[0]) for i in f.agents])
     if kind is ExistsAgent:
-        return Not(_balanced_and([Not(AgentBind(i, subs[0])) for i in f.agents]))
+        return _negate(_balanced_and([_negate(AgentBind(i, subs[0])) for i in f.agents]))
     return _with_operands(f, subs)
 
 
@@ -601,11 +608,14 @@ def _push_step(f, subs):
 
 
 def _negate(g):
-    """Not(g), or for a graph operator the operator over the complemented
-    count set. Over several graphs the negation also dualizes the quantifier:
+    """The negation of g as lowering builds it: not(not h) is h, and a
+    negated graph operator is the operator over the complemented count set.
+    Over several graphs the negation also dualizes the quantifier:
     not(exists g: count in E) = forall g: count in complement(E). For a
     single graph the quantifier is immaterial and kept as is.
     """
+    if type(g) is Not:
+        return g.child
     if type(g) is not GraphOp:
         return Not(g)
     quant = g.quantifier
@@ -631,22 +641,11 @@ def _single_graph_ops(f: GraphOp, child) -> list:
 
 
 def prepare_for_distributed(f: LocalFormula) -> LocalFormula:
-    """push_negations(lower(expand_graph_quantifier(f))) in one pass, with
-    each & and | lowered on its own: the form ``is_determinable`` builds
-    its operator tree from. Chains keep their written shape because the
-    tree's leaves come from it; a balanced chain could split a leaf."""
-    return fold(f, _prepare_step)
-
-
-def _prepare_step(f, subs):
-    if type(f) is GraphOp and len(f.graphs) > 1:
-        # the expansion's | (or &) chain, lowered link by link
-        link = Or if f.quantifier == "exists" else And
-        return reduce(
-            lambda acc, single: _lower_step(link(acc, single), [acc, single], _negate),
-            _single_graph_ops(f, subs[0]),
-        )
-    return _lower_step(f, subs, _negate)
+    """``lower`` with each & and | lowered on its own: the core form
+    ``is_determinable`` builds its operator tree from. Chains keep their
+    written shape because the tree's leaves come from it; a balanced chain
+    could split a leaf."""
+    return fold(f, _lower_step)
 
 
 def contains_graph_op(f: LocalFormula) -> bool:

@@ -364,7 +364,7 @@ def neighbors(
     are (i, j, u). On undirected snapshots both directions expose the same
     connections, re-oriented to the query.
     """
-    snap = _query_snapshot(run, graph_type, t, i, direction, weights)
+    snap = _query_snapshot(run, graph_type, t, (i,), direction, weights)
     lo, hi = weights
     return frozenset(
         e for e in snap.oriented_edges(i, direction) if lo <= e.weight <= hi
@@ -372,16 +372,18 @@ def neighbors(
 
 
 def _query_snapshot(
-    run: MasRun, graph_type: str, t: int, i: int, direction: Direction, weights
+    run: MasRun, graph_type: str, t: int, agents, direction: Direction, weights
 ) -> MultigraphSnapshot:
-    """Validate a neighbor query of agent i and return the snapshot it reads."""
+    """Validate a neighbor query of the agents and return the snapshot it
+    reads; an empty agent set is checked the same way."""
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', not {direction!r}")
     lo, hi = weights
     if lo > hi:
         raise ValueError(f"weight interval reversed: [{lo}, {hi}]")
-    if not 1 <= i <= run.num_agents:
-        raise ValueError(f"unknown agent {i}")
+    for i in agents:
+        if not 1 <= i <= run.num_agents:
+            raise ValueError(f"unknown agent {i}")
     return run.graphs.at(graph_type, t)
 
 
@@ -394,14 +396,9 @@ def agent_neighbors(
     weights: tuple[float, float] = (NEG_INF, POS_INF),
 ) -> frozenset[int]:
     """Opposite endpoints of ``neighbors``; accepts an agent or a set of agents."""
-    if isinstance(i, int):
-        agents = (i,)
-    else:
-        agents = tuple(i)
-    found: set[int] = set()
-    for a in agents:
-        found.update(neighbor_multiplicities(run, graph_type, t, a, direction, weights))
-    return frozenset(found)
+    agents = (i,) if isinstance(i, int) else tuple(i)
+    snap = _query_snapshot(run, graph_type, t, agents, direction, weights)
+    return frozenset(j for a in agents for j in snap.multiplicities(a, direction, *weights))
 
 
 def neighbor_multiplicities(
@@ -417,5 +414,5 @@ def neighbor_multiplicities(
     Counts the same edges as ``neighbors``: a self-loop counts once, toward
     agent i itself.
     """
-    snap = _query_snapshot(run, graph_type, t, i, direction, weights)
+    snap = _query_snapshot(run, graph_type, t, (i,), direction, weights)
     return snap.multiplicities(i, direction, *weights)

@@ -161,20 +161,25 @@ def anchor_subgraph(
 def count_set_for(cmp: Comparator, bound: float) -> CountSet:
     """The set of counts c' with c' ~ bound, as a count set.
 
-    The bound may be fractional (the averaging variant multiplies by N');
-    an unsatisfiable comparison yields the empty count set.
+    The bound may be fractional (the averaging variant multiplies by N') or
+    infinite; an unsatisfiable comparison yields the empty count set.
     """
+    if cmp not in (">=", ">", "<=", "<", "=", "=="):
+        raise ValueError(f"unsupported comparator {cmp!r}")
+    if math.isnan(bound):
+        raise ValueError("count threshold is NaN")
+    if math.isinf(bound):  # every count is finite: above -inf, below inf
+        holds = cmp in ((">=", ">") if bound < 0 else ("<=", "<"))
+        return CountSet.full() if holds else CountSet.empty()
     if cmp in (">=", ">"):
         lo = math.ceil(bound) if cmp == ">=" else math.floor(bound) + 1
         return CountSet.single(max(0, lo), INF)
     if cmp in ("<=", "<"):
         hi = math.floor(bound) if cmp == "<=" else math.ceil(bound) - 1
         return CountSet.empty() if hi < 0 else CountSet.single(0, hi)
-    if cmp in ("=", "=="):
-        if bound < 0 or bound != int(bound):
-            return CountSet.empty()
-        return CountSet.single(int(bound), int(bound))
-    raise ValueError(f"unsupported comparator {cmp!r}")
+    if bound < 0 or bound != int(bound):
+        return CountSet.empty()
+    return CountSet.single(int(bound), int(bound))
 
 
 def translate_sastl_count(

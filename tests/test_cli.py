@@ -439,3 +439,77 @@ def test_translate_rejects_labels_for_unknown_agents(tmp_path):
          "--inner", "true"]
     )
     assert code == 3
+
+
+def _fig_bundle(tmp_path):
+    from conftest import FIG_LABELS, make_fig_run
+
+    run_path, graphs_path = tmp_path / "run.json", tmp_path / "graphs.json"
+    save_run(make_fig_run(), run_path, graphs_path)
+    labels_path = tmp_path / "labels.json"
+    save_labels({k: set(v) for k, v in FIG_LABELS.items()}, labels_path)
+    return ["--run", str(run_path), "--graphs", str(graphs_path)], labels_path
+
+
+@pytest.mark.parametrize("count, cmp, counts, exit_code", [
+    ("inf", ">=", "E[]", 2),
+    ("1e400", ">", "E[]", 2),
+    ("inf", "=", "E[]", 2),
+    ("inf", "<", "E[0,inf]", 0),
+    ("-inf", "<=", "E[]", 2),
+    ("-inf", ">", "E[0,inf]", 0),
+])
+def test_translate_infinite_count_threshold(tmp_path, count, cmp, counts, exit_code):
+    bundle, labels_path = _fig_bundle(tmp_path)
+    out_formula, out_graphs = tmp_path / "out.stlgo", tmp_path / "aug.json"
+    assert main(
+        ["translate", "--from", "sastl", *bundle, "--labels", str(labels_path), "--psi", "H",
+         "--anchor", "3", "--cmp", cmp, f"--count={count}", "--out-formula", str(out_formula),
+         "--out-graphs", str(out_graphs)]
+    ) == 0
+    assert f"In{{psiH_3}} {counts} true" in out_formula.read_text()
+    assert main(
+        ["monitor", "--formula", str(out_formula), "--run", bundle[1], "--graphs",
+         str(out_graphs), "--global"]
+    ) == exit_code
+
+
+def test_translate_nan_count_threshold_is_data_error(tmp_path, capsys):
+    bundle, labels_path = _fig_bundle(tmp_path)
+    code = main(
+        ["translate", "--from", "sastl", *bundle, "--labels", str(labels_path), "--psi", "H",
+         "--anchor", "3", "--cmp", ">=", "--count", "nan"]
+    )
+    assert code == 3
+    assert capsys.readouterr().err.strip() == "error: count threshold is NaN"
+
+
+@pytest.mark.parametrize("source", [
+    ["--from", "sastl", "--psi", "H", "--cmp", ">=", "--count", "2"],
+    ["--from", "sstl", "--op", "somewhere"],
+    ["--from", "strel", "--op", "escape", "--inner", "true"],
+])
+@pytest.mark.parametrize("anchor", ["0", "-1", "8", "99"])
+def test_translate_anchor_outside_the_run_is_data_error(tmp_path, capsys, source, anchor):
+    bundle, _ = _fig_bundle(tmp_path)
+    out_formula = tmp_path / "out.stlgo"
+    code = main(["translate", *source, *bundle, "--anchor", anchor,
+                 "--out-formula", str(out_formula)])
+    assert code == 3
+    assert capsys.readouterr().err.strip() == f"error: anchor {anchor} out of range 1..7"
+    assert not out_formula.exists()
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--steps", "-1"], "steps must be >= 0, not -1"),
+    (["--anchor", "9"], "anchor 9 out of range 1..4"),
+    (["--anchor", "0"], "anchor 0 out of range 1..4"),
+    (["--anchor", "-1"], "anchor -1 out of range 1..4"),
+])
+def test_bench_rejects_bad_steps_and_anchor(tmp_path, capsys, options, message):
+    out = tmp_path / "bench.json"
+    code = main(["bench", "--sigma", "4", "--steps", "2", *options, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()

@@ -451,9 +451,9 @@ def test_strict_mode_same_outcome_central_and_full_mask(seed):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_monitor_dist_equals_evaluation_of_prepared_formula(seed):
-    # monitor_dist evaluates lower(f): several graph tags by Kleene any/all
-    # and a negated graph operator by Kleene negation. The single-graph,
-    # negation-normalized form must give the same cells.
+    # monitor_dist evaluates lower(f), whose & and | chains are balanced;
+    # prepare_for_distributed keeps their written shape. Both core forms
+    # must give the same cells.
     rng = random.Random(seed)
     run = random_run(rng, max_agents=4, max_len=4)
     tags = tuple(sorted(run.graphs.types))

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stlgo import (
+    AgentBind,
     Always,
     And,
     Atom,
     CountSet,
     Eventually,
+    GlobalAtom,
     GraphOp,
     Implies,
     Not,
@@ -25,9 +27,11 @@ from stlgo import (
     lower,
     push_negations,
 )
-from stlgo.formula import FULL_WEIGHTS, contains_graph_op, graph_ops
+from stlgo.formula import FULL_WEIGHTS, contains_graph_op, graph_ops, nodes
+from stlgo.distributed import prepare_for_distributed
+from stlgo.parser import parse_global, parse_local
 
-from conftest import random_local_formula
+from conftest import nested_graph_formula, random_global_formula, random_local_formula
 
 INF = math.inf
 
@@ -178,6 +182,47 @@ def test_push_negation_leaves_no_negated_graph_op(seed):
             check(node.child)
 
     check(f)
+
+
+# ---------------------------------------------------------------------------
+# the core grammar that lowering produces
+
+CORE_TYPES = (Truth, Atom, GlobalAtom, Not, And, Until, GraphOp, AgentBind)
+
+
+def assert_core(f):
+    for node in nodes(f):
+        assert type(node) in CORE_TYPES, node
+        if type(node) is GraphOp:
+            assert len(node.graphs) == 1, node
+        if type(node) is Not:
+            assert type(node.child) not in (Not, GraphOp), node
+
+
+@pytest.mark.parametrize("text", [
+    "!![x[0] >= 0]",
+    "!(Out{a,b} E[1,inf] [x[0] >= 0])",
+    "G[0,2]([x[0] >= 0] -> Out<forall>{a,b} E[2,inf] [x[1] >= 0])",
+    "!(In<forall>{a,b,c} E[0,1] !!true) | !F[0,3] !In{a,b,c} E[2,inf] [x[0] >= 1]",
+])
+def test_lowering_yields_the_core_grammar_on_literals(text):
+    f = parse_local(text)
+    assert_core(lower(f))
+    assert_core(prepare_for_distributed(f))
+    g = parse_global(f"!EX{{1,2}}({text}) | !FA{{3}}({text})")
+    assert_core(lower(g))
+    assert_core(prepare_for_distributed(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_lowering_yields_the_core_grammar(seed):
+    rng = random.Random(seed)
+    tags = ("g1", "g2", "g3")
+    for f in (random_local_formula(rng, tags, 2), nested_graph_formula(rng, tags, 2),
+              random_global_formula(rng, tags, 2, 4)):
+        assert_core(lower(f))
+        assert_core(prepare_for_distributed(f))
 
 
 # ---------------------------------------------------------------------------

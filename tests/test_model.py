@@ -276,3 +276,17 @@ def test_neighbor_multiplicities_reject_bad_queries():
     for query in (neighbors, agent_neighbors, neighbor_multiplicities):
         with pytest.raises(ValueError, match="direction must be"):
             query(run, "c", 0, 1, "sideways")
+
+
+@pytest.mark.parametrize("agents", [[1], []])
+def test_agent_neighbors_checks_the_query_for_any_agent_set(agents):
+    run = two_edge_run()
+    with pytest.raises(ValueError, match="direction must be"):
+        agent_neighbors(run, "nope", 99, agents, "sideways", (5.0, 2.0))
+    with pytest.raises(ValueError, match="reversed"):
+        agent_neighbors(run, "c", 0, agents, "in", (5.0, 2.0))
+    with pytest.raises(UnknownGraphTypeError):
+        agent_neighbors(run, "nope", 0, agents, "in")
+    with pytest.raises(TimeOutOfRangeError):
+        agent_neighbors(run, "c", 99, agents, "in")
+    assert agent_neighbors(run, "c", 0, agents, "in") == ({3} if agents else frozenset())

@@ -153,10 +153,38 @@ def test_anchor_subgraph_keeps_only_incident_edges(fig_snapshot):
         (">=", 2.5, ((3, INF),)),
         ("<=", 2.5, ((0, 2),)),
         ("=", 2.5, ()),
+        # no count is infinite: it is below inf, above -inf, equal to neither
+        (">=", INF, ()),
+        (">", INF, ()),
+        ("=", INF, ()),
+        ("<=", INF, ((0, INF),)),
+        ("<", INF, ((0, INF),)),
+        ("<=", -INF, ()),
+        ("<", -INF, ()),
+        ("=", -INF, ()),
+        (">=", -INF, ((0, INF),)),
+        (">", -INF, ((0, INF),)),
     ],
 )
 def test_count_set_for(cmp, bound, expected):
     assert count_set_for(cmp, bound).intervals == expected
+
+
+@pytest.mark.parametrize("cmp", ["<=", "<", ">=", ">", "="])
+def test_count_set_for_rejects_nan(cmp):
+    with pytest.raises(ValueError, match="count threshold is NaN"):
+        count_set_for(cmp, math.nan)
+
+
+@pytest.mark.parametrize("cmp,c,expected", [
+    (">=", INF, ()),
+    ("<", INF, ((0, INF),)),
+    (">", -INF, ((0, INF),)),
+    ("=", -INF, ()),
+])
+def test_sastl_avg_takes_infinite_thresholds(cmp, c, expected):
+    f = translate_sastl_count("H", W(0, 10), cmp, c, Truth(), 3, op="avg", n_prime=4)
+    assert f.child.counts.intervals == expected
 
 
 # ---------------------------------------------------------------------------
