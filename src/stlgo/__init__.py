@@ -50,9 +50,8 @@ from .formula import (
 )
 from .parser import ParseError, SourceSpan, parse_global, parse_local, print_formula
 from .central import (
-    BoolSignal,
     InsufficientTraceError,
-    SignalTable,
+    Signal,
     monitor_global,
     monitor_local,
     oracle_eval,
@@ -62,7 +61,6 @@ from .central import (
 from .distributed import (
     DeterminabilityReport,
     KnowledgeMask,
-    TernarySignal,
     is_determinable,
     monitor_dist,
     refine,

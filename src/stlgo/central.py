@@ -13,7 +13,8 @@ core, counts the edges to neighbors that satisfy its child (n_sat) and to
 those that do not violate it (n_nviol), and decides with
 ``graph_op_verdict``. With no ? among the neighbors the two counts are equal
 and the verdict is the Boolean count test, so the central monitor is the
-mask-free case of the distributed one.
+mask-free case of the distributed one. Both return one ``Signal`` type: a
+centralized signal is one without ?.
 
 Until (and F, G, which lower to it) reads its window through next-witness
 searches rather than a scan per cell. Because phi1 must hold through the
@@ -50,6 +51,7 @@ same inputs.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import formula as F
@@ -62,36 +64,30 @@ class InsufficientTraceError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class BoolSignal:
-    """Boolean satisfaction signal over the contiguous domain t0..t0+len-1."""
+class Signal:
+    """Per-time verdicts over the contiguous domain t0..t0+len-1: 0, 1, or
+    None for ?. A centralized signal is one without ?."""
 
     t0: int
-    values: tuple[int, ...]
+    values: tuple
 
     def __post_init__(self):
         if not self.values:
             raise ValueError("signal domain must be non-empty")
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("Boolean signal values must be 0 or 1")
+        if any(v not in (0, 1, None) for v in self.values):
+            raise ValueError("signal values must be 0, 1, or None")
 
     @property
     def t1(self) -> int:
         return self.t0 + len(self.values) - 1
 
-    def value_at(self, t: int) -> int:
+    def value_at(self, t: int):
         if not self.t0 <= t <= self.t1:
             raise TimeOutOfRangeError("time out of range")
         return self.values[t - self.t0]
 
-
-@dataclass(frozen=True)
-class SignalTable:
-    """Signals of every core subformula, per agent (or None for system level)."""
-
-    entries: dict
-
-    def signal(self, subformula, agent=None) -> BoolSignal:
-        return self.entries[(subformula, agent)]
+    def has_unknown(self) -> bool:
+        return None in self.values
 
 
 _SYSTEM_ONLY = (F.GlobalAtom,) + F.BINDERS
@@ -351,9 +347,23 @@ _HANDLERS = {
 }
 
 
-def _signal_domain_end(f, T: int, length: int, strict: bool) -> int:
-    """Last time of the signal: min(T + T_f, L), or T in strict mode once
-    no bounded window reachable from [0, T] is found to end past L."""
+def _signal_end(run: MasRun, f, agent, T: int, strict: bool = False) -> int:
+    """Check a query and return the last time of f's signal.
+
+    f must be agent-local at ``agent`` (system-level at agent None) and fit
+    the run, and 0 <= T <= L. The signal ends at min(T + T_f, L), or at T
+    in strict mode once no bounded window reachable from [0, T] is found to
+    end past L.
+    """
+    if agent is None:
+        validate_global(run, f)
+    else:
+        validate_local(run, f)
+        if not 1 <= agent <= run.num_agents:
+            raise ValueError(f"unknown agent {agent}")
+    length = run.length
+    if not 0 <= T <= length:
+        raise TimeOutOfRangeError("time out of range")
     if not strict:
         return int(min(T + horizon(f)[1], length))
     # (subformula, latest time evaluation can reach it at)
@@ -375,22 +385,11 @@ def _signal_domain_end(f, T: int, length: int, strict: bool) -> int:
     return T
 
 
-def signal_cells(run: MasRun, f, agent, T: int, strict: bool = False, mask=None) -> tuple:
-    """Cells of f over its signal domain: at ``agent`` for an agent-local
-    formula, at system level for agent None; three-valued under a mask."""
-    if agent is None:
-        validate_global(run, f)
-    else:
-        validate_local(run, f)
-        if not 1 <= agent <= run.num_agents:
-            raise ValueError(f"unknown agent {agent}")
-    if not 0 <= T <= run.length:
-        raise TimeOutOfRangeError("time out of range")
-    end = _signal_domain_end(f, T, run.length, strict)
-    core = lower(f)
-    ev = Evaluator(run, mask)
+@contextmanager
+def _depth_guard():
+    """Report the evaluator's recursion past the stack limit as a ValueError."""
     try:
-        return tuple(ev.eval(core, agent, t) for t in range(end + 1))
+        yield
     except RecursionError:
         raise ValueError(
             "formula too deep for the pointwise evaluator "
@@ -398,53 +397,60 @@ def signal_cells(run: MasRun, f, agent, T: int, strict: bool = False, mask=None)
         ) from None
 
 
+def signal_cells(run: MasRun, f, agent, T: int, strict: bool = False, mask=None) -> tuple:
+    """Cells of f over its signal domain: at ``agent`` for an agent-local
+    formula, at system level for agent None; three-valued under a mask."""
+    end = _signal_end(run, f, agent, T, strict)
+    core = lower(f)
+    ev = Evaluator(run, mask)
+    with _depth_guard():
+        return tuple(ev.eval(core, agent, t) for t in range(end + 1))
+
+
 def monitor_local(
     run: MasRun, f: F.LocalFormula, agent: int, T: int, strict: bool = False
-) -> BoolSignal:
+) -> Signal:
     """Boolean satisfaction signal of an agent-local formula at one agent.
 
     The signal covers [0, min(T + T_f, L)] (or [0, T] in strict mode); its
     value at t is 1 exactly when the run satisfies f at (agent, t).
     """
-    return BoolSignal(0, signal_cells(run, f, agent, T, strict))
+    return Signal(0, signal_cells(run, f, agent, T, strict))
 
 
-def monitor_global(
-    run: MasRun, f: F.GlobalFormula, T: int, strict: bool = False
-) -> BoolSignal:
+def monitor_global(run: MasRun, f: F.GlobalFormula, T: int, strict: bool = False) -> Signal:
     """Boolean satisfaction signal of a system-level formula."""
-    return BoolSignal(0, signal_cells(run, f, None, T, strict))
+    return Signal(0, signal_cells(run, f, None, T, strict))
 
 
 def signal_table(
     run: MasRun, f: F.LocalFormula | F.GlobalFormula, T: int, strict: bool = False
-) -> SignalTable:
-    """Signals of every core subformula over [0, min(T + T_f, L)].
+) -> dict:
+    """Signals of every core subformula over [0, min(T + T_f, L)], keyed by
+    (subformula, agent).
 
     f is system-level when it binds an agent or reads the whole state, and
     agent-local otherwise. Local subformulas get one signal per agent;
     system-level subformulas one signal under the agent key None.
     """
     system = any(isinstance(node, _SYSTEM_ONLY) for node in F.nodes(f))
-    if system:
-        validate_global(run, f)
-    else:
-        validate_local(run, f)
-    end = _signal_domain_end(f, T, run.length, strict)
+    # a local formula is checked at agent 1, which every run has
+    end = _signal_end(run, f, None if system else 1, T, strict)
     core = lower(f)
     ev = Evaluator(run)
-    entries: dict = {}
+    table: dict = {}
     # (subformula, whether it is read per agent), in pre-order
     pending = [(core, not system)]
-    while pending:
-        sub, local = pending.pop()
-        for agent in range(1, run.num_agents + 1) if local else (None,):
-            entries[(sub, agent)] = BoolSignal(
-                0, tuple(ev.eval(sub, agent, t) for t in range(end + 1))
-            )
-        local = local or isinstance(sub, F.AgentBind)
-        pending.extend((child, local) for child in reversed(F.operands(sub)))
-    return SignalTable(entries)
+    with _depth_guard():
+        while pending:
+            sub, local = pending.pop()
+            for agent in range(1, run.num_agents + 1) if local else (None,):
+                table[(sub, agent)] = Signal(
+                    0, tuple(ev.eval(sub, agent, t) for t in range(end + 1))
+                )
+            local = local or isinstance(sub, F.AgentBind)
+            pending.extend((child, local) for child in reversed(F.operands(sub)))
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import time
 
 from . import formula as F
 from . import serialization as io
-from .central import Evaluator, InsufficientTraceError, monitor_global, monitor_local
+from .central import Evaluator, monitor_global, monitor_local
 from .distributed import is_determinable, monitor_dist
 from .formula import (
     Always,
@@ -31,7 +31,7 @@ from .formula import (
     join_left,
     lower,
 )
-from .model import MasRun, TimeOutOfRangeError, UnknownGraphTypeError
+from .model import MasRun
 from .parser import ParseError, parse_global, parse_local, print_formula
 from .scenario import BikeScenarioConfig, DroneScenarioConfig, gen_bike, gen_drone
 from .translators import (
@@ -51,16 +51,6 @@ EXIT_VIOLATED = 2
 EXIT_DATA = 3
 EXIT_UNDETERMINED = 4
 
-DATA_ERRORS = (
-    UnknownGraphTypeError,
-    TimeOutOfRangeError,
-    InsufficientTraceError,
-    io.SchemaError,
-    ValueError,
-    OSError,
-)
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -74,6 +64,9 @@ def _read_formula_file(path: str, global_mode: bool):
             src = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
         return None
     try:
         return parse_global(src) if global_mode else parse_local(src)
@@ -113,19 +106,15 @@ def cmd_monitor(args) -> int:
     f = _read_formula_file(args.formula, args.global_)
     if f is None:
         return EXIT_USAGE
-    try:
-        run = io.load_run(args.run, args.graphs)
-        T = args.tmax if args.tmax is not None else args.t0
-        if args.global_:
-            signal = monitor_global(run, f, T, strict=args.strict_horizon)
-        else:
-            signal = monitor_local(run, f, args.agent, T, strict=args.strict_horizon)
-        if args.out:
-            io.save_signal(signal, args.out)
-        verdict = signal.value_at(args.t0)
-    except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    run = io.load_run(args.run, args.graphs)
+    T = args.tmax if args.tmax is not None else args.t0
+    if args.global_:
+        signal = monitor_global(run, f, T, strict=args.strict_horizon)
+    else:
+        signal = monitor_local(run, f, args.agent, T, strict=args.strict_horizon)
+    if args.out:
+        io.save_signal(signal, args.out)
+    verdict = signal.value_at(args.t0)
     print(f"s({args.t0}) = {verdict}")
     return EXIT_SAT if verdict == 1 else EXIT_VIOLATED
 
@@ -134,36 +123,32 @@ def cmd_monitor_dist(args) -> int:
     f = _read_formula_file(args.formula, False)
     if f is None:
         return EXIT_USAGE
-    try:
-        run = io.load_run(args.run, args.graphs)
-        mask = io.load_mask(args.mask, run.length)
-        if args.observer is not None and mask.observer != args.observer:
-            raise ValueError(
-                f"mask observer mismatch: file says {mask.observer}, "
-                f"--observer says {args.observer}"
-            )
-        subject = args.subject if args.subject is not None else mask.observer
-        T = args.tmax if args.tmax is not None else args.t0
-        signal = monitor_dist(run, mask, f, subject, T, strict=args.strict_horizon)
-        report = is_determinable(run, mask, f, subject, T)
-        if args.out:
-            io.save_signal(signal, args.out)
-        if args.report:
-            io.save_report(
-                {
-                    "determinable": report.determinable,
-                    "failures": [
-                        {"leaf": fl.leaf_index, "time": fl.time,
-                         "unknown_states": [list(p) for p in fl.unknown_states]}
-                        for fl in report.failures
-                    ],
-                },
-                args.report,
-            )
-        verdict = signal.value_at(args.t0)
-    except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    run = io.load_run(args.run, args.graphs)
+    mask = io.load_mask(args.mask, run.length)
+    if args.observer is not None and mask.observer != args.observer:
+        raise ValueError(
+            f"mask observer mismatch: file says {mask.observer}, "
+            f"--observer says {args.observer}"
+        )
+    subject = args.subject if args.subject is not None else mask.observer
+    T = args.tmax if args.tmax is not None else args.t0
+    signal = monitor_dist(run, mask, f, subject, T, strict=args.strict_horizon)
+    report = is_determinable(run, mask, f, subject, T)
+    if args.out:
+        io.save_signal(signal, args.out)
+    if args.report:
+        io.save_report(
+            {
+                "determinable": report.determinable,
+                "failures": [
+                    {"leaf": fl.leaf_index, "time": fl.time,
+                     "unknown_states": [list(p) for p in fl.unknown_states]}
+                    for fl in report.failures
+                ],
+            },
+            args.report,
+        )
+    verdict = signal.value_at(args.t0)
     shown = "?" if verdict is None else verdict
     print(f"s({args.t0}) = {shown}  determinable = {report.determinable}")
     if verdict is None:
@@ -172,86 +157,75 @@ def cmd_monitor_dist(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    try:
-        run = io.load_run(args.run, args.graphs)
-        if args.anchor is not None and not 1 <= args.anchor <= run.num_agents:
-            raise ValueError(f"anchor {args.anchor} out of range 1..{run.num_agents}")
-        weights = _parse_weights(args.weights)
-        inner = parse_local(args.inner) if args.inner else Truth()
-        graphs = run.graphs
+    run = io.load_run(args.run, args.graphs)
+    if args.anchor is not None and not 1 <= args.anchor <= run.num_agents:
+        raise ValueError(f"anchor {args.anchor} out of range 1..{run.num_agents}")
+    weights = _parse_weights(args.weights)
+    inner = parse_local(args.inner) if args.inner else Truth()
+    graphs = run.graphs
 
-        if args.source in ("sastl", "sstl"):
-            if args.source == "sastl" and None in (args.psi, args.anchor, args.cmp, args.count):
-                raise ValueError("sastl needs --psi, --anchor, --cmp, --count")
-            if args.source == "sstl" and (
-                args.op not in ("somewhere", "everywhere") or args.anchor is None
-            ):
-                raise ValueError("sstl needs --op somewhere|everywhere and --anchor")
-            ds = shortest_distance_graph(
-                run.graphs.at(args.d_tag, args.time), "ds",
-                nodes=range(1, run.num_agents + 1),
+    if args.source in ("sastl", "sstl"):
+        if args.source == "sastl" and None in (args.psi, args.anchor, args.cmp, args.count):
+            raise ValueError("sastl needs --psi, --anchor, --cmp, --count")
+        if args.source == "sstl" and (
+            args.op not in ("somewhere", "everywhere") or args.anchor is None
+        ):
+            raise ValueError("sstl needs --op somewhere|everywhere and --anchor")
+        ds = shortest_distance_graph(
+            run.graphs.at(args.d_tag, args.time), "ds",
+            nodes=range(1, run.num_agents + 1),
+        )
+        graphs = graphs.with_graph("ds", ds)
+        if args.source == "sastl":
+            raw = io.load_labels(args.labels) if args.labels else {}
+            labels = normalize_labels(raw, run.num_agents)
+            out = translate_sastl_count(
+                args.psi, weights, args.cmp, args.count, inner, args.anchor,
+                op=args.op or "sum", n_prime=args.n_prime,
             )
-            graphs = graphs.with_graph("ds", ds)
-            if args.source == "sastl":
-                raw = io.load_labels(args.labels) if args.labels else {}
-                labels = normalize_labels(raw, run.num_agents)
-                out = translate_sastl_count(
-                    args.psi, weights, args.cmp, args.count, inner, args.anchor,
-                    op=args.op or "sum", n_prime=args.n_prime,
-                )
-                graphs = graphs.with_graph(
-                    psi_graph_tag(args.psi, args.anchor),
-                    labeled_subgraph(ds, labels, args.psi, args.anchor),
-                )
-            else:
-                out = translate_sstl(args.op, weights, inner, args.anchor)
-        elif args.source == "strel":
-            if args.op not in ("reach", "escape") or args.anchor is None:
-                raise ValueError("strel needs --op reach|escape and --anchor")
-            if args.op == "reach":
-                if not args.inner or not args.inner2:
-                    raise ValueError("reach needs --inner (phi1) and --inner2 (phi2)")
-                out = translate_strel(
-                    "reach", weights, args.anchor, run, args.time,
-                    phi1=parse_local(args.inner), phi2=parse_local(args.inner2),
-                    d_tag=args.d_tag,
-                )
-            else:
-                if not args.inner:
-                    raise ValueError("escape needs --inner (phi)")
-                out = translate_strel(
-                    "escape", weights, args.anchor, run, args.time,
-                    phi=parse_local(args.inner), d_tag=args.d_tag,
-                )
+            graphs = graphs.with_graph(
+                psi_graph_tag(args.psi, args.anchor),
+                labeled_subgraph(ds, labels, args.psi, args.anchor),
+            )
         else:
-            raise ValueError(f"unknown translation source {args.source!r}")
+            out = translate_sstl(args.op, weights, inner, args.anchor)
+    elif args.source == "strel":
+        if args.op not in ("reach", "escape") or args.anchor is None:
+            raise ValueError("strel needs --op reach|escape and --anchor")
+        if args.op == "reach":
+            if not args.inner or not args.inner2:
+                raise ValueError("reach needs --inner (phi1) and --inner2 (phi2)")
+            out = translate_strel(
+                "reach", weights, args.anchor, run, args.time,
+                phi1=parse_local(args.inner), phi2=parse_local(args.inner2),
+                d_tag=args.d_tag,
+            )
+        else:
+            if not args.inner:
+                raise ValueError("escape needs --inner (phi)")
+            out = translate_strel(
+                "escape", weights, args.anchor, run, args.time,
+                phi=parse_local(args.inner), d_tag=args.d_tag,
+            )
+    else:
+        raise ValueError(f"unknown translation source {args.source!r}")
 
-        _write_or_print(print_formula(out), args.out_formula)
-        if args.out_graphs:
-            io.save_graphs(graphs, args.out_graphs)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    _write_or_print(print_formula(out), args.out_formula)
+    if args.out_graphs:
+        io.save_graphs(graphs, args.out_graphs)
     return EXIT_SAT
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.kind == "drone":
-            run = gen_drone(
-                DroneScenarioConfig(sigma=args.sigma, seed=args.seed, horizon=args.horizon)
-            )
-        else:
-            run = gen_bike(
-                BikeScenarioConfig(stations=args.stations, seed=args.seed, hours=args.hours)
-            )
-        io.save_run(run, args.out_run, args.out_graphs)
-    except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    if args.kind == "drone":
+        run = gen_drone(
+            DroneScenarioConfig(sigma=args.sigma, seed=args.seed, horizon=args.horizon)
+        )
+    else:
+        run = gen_bike(
+            BikeScenarioConfig(stations=args.stations, seed=args.seed, hours=args.hours)
+        )
+    io.save_run(run, args.out_run, args.out_graphs)
     print(f"wrote {args.out_run} and {args.out_graphs}")
     return EXIT_SAT
 
@@ -349,22 +323,18 @@ def bench_scenario(sigma: int, steps: int, seed: int, anchor: int = 1):
 
 
 def cmd_bench(args) -> int:
-    try:
-        sigmas = [int(s) for s in args.sigma.split(",")]
-        all_rows = []
-        print(f"{'sigma':>6} {'formula':>8} {'sat':>5} {'vio':>5} {'mean ms/step':>13}")
-        for sigma in sigmas:
-            for row in bench_scenario(sigma, args.steps, args.seed, args.anchor):
-                all_rows.append(row)
-                print(
-                    f"{row['sigma']:>6} {row['formula']:>8} {row['sat']:>5} "
-                    f"{row['vio']:>5} {row['mean_ms']:>13.3f}"
-                )
-        if args.out:
-            io.save_report({"results": all_rows}, args.out)
-    except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    sigmas = [int(s) for s in args.sigma.split(",")]
+    all_rows = []
+    print(f"{'sigma':>6} {'formula':>8} {'sat':>5} {'vio':>5} {'mean ms/step':>13}")
+    for sigma in sigmas:
+        for row in bench_scenario(sigma, args.steps, args.seed, args.anchor):
+            all_rows.append(row)
+            print(
+                f"{row['sigma']:>6} {row['formula']:>8} {row['sat']:>5} "
+                f"{row['vio']:>5} {row['mean_ms']:>13.3f}"
+            )
+    if args.out:
+        io.save_report({"results": all_rows}, args.out)
     return EXIT_SAT
 
 
@@ -457,7 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, OSError) as exc:  # SchemaError, InsufficientTraceError, ...
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 An observer agent holds a knowledge mask saying which (subject, time) states
 it can see; graph topology is always fully known. Verdicts are three-valued:
-0, 1, or ? (undetermined), with ? represented as None in signal values.
+0, 1, or ? (undetermined), with ? represented as None in the values of the
+``central.Signal`` that the centralized monitor returns too.
 
 ``monitor_dist`` lowers the formula exactly as the centralized monitor does
 and runs the same ``central.Evaluator``, with the mask: atoms over masked
@@ -12,7 +13,8 @@ and graph operators decide from the counts of satisfying and non-violating
 neighbor verdicts, weighted by edge multiplicity
 (``central.graph_op_verdict``). Finite traces and strict mode follow the
 centralized conventions, including the up-front strict-horizon check, so
-both monitors raise on the same inputs.
+both monitors raise on the same inputs; ``is_determinable`` checks its
+query and covers the same [0, min(T + T_f, L)] through the same helper.
 
 The monitor is sound: a 0/1 verdict always agrees with the centralized
 verdict on the full run. Count sets with several intervals take the
@@ -38,14 +40,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import formula as F
-from .central import signal_cells, validate_local
+from .central import Signal, _signal_end, signal_cells
 from .formula import (
     build_operator_tree,
     contains_atom,
     horizon,
     prepare_for_distributed,
 )
-from .model import MasRun, TimeOutOfRangeError
+from .model import MasRun
 
 
 @dataclass(frozen=True)
@@ -126,32 +128,6 @@ def refine(mask: KnowledgeMask, additions) -> KnowledgeMask:
     return KnowledgeMask(mask.observer, (*mask.ranges, *additions))
 
 
-@dataclass(frozen=True, slots=True)
-class TernarySignal:
-    """Per-time verdicts over {0, 1, ?}; ? is stored as None."""
-
-    t0: int
-    values: tuple
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("signal domain must be non-empty")
-        if any(v not in (0, 1, None) for v in self.values):
-            raise ValueError("ternary signal values must be 0, 1, or None")
-
-    @property
-    def t1(self) -> int:
-        return self.t0 + len(self.values) - 1
-
-    def value_at(self, t: int):
-        if not self.t0 <= t <= self.t1:
-            raise TimeOutOfRangeError("time out of range")
-        return self.values[t - self.t0]
-
-    def has_unknown(self) -> bool:
-        return any(v is None for v in self.values)
-
-
 def monitor_dist(
     run: MasRun,
     mask: KnowledgeMask,
@@ -159,12 +135,12 @@ def monitor_dist(
     subject: int,
     T: int,
     strict: bool = False,
-) -> TernarySignal:
+) -> Signal:
     """Three-valued satisfaction signal of f at the subject agent, as seen by
     the mask's observer. The observer may monitor a subject other than
     itself; the mask governs what is visible, the subject selects where the
     formula is imposed."""
-    return TernarySignal(0, signal_cells(run, f, subject, T, strict, mask))
+    return Signal(0, signal_cells(run, f, subject, T, strict, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +188,7 @@ def is_determinable(
     computed once per leaf, from per-call memos keyed by (operator, agent)
     and (chain suffix, agent); only the window scan runs per time step.
     """
-    validate_local(run, f)
-    if not 1 <= subject <= run.num_agents:
-        raise ValueError(f"unknown agent {subject}")
-    if not 0 <= T <= run.length:
-        raise TimeOutOfRangeError("time out of range")
-    _, t_max = horizon(f)
-    end = int(min(T + t_max, run.length))
+    end = _signal_end(run, f, subject, T)
     tree = build_operator_tree(prepare_for_distributed(f))
     ops = {node.index: node for node in tree.operators}
     memo: dict = {}

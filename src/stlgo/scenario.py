@@ -23,17 +23,28 @@ from .model import (
     MultigraphSnapshot,
 )
 
+# drone stations and surveillance regions lie in [0, AREA]^2
+AREA = 8.0
+REGION_COUNT = 5
+
+# bike stations: initial bikes, chance that a directed pair has a distance
+# (d) or a transit/walk (mt) edge, and the uniform ranges of edge weights
+CAPACITY = (0, 30)
+D_DENSITY = 0.35
+MT_DENSITY = 0.35
+DISTANCE_RANGE = (0.2, 5.0)
+TRANSIT_RANGE = (3.0, 20.0)
+WALK_RANGE = (5.0, 45.0)
+
 
 @dataclass(frozen=True)
 class DroneScenarioConfig:
     sigma: int
     seed: int = 0
     horizon: int = 80
-    region_count: int = 5
     station_positions: tuple[tuple[float, float], ...] | None = None
     speeds: tuple[float, float] = (0.6, 0.4)
     sensing_radius: float = 1.0
-    area: float = 8.0
     categories: tuple[int, ...] | None = None  # default: first floor(sigma/2) agents
 
     def __post_init__(self):
@@ -43,8 +54,6 @@ class DroneScenarioConfig:
             raise ValueError("horizon must be >= 1")
         if self.sensing_radius <= 0:
             raise ValueError("sensing radius must be positive")
-        if self.region_count < 1:
-            raise ValueError("need at least one region")
         if self.categories is not None and len(self.categories) != self.sigma:
             raise ValueError("categories must list one category per drone")
 
@@ -66,9 +75,9 @@ def gen_drone(cfg: DroneScenarioConfig) -> MasRun:
         ]
     else:
         stations = [
-            (rng.uniform(0, cfg.area), rng.uniform(0, cfg.area)) for _ in range(sigma)
+            (rng.uniform(0, AREA), rng.uniform(0, AREA)) for _ in range(sigma)
         ]
-    regions = [(rng.uniform(0, cfg.area), rng.uniform(0, cfg.area)) for _ in range(cfg.region_count)]
+    regions = [(rng.uniform(0, AREA), rng.uniform(0, AREA)) for _ in range(REGION_COUNT)]
 
     pos = [list(p) for p in stations]
     target: list[tuple[float, float] | None] = [None] * sigma
@@ -132,13 +141,7 @@ class BikeScenarioConfig:
     stations: int
     seed: int = 0
     hours: int = 24
-    capacity: tuple[int, int] = (0, 30)
     flow_max: int = 8
-    d_density: float = 0.35
-    mt_density: float = 0.35
-    distance_range: tuple[float, float] = (0.2, 5.0)
-    transit_range: tuple[float, float] = (3.0, 20.0)
-    walk_range: tuple[float, float] = (5.0, 45.0)
 
     def __post_init__(self):
         if self.stations < 1:
@@ -161,13 +164,13 @@ def gen_bike(cfg: BikeScenarioConfig) -> MasRun:
         for j in range(1, n_st + 1):
             if i == j:
                 continue
-            if rng.random() < cfg.d_density:
-                d_edges.append(Edge(i, j, 1, round(rng.uniform(*cfg.distance_range), 2)))
-            if rng.random() < cfg.mt_density:
-                mt_edges.append(Edge(i, j, 1, round(rng.uniform(*cfg.transit_range), 1)))
-                mt_edges.append(Edge(i, j, 2, round(rng.uniform(*cfg.walk_range), 1)))
+            if rng.random() < D_DENSITY:
+                d_edges.append(Edge(i, j, 1, round(rng.uniform(*DISTANCE_RANGE), 2)))
+            if rng.random() < MT_DENSITY:
+                mt_edges.append(Edge(i, j, 1, round(rng.uniform(*TRANSIT_RANGE), 1)))
+                mt_edges.append(Edge(i, j, 2, round(rng.uniform(*WALK_RANGE), 1)))
 
-    counts = [rng.randint(*cfg.capacity) for _ in range(n_st)]
+    counts = [rng.randint(*CAPACITY) for _ in range(n_st)]
     slices = []
     for t in range(L + 1):
         slice_ = []

@@ -31,8 +31,8 @@ import json
 import math
 from typing import Iterable
 
-from .distributed import KnowledgeMask, TernarySignal
-from .central import BoolSignal
+from .central import Signal
+from .distributed import KnowledgeMask
 from .model import GraphTrajectory, MasRun, MasTrajectory, MultigraphSnapshot
 
 SCHEMA = "stlgo/1"
@@ -60,6 +60,8 @@ def _load(path):
             return json.load(fh)
         except RecursionError:
             raise SchemaError(f"{path}: JSON nested too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{path}: {exc}") from None
 
 
 def _dump(doc, path):
@@ -281,12 +283,12 @@ def save_report(report: dict, path):
 # -- signals -----------------------------------------------------------------
 
 
-def save_signal(signal: BoolSignal | TernarySignal, path):
+def save_signal(signal: Signal, path):
     values = ["?" if v is None else v for v in signal.values]
     _dump({"schema": SCHEMA, "t0": signal.t0, "values": values}, path)
 
 
-def load_signal(path) -> TernarySignal:
+def load_signal(path) -> Signal:
     doc = _load(path)
     _check_schema(doc, path, "t0", "values")
     if not _is_int(doc["t0"]) or not isinstance(doc["values"], list):
@@ -299,7 +301,7 @@ def load_signal(path) -> TernarySignal:
             values.append(v)
         else:
             raise SchemaError(f"{path}: signal values must be 0, 1, or '?'")
-    return TernarySignal(doc["t0"], tuple(values))
+    return Signal(doc["t0"], tuple(values))
 
 
 # -- labels -----------------------------------------------------------------

@@ -197,14 +197,16 @@ def translate_sastl_count(
 
     The run must be augmented with that graph's tag before monitoring
     (``labeled_subgraph`` builds it; ``psi_graph_tag`` names it). The avg
-    variant requires the neighbor total N' up front.
+    variant requires the neighbor total N' (an int >= 1) up front.
     """
-    if op == "avg":
-        if n_prime is None:
-            raise ValueError("avg requires N'")
+    if op == "sum":
+        bound = c
+    elif op == "avg":
+        if type(n_prime) is not int or n_prime < 1:
+            raise ValueError(f"avg requires N' to be an int >= 1, not {n_prime!r}")
         bound = c * n_prime
     else:
-        bound = c
+        raise ValueError(f"sastl op must be 'sum' or 'avg', not {op!r}")
     tag = graph_tag if graph_tag is not None else psi_graph_tag(psi, agent)
     counts = count_set_for(cmp, bound)
     return AgentBind(agent, GraphOp("in", "exists", (tag,), counts, weights, inner))

@@ -15,15 +15,12 @@ from stlgo import formula as F
 from stlgo.central import (
     _HANDLERS,
     Evaluator,
-    _signal_domain_end,
+    _signal_end,
     clamp_window,
     k_and,
     k_or,
-    validate_global,
-    validate_local,
 )
 from stlgo.formula import lower
-from stlgo.model import TimeOutOfRangeError
 
 
 class ReferenceEvaluator(Evaluator):
@@ -55,15 +52,7 @@ def until_scan(ev, f, agent, t):
 
 
 def reference_signal_cells(run, f, agent, T, strict=False, mask=None) -> tuple:
-    if agent is None:
-        validate_global(run, f)
-    else:
-        validate_local(run, f)
-        if not 1 <= agent <= run.num_agents:
-            raise ValueError(f"unknown agent {agent}")
-    if not 0 <= T <= run.length:
-        raise TimeOutOfRangeError("time out of range")
-    end = _signal_domain_end(f, T, run.length, strict)
+    end = _signal_end(run, f, agent, T, strict)
     core = lower(f)
     ev = ReferenceEvaluator(run, mask)
     return tuple(ev.eval(core, agent, t) for t in range(end + 1))

@@ -8,7 +8,6 @@ from stlgo import (
     Always,
     And,
     Atom,
-    BoolSignal,
     CountSet,
     Edge,
     Eventually,
@@ -20,6 +19,7 @@ from stlgo import (
     MasTrajectory,
     MultigraphSnapshot,
     Not,
+    Signal,
     StateVar,
     TimeInterval,
     Truth,
@@ -213,9 +213,16 @@ def test_signal_table_has_every_subformula():
     f = And(POSITIVE, GraphOp("in", "exists", ("g",), CountSet.single(1, INF), FULL_WEIGHTS, Truth()))
     table = signal_table(run, f, 0)
     core = lower(f)
-    assert (core, 1) in table.entries
-    assert (core.left, 2) in table.entries
-    assert (core.right.child, 3) in table.entries
+    assert (core, 1) in table
+    assert (core.left, 2) in table
+    assert (core.right.child, 3) in table
+
+
+def test_signal_table_refuses_a_formula_too_deep_like_the_monitor():
+    run = star_run([1, -1])
+    f = parse_local(" U[0,2] ".join(["[x[0] >= 0]"] * 400))
+    with pytest.raises(ValueError, match="too deep"):
+        signal_table(run, f, 0)
 
 
 def test_unknown_graph_tag_raises():
@@ -239,11 +246,11 @@ def test_state_accessors_validated_against_run():
         monitor_global(run, GlobalAtom(AgentStateVar(7, 0)), 0)
 
 
-def test_bool_signal_value_bounds():
+def test_signal_value_bounds():
     with pytest.raises(ValueError):
-        BoolSignal(0, (0, 2))
+        Signal(0, (0, 2))
     with pytest.raises(ValueError):
-        BoolSignal(0, ())
+        Signal(0, ())
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,25 @@ def test_monitor_parse_error_closes_formula_file(bike_bundle, tmp_path, capsys, 
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+@pytest.mark.parametrize("command", ["parse", "monitor", "monitor-dist"])
+def test_formula_file_that_is_not_utf8_exits_one_with_one_error_line(
+    bike_bundle, tmp_path, capsys, command
+):
+    _, run_path, graphs_path = bike_bundle
+    f = tmp_path / "f.stlgo"
+    f.write_bytes(b"[x[0] >= 3] & \xff\n")
+    argv = [command, str(f)]
+    if command != "parse":
+        argv = [command, "--formula", str(f), "--run", str(run_path), "--graphs",
+                str(graphs_path), "--agent", "1"]
+        if command == "monitor-dist":
+            argv[-2:] = ["--mask", str(tmp_path / "m.json")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith(f"error: {f}: ")
+
+
 # chains the printer handles at any length but the pointwise evaluator
 # follows one Python frame (or more) per term
 TOO_DEEP_TO_EVALUATE = {
@@ -482,6 +501,19 @@ def test_translate_nan_count_threshold_is_data_error(tmp_path, capsys):
     )
     assert code == 3
     assert capsys.readouterr().err.strip() == "error: count threshold is NaN"
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--op", "everywhere", "--count", "2"], "sastl op must be 'sum' or 'avg', not 'everywhere'"),
+    (["--op", "avg", "--count", "inf", "--n-prime", "0"],
+     "avg requires N' to be an int >= 1, not 0"),
+])
+def test_translate_sastl_bad_op_or_n_prime_is_data_error(tmp_path, capsys, options, message):
+    bundle, labels_path = _fig_bundle(tmp_path)
+    code = main(["translate", "--from", "sastl", *bundle, "--labels", str(labels_path),
+                 "--psi", "H", "--anchor", "3", "--cmp", ">=", *options])
+    assert code == 3
+    assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
 @pytest.mark.parametrize("source", [

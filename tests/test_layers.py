@@ -121,13 +121,13 @@ def test_signal_table_keys_system_nodes_under_none_and_bound_nodes_per_agent():
     system = [core, core.child, core.child.left, core.child.right, conj, conj.left, conj.right]
     bound = [conj.left.child, conj.left.child.child]  # In{g} ..., its true
     agents = range(1, run.num_agents + 1)
-    assert set(table.entries) == (
+    assert set(table) == (
         {(node, None) for node in system} | {(node, a) for node in bound for a in agents}
     )
     for a in agents:
-        assert table.signal(conj.left.child, a) == monitor_local(run, IN_G, a, 1)
-    assert table.signal(core) == monitor_global(run, f, 0)
-    assert table.signal(core).values == (0, 0)  # agent 2 has no in-edges
+        assert table[(conj.left.child, a)] == monitor_local(run, IN_G, a, 1)
+    assert table[(core, None)] == monitor_global(run, f, 0)
+    assert table[(core, None)].values == (0, 0)  # agent 2 has no in-edges
 
 
 @pytest.mark.parametrize("text", [

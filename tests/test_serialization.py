@@ -17,11 +17,15 @@ from stlgo import (
     MasRun,
     MasTrajectory,
     MultigraphSnapshot,
-    TernarySignal,
+    Signal,
     gen_bike,
     gen_drone,
+    monitor_dist,
+    monitor_global,
+    monitor_local,
+    parse_global,
+    parse_local,
 )
-from stlgo.central import BoolSignal
 from stlgo.cli import EXIT_DATA, main
 from stlgo.serialization import (
     SchemaError,
@@ -84,12 +88,27 @@ def test_saved_mask_never_lists_the_observer(tmp_path):
 
 
 def test_signal_round_trip(tmp_path):
-    tern = TernarySignal(0, (1, None, 0, None))
+    tern = Signal(0, (1, None, 0, None))
     save_signal(tern, tmp_path / "t.json")
     assert load_signal(tmp_path / "t.json") == tern
-    boolean = BoolSignal(0, (1, 0, 1))
+    boolean = Signal(0, (1, 0, 1))
     save_signal(boolean, tmp_path / "b.json")
-    assert load_signal(tmp_path / "b.json").values == (1, 0, 1)
+    assert load_signal(tmp_path / "b.json") == boolean
+
+
+def test_monitor_signals_load_back_equal(tmp_path):
+    run = gen_drone(DroneScenarioConfig(sigma=4, seed=1, horizon=6))
+    local = parse_local("F[0,2] [x[0] >= 4]")
+    signals = [
+        monitor_local(run, local, 2, 3),
+        monitor_global(run, parse_global("G[0,1] @1.([x[1] >= 4])"), 3),
+        monitor_dist(run, KnowledgeMask.self_only(1), local, 2, 3),
+        monitor_dist(run, KnowledgeMask.full(1, 4, 6), local, 2, 3),
+    ]
+    assert signals[2].has_unknown() and not signals[0].has_unknown()
+    for k, signal in enumerate(signals):
+        save_signal(signal, tmp_path / f"{k}.json")
+        assert load_signal(tmp_path / f"{k}.json") == signal
 
 
 def test_schema_tag_checked(tmp_path):
@@ -257,6 +276,7 @@ MALFORMED = {
     "directed a string": ("graphs", _set(["types", "c", "directed"], "false")),
     "snapshot time a string": ("graphs", _set(["types", "d", "snapshots", 1, "t"], "1")),
     "nested too deeply": ("graphs", lambda doc: "[" * 100_000 + "]" * 100_000),
+    "truncated JSON": ("graphs", lambda doc: json.dumps(doc)[:-2]),
     "states a number": ("run", _set(["states"], 5)),
     "state vector a number": ("run", _set(["states", 0, 1], 5)),
     "null state component": ("run", _set(["states", 0, 1], [None])),
@@ -325,3 +345,10 @@ def test_malformed_signal_and_label_files_raise_schema_error(tmp_path, loader, b
     path.write_text('{"schema": "stlgo/1", ' + body + "}", encoding="utf-8")
     with pytest.raises(SchemaError, match=re.escape(str(path))):
         loader(path)
+
+
+def test_file_that_is_not_utf8_raises_schema_error_naming_it(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes(b'{"schema": "stlgo/1", "labels": {"1": ["\xff"]}}')
+    with pytest.raises(SchemaError, match=re.escape(str(path))):
+        load_labels(path)

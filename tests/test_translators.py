@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,6 +233,19 @@ def test_sastl_avg_requires_n_prime():
         translate_sastl_count("H", W(0, 10), ">=", 1, Truth(), 3, op="avg")
     f = translate_sastl_count("H", W(0, 10), ">=", 0.5, Truth(), 3, op="avg", n_prime=4)
     assert f.child.counts == CountSet.single(2, INF)
+
+
+@pytest.mark.parametrize("op, n_prime, message", [
+    ("median", None, "sastl op must be 'sum' or 'avg', not 'median'"),
+    ("everywhere", 4, "sastl op must be 'sum' or 'avg', not 'everywhere'"),
+    ("avg", 0, "avg requires N' to be an int >= 1, not 0"),
+    ("avg", -3, "avg requires N' to be an int >= 1, not -3"),
+    ("avg", True, "avg requires N' to be an int >= 1, not True"),
+    ("avg", 2.0, "avg requires N' to be an int >= 1, not 2.0"),
+])
+def test_sastl_rejects_unknown_op_and_bad_n_prime(op, n_prime, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        translate_sastl_count("H", W(0, 10), ">=", 1, Truth(), 3, op=op, n_prime=n_prime)
 
 
 # ---------------------------------------------------------------------------
