@@ -72,10 +72,13 @@ class Signal:
     values: tuple
 
     def __post_init__(self):
-        if not self.values:
-            raise ValueError("signal domain must be non-empty")
-        if any(v not in (0, 1, None) for v in self.values):
-            raise ValueError("signal values must be 0, 1, or None")
+        if type(self.t0) is not int or self.t0 < 0:
+            raise ValueError(f"signal t0 must be an int >= 0, not {self.t0!r}")
+        # types first: they rule out bools, floats and unhashable values
+        values = self.values
+        if type(values) is not tuple or not values or not {int, type(None)}.issuperset(
+                map(type, values)) or not {0, 1, None}.issuperset(values):
+            raise ValueError("signal values must be a non-empty tuple of 0, 1 and None")
 
     @property
     def t1(self) -> int:

@@ -82,6 +82,13 @@ def _parse_weights(text: str) -> WeightInterval:
     return WeightInterval(float(parts[0]), float(parts[1]))
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}") from None
+
+
 def _write_or_print(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -323,10 +330,9 @@ def bench_scenario(sigma: int, steps: int, seed: int, anchor: int = 1):
 
 
 def cmd_bench(args) -> int:
-    sigmas = [int(s) for s in args.sigma.split(",")]
     all_rows = []
     print(f"{'sigma':>6} {'formula':>8} {'sat':>5} {'vio':>5} {'mean ms/step':>13}")
-    for sigma in sigmas:
+    for sigma in args.sigma:
         for row in bench_scenario(sigma, args.steps, args.seed, args.anchor):
             all_rows.append(row)
             print(
@@ -415,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="per-step scaling benchmark on drone scenarios")
-    p.add_argument("--sigma", default="4,10,50", help="comma list of agent counts")
+    p.add_argument("--sigma", type=_int_list, default="4,10,50",
+                   help="comma list of agent counts")
     p.add_argument("--steps", type=int, default=80, help="monitor t in 0..steps")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--anchor", type=int, default=1)

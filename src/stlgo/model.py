@@ -3,6 +3,11 @@
 Agents are 1-indexed (1..N). Time is discrete, 0..L where L is the last
 valid index. All types are immutable after construction and safe to share
 across concurrent evaluators.
+
+Each value type has one constructor, which checks what it is given and
+packs it in the pass that builds it: ``MasTrajectory`` takes raw state
+rows, ``MultigraphSnapshot`` raw (src, dst, u, w) edge rows. Callers hand
+over rows unconverted and turn its ``ValueError`` into their own error.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import math
 import operator
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple
 
 Direction = Literal["in", "out"]
@@ -38,15 +44,16 @@ _edge_key = operator.itemgetter(0, 1, 2)
 
 
 def _edge_weight(w, decode_weight) -> float:
-    """A weight that is not a plain non-NaN float, through ``decode_weight``
-    if given; otherwise any real number but a bool or NaN."""
+    """The one weight check: a weight that is not a plain non-NaN float,
+    first mapped through ``decode_weight`` if given, must be a real number
+    other than a bool or NaN."""
     if decode_weight is not None:
-        return decode_weight(w)
+        w = decode_weight(w)
     if isinstance(w, (int, float)) and not isinstance(w, bool):
         w = float(w)
         if not math.isnan(w):
             return w
-        raise ValueError("edge weights may not be NaN")
+        raise ValueError("bad edge weight nan: edge weights may not be NaN")
     raise ValueError(f"bad edge weight {w!r}")
 
 
@@ -95,59 +102,61 @@ def _edge_set(directed: bool, rows: Iterable, decode_weight) -> tuple[frozenset[
     return frozenset(edges), top
 
 
+def _packed_vector(vec, state_dim: int, i: int, t: int) -> tuple[float, ...]:
+    """A state vector checked and converted component by component."""
+    if isinstance(vec, (list, tuple)) and len(vec) == state_dim:
+        try:
+            row = tuple(float(v) for v in vec if not isinstance(v, (str, bytes, bool)))
+        except (TypeError, ValueError, OverflowError):
+            row = ()
+        if len(row) == state_dim and all(map(math.isfinite, row)):
+            return row
+    raise ValueError(f"agent {i} at time {t}: state {vec!r} is not {state_dim} finite numbers")
+
+
 @dataclass(frozen=True)
 class MasTrajectory:
     """Discrete-time states of N homogeneous agents.
 
     ``states`` is time-major: states[t][i-1] is the state vector of agent i
-    at time t, a tuple of ``state_dim`` finite floats.
+    at time t. The constructor takes nested lists or tuples, sized as the
+    first vector of the first slice, and stores tuples of finite floats; a
+    component is anything ``float()`` takes but a ``str``, ``bytes`` or
+    ``bool``. ``num_agents``, ``state_dim`` and ``length`` are read off it.
     """
 
-    num_agents: int
-    state_dim: int
-    length: int
     states: tuple[tuple[tuple[float, ...], ...], ...]
+    num_agents: int = field(init=False)
+    state_dim: int = field(init=False)
+    length: int = field(init=False)
 
     def __post_init__(self):
-        if self.num_agents < 1:
-            raise ValueError("num_agents must be positive")
-        if self.state_dim < 1:
-            raise ValueError("state_dim must be positive")
-        if self.length < 0:
-            raise ValueError("length must be >= 0")
-        if len(self.states) != self.length + 1:
-            raise ValueError(
-                f"need {self.length + 1} time slices, got {len(self.states)}"
-            )
-        for t, slice_ in enumerate(self.states):
-            if len(slice_) != self.num_agents:
-                raise ValueError(f"time {t}: need {self.num_agents} agent states")
-            for i, vec in enumerate(slice_, start=1):
-                if len(vec) != self.state_dim:
-                    raise ValueError(
-                        f"agent {i} at time {t}: state has dimension {len(vec)}, "
-                        f"expected {self.state_dim}"
-                    )
-                for v in vec:
-                    if not math.isfinite(v):
-                        raise ValueError(
-                            f"agent {i} at time {t}: non-finite state component"
-                        )
-
-    @classmethod
-    def from_states(cls, states: Iterable[Iterable[Iterable[float]]]) -> MasTrajectory:
-        """Build from any nested time-major sequence states[t][i-1][k]."""
-        packed = tuple(
-            tuple(tuple(float(v) for v in vec) for vec in slice_) for slice_ in states
-        )
-        if not packed:
-            raise ValueError("trajectory needs at least one time slice")
-        return cls(
-            num_agents=len(packed[0]),
-            state_dim=len(packed[0][0]) if packed[0] else 0,
-            length=len(packed) - 1,
-            states=packed,
-        )
+        # one pass over the slices: a slice of float vectors is checked in
+        # C-level passes, any other vector by vector
+        states = self.states
+        if not isinstance(states, (list, tuple)) or not states:
+            raise ValueError("states must be a non-empty list of time slices")
+        first = states[0]
+        num_agents = len(first) if isinstance(first, (list, tuple)) else 0
+        state_dim = len(first[0]) if num_agents and isinstance(first[0], (list, tuple)) else 0
+        if not state_dim:
+            raise ValueError("time 0: need a non-empty state vector per agent")
+        packed = []
+        for t, slice_ in enumerate(states):
+            if not isinstance(slice_, (list, tuple)) or len(slice_) != num_agents:
+                raise ValueError(f"time {t}: need {num_agents} agent states")
+            if not (
+                {list, tuple}.issuperset(map(type, slice_))
+                and set(map(len, slice_)) == {state_dim}
+                and set(map(type, chain.from_iterable(slice_))) == {float}
+                and all(map(math.isfinite, chain.from_iterable(slice_)))
+            ):
+                slice_ = [_packed_vector(v, state_dim, i, t) for i, v in enumerate(slice_, 1)]
+            packed.append(tuple(map(tuple, slice_)))
+        object.__setattr__(self, "states", tuple(packed))
+        object.__setattr__(self, "num_agents", num_agents)
+        object.__setattr__(self, "state_dim", state_dim)
+        object.__setattr__(self, "length", len(packed) - 1)
 
     def state(self, agent: int, t: int) -> tuple[float, ...]:
         if not 0 <= t <= self.length:
@@ -179,7 +188,8 @@ class MultigraphSnapshot:
     ``edges`` may be given as any iterable of (src, dst, u, w) rows; they are
     checked and canonicalised in one pass (see ``_edge_set``) and stored as a
     frozenset of ``Edge``. ``decode_weight``, if given, maps every weight that
-    is not a plain float (a file's ``"inf"`` token, say) to one, or raises.
+    is not a plain float before it is checked (a file's ``"inf"`` token to
+    ``math.inf``, say).
     """
 
     graph_type: str
@@ -192,10 +202,6 @@ class MultigraphSnapshot:
         edges, top = _edge_set(self.directed, self.edges, decode_weight)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_max_node", top)
-
-    @classmethod
-    def make(cls, graph_type: str, directed: bool, edges: Iterable) -> MultigraphSnapshot:
-        return cls(graph_type, directed, edges)
 
     @cached_property
     def _tables(self) -> tuple[dict[int, tuple[Edge, ...]], dict[int, tuple[Edge, ...]]]:

@@ -15,13 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .model import (
-    Edge,
-    GraphTrajectory,
-    MasRun,
-    MasTrajectory,
-    MultigraphSnapshot,
-)
+from .model import GraphTrajectory, MasRun, MasTrajectory, MultigraphSnapshot
 
 # drone stations and surveillance regions lie in [0, AREA]^2
 AREA = 8.0
@@ -112,25 +106,25 @@ def gen_drone(cfg: DroneScenarioConfig) -> MasRun:
                 pos[i][0] += speed * dx / dist
                 pos[i][1] += speed * dy / dist
 
-    trajectory = MasTrajectory.from_states(positions)
+    trajectory = MasTrajectory(positions)
 
     pairs = [(i, j) for i in range(1, sigma + 1) for j in range(i + 1, sigma + 1)]
     kin = [category[i - 1] == category[j - 1] for i, j in pairs]
     d_snaps = []
     s_snaps = []
     for here in positions:
-        d_edges = [Edge(i, j, 1, math.dist(here[i - 1], here[j - 1])) for i, j in pairs]
-        d_snaps.append(MultigraphSnapshot.make("d", False, d_edges))
+        d_edges = [(i, j, 1, math.dist(here[i - 1], here[j - 1])) for i, j in pairs]
+        d_snaps.append(MultigraphSnapshot("d", False, d_edges))
         s_edges = [
-            Edge(e.src, e.dst, 1, 1.0)
-            for e, same in zip(d_edges, kin)
-            if same and e.weight <= cfg.sensing_radius
+            (i, j, 1, 1.0)
+            for (i, j, _, w), same in zip(d_edges, kin)
+            if same and w <= cfg.sensing_radius
         ]
-        s_snaps.append(MultigraphSnapshot.make("s", False, s_edges))
-    c_edges = [Edge(i, j, 1, 1.0) for (i, j), same in zip(pairs, kin) if same]
+        s_snaps.append(MultigraphSnapshot("s", False, s_edges))
+    c_edges = [(i, j, 1, 1.0) for (i, j), same in zip(pairs, kin) if same]
     graphs = GraphTrajectory(
         L,
-        static={"c": MultigraphSnapshot.make("c", False, c_edges)},
+        static={"c": MultigraphSnapshot("c", False, c_edges)},
         dynamic={"d": tuple(d_snaps), "s": tuple(s_snaps)},
     )
     return MasRun(trajectory, graphs)
@@ -165,10 +159,10 @@ def gen_bike(cfg: BikeScenarioConfig) -> MasRun:
             if i == j:
                 continue
             if rng.random() < D_DENSITY:
-                d_edges.append(Edge(i, j, 1, round(rng.uniform(*DISTANCE_RANGE), 2)))
+                d_edges.append((i, j, 1, round(rng.uniform(*DISTANCE_RANGE), 2)))
             if rng.random() < MT_DENSITY:
-                mt_edges.append(Edge(i, j, 1, round(rng.uniform(*TRANSIT_RANGE), 1)))
-                mt_edges.append(Edge(i, j, 2, round(rng.uniform(*WALK_RANGE), 1)))
+                mt_edges.append((i, j, 1, round(rng.uniform(*TRANSIT_RANGE), 1)))
+                mt_edges.append((i, j, 2, round(rng.uniform(*WALK_RANGE), 1)))
 
     counts = [rng.randint(*CAPACITY) for _ in range(n_st)]
     slices = []
@@ -183,12 +177,12 @@ def gen_bike(cfg: BikeScenarioConfig) -> MasRun:
         slices.append(slice_)
         counts = next_counts
 
-    trajectory = MasTrajectory.from_states(slices)
+    trajectory = MasTrajectory(slices)
     graphs = GraphTrajectory(
         L,
         static={
-            "d": MultigraphSnapshot.make("d", True, d_edges),
-            "mt": MultigraphSnapshot.make("mt", True, mt_edges),
+            "d": MultigraphSnapshot("d", True, d_edges),
+            "mt": MultigraphSnapshot("mt", True, mt_edges),
         },
     )
     return MasRun(trajectory, graphs)
@@ -231,7 +225,7 @@ def _num(path, lineno_hint: str, column: str, raw: str, integral: bool = False) 
         raise ValueError(f"{path}: {lineno_hint}: column {column!r}: not a number: {raw!r}") from None
     if math.isnan(v):
         raise ValueError(f"{path}: {lineno_hint}: column {column!r}: NaN rejected")
-    if integral and v != int(v):
+    if integral and not v.is_integer():
         raise ValueError(f"{path}: {lineno_hint}: column {column!r}: expected integer")
     return v
 
@@ -272,9 +266,12 @@ def ingest_station_csv(states_path, distances_path, times_path) -> MasRun:
             if (s, t) not in cells:
                 raise ValueError(f"{states_path}: station {s}: missing hour {t}")
 
-    trajectory = MasTrajectory.from_states(
-        [[cells[(s, t)] for s in range(1, num_agents + 1)] for t in range(length + 1)]
-    )
+    try:
+        trajectory = MasTrajectory(
+            [[cells[(s, t)] for s in range(1, num_agents + 1)] for t in range(length + 1)]
+        )
+    except ValueError as exc:
+        raise ValueError(f"{states_path}: {exc}") from None
 
     def station_pair(path, hint, row, seen) -> tuple[int, int]:
         src = int(_num(path, hint, "src", row["src"], integral=True))
@@ -292,21 +289,21 @@ def ingest_station_csv(states_path, distances_path, times_path) -> MasRun:
     for k, row in enumerate(_read_rows(distances_path, DISTANCES_HEADER), start=2):
         hint = f"row {k}"
         src, dst = station_pair(distances_path, hint, row, seen)
-        d_edges.append(Edge(src, dst, 1, _num(distances_path, hint, "miles", row["miles"])))
+        d_edges.append((src, dst, 1, _num(distances_path, hint, "miles", row["miles"])))
 
     mt_edges = []
     seen = set()
     for k, row in enumerate(_read_rows(times_path, TIMES_HEADER), start=2):
         hint = f"row {k}"
         src, dst = station_pair(times_path, hint, row, seen)
-        mt_edges.append(Edge(src, dst, 1, _num(times_path, hint, "transit_min", row["transit_min"])))
-        mt_edges.append(Edge(src, dst, 2, _num(times_path, hint, "walk_min", row["walk_min"])))
+        mt_edges.append((src, dst, 1, _num(times_path, hint, "transit_min", row["transit_min"])))
+        mt_edges.append((src, dst, 2, _num(times_path, hint, "walk_min", row["walk_min"])))
 
     graphs = GraphTrajectory(
         length,
         static={
-            "d": MultigraphSnapshot.make("d", True, d_edges),
-            "mt": MultigraphSnapshot.make("mt", True, mt_edges),
+            "d": MultigraphSnapshot("d", True, d_edges),
+            "mt": MultigraphSnapshot("mt", True, mt_edges),
         },
     )
     return MasRun(trajectory, graphs)

@@ -19,14 +19,14 @@ once, in (min, max) order. A weight w is a number or, for the infinities
 Every file is written as one line of compact JSON (no spaces after "," and
 ":") in a fixed key order, edges sorted, so saving the same value twice
 gives the same bytes; re-reading gives the same in-memory value. Readers
-check the shape of what they read and report any deviation as a
-``SchemaError`` naming the file; graph rows are checked in the same pass
-that builds each snapshot.
+check only the file's shape (fields, JSON kinds, declared against implied
+sizes) and decode its tokens ("inf", "-inf", "?"). The values go unconverted
+to their type's constructor, which checks them as it builds (``stlgo.model``);
+its ``ValueError`` is reported as a ``SchemaError`` naming the file.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from typing import Iterable
@@ -48,10 +48,6 @@ def _check_schema(doc, path, *required):
     for key in required:
         if key not in doc:
             raise SchemaError(f"{path}: missing field {key!r}")
-
-
-def _is_int(v) -> bool:
-    return type(v) is int
 
 
 def _load(path):
@@ -81,14 +77,13 @@ def _weight_out(w: float):
     return w
 
 
-def _weight_in(raw, path):
+def _weight_in(raw):
+    """A file's weight with its infinity tokens decoded, for the snapshot to check."""
     if raw == "inf":
         return math.inf
     if raw == "-inf":
         return -math.inf
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and not math.isnan(raw):
-        return float(raw)
-    raise SchemaError(f"{path}: bad edge weight {raw!r}")
+    return raw
 
 
 # -- trajectory ------------------------------------------------------------
@@ -110,23 +105,12 @@ def save_trajectory(traj: MasTrajectory, path):
 def load_trajectory(path) -> MasTrajectory:
     doc = _load(path)
     _check_schema(doc, path, "num_agents", "state_dim", "length", "states")
-    states = doc["states"]
-    if not isinstance(states, list) or not all(
-        isinstance(slice_, list) and all(isinstance(vec, list) for vec in slice_)
-        for slice_ in states
-    ):
-        raise SchemaError(f"{path}: 'states' must be nested lists states[t][i][k]")
-    for slice_ in states:
-        for vec in slice_:
-            for v in vec:
-                if type(v) is not float and not _is_int(v):
-                    raise SchemaError(f"{path}: state component {v!r} is not a number")
     try:
-        traj = MasTrajectory.from_states(states)
+        traj = MasTrajectory(doc["states"])
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     for key in ("num_agents", "state_dim", "length"):
-        if not _is_int(doc[key]) or getattr(traj, key) != doc[key]:
+        if type(doc[key]) is not int or getattr(traj, key) != doc[key]:
             raise SchemaError(
                 f"{path}: declared {key}={doc[key]} but states imply {getattr(traj, key)}"
             )
@@ -171,7 +155,6 @@ def load_graphs(path, length: int) -> GraphTrajectory:
     _check_schema(doc, path, "types")
     if not isinstance(doc["types"], dict):
         raise SchemaError(f"{path}: 'types' must map graph tags to graphs")
-    decode_weight = functools.partial(_weight_in, path=path)
     static = {}
     dynamic = {}
     for tag, entry in doc["types"].items():
@@ -189,18 +172,18 @@ def load_graphs(path, length: int) -> GraphTrajectory:
         if is_static:
             if len(snaps) != 1:
                 raise SchemaError(f"{path}: static graph {tag!r} needs exactly one snapshot")
-            static[tag] = _snapshot_in(tag, directed, snaps[0], path, decode_weight)
+            static[tag] = _snapshot_in(tag, directed, snaps[0], path)
         else:
             by_t = {}
             for entry in snaps:
                 if "t" not in entry:
                     raise SchemaError(f"{path}: graph {tag!r}: dynamic snapshot without 't'")
-                if not _is_int(entry["t"]):
+                if type(entry["t"]) is not int:
                     raise SchemaError(f"{path}: graph {tag!r}: snapshot time {entry['t']!r} "
                                       "is not an integer")
                 if entry["t"] in by_t:
                     raise SchemaError(f"{path}: graph {tag!r}: duplicate snapshot t={entry['t']}")
-                by_t[entry["t"]] = _snapshot_in(tag, directed, entry, path, decode_weight)
+                by_t[entry["t"]] = _snapshot_in(tag, directed, entry, path)
             missing = [t for t in range(length + 1) if t not in by_t]
             if missing:
                 raise SchemaError(f"{path}: graph {tag!r}: missing snapshots for t={missing}")
@@ -213,16 +196,14 @@ def load_graphs(path, length: int) -> GraphTrajectory:
     return GraphTrajectory(length, static, dynamic)
 
 
-def _snapshot_in(tag, directed, entry, path, decode_weight) -> MultigraphSnapshot:
+def _snapshot_in(tag, directed, entry, path) -> MultigraphSnapshot:
     """The snapshot of one graph-file entry; its rows go to the constructor
     unconverted, which checks them in the pass that builds the snapshot."""
     rows = entry.get("edges", [])
     if not isinstance(rows, list):
         raise SchemaError(f"{path}: graph {tag!r}: 'edges' must be a list")
     try:
-        return MultigraphSnapshot(tag, directed, rows, decode_weight)
-    except SchemaError:
-        raise
+        return MultigraphSnapshot(tag, directed, rows, _weight_in)
     except ValueError as exc:
         raise SchemaError(f"{path}: graph {tag!r}: {exc}") from None
 
@@ -253,13 +234,13 @@ def load_mask(path, length: int) -> KnowledgeMask:
     clipped to the run's times 0..length."""
     doc = _load(path)
     _check_schema(doc, path, "observer", "known")
-    if not _is_int(doc["observer"]) or not isinstance(doc["known"], list):
+    if type(doc["observer"]) is not int or not isinstance(doc["known"], list):
         raise SchemaError(f"{path}: need an integer 'observer' and a list 'known'")
     ranges = []
     for entry in doc["known"]:
         if not isinstance(entry, list) or len(entry) != 3:
             raise SchemaError(f"{path}: mask entry must be [subject, t_from, t_to]")
-        if not all(map(_is_int, entry)):
+        if not all(type(v) is int for v in entry):
             raise SchemaError(f"{path}: mask entry {entry} must hold integers")
         j, t_from, t_to = entry
         if j < 1 or t_from > t_to:
@@ -291,17 +272,13 @@ def save_signal(signal: Signal, path):
 def load_signal(path) -> Signal:
     doc = _load(path)
     _check_schema(doc, path, "t0", "values")
-    if not _is_int(doc["t0"]) or not isinstance(doc["values"], list):
-        raise SchemaError(f"{path}: need an integer 't0' and a list 'values'")
-    values = []
-    for v in doc["values"]:
-        if v == "?":
-            values.append(None)
-        elif _is_int(v) and v in (0, 1):
-            values.append(v)
-        else:
-            raise SchemaError(f"{path}: signal values must be 0, 1, or '?'")
-    return Signal(doc["t0"], tuple(values))
+    values = doc["values"]
+    if not isinstance(values, list) or None in values:  # null is no cell, "?" is
+        raise SchemaError(f"{path}: 'values' must be a list of 0, 1 and '?'")
+    try:
+        return Signal(doc["t0"], tuple([None if v == "?" else v for v in values]))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 # -- labels -----------------------------------------------------------------

@@ -37,7 +37,7 @@ from .formula import (
     FULL_WEIGHTS,
     join_left,
 )
-from .model import Edge, MasRun, MultigraphSnapshot
+from .model import MasRun, MultigraphSnapshot
 
 Comparator = Literal["<=", "<", ">=", ">", "="]
 TraceMode = Literal["reach", "escape"]
@@ -114,8 +114,8 @@ def shortest_distance_graph(
             if u == v:
                 continue
             if g.directed or u < v:
-                edges.append(Edge(u, v, 1, d))
-    return MultigraphSnapshot.make(tag, g.directed, edges)
+                edges.append((u, v, 1, d))
+    return MultigraphSnapshot(tag, g.directed, edges)
 
 
 def psi_graph_tag(psi: str, agent: int) -> str:
@@ -146,7 +146,7 @@ def labeled_subgraph(
     keep.add(agent)
     tag = graph_type if graph_type is not None else psi_graph_tag(psi, agent)
     edges = [e for e in ds.edges if e.src in keep and e.dst in keep]
-    return MultigraphSnapshot.make(tag, ds.directed, edges)
+    return MultigraphSnapshot(tag, ds.directed, edges)
 
 
 def anchor_subgraph(
@@ -155,7 +155,7 @@ def anchor_subgraph(
     """Subgraph keeping only the edges incident to one anchor agent."""
     tag = graph_type if graph_type is not None else f"{g.graph_type}{agent}"
     edges = [e for e in g.edges if agent in (e.src, e.dst)]
-    return MultigraphSnapshot.make(tag, g.directed, edges)
+    return MultigraphSnapshot(tag, g.directed, edges)
 
 
 def count_set_for(cmp: Comparator, bound: float) -> CountSet:

@@ -58,25 +58,25 @@ FIG_LABELS = {1: {"H"}, 2: {"H"}, 3: {"C"}, 4: {"H"}, 5: {"H"}, 6: {"H"}, 7: {"H
 
 @pytest.fixture
 def fig_snapshot() -> MultigraphSnapshot:
-    return MultigraphSnapshot.make("d", False, FIG_EDGES)
+    return MultigraphSnapshot("d", False, FIG_EDGES)
 
 
 @pytest.fixture
 def fig_run(fig_snapshot) -> MasRun:
-    traj = MasTrajectory.from_states([[(float(i),) for i in range(1, 8)]])
+    traj = MasTrajectory([[(float(i),) for i in range(1, 8)]])
     return MasRun(traj, GraphTrajectory(0, static={"d": fig_snapshot}))
 
 
 def make_fig_run(states_by_agent=None, length=0) -> MasRun:
     """Seven agents on the worked distance graph; states default to the id."""
-    snap = MultigraphSnapshot.make("d", False, FIG_EDGES)
+    snap = MultigraphSnapshot("d", False, FIG_EDGES)
     slices = []
     for t in range(length + 1):
         if states_by_agent is None:
             slices.append([(float(i),) for i in range(1, 8)])
         else:
             slices.append([(float(states_by_agent[i]),) for i in range(1, 8)])
-    traj = MasTrajectory.from_states(slices)
+    traj = MasTrajectory(slices)
     return MasRun(traj, GraphTrajectory(length, static={"d": snap}))
 
 
@@ -103,7 +103,7 @@ def random_run(
         ]
         for _ in range(length + 1)
     ]
-    traj = MasTrajectory.from_states(states)
+    traj = MasTrajectory(states)
 
     def snapshot(tag: str) -> MultigraphSnapshot:
         directed = tag != "g2"
@@ -124,7 +124,7 @@ def random_run(
                     edges.append(Edge(i, j, 1, w))
                     if multigraph and rng.random() < 0.4:
                         edges.append(Edge(i, j, 2, float(rng.randint(0, 9))))
-        return MultigraphSnapshot.make(tag, directed, edges)
+        return MultigraphSnapshot(tag, directed, edges)
 
     static = {}
     dynamic = {}

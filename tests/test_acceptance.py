@@ -217,19 +217,19 @@ def _hand_case_runs():
     neighbor states visible, and a subject with a single neighbor."""
     # 3 in-neighbors, all states known: determined, here forced to 1
     edges = [(j, 1, 1, 1.0) for j in (2, 3, 4)]
-    snap = MultigraphSnapshot.make("c", True, edges)
+    snap = MultigraphSnapshot("c", True, edges)
     from stlgo import GraphTrajectory, MasTrajectory
 
     states = [[(1.0,), (1.0,), (1.0,), (-1.0,)]]
     run_known = MasRun(
-        MasTrajectory.from_states(states), GraphTrajectory(0, static={"c": snap})
+        MasTrajectory(states), GraphTrajectory(0, static={"c": snap})
     )
     # a single in-neighbor, nothing known: determined 0 (cannot reach 2)
     edges1 = [(2, 1, 1, 1.0)]
-    snap1 = MultigraphSnapshot.make("c", True, edges1)
+    snap1 = MultigraphSnapshot("c", True, edges1)
     states1 = [[(1.0,), (1.0,)]]
     run_one = MasRun(
-        MasTrajectory.from_states(states1), GraphTrajectory(0, static={"c": snap1})
+        MasTrajectory(states1), GraphTrajectory(0, static={"c": snap1})
     )
     return run_known, run_one
 
@@ -431,7 +431,7 @@ def test_criterion_6_translator_fidelity():
         counts["escape"] += 1
 
     # (b) the worked seven-node example, pinned exactly
-    fig = MultigraphSnapshot.make("d", False, FIG_EDGES)
+    fig = MultigraphSnapshot("d", False, FIG_EDGES)
     distances = shortest_distance_map(fig)[3]
     assert distances == {3: 0.0, 1: 6.0, 2: 8.0, 4: 8.0, 5: 6.0, 7: 14.0, 6: 16.0}
     traces = enumerate_traces(fig, 3, W(0, 20), "reach")

@@ -43,9 +43,9 @@ def star_run(child_values, length=0):
     holds the given per-agent values at every time."""
     k = len(child_values)
     edges = [(j, 1, 1, 1.0) for j in range(2, k + 2)]
-    snap = MultigraphSnapshot.make("g", True, edges)
+    snap = MultigraphSnapshot("g", True, edges)
     states = [[(0.0,)] + [(float(v),) for v in child_values] for _ in range(length + 1)]
-    traj = MasTrajectory.from_states(states)
+    traj = MasTrajectory(states)
     return MasRun(traj, GraphTrajectory(length, static={"g": snap}))
 
 
@@ -71,8 +71,8 @@ def test_isolated_agent_counts_zero():
 
 
 def test_multigraph_multiplicity_counts_edges():
-    snap = MultigraphSnapshot.make("g", True, [(2, 1, 1, 1.0), (2, 1, 2, 1.0)])
-    traj = MasTrajectory.from_states([[(0.0,), (1.0,)]])
+    snap = MultigraphSnapshot("g", True, [(2, 1, 1, 1.0), (2, 1, 2, 1.0)])
+    traj = MasTrajectory([[(0.0,), (1.0,)]])
     run = MasRun(traj, GraphTrajectory(0, static={"g": snap}))
     two = GraphOp("in", "exists", ("g",), CountSet.single(2, 2), FULL_WEIGHTS, POSITIVE)
     assert monitor_local(run, two, 1, 0).values == (1,)
@@ -86,10 +86,10 @@ def test_min_distance_violation_window():
             for j in range(i + 1, 5):
                 w = 0.25 if bad and {i, j} == {1, 2} else 1.0
                 edges.append(Edge(i, j, 1, w))
-        return MultigraphSnapshot.make("d", False, edges)
+        return MultigraphSnapshot("d", False, edges)
 
     snaps = (dist_snap(False), dist_snap(True), dist_snap(False), dist_snap(False))
-    traj = MasTrajectory.from_states([[(0.0,)] * 4] * 4)
+    traj = MasTrajectory([[(0.0,)] * 4] * 4)
     run = MasRun(traj, GraphTrajectory(3, dynamic={"d": snaps}))
     f = Always(
         GraphOp("out", "exists", ("d",), CountSet.single(3, 3), WeightInterval(0.3, INF), Truth()),
@@ -108,7 +108,7 @@ def test_min_distance_violation_window():
 def test_until_requires_left_through_witness():
     # left fails exactly at the witness time: until must be false there
     states = [[(1.0,)], [(1.0,)], [(-1.0,)]]
-    traj = MasTrajectory.from_states(states)
+    traj = MasTrajectory(states)
     run = MasRun(traj, GraphTrajectory(2, static={}))
     left = POSITIVE
     right = Not(POSITIVE)
@@ -121,11 +121,11 @@ def test_until_requires_left_through_witness():
 
 def test_unbounded_always_means_every_available_sample():
     states = [[(1.0,)], [(1.0,)], [(-1.0,)]]
-    run = MasRun(MasTrajectory.from_states(states), GraphTrajectory(2, static={}))
+    run = MasRun(MasTrajectory(states), GraphTrajectory(2, static={}))
     g_inf = parse_local("G[0,inf] [x[0] >= 0]")
     assert monitor_local(run, g_inf, 1, 2).values == (0, 0, 0)
     states_ok = [[(1.0,)], [(1.0,)], [(1.0,)]]
-    run_ok = MasRun(MasTrajectory.from_states(states_ok), GraphTrajectory(2, static={}))
+    run_ok = MasRun(MasTrajectory(states_ok), GraphTrajectory(2, static={}))
     assert monitor_local(run_ok, g_inf, 1, 2).values == (1, 1, 1)
 
 
@@ -154,7 +154,7 @@ def test_monitor_matches_oracle_on_long_trace(text):
     for t in rng.sample(range(L + 1), 12):
         values[t] = rng.choice([-3.0, -1.0, 6.0])
     run = MasRun(
-        MasTrajectory.from_states([[(v,)] for v in values]), GraphTrajectory(L, static={})
+        MasTrajectory([[(v,)] for v in values]), GraphTrajectory(L, static={})
     )
     f = parse_local(text)
     sig = monitor_local(run, f, 1, L)
@@ -247,10 +247,12 @@ def test_state_accessors_validated_against_run():
 
 
 def test_signal_value_bounds():
-    with pytest.raises(ValueError):
-        Signal(0, (0, 2))
-    with pytest.raises(ValueError):
-        Signal(0, ())
+    """t0 is an int >= 0; values a non-empty tuple of the ints 0 and 1 and None."""
+    for t0, values in [(0, (0, 2)), (0, ()), (-5, (1,)), ("0", (1,)), (True, (1,)),
+                       (0, (True,)), (0, (1.0,)), (0, [1]), (0, (0, [1]))]:
+        with pytest.raises(ValueError):
+            Signal(t0, values)
+    assert Signal(3, (0, 1, None)).t1 == 5
 
 
 # ---------------------------------------------------------------------------

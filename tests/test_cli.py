@@ -281,8 +281,8 @@ def test_monitor_dist_isolated_subject_below_threshold(tmp_path):
     from stlgo import GraphTrajectory, MasTrajectory, MasRun, MultigraphSnapshot
     from stlgo.serialization import save_run
 
-    snap = MultigraphSnapshot.make("c", True, [(2, 3, 1, 1.0)])
-    traj = MasTrajectory.from_states([[(1.0,)] * 3, [(1.0,)] * 3])
+    snap = MultigraphSnapshot("c", True, [(2, 3, 1, 1.0)])
+    traj = MasTrajectory([[(1.0,)] * 3, [(1.0,)] * 3])
     run = MasRun(traj, GraphTrajectory(1, static={"c": snap}))
     run_path, graphs_path = tmp_path / "run.json", tmp_path / "graphs.json"
     save_run(run, run_path, graphs_path)
@@ -375,8 +375,8 @@ def test_translate_sstl_and_strel(tmp_path):
 ])
 def test_translate_strel_along_a_long_path(tmp_path, op, inner):
     n = 1100
-    path = MultigraphSnapshot.make("d", False, [(k, k + 1, 1, 1.0) for k in range(1, n)])
-    run = MasRun(MasTrajectory.from_states([[(0.0,)] * n]),
+    path = MultigraphSnapshot("d", False, [(k, k + 1, 1, 1.0) for k in range(1, n)])
+    run = MasRun(MasTrajectory([[(0.0,)] * n]),
                  GraphTrajectory(0, static={"d": path}))
     run_path, graphs_path = tmp_path / "run.json", tmp_path / "graphs.json"
     save_run(run, run_path, graphs_path)
@@ -544,4 +544,16 @@ def test_bench_rejects_bad_steps_and_anchor(tmp_path, capsys, options, message):
     assert code == 3
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["4,x", "", "4,,10", "2.5"])
+def test_bench_bad_sigma_list_is_usage_error(tmp_path, capsys, sigma):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["bench", "--sigma", sigma, "--steps", "2", "--out", str(out)])
+    assert exc_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(
+        f"argument --sigma: expected a comma list of integers, got {sigma!r}")
     assert not out.exists()

@@ -54,9 +54,9 @@ POSITIVE = Atom(StateVar(0))
 def star_run(child_values, length=0):
     k = len(child_values)
     edges = [(j, 1, 1, 1.0) for j in range(2, k + 2)]
-    snap = MultigraphSnapshot.make("g", True, edges)
+    snap = MultigraphSnapshot("g", True, edges)
     states = [[(0.0,)] + [(float(v),) for v in child_values] for _ in range(length + 1)]
-    traj = MasTrajectory.from_states(states)
+    traj = MasTrajectory(states)
     return MasRun(traj, GraphTrajectory(length, static={"g": snap}))
 
 
@@ -116,8 +116,8 @@ def test_masked_atom_is_unknown():
 
 def test_multiplicity_weighted_counts():
     # two parallel edges from one masked neighbor: counts range over {0, 2}
-    snap = MultigraphSnapshot.make("g", True, [(2, 1, 1, 1.0), (2, 1, 2, 1.0)])
-    traj = MasTrajectory.from_states([[(0.0,), (1.0,)]])
+    snap = MultigraphSnapshot("g", True, [(2, 1, 1, 1.0), (2, 1, 2, 1.0)])
+    traj = MasTrajectory([[(0.0,), (1.0,)]])
     run = MasRun(traj, GraphTrajectory(0, static={"g": snap}))
     mask = hide(run, 1, [(2, 0)])
     # E = [2, inf]: satisfiable only if the hidden neighbor satisfies
@@ -506,10 +506,10 @@ def test_determinability_on_time_varying_nested_operators():
                 for j in range(1, n + 1)
                 if i != j and rng.random() < 0.35
             ]
-            return MultigraphSnapshot.make(tag, True, edges)
+            return MultigraphSnapshot(tag, True, edges)
 
         run = MasRun(
-            MasTrajectory.from_states(states),
+            MasTrajectory(states),
             GraphTrajectory(
                 length,
                 dynamic={
@@ -599,9 +599,9 @@ def test_determined_verdicts_hold_under_every_consistent_completion():
             for j in range(1, n + 1)
             if i != j and rng.random() < 0.6
         ]
-        snap = MultigraphSnapshot.make("g", True, edges)
+        snap = MultigraphSnapshot("g", True, edges)
         run = MasRun(
-            MasTrajectory.from_states(states), GraphTrajectory(length, static={"g": snap})
+            MasTrajectory(states), GraphTrajectory(length, static={"g": snap})
         )
         f = random_local_formula(rng, ("g",), 1, max_depth=3)
         subject = rng.randint(1, n)
@@ -623,7 +623,7 @@ def test_determined_verdicts_hold_under_every_consistent_completion():
             for (j, t), v in zip(hidden, fill):
                 alt_states[t][j - 1][0] = v
             alt = MasRun(
-                MasTrajectory.from_states(
+                MasTrajectory(
                     [[tuple(vec) for vec in slice_] for slice_ in alt_states]
                 ),
                 run.graphs,

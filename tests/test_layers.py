@@ -49,9 +49,9 @@ WIN = TimeInterval(0, 1)
 def star_run(child_values, length=1):
     """Edges from agents 2..k+1 into agent 1; x[0] holds the given values."""
     k = len(child_values)
-    snap = MultigraphSnapshot.make("g", True, [(j, 1, 1, 1.0) for j in range(2, k + 2)])
+    snap = MultigraphSnapshot("g", True, [(j, 1, 1, 1.0) for j in range(2, k + 2)])
     states = [[(0.0,)] + [(float(v),) for v in child_values] for _ in range(length + 1)]
-    return MasRun(MasTrajectory.from_states(states), GraphTrajectory(length, static={"g": snap}))
+    return MasRun(MasTrajectory(states), GraphTrajectory(length, static={"g": snap}))
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +147,8 @@ def wide_run(num_agents, length, seed):
     """Seeded states in [-1, 1] and one empty static graph."""
     rng = random.Random(seed)
     states = [[(rng.uniform(-1.0, 1.0),) for _ in range(num_agents)] for _ in range(length + 1)]
-    empty = MultigraphSnapshot.make("g", True, [])
-    return MasRun(MasTrajectory.from_states(states), GraphTrajectory(length, static={"g": empty}))
+    empty = MultigraphSnapshot("g", True, [])
+    return MasRun(MasTrajectory(states), GraphTrajectory(length, static={"g": empty}))
 
 
 def wide_formulas(n):

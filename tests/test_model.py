@@ -23,8 +23,8 @@ import random
 
 def two_edge_run(directed=False, edges=None):
     edges = edges if edges is not None else [(1, 3, 1, 6.0), (2, 3, 1, 8.0)]
-    snap = MultigraphSnapshot.make("c", directed, edges)
-    traj = MasTrajectory.from_states([[(0.0,)] * 3])
+    snap = MultigraphSnapshot("c", directed, edges)
+    traj = MasTrajectory([[(0.0,)] * 3])
     return MasRun(traj, GraphTrajectory(0, static={"c": snap}))
 
 
@@ -75,14 +75,14 @@ def test_undirected_in_equals_out_modulo_orientation(fig_run):
 
 def test_duplicate_edge_key_rejected():
     with pytest.raises(ValueError, match="duplicate"):
-        MultigraphSnapshot.make("c", False, [(1, 2, 1, 5.0), (2, 1, 1, 7.0)])
+        MultigraphSnapshot("c", False, [(1, 2, 1, 5.0), (2, 1, 1, 7.0)])
 
 
 @pytest.mark.parametrize("row", [(1, 0, 1, 0.5), (0, 1, 1, 0.5), (1, -4, 1, 0.5)])
 @pytest.mark.parametrize("directed", [True, False])
 def test_nodes_below_one_rejected(row, directed):
     with pytest.raises(ValueError, match=r"references agent -?\d+ < 1"):
-        MultigraphSnapshot.make("c", directed, [(1, 2, 1, 1.0), row])
+        MultigraphSnapshot("c", directed, [(1, 2, 1, 1.0), row])
 
 
 @pytest.mark.parametrize(
@@ -92,19 +92,19 @@ def test_nodes_below_one_rejected(row, directed):
 )
 def test_non_integer_endpoints_and_indices_rejected(row):
     with pytest.raises(ValueError, match="must be integers"):
-        MultigraphSnapshot.make("c", True, [row])
+        MultigraphSnapshot("c", True, [row])
 
 
 @pytest.mark.parametrize("weight", [True, None, "inf", "1.0"])
 def test_non_number_weights_rejected(weight):
     with pytest.raises(ValueError, match="bad edge weight"):
-        MultigraphSnapshot.make("c", True, [(1, 2, 1, weight)])
+        MultigraphSnapshot("c", True, [(1, 2, 1, weight)])
 
 
 @pytest.mark.parametrize("row", [(1, 2, 1), (1, 2, 1, 0.5, 0), 7])
 def test_rows_of_other_shapes_rejected(row):
     with pytest.raises(ValueError, match=r"edge must be \[src, dst, u, w\]"):
-        MultigraphSnapshot.make("c", True, [row])
+        MultigraphSnapshot("c", True, [row])
 
 
 @pytest.mark.parametrize(
@@ -117,20 +117,20 @@ def test_rows_of_other_shapes_rejected(row):
 )
 def test_repeated_keys_rejected(directed, rows):
     with pytest.raises(ValueError, match=r"duplicate edge \(1, 2, 1\) in snapshot"):
-        MultigraphSnapshot.make("c", directed, rows)
+        MultigraphSnapshot("c", directed, rows)
 
 
 def test_integral_weights_become_floats():
-    snap = MultigraphSnapshot.make("c", False, [(3, 1, 1, 2), Edge(2, 2, 2, -math.inf)])
+    snap = MultigraphSnapshot("c", False, [(3, 1, 1, 2), Edge(2, 2, 2, -math.inf)])
     assert snap.edges == {Edge(1, 3, 1, 2.0), Edge(2, 2, 2, -math.inf)}
     assert all(type(e.src) is int and type(e.weight) is float for e in snap.edges)
     assert snap.max_node() == 3
-    assert MultigraphSnapshot.make("c", True, []).max_node() == 0
+    assert MultigraphSnapshot("c", True, []).max_node() == 0
 
 
 def test_nan_weight_rejected():
     with pytest.raises(ValueError, match="NaN"):
-        MultigraphSnapshot.make("c", False, [(1, 2, 1, float("nan"))])
+        MultigraphSnapshot("c", False, [(1, 2, 1, float("nan"))])
 
 
 def test_self_loops_are_permitted_and_counted():
@@ -139,22 +139,58 @@ def test_self_loops_are_permitted_and_counted():
     assert neighbors(run, "c", 0, 2, "out") == {Edge(2, 2, 1, 1.0)}
 
 
+# states[t][i-1][k] that the trajectory constructor must reject
+BAD_STATES = {
+    "a string": [[("1.5",)]],
+    "a bool": [[(1.0, True)]],
+    "None": [[(1.0,), (None,)]],
+    "inf": [[(1.0,)], [(math.inf,)]],
+    "NaN": [[(math.nan,)]],
+    "an int past the float range": [[(10**400,)]],
+    "a number in place of a vector": [[(1.0,), 5]],
+    "a number in place of a slice": [[(1.0,)], 5],
+    "a ragged slice": [[(1.0,)], [(1.0,), (2.0,)]],
+    "a ragged vector": [[(1.0,), (2.0, 3.0)]],
+    "empty input": [],
+    "an empty slice": [[]],
+    "an empty vector": [[()]],
+}
+
+
 def test_trajectory_validation():
-    with pytest.raises(ValueError, match="dimension"):
-        MasTrajectory.from_states([[(1.0,), (2.0, 3.0)]])
-    with pytest.raises(ValueError, match="non-finite"):
-        MasTrajectory.from_states([[(float("nan"),)]])
+    for name, states in BAD_STATES.items():
+        try:
+            MasTrajectory(states)
+        except ValueError:
+            continue
+        pytest.fail(f"states with {name} accepted")
+    with pytest.raises(ValueError, match=r"agent 2 at time 0: state \(2.0, 3.0\) is not 1 "):
+        MasTrajectory(BAD_STATES["a ragged vector"])
+    with pytest.raises(ValueError, match="time 1: need 1 agent states"):
+        MasTrajectory(BAD_STATES["a ragged slice"])
+
+
+def test_trajectory_packs_states_to_float_tuples():
+    """Any component float() takes, bar str, bytes and bool, becomes a float;
+    the sizes are read off the states."""
+    from fractions import Fraction
+
+    traj = MasTrajectory([[[1, 2.5]], ((Fraction(1, 2), 1e308),), [[-3, 0.0]]])
+    assert traj.states == (((1.0, 2.5),), ((0.5, 1e308),), ((-3.0, 0.0),))
+    assert all(type(v) is float for s in traj.states for vec in s for v in vec)
+    assert (traj.num_agents, traj.state_dim, traj.length) == (1, 2, 2)
+    assert traj == MasTrajectory(traj.states)
 
 
 def test_run_cross_checks_graph_agents():
-    snap = MultigraphSnapshot.make("c", False, [(1, 9, 1, 1.0)])
-    traj = MasTrajectory.from_states([[(0.0,)] * 3])
+    snap = MultigraphSnapshot("c", False, [(1, 9, 1, 1.0)])
+    traj = MasTrajectory([[(0.0,)] * 3])
     with pytest.raises(ValueError, match="agent 9"):
         MasRun(traj, GraphTrajectory(0, static={"c": snap}))
 
 
 def test_graph_trajectory_needs_full_coverage():
-    snap = MultigraphSnapshot.make("c", False, [])
+    snap = MultigraphSnapshot("c", False, [])
     with pytest.raises(ValueError, match="snapshots"):
         GraphTrajectory(2, dynamic={"c": (snap,)})
 
@@ -162,14 +198,14 @@ def test_graph_trajectory_needs_full_coverage():
 def test_dynamic_graph_snapshots_share_direction():
     """The graph file stores 'directed' once per tag, so a mixed tag could not
     round-trip."""
-    undirected = MultigraphSnapshot.make("c", False, [(2, 1, 1, 1.0)])
-    directed = MultigraphSnapshot.make("c", True, [(2, 1, 1, 1.0)])
+    undirected = MultigraphSnapshot("c", False, [(2, 1, 1, 1.0)])
+    directed = MultigraphSnapshot("c", True, [(2, 1, 1, 1.0)])
     with pytest.raises(ValueError, match="disagree on 'directed'"):
         GraphTrajectory(1, dynamic={"c": (undirected, directed)})
 
 
 def test_with_graph_replaces_and_adds(fig_run):
-    extra = MultigraphSnapshot.make("x", True, [(1, 2, 1, 1.0)])
+    extra = MultigraphSnapshot("x", True, [(1, 2, 1, 1.0)])
     run2 = fig_run.with_graph("x", extra)
     assert "x" in run2.graphs.types
     assert "x" not in fig_run.graphs.types  # immutability: original untouched
@@ -247,8 +283,8 @@ def test_neighbor_multiplicities_count_neighbor_endpoints(seed, lo, width):
         ]
 
     # an undirected and a directed multigraph, beside random_run's tags
-    run = run.with_graph("u", MultigraphSnapshot.make("u", False, multigraph(False)))
-    run = run.with_graph("v", MultigraphSnapshot.make("v", True, multigraph(True)))
+    run = run.with_graph("u", MultigraphSnapshot("u", False, multigraph(False)))
+    run = run.with_graph("v", MultigraphSnapshot("v", True, multigraph(True)))
     windows = ((-math.inf, math.inf), (float(lo), float(lo + width)), (float(lo), math.inf))
     for tag in sorted(run.graphs.types):
         for t in range(run.length + 1):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -169,6 +170,19 @@ def test_nan_rejected_with_position(tmp_path):
     dist = write(tmp_path / "dist.csv", "src,dst,miles\n")
     times = write(tmp_path / "times.csv", "src,dst,transit_min,walk_min\n")
     with pytest.raises(ValueError, match="row 2.*NaN"):
+        ingest_station_csv(states, dist, times)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,0,inf,1,0", r"agent 1 at time 0: state \(inf, 1.0, 0.0\) is not 3 finite numbers"),
+    ("1,0,1e400,1,0", r"agent 1 at time 0: state \(inf, 1.0, 0.0\) is not 3 finite numbers"),
+    ("inf,0,1,1,0", "row 2: column 'station': expected integer"),
+])
+def test_bad_state_cell_names_the_file(tmp_path, row, message):
+    states = write(tmp_path / "states.csv", f"station,hour,n,n_in,n_out\n{row}\n")
+    dist = write(tmp_path / "dist.csv", "src,dst,miles\n")
+    times = write(tmp_path / "times.csv", "src,dst,transit_min,walk_min\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(states))}: {message}$"):
         ingest_station_csv(states, dist, times)
 
 

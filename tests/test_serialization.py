@@ -53,7 +53,7 @@ def test_run_round_trip(tmp_path):
 
 
 def test_infinite_weights_round_trip(tmp_path):
-    snap = MultigraphSnapshot.make(
+    snap = MultigraphSnapshot(
         "g", True, [(1, 2, 1, math.inf), (2, 1, 1, -math.inf), (1, 2, 2, 0.5)]
     )
     graphs = GraphTrajectory(0, static={"g": snap})
@@ -177,7 +177,7 @@ def test_random_run_round_trips_with_deterministic_bytes(seed):
                 if rng.random() < 0.3:
                     w = rng.choice((math.inf, -math.inf, rng.uniform(-5, 5), 0.1 + 0.2))
                     rows.append((j, i, u, w) if rng.random() < 0.5 else (i, j, u, w))
-    run = run.with_graph("u", MultigraphSnapshot.make("u", False, rows))
+    run = run.with_graph("u", MultigraphSnapshot("u", False, rows))
     with tempfile.TemporaryDirectory() as d:
         a, b = Path(d, "a"), Path(d, "b")
         a.mkdir()
@@ -213,12 +213,12 @@ def _bundle(tmp_path):
     """Three agents over t = 0..2: a static directed graph "c", a time-varying
     undirected graph "d", a mask of agent 1 and a local formula."""
     run = MasRun(
-        MasTrajectory.from_states([[(0.0,), (1.0,), (2.0,)]] * 3),
+        MasTrajectory([[(0.0,), (1.0,), (2.0,)]] * 3),
         GraphTrajectory(
             2,
-            static={"c": MultigraphSnapshot.make("c", True, [(1, 2, 1, 0.5)])},
+            static={"c": MultigraphSnapshot("c", True, [(1, 2, 1, 0.5)])},
             dynamic={"d": tuple(
-                MultigraphSnapshot.make("d", False, [(1, 3, 1, 1.0)]) for _ in range(3)
+                MultigraphSnapshot("d", False, [(1, 3, 1, 1.0)]) for _ in range(3)
             )},
         ),
     )
@@ -281,6 +281,9 @@ MALFORMED = {
     "state vector a number": ("run", _set(["states", 0, 1], 5)),
     "null state component": ("run", _set(["states", 0, 1], [None])),
     "state component a string": ("run", _set(["states", 2, 0], ["1.0"])),
+    "state component true": ("run", _set(["states", 1, 2], [True])),
+    "states empty": ("run", _set(["states"], [])),
+    "ragged time slice": ("run", _set(["states", 1], [[0.0]])),
     "mask range with a string": ("mask", _set(["known"], [[2, "0", 1]])),
     "mask observer null": ("mask", _set(["observer"], None)),
     "mask observer 0": ("mask", _set(["observer"], 0)),
@@ -331,6 +334,10 @@ def test_well_formed_bundle_monitors(tmp_path, capsys):
     "loader,body",
     [
         (load_signal, '"t0": null, "values": [1]'),
+        (load_signal, '"t0": -5, "values": [1]'),
+        (load_signal, '"t0": 0, "values": []'),
+        (load_signal, '"t0": 0, "values": [1, null]'),
+        (load_signal, '"t0": 0, "values": ["x"]'),
         (load_signal, '"t0": 0, "values": 5'),
         (load_signal, '"t0": 0, "values": [true]'),
         (load_signal, '"t0": 0, "values": [1.0]'),

@@ -66,7 +66,7 @@ def test_self_distance_zero_everywhere(fig_snapshot):
 
 
 def test_single_edge_distance():
-    g = MultigraphSnapshot.make("d", False, [(1, 2, 1, 7.0)])
+    g = MultigraphSnapshot("d", False, [(1, 2, 1, 7.0)])
     assert shortest_distance_map(g)[1][2] == 7.0
 
 
@@ -85,7 +85,7 @@ def test_distances_match_brute_force_enumeration():
             for j in range(i + 1, n + 1):
                 if rng.random() < 0.5:
                     edges.append(Edge(i, j, 1, float(rng.randint(1, 9))))
-        g = MultigraphSnapshot.make("d", False, edges)
+        g = MultigraphSnapshot("d", False, edges)
         dmap = shortest_distance_map(g, nodes=range(1, n + 1))
         for src in range(1, n + 1):
             assert dmap[src] == brute_force_distances(g, src) | {src: 0.0}
@@ -102,7 +102,7 @@ def test_triangle_inequality_and_symmetry(fig_snapshot):
 
 
 def test_negative_weight_rejected():
-    g = MultigraphSnapshot.make("d", False, [(1, 2, 1, -1.0)])
+    g = MultigraphSnapshot("d", False, [(1, 2, 1, -1.0)])
     with pytest.raises(ValueError, match="negative weights unsupported"):
         shortest_distance_map(g)
 
@@ -299,7 +299,7 @@ def test_trivial_trace_only_when_zero_window(fig_snapshot):
 
 def test_star_graph_traces():
     edges = [(1, j, 1, 1.0) for j in range(2, 6)]
-    g = MultigraphSnapshot.make("d", False, edges)
+    g = MultigraphSnapshot("d", False, edges)
     traces = enumerate_traces(g, 1, W(0, 1), "reach")
     assert traces == {(1,)} | {(1, j) for j in range(2, 6)}
 
@@ -312,7 +312,7 @@ def test_traces_are_simple_and_satisfy_mode(fig_snapshot):
 
 
 def long_path(n: int) -> MultigraphSnapshot:
-    return MultigraphSnapshot.make("d", False, [(k, k + 1, 1, 1.0) for k in range(1, n)])
+    return MultigraphSnapshot("d", False, [(k, k + 1, 1, 1.0) for k in range(1, n)])
 
 
 @pytest.mark.parametrize("mode", ["reach", "escape"])
@@ -323,7 +323,7 @@ def test_traces_along_a_long_path_need_no_recursion(mode):
 
 
 def test_reach_requires_positive_weights():
-    g = MultigraphSnapshot.make("d", False, [(1, 2, 1, 0.0)])
+    g = MultigraphSnapshot("d", False, [(1, 2, 1, 0.0)])
     with pytest.raises(ValueError, match="positive weights required"):
         enumerate_traces(g, 1, W(0, 5), "reach")
 
@@ -364,11 +364,11 @@ def random_labeled_run(rng, max_agents=6):
         for j in range(i + 1, n + 1):
             if rng.random() < 0.55:
                 edges.append(Edge(i, j, 1, float(rng.randint(1, 6))))
-    g = MultigraphSnapshot.make("d", False, edges)
+    g = MultigraphSnapshot("d", False, edges)
     states = [
         [(float(rng.randint(-3, 5)),) for _ in range(n)] for _ in range(length + 1)
     ]
-    traj = MasTrajectory.from_states(states)
+    traj = MasTrajectory(states)
     run = MasRun(traj, GraphTrajectory(length, static={"d": g}))
     ds = shortest_distance_graph(g, "ds", nodes=range(1, n + 1))
     run = run.with_graph("ds", ds)
@@ -419,10 +419,10 @@ def test_hop_nesting_agrees_with_traces_on_unit_weights():
             for j in range(i + 1, n + 1):
                 if rng.random() < 0.5:
                     edges.append(Edge(i, j, 1, 1.0))
-        g = MultigraphSnapshot.make("d", False, edges)
+        g = MultigraphSnapshot("d", False, edges)
         states = [[(float(rng.randint(-2, 3)),) for _ in range(n)]]
         run = MasRun(
-            MasTrajectory.from_states(states), GraphTrajectory(0, static={"d": g})
+            MasTrajectory(states), GraphTrajectory(0, static={"d": g})
         )
         anchor = rng.randint(1, n)
         wiv = W(0.0, float(rng.randint(0, 3)))  # lower bound 0: shortcutting free

@@ -98,7 +98,7 @@ def test_global_signal_cells_equal_reference_scan():
 def _scalar_run(values, agents=1):
     """Agents 1..agents, each with x[0] = values[t] at time t."""
     states = [[(float(v),)] * agents for v in values]
-    return MasRun(MasTrajectory.from_states(states), GraphTrajectory(len(values) - 1, static={}))
+    return MasRun(MasTrajectory(states), GraphTrajectory(len(values) - 1, static={}))
 
 
 def test_until_with_left_operand_matches_oracle_at_long_trace():
