@@ -317,19 +317,24 @@ class Evaluator:
 
     def _counts(self, f, agent, t) -> tuple[int, int]:
         """(n_sat, n_nviol) of a single-graph operator: edges to neighbors
-        whose child cell is 1, and is 1 or ?."""
+        whose child cell is 1, and is 1 or ?. The multiplicities are kept
+        per (operator, agent) for a static tag only: each (operator, agent,
+        t) cell is evaluated once, so a time-varying tag's would not be read
+        again."""
         (tag,) = f.graphs
-        key = (id(f), agent, None if tag in self._static else t)
+        key = (id(f), agent)
         hit = self._mult.get(key)
         if hit is None:
             snap = self.run.graphs.at(tag, t)
             mult = snap.multiplicities(agent, f.direction, f.weights.lo, f.weights.hi)
-            hit = self._mult[key] = (tuple(mult.items()), sum(mult.values()))
+            hit = (mult, sum(mult.values()))
+            if tag in self._static:
+                self._mult[key] = hit
         mult, edges = hit
         if type(f.child) is F.Truth:
             return edges, edges
         n_sat = n_unknown = 0
-        for j, m in mult:
+        for j, m in mult.items():
             v = self.eval(f.child, j, t)
             if v == 1:
                 n_sat += m

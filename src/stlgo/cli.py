@@ -75,11 +75,13 @@ def _read_formula_file(path: str, global_mode: bool):
         return None
 
 
-def _parse_weights(text: str) -> WeightInterval:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"weight interval must be 'lo,hi', got {text!r}")
-    return WeightInterval(float(parts[0]), float(parts[1]))
+def _weights(text: str) -> WeightInterval:
+    try:
+        lo, hi = (float(s) for s in text.split(","))
+        return WeightInterval(lo, hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'lo,hi' with numbers lo <= hi, got {text!r}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -163,21 +165,35 @@ def cmd_monitor_dist(args) -> int:
     return EXIT_SAT if verdict == 1 else EXIT_VIOLATED
 
 
+def _missing_translate_flags(args) -> str | None:
+    """What the chosen translation lacks among its flags, or None."""
+    if args.source == "sastl" and None in (args.psi, args.anchor, args.cmp, args.count):
+        return "sastl needs --psi, --anchor, --cmp, --count"
+    if args.source == "sstl" and (
+            args.op not in ("somewhere", "everywhere") or args.anchor is None):
+        return "sstl needs --op somewhere|everywhere and --anchor"
+    if args.source == "strel":
+        if args.op not in ("reach", "escape") or args.anchor is None:
+            return "strel needs --op reach|escape and --anchor"
+        if args.op == "reach" and not (args.inner and args.inner2):
+            return "reach needs --inner (phi1) and --inner2 (phi2)"
+        if not args.inner:
+            return "escape needs --inner (phi)"
+    return None
+
+
 def cmd_translate(args) -> int:
+    missing = _missing_translate_flags(args)
+    if missing:
+        print(f"error: {missing}", file=sys.stderr)
+        return EXIT_USAGE
     run = io.load_run(args.run, args.graphs)
     if args.anchor is not None and not 1 <= args.anchor <= run.num_agents:
         raise ValueError(f"anchor {args.anchor} out of range 1..{run.num_agents}")
-    weights = _parse_weights(args.weights)
     inner = parse_local(args.inner) if args.inner else Truth()
     graphs = run.graphs
 
     if args.source in ("sastl", "sstl"):
-        if args.source == "sastl" and None in (args.psi, args.anchor, args.cmp, args.count):
-            raise ValueError("sastl needs --psi, --anchor, --cmp, --count")
-        if args.source == "sstl" and (
-            args.op not in ("somewhere", "everywhere") or args.anchor is None
-        ):
-            raise ValueError("sstl needs --op somewhere|everywhere and --anchor")
         ds = shortest_distance_graph(
             run.graphs.at(args.d_tag, args.time), "ds",
             nodes=range(1, run.num_agents + 1),
@@ -187,7 +203,7 @@ def cmd_translate(args) -> int:
             raw = io.load_labels(args.labels) if args.labels else {}
             labels = normalize_labels(raw, run.num_agents)
             out = translate_sastl_count(
-                args.psi, weights, args.cmp, args.count, inner, args.anchor,
+                args.psi, args.weights, args.cmp, args.count, inner, args.anchor,
                 op=args.op or "sum", n_prime=args.n_prime,
             )
             graphs = graphs.with_graph(
@@ -195,27 +211,19 @@ def cmd_translate(args) -> int:
                 labeled_subgraph(ds, labels, args.psi, args.anchor),
             )
         else:
-            out = translate_sstl(args.op, weights, inner, args.anchor)
-    elif args.source == "strel":
-        if args.op not in ("reach", "escape") or args.anchor is None:
-            raise ValueError("strel needs --op reach|escape and --anchor")
+            out = translate_sstl(args.op, args.weights, inner, args.anchor)
+    else:
         if args.op == "reach":
-            if not args.inner or not args.inner2:
-                raise ValueError("reach needs --inner (phi1) and --inner2 (phi2)")
             out = translate_strel(
-                "reach", weights, args.anchor, run, args.time,
+                "reach", args.weights, args.anchor, run, args.time,
                 phi1=parse_local(args.inner), phi2=parse_local(args.inner2),
                 d_tag=args.d_tag,
             )
         else:
-            if not args.inner:
-                raise ValueError("escape needs --inner (phi)")
             out = translate_strel(
-                "escape", weights, args.anchor, run, args.time,
+                "escape", args.weights, args.anchor, run, args.time,
                 phi=parse_local(args.inner), d_tag=args.d_tag,
             )
-    else:
-        raise ValueError(f"unknown translation source {args.source!r}")
 
     _write_or_print(print_formula(out), args.out_formula)
     if args.out_graphs:
@@ -397,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", help="sum|avg (sastl), somewhere|everywhere (sstl), reach|escape (strel)")
     p.add_argument("--psi", help="label the counted agents must carry (sastl)")
     p.add_argument("--anchor", type=int, help="agent the property is anchored at")
-    p.add_argument("--weights", default="-inf,inf", help="distance window 'lo,hi'")
+    p.add_argument("--weights", type=_weights, default="-inf,inf",
+                   help="distance window 'lo,hi'")
     p.add_argument("--cmp", choices=["<=", "<", ">=", ">", "="], help="count comparison (sastl)")
     p.add_argument("--count", type=float, help="count threshold c (sastl)")
     p.add_argument("--n-prime", type=int, default=None, help="neighbor total N' (sastl avg)")

@@ -28,10 +28,14 @@ count bounds cannot express the resulting gaps, so some
 determined-by-enumeration cases report ?.
 
 ``is_determinable`` analyses the formula's graph-operator tree, built from
-the core form with & and | chains as written (``prepare_for_distributed``).
-A leaf's composed neighbor set and chain count do not depend on the time
-step, so each is computed once per leaf and only the scan for hidden states
-in the leaf's window runs per step; the check stays sufficient.
+the core form with & and | chains as written (``prepare_for_distributed``);
+its operators are the formula's own ``GraphOp`` nodes. Each leaf takes one
+sweep: out from the subject along the leaf's chain, level by level, to the
+composed neighbor set, then back in, folding the nested neighbor counts
+over the same levels. Both read one memo of edge multiplicities keyed by
+(operator position, agent). Neither depends on the time step, so only the
+scan for hidden states in the leaf's window runs per step; the check stays
+sufficient.
 """
 
 from __future__ import annotations
@@ -180,17 +184,24 @@ def is_determinable(
     count thresholds, so the outermost operator is determined regardless of
     any state. Counts are weighted by edge multiplicity.
 
-    The neighbor set and the chain count do not depend on t: a chain of
-    static graphs has one topology, and a chain touching a time-varying
-    graph takes the union of neighbor sets (maximum of edge multiplicities)
-    over all times, since temporal operators between nested graph operators
-    can shift evaluation to instants where the topology differs. Both are
-    computed once per leaf, from per-call memos keyed by (operator, agent)
-    and (chain suffix, agent); only the window scan runs per time step.
+    One sweep per leaf serves both conditions. It walks the chain outward
+    from the subject, keeping the agents each level reaches (``levels[0]``
+    is the subject alone); the last level is the neighbor set of (a). For
+    (b) it folds the counts back inward over the same levels: an edge
+    counts when its neighbor's count one level further out reaches that
+    level's minimum threshold.
+
+    Neither depends on t: a chain of static graphs has one topology, and a
+    chain touching a time-varying graph takes the union of neighbor sets
+    (maximum of edge multiplicities) over all times, since temporal
+    operators between nested graph operators can shift evaluation to
+    instants where the topology differs. The per-call memo holds those
+    multiplicities, keyed by (operator position, agent); only the window
+    scan runs per time step.
     """
     end = _signal_end(run, f, subject, T)
     tree = build_operator_tree(prepare_for_distributed(f))
-    ops = {node.index: node for node in tree.operators}
+    ops = tree.operators
     memo: dict = {}
     failures: list[LeafFailure] = []
 
@@ -198,17 +209,23 @@ def is_determinable(
         if not contains_atom(leaf.formula):
             continue
         chain = leaf.ancestors
-        if chain and (_chain_count(run, subject, chain, ops, memo)
-                      < ops[chain[0]].counts.min_value()):
-            continue  # condition (b) holds at every t
-        agents = {subject}
+        levels = [{subject}]
         for p in chain:
-            agents = {j for a in agents for j in _multiplicities(run, ops[p], a, memo)}
+            levels.append({j for a in levels[-1] for j in _multiplicities(run, ops, p, a, memo)})
+        # condition (b): every edge of the innermost operator counts, and a
+        # leaf with no chain keeps count 1 against need 1
+        count, need = dict.fromkeys(levels[-1], 1), 1
+        for p, agents in zip(reversed(chain), reversed(levels[:-1])):
+            count = {a: sum(m for j, m in _multiplicities(run, ops, p, a, memo).items()
+                            if count[j] >= need) for a in agents}
+            need = ops[p - 1].counts.min_value()
+        if count[subject] < need:
+            continue  # condition (b) holds at every t
         _, leaf_t_max = horizon(leaf.formula)
         last = int(min(end + leaf_t_max, run.length))
         # per agent with hidden states: their times, and the (agent, time) pairs
         hidden = [(times, [(j, u) for u in times])
-                  for j in sorted(agents) if (times := mask.hidden_times(j, last))]
+                  for j in sorted(levels[-1]) if (times := mask.hidden_times(j, last))]
         if not hidden:
             continue
         for t in range(end + 1):
@@ -222,44 +239,18 @@ def is_determinable(
     return DeterminabilityReport(not failures, tuple(failures), tree)
 
 
-def _multiplicities(run: MasRun, node, agent: int, memo: dict) -> dict[int, int]:
-    """Per-neighbor parallel-edge counts one operator level out, maximized
-    over all times (one time suffices for a static graph)."""
-    key = (node.index, agent)
-    out = memo.get(key)
+def _multiplicities(run: MasRun, ops, p: int, agent: int, memo: dict) -> dict[int, int]:
+    """Per-neighbor parallel-edge counts of operator p (1-based) at the
+    agent, maximized over all times (one time suffices for a static graph)."""
+    out = memo.get((p, agent))
     if out is None:
-        times = (0,) if node.graph in run.graphs.static else range(run.length + 1)
-        out = {}
-        for u in times:
-            mult = run.graphs.at(node.graph, u).multiplicities(
-                agent, node.direction, node.weights.lo, node.weights.hi
+        op = ops[p - 1]
+        (tag,) = op.graphs
+        out = memo[(p, agent)] = {}
+        for u in (0,) if tag in run.graphs.static else range(run.length + 1):
+            mult = run.graphs.at(tag, u).multiplicities(
+                agent, op.direction, op.weights.lo, op.weights.hi
             )
             for j, m in mult.items():
                 out[j] = max(out.get(j, 0), m)
-        memo[key] = out
     return out
-
-
-def _chain_count(run: MasRun, agent: int, chain: tuple[int, ...], ops, memo: dict) -> int:
-    """Edges at the chain's first operator leading to agents whose own nested
-    counts reach the downstream minimum thresholds."""
-    # (chain suffix, agent) pairs whose count is sought, innermost on top
-    pending = [(chain, agent)]
-    while pending:
-        key = pending[-1]
-        if key in memo:
-            pending.pop()
-            continue
-        suffix, a = key
-        mult = _multiplicities(run, ops[suffix[0]], a, memo)
-        if len(suffix) == 1:
-            memo[key] = sum(mult.values())
-            continue
-        rest = suffix[1:]
-        missing = [(rest, j) for j in mult if (rest, j) not in memo]
-        if missing:
-            pending += missing
-            continue
-        threshold = ops[rest[0]].counts.min_value()
-        memo[key] = sum(m for j, m in mult.items() if memo[(rest, j)] >= threshold)
-    return memo[(chain, agent)]

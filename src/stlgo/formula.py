@@ -666,18 +666,6 @@ def graph_ops(f: LocalFormula) -> list[GraphOp]:
 
 
 @dataclass(frozen=True)
-class OperatorNode:
-    """One graph operator of the formula; ``index`` is depth-first pre-order."""
-
-    index: int
-    level: int
-    direction: Literal["in", "out"]
-    graph: str
-    counts: CountSet
-    weights: WeightInterval
-
-
-@dataclass(frozen=True)
 class LeafNode:
     """One maximal graph-operator-free subformula with its ancestor chain."""
 
@@ -689,8 +677,15 @@ class LeafNode:
 
 @dataclass(frozen=True)
 class GraphOpTree:
+    """A formula's graph operators and the leaves between them.
+
+    ``operators`` are the formula's own single-graph ``GraphOp`` nodes in
+    depth-first pre-order; chains name them by 1-based position, so
+    operator p is ``operators[p - 1]``.
+    """
+
     root: LocalFormula
-    operators: tuple[OperatorNode, ...]
+    operators: tuple[GraphOp, ...]
     leaves: tuple[LeafNode, ...]
 
 
@@ -698,13 +693,14 @@ def build_operator_tree(f: LocalFormula) -> GraphOpTree:
     """Decompose a negation-normalized, single-graph formula into its graph
     operators and the maximal graph-operator-free leaves between them.
 
-    Indices are assigned in depth-first pre-order. Each leaf records the
-    chain of operator indices connecting it to the root, so its level is
-    one more than the chain length.
+    The operators are the formula's own nodes, kept in depth-first
+    pre-order; leaves are numbered from 1 in the same order. Each leaf
+    records the chain of operator positions connecting it to the root, so
+    its level is one more than the chain length.
     """
     has_op: dict = {}
     fold(f, lambda node, subs: type(node) is GraphOp or any(subs), has_op)
-    operators: list[OperatorNode] = []
+    operators: list[GraphOp] = []
     leaves: list[LeafNode] = []
     stack = [(f, ())]
     while stack:
@@ -715,14 +711,8 @@ def build_operator_tree(f: LocalFormula) -> GraphOpTree:
         if type(node) is GraphOp:
             if len(node.graphs) != 1:
                 raise ValueError("expand graphs first")
-            p = len(operators) + 1
-            operators.append(
-                OperatorNode(
-                    p, len(chain) + 1, node.direction, node.graphs[0],
-                    node.counts, node.weights,
-                )
-            )
-            chain += (p,)
+            operators.append(node)
+            chain += (len(operators),)
         elif type(node) is Not and type(node.child) is GraphOp:
             raise ValueError("formula must be negation-normalized first")
         stack.extend((sub, chain) for sub in reversed(operands(node)))

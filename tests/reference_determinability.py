@@ -31,7 +31,7 @@ def reference_is_determinable(run, mask, f, subject, T) -> DeterminabilityReport
     end = int(min(T + t_max, run.length))
     prepared = prepare_for_distributed(f)
     tree = build_operator_tree(prepared)
-    ops = {node.index: node for node in tree.operators}
+    ops = dict(enumerate(tree.operators, 1))
     static_tags = run.graphs.static_types
     failures: list[LeafFailure] = []
 
@@ -39,7 +39,7 @@ def reference_is_determinable(run, mask, f, subject, T) -> DeterminabilityReport
         if not contains_atom(leaf.formula):
             continue
         _, leaf_t_max = horizon(leaf.formula)
-        exact = all(ops[p].graph in static_tags for p in leaf.ancestors)
+        exact = all(ops[p].graphs[0] in static_tags for p in leaf.ancestors)
         for t in range(end + 1):
             agents = frozenset((subject,))
             for p in leaf.ancestors:
@@ -67,10 +67,10 @@ def reference_is_determinable(run, mask, f, subject, T) -> DeterminabilityReport
 def _level_neighbors(run, node, agents, t) -> frozenset[int]:
     """Neighbor set one operator level out; t=None unions over all times."""
     if t is not None:
-        return agent_neighbors(run, node.graph, t, agents, node.direction, node.weights.bounds)
+        return agent_neighbors(run, node.graphs[0], t, agents, node.direction, node.weights.bounds)
     out: set[int] = set()
     for u in range(run.length + 1):
-        out |= agent_neighbors(run, node.graph, u, agents, node.direction, node.weights.bounds)
+        out |= agent_neighbors(run, node.graphs[0], u, agents, node.direction, node.weights.bounds)
     return frozenset(out)
 
 
@@ -78,12 +78,12 @@ def _level_multiplicities(run, node, agent: int, t) -> dict[int, int]:
     """Per-neighbor parallel-edge counts; t=None takes the maximum over times."""
     if t is not None:
         return neighbor_multiplicities(
-            run, node.graph, t, agent, node.direction, node.weights.bounds
+            run, node.graphs[0], t, agent, node.direction, node.weights.bounds
         )
     out: dict[int, int] = {}
     for u in range(run.length + 1):
         for j, m in neighbor_multiplicities(
-            run, node.graph, u, agent, node.direction, node.weights.bounds
+            run, node.graphs[0], u, agent, node.direction, node.weights.bounds
         ).items():
             out[j] = max(out.get(j, 0), m)
     return out

@@ -30,8 +30,8 @@ from stlgo import (
     parse_local,
     signal_table,
 )
-from stlgo.central import oracle_eval, oracle_eval_global
-from stlgo.formula import FULL_WEIGHTS, Or, AgentBind
+from stlgo.central import Evaluator, oracle_eval, oracle_eval_global
+from stlgo.formula import FULL_WEIGHTS, Or, AgentBind, graph_ops
 
 from conftest import random_global_formula, random_local_formula, random_run
 
@@ -76,6 +76,26 @@ def test_multigraph_multiplicity_counts_edges():
     run = MasRun(traj, GraphTrajectory(0, static={"g": snap}))
     two = GraphOp("in", "exists", ("g",), CountSet.single(2, 2), FULL_WEIGHTS, POSITIVE)
     assert monitor_local(run, two, 1, 0).values == (1,)
+
+
+def test_neighbor_multiplicities_are_kept_for_static_tags_only():
+    # "d" changes every step and "c" is static; each (operator, agent, t)
+    # cell is evaluated once, so only a static tag's multiplicities repeat
+    def snap(tag, t):
+        edges = [(1, 2, 1, 1.0), (2, 3, 1, 1.0), (1, 3 - t % 2, 2, 1.0)]
+        return MultigraphSnapshot(tag, False, edges)
+
+    states = [[(float(i - t),) for i in range(3)] for t in range(4)]
+    run = MasRun(MasTrajectory(states), GraphTrajectory(
+        3, static={"c": snap("c", 0)}, dynamic={"d": tuple(snap("d", t) for t in range(4))}))
+    for tag, cached in (("d", False), ("c", True)):
+        core = lower(parse_local(f"G[0,3] Out{{{tag}}} E[1,inf] (In{{{tag}}} E[0,2] [x[0] >= 0])"))
+        ev = Evaluator(run)
+        assert ev.eval(core, 1, 0) == monitor_local(run, core, 1, 0).values[0]
+        evaluated = {(id(op), a) for op in graph_ops(core) for a in range(1, 4) for t in range(4)
+                     if (id(op), a, t) in ev._memo}
+        assert len(evaluated) > len(graph_ops(core))  # several agents were counted
+        assert set(ev._mult) == (evaluated if cached else set())
 
 
 def test_min_distance_violation_window():

@@ -557,3 +557,46 @@ def test_bench_bad_sigma_list_is_usage_error(tmp_path, capsys, sigma):
     assert err.splitlines()[-1].endswith(
         f"argument --sigma: expected a comma list of integers, got {sigma!r}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("weights", ["1,x", "1", "5,1", "nan,1", "1,2,3"])
+def test_translate_bad_weights_is_usage_error(tmp_path, capsys, weights):
+    bundle, _ = _fig_bundle(tmp_path)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["translate", "--from", "sstl", "--op", "somewhere", "--anchor", "1",
+              *bundle, f"--weights={weights}"])
+    assert exc_info.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument --weights: expected 'lo,hi' with numbers lo <= hi, got {weights!r}")
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--from", "sastl", "--anchor", "3", "--cmp", ">=", "--count", "2"],
+     "sastl needs --psi, --anchor, --cmp, --count"),
+    (["--from", "sastl", "--psi", "H", "--cmp", ">=", "--count", "2"],
+     "sastl needs --psi, --anchor, --cmp, --count"),
+    (["--from", "sastl", "--psi", "H", "--anchor", "3", "--count", "2"],
+     "sastl needs --psi, --anchor, --cmp, --count"),
+    (["--from", "sastl", "--psi", "H", "--anchor", "3", "--cmp", ">="],
+     "sastl needs --psi, --anchor, --cmp, --count"),
+    (["--from", "sstl", "--anchor", "1"], "sstl needs --op somewhere|everywhere and --anchor"),
+    (["--from", "sstl", "--op", "reach", "--anchor", "1"],
+     "sstl needs --op somewhere|everywhere and --anchor"),
+    (["--from", "sstl", "--op", "somewhere"], "sstl needs --op somewhere|everywhere and --anchor"),
+    (["--from", "strel", "--anchor", "1", "--inner", "true"],
+     "strel needs --op reach|escape and --anchor"),
+    (["--from", "strel", "--op", "escape", "--inner", "true"],
+     "strel needs --op reach|escape and --anchor"),
+    (["--from", "strel", "--op", "reach", "--anchor", "1", "--inner", "true"],
+     "reach needs --inner (phi1) and --inner2 (phi2)"),
+    (["--from", "strel", "--op", "reach", "--anchor", "1", "--inner2", "true"],
+     "reach needs --inner (phi1) and --inner2 (phi2)"),
+    (["--from", "strel", "--op", "escape", "--anchor", "1"], "escape needs --inner (phi)"),
+])
+def test_translate_missing_flags_are_usage_errors_before_any_file_is_read(
+        tmp_path, capsys, options, message):
+    # the bundle files do not exist: the flags are checked first
+    code = main(["translate", *options, "--run", str(tmp_path / "no-run.json"),
+                 "--graphs", str(tmp_path / "no-graphs.json")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

@@ -33,7 +33,7 @@ from stlgo import (
     refine,
 )
 from stlgo.central import Evaluator, graph_op_verdict, k_and, k_not, k_or, oracle_eval
-from stlgo.distributed import prepare_for_distributed
+from stlgo.distributed import LeafFailure, prepare_for_distributed
 from stlgo.formula import FULL_WEIGHTS, horizon
 from stlgo.serialization import load_mask, save_mask
 
@@ -348,6 +348,41 @@ def test_constant_leaves_need_no_knowledge():
     report = is_determinable(run, mask, f, 1, 0)
     assert report.determinable
     assert monitor_dist(run, mask, f, 1, 0).values == (0,)
+
+
+def test_condition_b_folds_counts_over_a_three_level_chain():
+    # directed g: 2 -> 1 twice (parallel edges), 3 -> 1 and 2 -> 4. From
+    # subject 1 the chain In, Out, In reaches {2, 3}, then {1, 4}, then
+    # {2, 3}. The innermost In E[1,inf] counts 3 edges at 1 and 1 at 4.
+    snap = MultigraphSnapshot(
+        "g", True, [(2, 1, 1, 1.0), (2, 1, 2, 1.0), (3, 1, 1, 1.0), (2, 4, 1, 1.0)]
+    )
+    run = MasRun(MasTrajectory([[(1.0,)] * 4] * 2), GraphTrajectory(1, static={"g": snap}))
+    mask = KnowledgeMask.self_only(1)
+
+    def chain(mid):
+        return parse_local(
+            f"In{{g}} E[3,inf] (Out{{g}} E[{mid},inf] (In{{g}} E[1,inf] [x[0] >= 0]))"
+        )
+
+    # Out E[2,inf]: agent 2 counts 2 + 1 edges, agent 3 only 1, so the outer
+    # count is the 2 parallel edges from agent 2, short of 3 at every t
+    f = chain(2)
+    report = is_determinable(run, mask, f, 1, 1)
+    assert report.determinable and report.failures == ()
+    assert report == reference_is_determinable(run, mask, f, 1, 1)
+    assert monitor_dist(run, mask, f, 1, 1).values == (0, 0)
+
+    # Out E[1,inf]: agent 3 counts as well, and with the parallel edges the
+    # outer count reaches 3, so the leaf needs the hidden states of 2 and 3
+    f = chain(1)
+    report = is_determinable(run, mask, f, 1, 1)
+    assert report.failures == (
+        LeafFailure(1, 0, ((2, 0), (3, 0))),
+        LeafFailure(1, 1, ((2, 1), (3, 1))),
+    )
+    assert report == reference_is_determinable(run, mask, f, 1, 1)
+    assert monitor_dist(run, mask, f, 1, 1).values == (None, None)
 
 
 @settings(max_examples=120, deadline=None)
@@ -671,7 +706,7 @@ def test_determinability_equals_per_time_step_reference():
         assert report == reference_is_determinable(run, mask, f, subject, T)
         outcomes.add(report.determinable)
         chains = [leaf.ancestors for leaf in report.tree.leaves]
-        graphs = {node.index: node.graph for node in report.tree.operators}
+        graphs = {p: node.graphs[0] for p, node in enumerate(report.tree.operators, 1)}
         if any(
             len(c) >= 2 and any(graphs[p] not in run.graphs.static_types for p in c)
             for c in chains

@@ -308,11 +308,9 @@ def test_operator_tree_covers_all_graph_ops(seed):
         expand_graph_quantifier(random_local_formula(rng, ("g1", "g2"), 2))
     )
     tree = build_operator_tree(f)
-    expected = [
-        (op.direction, op.graphs[0], op.counts, op.weights) for op in graph_ops(f)
-    ]
-    got = [(n.direction, n.graph, n.counts, n.weights) for n in tree.operators]
-    assert got == expected
+    expected = graph_ops(f)
+    assert len(tree.operators) == len(expected)
+    assert all(op is want for op, want in zip(tree.operators, expected))
     for leaf in tree.leaves:
         assert not contains_graph_op(leaf.formula)
 
