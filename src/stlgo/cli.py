@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 
@@ -52,6 +53,12 @@ EXIT_DATA = 3
 EXIT_UNDETERMINED = 4
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a word that starts with "-" as an option unless it
+        # looks like a negative number; "-1,5" and "-inf,inf" are values too
+        self._negative_number_matcher = re.compile(r"^-\.?\d|^-inf", re.IGNORECASE)
+
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 

@@ -7,7 +7,9 @@ across concurrent evaluators.
 Each value type has one constructor, which checks what it is given and
 packs it in the pass that builds it: ``MasTrajectory`` takes raw state
 rows, ``MultigraphSnapshot`` raw (src, dst, u, w) edge rows. Callers hand
-over rows unconverted and turn its ``ValueError`` into their own error.
+over rows unconverted and turn its ``ValueError`` into their own error. A
+``DistanceSnapshot`` stores no rows: it takes a time slice of a checked
+``MasTrajectory`` and derives its edges, the distances between the states.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def _packed(table: dict[int, list[Edge]]) -> dict[int, tuple[Edge, ...]]:
     return {n: tuple(es) for n, es in table.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultigraphSnapshot:
     """One multigraph at one instant: typed, possibly directed, weighted edges.
 
@@ -190,6 +192,9 @@ class MultigraphSnapshot:
     frozenset of ``Edge``. ``decode_weight``, if given, maps every weight that
     is not a plain float before it is checked (a file's ``"inf"`` token to
     ``math.inf``, say).
+
+    Two snapshots are equal when their type, direction and edges are, of
+    whichever kind (see ``DistanceSnapshot``).
     """
 
     graph_type: str
@@ -254,6 +259,78 @@ class MultigraphSnapshot:
 
     def max_node(self) -> int:
         return self._max_node
+
+    def __eq__(self, other):
+        if not isinstance(other, MultigraphSnapshot):
+            return NotImplemented
+        return (self.graph_type, self.directed, self.edges) == (
+            other.graph_type, other.directed, other.edges)
+
+    def __hash__(self):
+        return hash((self.graph_type, self.directed, self.edges))
+
+
+class DistanceSnapshot(MultigraphSnapshot):
+    """The distance graph of one time slice, derived from the agents' states.
+
+    It is the complete undirected graph with one edge (i, j, 1, w) per pair
+    of agents i < j, where w = ``math.dist`` of their state vectors, and
+    no self-loop. ``positions`` is the slice, ``states[t]`` of a
+    ``MasTrajectory``; it is all the snapshot stores. A query of agent i
+    computes i's distances once and keeps them, as a stored snapshot keeps
+    its tables. ``edges`` and ``rows`` are built on each read, for the
+    callers that need rows (the translators, ``save_graphs``, ``==``); they
+    hold the same floats a stored snapshot of those rows holds, since
+    ``math.dist`` is symmetric bit for bit.
+    """
+
+    def __init__(self, graph_type: str, positions: tuple[tuple[float, ...], ...]):
+        n = len(positions)
+        object.__setattr__(self, "graph_type", graph_type)
+        object.__setattr__(self, "directed", False)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "_max_node", n if n > 1 else 0)
+        object.__setattr__(self, "_rows", {})
+
+    def __repr__(self):
+        return f"DistanceSnapshot({self.graph_type!r}, <{len(self.positions)} positions>)"
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        new = tuple.__new__
+        return frozenset([new(Edge, row) for row in self.rows()])
+
+    def rows(self) -> list[tuple[int, int, int, float]]:
+        """The edges as plain (i, j, 1, w) rows, sorted; ``save_run`` and
+        ``save_graphs`` write these instead of sorting ``edges``."""
+        dist, here = math.dist, self.positions
+        return [(i, j, 1, dist(p, q))
+                for i, p in enumerate(here, 1) for j, q in enumerate(here[i:], i + 1)]
+
+    def _row(self, i: int) -> tuple[float, ...]:
+        """i's distance to every agent in agent order; i's own entry is NaN,
+        which lies in no weight window. An agent beyond the slice has none."""
+        row = self._rows.get(i)
+        if row is None:
+            here = self.positions
+            if not 1 <= i <= len(here):
+                return ()
+            dist, p = math.dist, here[i - 1]
+            row = [dist(p, q) for q in here]
+            row[i - 1] = math.nan
+            row = self._rows[i] = tuple(row)
+        return row
+
+    def oriented_edges(self, i: int, direction: Direction) -> tuple[Edge, ...]:
+        row = self._row(i)
+        if direction == "in":
+            return tuple(Edge(j, i, 1, w) for j, w in enumerate(row, 1) if j != i)
+        return tuple(Edge(i, j, 1, w) for j, w in enumerate(row, 1) if j != i)
+
+    def multiplicities(
+        self, i: int, direction: Direction, lo: float = NEG_INF, hi: float = POS_INF
+    ) -> dict[int, int]:
+        return {j: 1 for j, w in enumerate(self._row(i), 1) if lo <= w <= hi}
 
 
 @dataclass(frozen=True)

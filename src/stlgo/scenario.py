@@ -5,7 +5,10 @@ runs, bit for bit. The drone generator's motion model (dispatch to a region,
 surveil, return to the station) is incidental; what the tests pin down are
 the graph constructions: the distance graph carries pairwise Euclidean
 distances, the communication graph links same-category drones, and the
-sensing graph links same-category drones within the sensing radius.
+sensing graph links same-category drones within the sensing radius. The
+distance graph is not stored: each snapshot is derived from its time slice
+of the trajectory, so a drone run's graph file names it in one descriptor
+instead of a complete graph of edge rows (``stlgo.serialization``).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .model import GraphTrajectory, MasRun, MasTrajectory, MultigraphSnapshot
+from .model import DistanceSnapshot, GraphTrajectory, MasRun, MasTrajectory, MultigraphSnapshot
 
 # drone stations and surveillance regions lie in [0, AREA]^2
 AREA = 8.0
@@ -59,7 +62,8 @@ class DroneScenarioConfig:
 
 def gen_drone(cfg: DroneScenarioConfig) -> MasRun:
     """Drone-surveillance run with distance (d), communication (c), and
-    sensing (s) graphs. State is the 2D position."""
+    sensing (s) graphs. State is the 2D position; ``d`` is derived from it
+    (``DistanceSnapshot``), ``c`` and ``s`` are stored edge rows."""
     rng = random.Random(cfg.seed)
     sigma, L = cfg.sigma, cfg.horizon
 
@@ -108,24 +112,23 @@ def gen_drone(cfg: DroneScenarioConfig) -> MasRun:
 
     trajectory = MasTrajectory(positions)
 
-    pairs = [(i, j) for i in range(1, sigma + 1) for j in range(i + 1, sigma + 1)]
-    kin = [category[i - 1] == category[j - 1] for i, j in pairs]
-    d_snaps = []
+    kin = [(i, j) for i in range(1, sigma + 1) for j in range(i + 1, sigma + 1)
+           if category[i - 1] == category[j - 1]]
     s_snaps = []
-    for here in positions:
-        d_edges = [(i, j, 1, math.dist(here[i - 1], here[j - 1])) for i, j in pairs]
-        d_snaps.append(MultigraphSnapshot("d", False, d_edges))
+    for here in trajectory.states:
         s_edges = [
             (i, j, 1, 1.0)
-            for (i, j, _, w), same in zip(d_edges, kin)
-            if same and w <= cfg.sensing_radius
+            for i, j in kin
+            if math.dist(here[i - 1], here[j - 1]) <= cfg.sensing_radius
         ]
         s_snaps.append(MultigraphSnapshot("s", False, s_edges))
-    c_edges = [(i, j, 1, 1.0) for (i, j), same in zip(pairs, kin) if same]
     graphs = GraphTrajectory(
         L,
-        static={"c": MultigraphSnapshot("c", False, c_edges)},
-        dynamic={"d": tuple(d_snaps), "s": tuple(s_snaps)},
+        static={"c": MultigraphSnapshot("c", False, [(i, j, 1, 1.0) for i, j in kin])},
+        dynamic={
+            "d": tuple(DistanceSnapshot("d", here) for here in trajectory.states),
+            "s": tuple(s_snaps),
+        },
     )
     return MasRun(trajectory, graphs)
 

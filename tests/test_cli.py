@@ -415,6 +415,29 @@ def test_gen_and_reload(tmp_path):
     assert run == gen_drone(DroneScenarioConfig(sigma=4, seed=11, horizon=6))
 
 
+def test_gen_translate_and_monitor_the_augmented_graph_file(tmp_path):
+    """A generated bundle names d in a descriptor; translate's graph file
+    writes it out as edge rows, and monitoring reads either."""
+    out_run, out_graphs = tmp_path / "r.json", tmp_path / "g.json"
+    assert main(["gen", "drone", "--sigma", "4", "--seed", "1", "--horizon", "6",
+                 "--out-run", str(out_run), "--out-graphs", str(out_graphs)]) == 0
+    assert '"d":{"directed":false,"derived":"distance"}' in out_graphs.read_text()
+    aug, sw = tmp_path / "aug.json", tmp_path / "sw.stlgo"
+    assert main(["translate", "--from", "sstl", "--op", "somewhere", "--anchor", "1",
+                 "--weights", "0,3", "--inner", "[x[0] >= 4]", "--run", str(out_run),
+                 "--graphs", str(out_graphs), "--out-formula", str(sw),
+                 "--out-graphs", str(aug)]) == 0
+    assert "derived" not in aug.read_text()
+    safe = write_formula(tmp_path, "G[0,2](Out{d} E[3,inf] W[0.3,inf] true)")
+    codes = []
+    for graphs in (out_graphs, aug):
+        codes.append(main(["monitor", "--formula", str(safe), "--run", str(out_run),
+                           "--graphs", str(graphs), "--agent", "1", "--tmax", "4"]))
+    assert codes[0] == codes[1] and codes[0] in (0, 2)
+    assert main(["monitor", "--formula", str(sw), "--run", str(out_run), "--graphs", str(aug),
+                 "--global", "--tmax", "4"]) in (0, 2)
+
+
 def test_bench_smoke(tmp_path, capsys):
     out = tmp_path / "bench.json"
     assert main(
@@ -568,6 +591,28 @@ def test_translate_bad_weights_is_usage_error(tmp_path, capsys, weights):
     assert exc_info.value.code == 1
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         f"argument --weights: expected 'lo,hi' with numbers lo <= hi, got {weights!r}")
+
+
+@pytest.mark.parametrize("weights, window", [("-1,5", " W[-1,5]"), ("-inf,inf", ""),
+                                             ("-.5,2", " W[-0.5,2]"), ("-Inf,inf", "")])
+@pytest.mark.parametrize("joined", [False, True])
+def test_translate_weights_may_start_with_a_minus_sign(tmp_path, weights, window, joined):
+    bundle, _ = _fig_bundle(tmp_path)
+    out = tmp_path / "out.stlgo"
+    option = [f"--weights={weights}"] if joined else ["--weights", weights]
+    assert main(["translate", "--from", "sstl", "--op", "somewhere", "--anchor", "1",
+                 *bundle, *option, "--out-formula", str(out)]) == 0
+    assert out.read_text() == f"@1.(In{{ds}} E[1,inf]{window} true)\n"
+
+
+def test_translate_bad_weights_as_a_separate_word_is_usage_error(tmp_path, capsys):
+    bundle, _ = _fig_bundle(tmp_path)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["translate", "--from", "sstl", "--op", "somewhere", "--anchor", "1",
+              *bundle, "--weights", "-1,x"])
+    assert exc_info.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "argument --weights: expected 'lo,hi' with numbers lo <= hi, got '-1,x'")
 
 
 @pytest.mark.parametrize("options, message", [

@@ -27,6 +27,7 @@ from stlgo import (
     parse_local,
 )
 from stlgo.cli import EXIT_DATA, main
+from stlgo.model import DistanceSnapshot
 from stlgo.serialization import (
     SchemaError,
     load_graphs,
@@ -275,6 +276,16 @@ MALFORMED = {
     "snapshot not an object": ("graphs", _set(["types", "d", "snapshots", 0], 5)),
     "directed a string": ("graphs", _set(["types", "c", "directed"], "false")),
     "snapshot time a string": ("graphs", _set(["types", "d", "snapshots", 1, "t"], "1")),
+    "derived kind unknown": ("graphs", _set(["types", "d"], {"directed": False,
+                                                             "derived": "cosine"})),
+    "derived kind not a string": ("graphs", _set(["types", "d"], {"directed": False,
+                                                                  "derived": ["distance"]})),
+    "derived with snapshots": ("graphs", _set(["types", "d"], {
+        "directed": False, "derived": "distance", "snapshots": []})),
+    "derived and static": ("graphs", _set(["types", "d"], {
+        "directed": False, "derived": "distance", "static": True})),
+    "derived directed": ("graphs", _set(["types", "d"], {"directed": True,
+                                                         "derived": "distance"})),
     "nested too deeply": ("graphs", lambda doc: "[" * 100_000 + "]" * 100_000),
     "truncated JSON": ("graphs", lambda doc: json.dumps(doc)[:-2]),
     "states a number": ("run", _set(["states"], 5)),
@@ -318,6 +329,21 @@ def test_malformed_file_exits_3_with_one_error_line(tmp_path, capsys, command, n
     assert str(paths[which]) in lines[0]
 
 
+def test_well_formed_bundle_monitors_with_a_derived_distance_graph(tmp_path):
+    paths = _bundle(tmp_path)
+    doc = json.loads(paths["graphs"].read_text(encoding="utf-8"))
+    doc["types"]["d"] = {"directed": False, "derived": "distance"}
+    paths["graphs"].write_text(json.dumps(doc), encoding="utf-8")
+    paths["formula"].write_text("Out{d} E[2,2] W[1,2] true\n", encoding="utf-8")
+    common = ["--formula", str(paths["formula"]), "--run", str(paths["run"]),
+              "--graphs", str(paths["graphs"])]
+    assert main(["monitor"] + common + ["--agent", "2"]) == 0
+    assert main(["monitor-dist"] + common + ["--mask", str(paths["mask"])]) == 0
+    assert load_run(paths["run"], paths["graphs"]).graphs.at("d", 1).edges == {
+        Edge(1, 2, 1, 1.0), Edge(1, 3, 1, 2.0), Edge(2, 3, 1, 1.0)
+    }
+
+
 def test_well_formed_bundle_monitors(tmp_path, capsys):
     """The malformed cases above start from a bundle both commands accept."""
     paths = _bundle(tmp_path)
@@ -359,3 +385,79 @@ def test_file_that_is_not_utf8_raises_schema_error_naming_it(tmp_path):
     path.write_bytes(b'{"schema": "stlgo/1", "labels": {"1": ["\xff"]}}')
     with pytest.raises(SchemaError, match=re.escape(str(path))):
         load_labels(path)
+
+
+# -- derived distance graphs ------------------------------------------------
+
+
+def _stored_d(run):
+    """The run with its derived d graph replaced by the same rows, stored."""
+    n = run.num_agents
+    return run.with_graph("d", [
+        MultigraphSnapshot("d", False, [(i, j, 1, math.dist(here[i - 1], here[j - 1]))
+                                        for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+        for here in run.trajectory.states
+    ])
+
+
+def test_run_file_names_a_derived_graph_in_one_descriptor(tmp_path):
+    run = gen_drone(DroneScenarioConfig(sigma=5, seed=3, horizon=6))
+    save_run(run, tmp_path / "r.json", tmp_path / "g.json")
+    doc = json.loads((tmp_path / "g.json").read_text(encoding="utf-8"))
+    assert doc["types"]["d"] == {"directed": False, "derived": "distance"}
+    assert list(doc["types"]) == ["c", "d", "s"]
+    back = load_run(tmp_path / "r.json", tmp_path / "g.json")
+    assert back == run
+    assert all(type(snap) is DistanceSnapshot for snap in back.graphs.dynamic["d"])
+    # saving the loaded run again gives the same bytes
+    save_run(back, tmp_path / "r2.json", tmp_path / "g2.json")
+    assert (tmp_path / "g2.json").read_bytes() == (tmp_path / "g.json").read_bytes()
+
+
+def test_standalone_graph_file_writes_a_derived_graph_as_edge_rows(tmp_path):
+    run = gen_drone(DroneScenarioConfig(sigma=5, seed=3, horizon=6))
+    stored = _stored_d(run)
+    save_graphs(run.graphs, tmp_path / "derived.json")
+    save_graphs(stored.graphs, tmp_path / "stored.json")
+    assert (tmp_path / "derived.json").read_bytes() == (tmp_path / "stored.json").read_bytes()
+    assert load_graphs(tmp_path / "derived.json", run.length) == run.graphs
+
+
+def test_standalone_graph_file_with_a_descriptor_raises_schema_error(tmp_path):
+    run = gen_drone(DroneScenarioConfig(sigma=3, seed=0, horizon=2))
+    save_run(run, tmp_path / "r.json", tmp_path / "g.json")
+    with pytest.raises(SchemaError, match=re.escape(f"{tmp_path / 'g.json'}: graph 'd': ")):
+        load_graphs(tmp_path / "g.json", run.length)
+
+
+def test_bundle_with_stored_distance_rows_loads_and_saves_byte_for_byte(tmp_path):
+    run = _stored_d(gen_drone(DroneScenarioConfig(sigma=4, seed=2, horizon=5)))
+    save_run(run, tmp_path / "r.json", tmp_path / "g.json")
+    assert "derived" not in (tmp_path / "g.json").read_text(encoding="utf-8")
+    back = load_run(tmp_path / "r.json", tmp_path / "g.json")
+    assert back == run
+    assert all(type(snap) is MultigraphSnapshot for snap in back.graphs.dynamic["d"])
+    save_run(back, tmp_path / "r2.json", tmp_path / "g2.json")
+    for name in ("r", "g"):
+        assert (tmp_path / f"{name}2.json").read_bytes() == \
+            (tmp_path / f"{name}.json").read_bytes()
+
+
+def test_distance_graph_of_another_trajectory_is_saved_as_edge_rows(tmp_path):
+    """A derived graph is written as a descriptor only when it derives from
+    the states saved beside it; otherwise the reloaded weights would change."""
+    cfg = DroneScenarioConfig(sigma=4, seed=1, horizon=5)
+    run_a = gen_drone(cfg)
+    run_b = gen_drone(DroneScenarioConfig(sigma=4, seed=2, horizon=5))
+    mixed = MasRun(run_b.trajectory, run_a.graphs)
+    save_run(mixed, tmp_path / "r.json", tmp_path / "g.json")
+    doc = json.loads((tmp_path / "g.json").read_text(encoding="utf-8"))
+    assert "derived" not in doc["types"]["d"]
+    back = load_run(tmp_path / "r.json", tmp_path / "g.json")
+    assert back == mixed and back.graphs == run_a.graphs
+    # equal states held in another trajectory object still derive the same graph
+    copy = MasRun(MasTrajectory([list(s) for s in run_a.trajectory.states]), run_a.graphs)
+    save_run(copy, tmp_path / "r.json", tmp_path / "g.json")
+    doc = json.loads((tmp_path / "g.json").read_text(encoding="utf-8"))
+    assert doc["types"]["d"] == {"directed": False, "derived": "distance"}
+    assert load_run(tmp_path / "r.json", tmp_path / "g.json") == run_a
