@@ -1,20 +1,20 @@
-"""Offline monitoring: satisfaction signals from one memoized evaluator.
+"""Offline monitoring: satisfaction signals from one compiled kernel.
 
-``Evaluator`` is the semantic kernel of the centralized and the distributed
-monitor alike. It evaluates a formula lowered to the core fragment (see
-``lower``) pointwise and memoizes every (subformula, agent, time) cell. A
-cell is 1, 0 or None (?). Without a knowledge mask every state is visible
-and every cell is Boolean; ``monitor_local``, ``monitor_global`` and
-``signal_table`` read the cells that way. Under a mask
-(``distributed.monitor_dist``) an atom over a hidden state is ?, negation
-and conjunction follow the strong Kleene tables, and Until is the Kleene
-disjunction over its witness times. A graph operator, over one graph in the
-core, counts the edges to neighbors that satisfy its child (n_sat) and to
-those that do not violate it (n_nviol), and decides with
-``graph_op_verdict``. With no ? among the neighbors the two counts are equal
-and the verdict is the Boolean count test, so the central monitor is the
-mask-free case of the distributed one. Both return one ``Signal`` type: a
-centralized signal is one without ?.
+``Cells`` is the semantic kernel of the centralized and the distributed
+monitor alike. Each query compiles its formula, lowered to the core fragment
+(see ``lower``), into one cell function per node, and each function
+memoizes its (agent, time) cells. A cell is 1, 0 or None (?). Without a
+knowledge mask every state is visible and every cell is Boolean;
+``monitor_local``, ``monitor_global`` and ``signal_table`` read the cells
+that way. Under a mask (``distributed.monitor_dist``) an atom over a hidden
+state is ?, negation and conjunction follow the strong Kleene tables, and
+Until is the Kleene disjunction over its witness times. A graph operator,
+over one graph in the core, counts the edges to neighbors that satisfy its
+child (n_sat) and to those that do not violate it (n_nviol), and decides
+with ``graph_op_verdict``. With no ? among the neighbors the two counts are
+equal and the verdict is the Boolean count test, so the central monitor is
+the mask-free case of the distributed one. Both return one ``Signal`` type:
+a centralized signal is one without ?.
 
 Until (and F, G, which lower to it) reads its window through next-witness
 searches rather than a scan per cell. Because phi1 must hold through the
@@ -31,7 +31,8 @@ agent in all, and never reads a cell outside [t, t + b].
 ``oracle_eval`` / ``oracle_eval_global`` are deliberately separate: a plain,
 memo-free recursive transcription of the semantics that also interprets
 sugar directly. The oracle is the reference the monitor is tested against
-and must not share evaluation logic with it.
+and shares no evaluation logic with it but the expression semantics:
+``eval_expr`` is a thin wrapper over the ``compile_expr`` the atoms use.
 
 Finite traces: by default a window reaching past the trace end L is clamped
 to the available samples; for an unbounded interval the window becomes
@@ -51,11 +52,12 @@ same inputs.
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import formula as F
-from .formula import INF, eval_expr, expr_vars, horizon, lower
+from .formula import INF, compile_expr, eval_expr, expr_vars, horizon, lower
 from .model import MasRun, TimeOutOfRangeError
 
 
@@ -208,80 +210,145 @@ _ZERO = frozenset((0,))
 _NOT_ONE = frozenset((0, None))
 
 
-class Evaluator:
-    """Memoized pointwise evaluation of core formulas over one run.
+class Cells:
+    """A lowered core formula compiled over one run: one cell function per
+    node.
 
-    ``eval(f, agent, t)`` is the cell of a lowered formula: an agent-local
-    subformula at (agent, t), a system-level one with agent None. Cells are
-    1, 0 or None (?). None occurs only under a ``mask`` (an object with
-    ``knows(subject, t)``, such as ``distributed.KnowledgeMask``), where an
-    agent-local atom over a hidden state is ?. Cells do not depend on the
-    order in which they are evaluated, so operators may skip operands that
-    cannot change their verdict.
+    ``Cells(run, core, mask)[node]`` is the function ``(agent, t) -> cell``
+    of a node of ``core``: an agent-local subformula at (agent, t), a
+    system-level one with agent None. Cells are 1, 0 or None (?). None
+    occurs only under a ``mask`` (an object with ``knows(subject, t)``, such
+    as ``distributed.KnowledgeMask``), where an agent-local atom over a
+    hidden state is ?. The functions are built by one fold over the core
+    DAG, so compiling does not recurse. Each one calls its operands'
+    functions directly and memoizes its cells in ``rows[id(node)]``, one
+    list per agent indexed by t (truth, negation and agent binding map an
+    operand's cells and keep none); an atom's expression is compiled once.
+    Cells do not depend on the order in which they are evaluated, so
+    operators may skip operands that cannot change their verdict.
     """
 
-    def __init__(self, run: MasRun, mask=None):
+    def __init__(self, run: MasRun, core, mask=None):
         self.run = run
         self.mask = mask
-        self._static = run.graphs.static
-        self._memo: dict = {}
-        self._mult: dict = {}
-        self._next: dict = {}
+        self.core = core  # keeps the nodes, and so their ids, alive
+        self.rows: dict = {}  # id(node) -> its memo (``_memo``)
+        self.mult: dict = {}  # id(graph op) -> agent -> (multiplicities, edges); static tags
+        self._searches: dict = {}  # (id(node), want) -> first-hit search
+        self._fns: dict = {}
+        size = run.length + 1
+        self._new_row = lambda: [_UNSET] * size
+        F.fold(core, self._compile, self._fns)
 
-    def eval(self, f, agent, t):
-        key = (id(f), agent, t)
-        v = self._memo.get(key, _UNSET)
-        if v is _UNSET:
-            handler = _HANDLERS.get(type(f))
-            if handler is None:
-                raise TypeError(
-                    f"monitor requires a lowered core formula, got {type(f).__name__}"
-                )
-            v = self._memo[key] = handler(self, f, agent, t)
-        return v
+    def __getitem__(self, node):
+        return self._fns[id(node)]
 
-    def _truth(self, f, agent, t):
-        return 1
+    def _compile(self, f, subs):
+        name = _COMPILE.get(type(f))
+        if name is None:
+            raise TypeError(f"monitor requires a lowered core formula, got {type(f).__name__}")
+        return getattr(self, name)(f, *subs)
 
-    def _atom(self, f, agent, t):
-        if self.mask is not None and not self.mask.knows(agent, t):
-            return None
-        state = self.run.trajectory.state(agent, t)
-        return 1 if eval_expr(f.expr, local_state=state) >= 0 else 0
+    def _memo(self, f) -> defaultdict:
+        """f's memo, agent -> a list of cells indexed by t, ``_UNSET`` where
+        not yet evaluated."""
+        rows = self.rows[id(f)] = defaultdict(self._new_row)
+        return rows
 
-    def _global_atom(self, f, agent, t):
-        full = self.run.trajectory.full_state(t)
-        return 1 if eval_expr(f.expr, full_state=full) >= 0 else 0
+    def _truth(self, f):
+        return lambda agent, t: 1
 
-    def _bind(self, f, agent, t):
-        return self.eval(f.child, f.agent, t)
+    def _atom(self, f):
+        rows, expr, states = self._memo(f), compile_expr(f.expr), self.run.trajectory.states
+        knows = None if self.mask is None else self.mask.knows
 
-    def _not(self, f, agent, t):
-        return k_not(self.eval(f.child, agent, t))
+        def cell(agent, t):
+            row = rows[agent]
+            v = row[t]
+            if v is _UNSET:
+                if knows is not None and not knows(agent, t):
+                    v = row[t] = None
+                else:
+                    v = row[t] = 1 if expr(states[t][agent - 1], None) >= 0 else 0
+            return v
+        return cell
 
-    def _and(self, f, agent, t):
-        a = self.eval(f.left, agent, t)
-        return 0 if a == 0 else k_and(a, self.eval(f.right, agent, t))
+    def _global_atom(self, f):
+        rows, expr, states = self._memo(f), compile_expr(f.expr), self.run.trajectory.states
 
-    def _until(self, f, agent, t):
+        def cell(agent, t):
+            row = rows[agent]
+            v = row[t]
+            if v is _UNSET:
+                v = row[t] = 1 if expr(None, states[t]) >= 0 else 0
+            return v
+        return cell
+
+    def _bind(self, f, child):
+        bound = f.agent
+        return lambda agent, t: child(bound, t)
+
+    def _not(self, f, child):
+        return lambda agent, t: k_not(child(agent, t))
+
+    def _and(self, f, left, right):
+        rows = self._memo(f)
+
+        def cell(agent, t):
+            row = rows[agent]
+            v = row[t]
+            if v is _UNSET:
+                a = left(agent, t)
+                v = row[t] = 0 if a == 0 else k_and(a, right(agent, t))
+            return v
+        return cell
+
+    def _until(self, f, left, right):
         # the earliest candidate witness decides (module docstring); F and
         # G lower to a Truth phi1, which is not read
-        lo, hi = clamp_window(t, f.interval, self.run.length)
-        r = self._first(f.right, agent, lo, hi, _NOT_ZERO)
-        if r is None:
-            return 0
-        left = None if type(f.left) is F.Truth else f.left
+        rows, interval, length = self._memo(f), f.interval, self.run.length
+        first_not_zero = self._search(f.right, right, _NOT_ZERO)
+        left_zero = None if type(f.left) is F.Truth else self._search(f.left, left, _ZERO)
         if self.mask is None:  # Boolean cells: r is the witness
-            return 1 if left is None or self._first(left, agent, t, r, _ZERO) is None else 0
-        p = r if self.eval(f.right, agent, r) == 1 else self._first(f.right, agent, r, hi, _ONE)
-        if left is None:
-            return None if p is None else 1
-        if p is not None and self._first(left, agent, t, p, _NOT_ONE) is None:
-            return 1
-        return None if self._first(left, agent, t, r, _ZERO) is None else 0
 
-    def _first(self, g, agent, s, hi, want):
-        """The first u in [s, hi] whose cell of g is in ``want``, or None.
+            def cell(agent, t):
+                row = rows[agent]
+                v = row[t]
+                if v is _UNSET:
+                    lo, hi = clamp_window(t, interval, length)
+                    r = first_not_zero(agent, lo, hi)
+                    if r is None:
+                        v = row[t] = 0
+                    else:
+                        v = row[t] = 1 if left_zero is None or left_zero(agent, t, r) is None else 0
+                return v
+            return cell
+        first_one = self._search(f.right, right, _ONE)
+        left_not_one = None if left_zero is None else self._search(f.left, left, _NOT_ONE)
+
+        def cell(agent, t):
+            row = rows[agent]
+            v = row[t]
+            if v is _UNSET:
+                lo, hi = clamp_window(t, interval, length)
+                r = first_not_zero(agent, lo, hi)
+                if r is None:
+                    v = 0
+                else:
+                    p = r if right(agent, r) == 1 else first_one(agent, r, hi)
+                    if left_zero is None:
+                        v = None if p is None else 1
+                    elif p is not None and left_not_one(agent, t, p) is None:
+                        v = 1
+                    else:
+                        v = None if left_zero(agent, t, r) is None else 0
+                row[t] = v
+            return v
+        return cell
+
+    def _search(self, g, cell, want):
+        """The first-hit search over g's cells: ``first(agent, s, hi)`` is the
+        first u in [s, hi] whose cell of g is in ``want``, or None.
 
         Each (g, agent, want) has a table of next-hit pointers over 0..L+1:
         ``nxt[u] == u`` marks a hit, ``nxt[u] = v > u`` says no cell in
@@ -290,68 +357,86 @@ class Evaluator:
         overlapping windows share their scans and each cell is read O(1)
         times amortized. No cell past ``hi`` is read.
         """
-        key = (id(g), agent, want)
-        nxt = self._next.get(key)
-        if nxt is None:
-            nxt = self._next[key] = [-1] * (self.run.length + 2)
-        u = s
-        while u <= hi:
-            v = nxt[u]
-            if v == u:
-                break
-            if v < 0:
-                if self.eval(g, agent, u) in want:
-                    nxt[u] = u
+        key = (id(g), want)
+        first = self._searches.get(key)
+        if first is not None:
+            return first
+        tables, size = {}, self.run.length + 2
+
+        def first(agent, s, hi):
+            nxt = tables.get(agent)
+            if nxt is None:
+                nxt = tables[agent] = [-1] * size
+            u = s
+            while u <= hi:
+                v = nxt[u]
+                if v == u:
                     break
-                v = nxt[u] = u + 1
-            u = v
-        w = s
-        while w < u:
-            v = nxt[w]
-            nxt[w] = u
-            w = v
-        return u if u <= hi else None
+                if v < 0:
+                    if cell(agent, u) in want:
+                        nxt[u] = u
+                        break
+                    v = nxt[u] = u + 1
+                u = v
+            w = s
+            while w < u:
+                v = nxt[w]
+                nxt[w] = u
+                w = v
+            return u if u <= hi else None
+        self._searches[key] = first
+        return first
 
-    def _graph_op(self, f, agent, t):
-        return graph_op_verdict(f.counts, *self._counts(f, agent, t))
+    def _graph_op(self, f, child):
+        """A single-graph operator's cell: ``graph_op_verdict`` of n_sat and
+        n_nviol, the edges to neighbors whose child cell is 1, and is 1 or
+        ?. The multiplicities are kept per (operator, agent) for a static
+        tag only: each (operator, agent, t) cell is evaluated once, so a
+        time-varying tag's would not be read again."""
+        rows, graphs, counts = self._memo(f), self.run.graphs, f.counts
+        (tag,), direction, lo, hi = f.graphs, f.direction, f.weights.lo, f.weights.hi
+        kept = self.mult[id(f)] = {}
+        static = tag in graphs.static
+        truth = type(f.child) is F.Truth
 
-    def _counts(self, f, agent, t) -> tuple[int, int]:
-        """(n_sat, n_nviol) of a single-graph operator: edges to neighbors
-        whose child cell is 1, and is 1 or ?. The multiplicities are kept
-        per (operator, agent) for a static tag only: each (operator, agent,
-        t) cell is evaluated once, so a time-varying tag's would not be read
-        again."""
-        (tag,) = f.graphs
-        key = (id(f), agent)
-        hit = self._mult.get(key)
-        if hit is None:
-            snap = self.run.graphs.at(tag, t)
-            mult = snap.multiplicities(agent, f.direction, f.weights.lo, f.weights.hi)
-            hit = (mult, sum(mult.values()))
-            if tag in self._static:
-                self._mult[key] = hit
-        mult, edges = hit
-        if type(f.child) is F.Truth:
-            return edges, edges
-        n_sat = n_unknown = 0
-        for j, m in mult.items():
-            v = self.eval(f.child, j, t)
-            if v == 1:
-                n_sat += m
-            elif v is None:
-                n_unknown += m
-        return n_sat, n_sat + n_unknown
+        def cell(agent, t):
+            row = rows[agent]
+            v = row[t]
+            if v is _UNSET:
+                hit = kept.get(agent)
+                if hit is None:
+                    mult = graphs.at(tag, t).multiplicities(agent, direction, lo, hi)
+                    hit = (mult, sum(mult.values()))
+                    if static:
+                        kept[agent] = hit
+                mult, edges = hit
+                if truth:
+                    n_sat = n_nviol = edges
+                else:
+                    n_sat = n_unknown = 0
+                    for j, m in mult.items():
+                        c = child(j, t)
+                        if c == 1:
+                            n_sat += m
+                        elif c is None:
+                            n_unknown += m
+                    n_nviol = n_sat + n_unknown
+                v = row[t] = graph_op_verdict(counts, n_sat, n_nviol)
+            return v
+        return cell
 
 
-_HANDLERS = {
-    F.Truth: Evaluator._truth,
-    F.Atom: Evaluator._atom,
-    F.GlobalAtom: Evaluator._global_atom,
-    F.AgentBind: Evaluator._bind,
-    F.Not: Evaluator._not,
-    F.And: Evaluator._and,
-    F.Until: Evaluator._until,
-    F.GraphOp: Evaluator._graph_op,
+# the method that compiles each core node type, by name so that a subclass
+# can replace one
+_COMPILE = {
+    F.Truth: "_truth",
+    F.Atom: "_atom",
+    F.GlobalAtom: "_global_atom",
+    F.AgentBind: "_bind",
+    F.Not: "_not",
+    F.And: "_and",
+    F.Until: "_until",
+    F.GraphOp: "_graph_op",
 }
 
 
@@ -395,12 +480,13 @@ def _signal_end(run: MasRun, f, agent, T: int, strict: bool = False) -> int:
 
 @contextmanager
 def _depth_guard():
-    """Report the evaluator's recursion past the stack limit as a ValueError."""
+    """Report the cell functions' recursion past the stack limit as a
+    ValueError."""
     try:
         yield
     except RecursionError:
         raise ValueError(
-            "formula too deep for the pointwise evaluator "
+            "formula too deep for the monitor "
             f"(Python recursion limit {sys.getrecursionlimit()})"
         ) from None
 
@@ -410,9 +496,9 @@ def signal_cells(run: MasRun, f, agent, T: int, strict: bool = False, mask=None)
     formula, at system level for agent None; three-valued under a mask."""
     end = _signal_end(run, f, agent, T, strict)
     core = lower(f)
-    ev = Evaluator(run, mask)
     with _depth_guard():
-        return tuple(ev.eval(core, agent, t) for t in range(end + 1))
+        cell = Cells(run, core, mask)[core]
+        return tuple(cell(agent, t) for t in range(end + 1))
 
 
 def monitor_local(
@@ -445,17 +531,16 @@ def signal_table(
     # a local formula is checked at agent 1, which every run has
     end = _signal_end(run, f, None if system else 1, T, strict)
     core = lower(f)
-    ev = Evaluator(run)
+    cells = Cells(run, core)
     table: dict = {}
     # (subformula, whether it is read per agent), in pre-order
     pending = [(core, not system)]
     with _depth_guard():
         while pending:
             sub, local = pending.pop()
+            cell = cells[sub]
             for agent in range(1, run.num_agents + 1) if local else (None,):
-                table[(sub, agent)] = Signal(
-                    0, tuple(ev.eval(sub, agent, t) for t in range(end + 1))
-                )
+                table[(sub, agent)] = Signal(0, tuple(cell(agent, t) for t in range(end + 1)))
             local = local or isinstance(sub, F.AgentBind)
             pending.extend((child, local) for child in reversed(F.operands(sub)))
     return table

@@ -17,7 +17,7 @@ import time
 
 from . import formula as F
 from . import serialization as io
-from .central import Evaluator, monitor_global, monitor_local
+from .central import Cells, monitor_global, monitor_local
 from .distributed import is_determinable, monitor_dist
 from .formula import (
     Always,
@@ -313,9 +313,9 @@ def with_anchor_graphs(run: MasRun, anchor: int) -> MasRun:
 def bench_scenario(sigma: int, steps: int, seed: int, anchor: int = 1):
     """Per-step monitoring of the four drone formulas over t in 0..steps.
 
-    Each step evaluates the formula at that single time with a fresh
-    evaluator, mirroring repeated one-shot monitoring; reported times are
-    per-step means in milliseconds.
+    Each step compiles the lowered formula afresh (``central.Cells``) and
+    reads its cell at that single time, mirroring repeated one-shot
+    monitoring; reported times are per-step means in milliseconds.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, not {steps}")
@@ -328,7 +328,7 @@ def bench_scenario(sigma: int, steps: int, seed: int, anchor: int = 1):
         core = lower(formula)
         agent = anchor if kind == "local" else None
         start = time.perf_counter()
-        verdicts = [Evaluator(run).eval(core, agent, t) for t in range(steps + 1)]
+        verdicts = [Cells(run, core)[core](agent, t) for t in range(steps + 1)]
         elapsed = time.perf_counter() - start
         sat = sum(verdicts)
         rows.append(

@@ -6,12 +6,12 @@ it can see; graph topology is always fully known. Verdicts are three-valued:
 ``central.Signal`` that the centralized monitor returns too.
 
 ``monitor_dist`` lowers the formula exactly as the centralized monitor does
-and runs the same ``central.Evaluator``, with the mask: atoms over masked
-states yield ? even when the expression would be constant in the masked
-components, Boolean and temporal operators follow the strong Kleene tables,
-and graph operators decide from the counts of satisfying and non-violating
-neighbor verdicts, weighted by edge multiplicity
-(``central.graph_op_verdict``). Finite traces and strict mode follow the
+and runs the same compiled cell functions (``central.Cells``), with the
+mask: atoms over masked states yield ? even when the expression would be
+constant in the masked components, Boolean and temporal operators follow
+the strong Kleene tables, and graph operators decide from the counts of
+satisfying and non-violating neighbor verdicts, weighted by edge
+multiplicity (``central.graph_op_verdict``). Finite traces and strict mode follow the
 centralized conventions, including the up-front strict-horizon check, so
 both monitors raise on the same inputs; ``is_determinable`` checks its
 query and covers the same [0, min(T + T_f, L)] through the same helper.

@@ -204,36 +204,49 @@ class BinFn(Expr):
 
 def eval_expr(expr: Expr, local_state=None, full_state=None) -> float:
     """Evaluate an expression against an agent state and/or the MAS state."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, StateVar):
-        return local_state[expr.index]
-    if isinstance(expr, AgentStateVar):
-        return full_state[expr.agent - 1][expr.index]
-    if isinstance(expr, BinOp):
-        a = eval_expr(expr.left, local_state, full_state)
-        b = eval_expr(expr.right, local_state, full_state)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if b == 0:
-            raise ValueError("division by zero in predicate function")
-        return a / b
-    if isinstance(expr, UnaryFn):
-        a = eval_expr(expr.arg, local_state, full_state)
-        if expr.fn == "abs":
-            return abs(a)
-        if a < 0:
-            raise ValueError("sqrt of a negative value in predicate function")
-        return math.sqrt(a)
-    if isinstance(expr, BinFn):
-        a = eval_expr(expr.left, local_state, full_state)
-        b = eval_expr(expr.right, local_state, full_state)
-        return min(a, b) if expr.fn == "min" else max(a, b)
-    raise TypeError(f"not an expression: {expr!r}")
+    return compile_expr(expr)(local_state, full_state)
+
+
+def compile_expr(expr: Expr):
+    """The expression as one function of (local_state, full_state), built by
+    an explicit-stack fold, so a monitor walks an atom's tree once and not
+    at every cell. Operands are evaluated left before right; a division by
+    zero or the sqrt of a negative value raises ValueError."""
+    return fold(expr, _compile_expr_step, layout=_EXPR_OPERANDS)
+
+
+def _divide(a: float, b: float) -> float:
+    if b == 0:
+        raise ValueError("division by zero in predicate function")
+    return a / b
+
+
+def _sqrt(a: float) -> float:
+    if a < 0:
+        raise ValueError("sqrt of a negative value in predicate function")
+    return math.sqrt(a)
+
+
+_BINARY_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
+               "min": min, "max": max}
+
+
+def _compile_expr_step(e, subs):
+    kind = type(e)
+    if kind is Const:
+        value = e.value
+        return lambda local, full: value
+    if kind is StateVar:
+        k = e.index
+        return lambda local, full: local[k]
+    if kind is AgentStateVar:
+        i, k = e.agent - 1, e.index
+        return lambda local, full: full[i][k]
+    if kind is UnaryFn:
+        fn, (arg,) = abs if e.fn == "abs" else _sqrt, subs
+        return lambda local, full: fn(arg(local, full))
+    fn, (left, right) = _BINARY_FNS[e.op if kind is BinOp else e.fn], subs
+    return lambda local, full: fn(left(local, full), right(local, full))
 
 
 def expr_vars(expr: Expr) -> set[Expr]:
@@ -420,6 +433,9 @@ _REBUILD = {
     ExistsAgent: lambda f, s: ExistsAgent(f.agents, *s),
 }
 BINDERS = (AgentBind, ForAllAgents, ExistsAgent)
+_EXPR_OPERANDS = {Const: lambda e: (), StateVar: lambda e: (), AgentStateVar: lambda e: (),
+                  UnaryFn: lambda e: (e.arg,), BinOp: operator.attrgetter("left", "right"),
+                  BinFn: operator.attrgetter("left", "right")}
 
 
 def operands(f) -> tuple:

@@ -199,7 +199,9 @@ DISTANCES_HEADER = ["src", "dst", "miles"]
 TIMES_HEADER = ["src", "dst", "transit_min", "walk_min"]
 
 
-def _read_rows(path, expected_header: list[str]) -> list[dict[str, str]]:
+def _read_rows(path, expected_header: list[str]):
+    """The non-blank data rows of a CSV file, after checking its header:
+    yields each row as (the line it ends on, column -> stripped value)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -211,14 +213,13 @@ def _read_rows(path, expected_header: list[str]) -> list[dict[str, str]]:
                 f"{path}: header must be {','.join(expected_header)!r}, "
                 f"got {','.join(header)!r}"
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(expected_header):
-                raise ValueError(f"{path}: row {lineno}: expected {len(expected_header)} fields")
-            rows.append({k: v.strip() for k, v in zip(expected_header, row)})
-        return rows
+                raise ValueError(
+                    f"{path}: row {reader.line_num}: expected {len(expected_header)} fields")
+            yield reader.line_num, {k: v.strip() for k, v in zip(expected_header, row)}
 
 
 def _num(path, lineno_hint: str, column: str, raw: str, integral: bool = False) -> float:
@@ -241,7 +242,18 @@ def ingest_station_csv(states_path, distances_path, times_path) -> MasRun:
     NaN values are schema errors with row diagnostics.
     """
     cells: dict[tuple[int, int], tuple[float, float, float]] = {}
-    for k, row in enumerate(_read_rows(states_path, STATES_HEADER), start=2):
+    # one float per distinct cell text: station counts repeat, so a long run
+    # holds a few hundred state values rather than three floats per cell
+    values: dict[str, float] = {}
+
+    def state_value(hint, row, column):
+        raw = row[column]
+        v = values.get(raw)
+        if v is None:
+            v = values[raw] = _num(states_path, hint, column, raw)
+        return v
+
+    for k, row in _read_rows(states_path, STATES_HEADER):
         hint = f"row {k}"
         station = int(_num(states_path, hint, "station", row["station"], integral=True))
         hour = int(_num(states_path, hint, "hour", row["hour"], integral=True))
@@ -252,9 +264,9 @@ def ingest_station_csv(states_path, distances_path, times_path) -> MasRun:
         if (station, hour) in cells:
             raise ValueError(f"{states_path}: {hint}: duplicate (station {station}, hour {hour})")
         cells[(station, hour)] = (
-            _num(states_path, hint, "n", row["n"]),
-            _num(states_path, hint, "n_in", row["n_in"]),
-            _num(states_path, hint, "n_out", row["n_out"]),
+            state_value(hint, row, "n"),
+            state_value(hint, row, "n_in"),
+            state_value(hint, row, "n_out"),
         )
     if not cells:
         raise ValueError(f"{states_path}: no data rows")
@@ -289,14 +301,14 @@ def ingest_station_csv(states_path, distances_path, times_path) -> MasRun:
 
     d_edges = []
     seen = set()
-    for k, row in enumerate(_read_rows(distances_path, DISTANCES_HEADER), start=2):
+    for k, row in _read_rows(distances_path, DISTANCES_HEADER):
         hint = f"row {k}"
         src, dst = station_pair(distances_path, hint, row, seen)
         d_edges.append((src, dst, 1, _num(distances_path, hint, "miles", row["miles"])))
 
     mt_edges = []
     seen = set()
-    for k, row in enumerate(_read_rows(times_path, TIMES_HEADER), start=2):
+    for k, row in _read_rows(times_path, TIMES_HEADER):
         hint = f"row {k}"
         src, dst = station_pair(times_path, hint, row, seen)
         mt_edges.append((src, dst, 1, _num(times_path, hint, "transit_min", row["transit_min"])))

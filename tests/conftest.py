@@ -89,12 +89,13 @@ def random_run(
     max_agents: int = 6,
     max_len: int = 8,
     tags: tuple[str, ...] = ("g1", "g2", "g3"),
+    min_len: int = 1,
 ) -> MasRun:
     """Small random run: g1 is a directed multigraph (up to two parallel
     edges), g2 an undirected single-edge graph, g3 a directed single-edge
     graph; each is static or time-varying at random."""
     num_agents = rng.randint(2, max_agents)
-    length = rng.randint(1, max_len)
+    length = rng.randint(min_len, max_len)
     state_dim = rng.randint(1, 2)
     states = [
         [

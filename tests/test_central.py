@@ -30,7 +30,7 @@ from stlgo import (
     parse_local,
     signal_table,
 )
-from stlgo.central import Evaluator, oracle_eval, oracle_eval_global
+from stlgo.central import Cells, oracle_eval, oracle_eval_global
 from stlgo.formula import FULL_WEIGHTS, Or, AgentBind, graph_ops
 
 from conftest import random_global_formula, random_local_formula, random_run
@@ -90,12 +90,13 @@ def test_neighbor_multiplicities_are_kept_for_static_tags_only():
         3, static={"c": snap("c", 0)}, dynamic={"d": tuple(snap("d", t) for t in range(4))}))
     for tag, cached in (("d", False), ("c", True)):
         core = lower(parse_local(f"G[0,3] Out{{{tag}}} E[1,inf] (In{{{tag}}} E[0,2] [x[0] >= 0])"))
-        ev = Evaluator(run)
-        assert ev.eval(core, 1, 0) == monitor_local(run, core, 1, 0).values[0]
-        evaluated = {(id(op), a) for op in graph_ops(core) for a in range(1, 4) for t in range(4)
-                     if (id(op), a, t) in ev._memo}
+        cells = Cells(run, core)
+        assert cells[core](1, 0) == monitor_local(run, core, 1, 0).values[0]
+        # an operator's memo holds a row for each agent it was evaluated at
+        evaluated = {(id(op), a) for op in graph_ops(core) for a in cells.rows[id(op)]}
         assert len(evaluated) > len(graph_ops(core))  # several agents were counted
-        assert set(ev._mult) == (evaluated if cached else set())
+        kept = {(id(op), a) for op in graph_ops(core) for a in cells.mult[id(op)]}
+        assert kept == (evaluated if cached else set())
 
 
 def test_min_distance_violation_window():
@@ -240,7 +241,7 @@ def test_signal_table_has_every_subformula():
 
 def test_signal_table_refuses_a_formula_too_deep_like_the_monitor():
     run = star_run([1, -1])
-    f = parse_local(" U[0,2] ".join(["[x[0] >= 0]"] * 400))
+    f = parse_local(" U[0,2] ".join(["[x[0] >= 0]"] * 1000))
     with pytest.raises(ValueError, match="too deep"):
         signal_table(run, f, 0)
 

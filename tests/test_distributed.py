@@ -32,7 +32,7 @@ from stlgo import (
     parse_local,
     refine,
 )
-from stlgo.central import Evaluator, graph_op_verdict, k_and, k_not, k_or, oracle_eval
+from stlgo.central import Cells, graph_op_verdict, k_and, k_not, k_or, oracle_eval
 from stlgo.distributed import LeafFailure, prepare_for_distributed
 from stlgo.formula import FULL_WEIGHTS, horizon
 from stlgo.serialization import load_mask, save_mask
@@ -501,9 +501,9 @@ def test_monitor_dist_equals_evaluation_of_prepared_formula(seed):
     mask = random_mask(rng, run, observer, rng.choice([0.0, 0.3, 0.7, 1.0]))
     T = rng.randint(0, run.length)
     sig = monitor_dist(run, mask, f, subject, T)
-    ev = Evaluator(run, mask)
     prepared = prepare_for_distributed(f)
-    expected = tuple(ev.eval(prepared, subject, t) for t in range(sig.t1 + 1))
+    cell = Cells(run, prepared, mask)[prepared]
+    expected = tuple(cell(subject, t) for t in range(sig.t1 + 1))
     assert sig.values == expected, f"seed={seed}"
 
 

@@ -202,6 +202,27 @@ def test_repeated_station_pair_rejected_with_position(tmp_path, dist_rows, times
         ingest_station_csv(states, dist, times)
 
 
+@pytest.mark.parametrize(
+    "name, rows, message",
+    [
+        ("states", "1,0,5,0,0\n\n1,1,abc,0,0\n", "column 'n': not a number: 'abc'"),
+        ("dist", "1,2,3.0\n\n2,1,abc\n", "column 'miles': not a number: 'abc'"),
+        ("times", "1,2,4.0,9.0\n\n2,1,4.0,abc\n", "column 'walk_min': not a number: 'abc'"),
+    ],
+    ids=["states", "dist", "times"],
+)
+def test_row_hint_counts_blank_lines(tmp_path, name, rows, message):
+    """Line 3 is blank, so the bad cell is on line 4 of its file."""
+    headers = {"states": "station,hour,n,n_in,n_out\n", "dist": "src,dst,miles\n",
+               "times": "src,dst,transit_min,walk_min\n"}
+    default = {"states": "1,0,5,0,0\n2,0,5,0,0\n", "dist": "", "times": ""}
+    paths = [write(tmp_path / f"{k}.csv", headers[k] + (rows if k == name else default[k]))
+             for k in ("states", "dist", "times")]
+    bad = tmp_path / f"{name}.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{bad}: row 4: {message}')}$"):
+        ingest_station_csv(*paths)
+
+
 def test_bad_header_reported(tmp_path):
     states = write(tmp_path / "states.csv", "station,hour,bikes\n1,0,5\n")
     dist = write(tmp_path / "dist.csv", "src,dst,miles\n")

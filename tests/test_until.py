@@ -1,6 +1,6 @@
-"""Until/F/G windows: the next-witness pointers of the evaluator against the
-plain window scan, the oracle at L >= 1000, a linear eval-call count, and
-no cell read outside [t, hi]."""
+"""Until/F/G windows: the next-witness pointers of the compiled kernel
+against the plain window scan, the oracle at L >= 1000, a linear count of
+cell reads, and no cell read outside [t, hi]."""
 
 import random
 
@@ -17,7 +17,8 @@ from stlgo import (
     parse_global,
     parse_local,
 )
-from stlgo.central import Evaluator, oracle_eval, signal_cells
+from stlgo import central
+from stlgo.central import Cells, oracle_eval, signal_cells
 
 from conftest import random_global_formula, random_local_formula, random_mask, random_run
 from reference_until import reference_signal_cells
@@ -131,32 +132,76 @@ def test_eventually_always_unbounded_matches_oracle_at_long_trace():
         assert sig.values[t] == oracle_eval(run, f, 1, t), t
 
 
+def test_random_signals_equal_reference_and_oracle_at_long_trace():
+    # seeded random formulas and the window shapes on traces of L >= 1000:
+    # every signal, central and under random masks, equals the window
+    # scan's cell for cell, and sampled central cells equal the oracle
+    rng = random.Random(6_103)
+    masked = 0
+    for k in range(27):
+        run = random_run(rng, max_agents=3, min_len=1000, max_len=1100)
+        tags, dim = tuple(sorted(run.graphs.types)), run.trajectory.state_dim
+        agent = rng.randint(1, run.num_agents)
+        if k % 3 == 0:
+            f = parse_local(SHAPES[k // 3 % len(SHAPES)])
+        elif k % 3 == 1:
+            f = random_local_formula(rng, tags, dim)
+        else:
+            f, agent = random_global_formula(rng, tags, dim, run.num_agents), None
+        T = rng.randint(0, run.length)
+        got = signal_cells(run, f, agent, T)
+        assert got == reference_signal_cells(run, f, agent, T), k
+        for t in rng.sample(range(len(got)), 3):
+            assert got[t] == oracle_eval(run, f, agent, t), (k, t)
+        if agent is None:
+            continue
+        for p in (0.3, 0.8):
+            mask = random_mask(rng, run, rng.randint(1, run.num_agents), p)
+            got = signal_cells(run, f, agent, T, mask=mask)
+            assert got == reference_signal_cells(run, f, agent, T, mask=mask), (k, p)
+            masked += None in got
+    assert masked > 0
+
+
+class CountingCells(Cells):
+    """The compiled cells with every read of a memoized cell counted: the
+    function of each node that keeps a memo is wrapped, and the nodes above
+    it call the wrapper. Truth, negation and agent binding keep none; they
+    only map the cells of their operand."""
+
+    reads = 0
+
+    def _compile(self, f, subs):
+        cell = super()._compile(f, subs)
+        if id(f) not in self.rows:
+            return cell
+
+        def counted(agent, t):
+            CountingCells.reads += 1
+            return cell(agent, t)
+        return counted
+
+
 @pytest.mark.parametrize(
     "text", ["G[0,inf] [x[0] >= 0]", "[x[0] >= 0] U[0,inf] [x[0] >= 5]"]
 )
-def test_full_signal_makes_linear_number_of_eval_calls(monkeypatch, text):
+def test_full_signal_makes_linear_number_of_cell_reads(monkeypatch, text):
     # p holds everywhere and q only at the last sample: every window runs
     # to L, which the per-cell scan reads in full at every t; observer 2
     # sees subject 1 at even times only
     L = 4000
     run = _scalar_run([1.0] * L + [5.0], agents=2)
-    calls = 0
-    plain_eval = Evaluator.eval
-
-    def counting_eval(self, f, agent, t):
-        nonlocal calls
-        calls += 1
-        return plain_eval(self, f, agent, t)
-
-    monkeypatch.setattr(Evaluator, "eval", counting_eval)
+    monkeypatch.setattr(central, "Cells", CountingCells)
+    monkeypatch.setattr(CountingCells, "reads", 0)
     f = parse_local(text)
     assert monitor_local(run, f, 1, L).values == (1,) * (L + 1)
-    central_calls, calls = calls, 0
+    central_reads = CountingCells.reads
+    CountingCells.reads = 0
     hidden = KnowledgeMask(2, frozenset((1, t) for t in range(0, L + 1, 2)))
     dist = monitor_dist(run, hidden, f, 1, L).values
     assert dist[L] == 1 and set(dist) == {None, 1}
-    assert central_calls <= 6 * (L + 1)
-    assert calls <= 6 * (L + 1)
+    assert 0 < central_reads <= 6 * (L + 1)
+    assert 0 < CountingCells.reads <= 6 * (L + 1)
 
 
 def _zero_outside(reached, L):
