@@ -17,6 +17,8 @@ import csv
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import itemgetter
 
 from .model import DistanceSnapshot, GraphTrajectory, MasRun, MasTrajectory, MultigraphSnapshot
 
@@ -198,10 +200,17 @@ STATES_HEADER = ["station", "hour", "n", "n_in", "n_out"]
 DISTANCES_HEADER = ["src", "dst", "miles"]
 TIMES_HEADER = ["src", "dst", "transit_min", "walk_min"]
 
+# every int of at most this magnitude is a float exactly, so int(text) equals
+# int(float(text)) up to here; past it float() rounds and int() does not
+_EXACT = 2 ** 53
+# a station-gap message lists this many missing ids, then a count
+_LISTED = 5
+
 
 def _read_rows(path, expected_header: list[str]):
     """The non-blank data rows of a CSV file, after checking its header:
-    yields each row as (the line it ends on, column -> stripped value)."""
+    yields each row as (the line it ends on, its list of raw cells)."""
+    width = len(expected_header)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -214,24 +223,81 @@ def _read_rows(path, expected_header: list[str]):
                 f"got {','.join(header)!r}"
             )
         for row in reader:
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise ValueError(
-                    f"{path}: row {reader.line_num}: expected {len(expected_header)} fields")
-            yield reader.line_num, {k: v.strip() for k, v in zip(expected_header, row)}
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ValueError(f"{path}: row {reader.line_num}: expected {width} fields")
+            yield reader.line_num, row
 
 
-def _num(path, lineno_hint: str, column: str, raw: str, integral: bool = False) -> float:
+def _num(path, line: int, column: str, raw: str, integral: bool = False) -> float:
     try:
         v = float(raw)
     except ValueError:
-        raise ValueError(f"{path}: {lineno_hint}: column {column!r}: not a number: {raw!r}") from None
+        raise ValueError(
+            f"{path}: row {line}: column {column!r}: not a number: {raw.strip()!r}") from None
     if math.isnan(v):
-        raise ValueError(f"{path}: {lineno_hint}: column {column!r}: NaN rejected")
+        raise ValueError(f"{path}: row {line}: column {column!r}: NaN rejected")
     if integral and not v.is_integer():
-        raise ValueError(f"{path}: {lineno_hint}: column {column!r}: expected integer")
+        raise ValueError(f"{path}: row {line}: column {column!r}: expected integer")
     return v
+
+
+def _index(path, line: int, column: str, raw: str) -> int:
+    """An integral cell, read as int(float(text)): int() takes the plain
+    forms exactly, _num any other (``1.0``, ``1e3``) or reports the fault."""
+    try:
+        v = int(raw)
+    except ValueError:
+        pass
+    else:
+        if -_EXACT <= v <= _EXACT:
+            return v
+    return int(_num(path, line, column, raw, integral=True))
+
+
+def _state_key(path, line: int, station_raw: str, hour_raw: str, cells) -> tuple[int, int]:
+    """A (station, hour) key that the fast path did not take, checked in
+    order: both numbers, their ranges, then the key's uniqueness."""
+    station = _index(path, line, "station", station_raw)
+    hour = _index(path, line, "hour", hour_raw)
+    if station < 1:
+        raise ValueError(f"{path}: row {line}: station ids are 1-indexed")
+    if hour < 0:
+        raise ValueError(f"{path}: row {line}: negative hour")
+    if (station, hour) in cells:
+        raise ValueError(f"{path}: row {line}: duplicate (station {station}, hour {hour})")
+    return station, hour
+
+
+def _state_value(path, line: int, column: str, raw: str, values: dict[str, float]) -> float:
+    """A state cell missing from ``values``: the float of its stripped text,
+    shared with every cell of the same text and kept under its raw text."""
+    text = raw.strip()
+    v = values.get(text)
+    if v is None:
+        v = values[text] = _num(path, line, column, text)
+    values[raw] = v
+    return v
+
+
+def _first_gap(path, cells, num_agents: int, length: int):
+    """Raise for the first (station, hour) cell missing from ``cells``, whose
+    keys lie in 1..num_agents x 0..length: a missing station first, then the
+    first missing hour of the lowest station."""
+    stations = {s for s, _ in cells}
+    if len(stations) < num_agents:
+        # every id lies in 1..num_agents, so the scan ends after at most
+        # len(stations) + _LISTED ids however large num_agents is
+        missing = list(islice((s for s in range(1, num_agents + 1) if s not in stations),
+                              _LISTED))
+        more = num_agents - len(stations) - len(missing)
+        raise ValueError(f"{path}: station ids not contiguous; missing {missing}"
+                         + (f" and {more} more" if more else ""))
+    for s in range(1, num_agents + 1):
+        for t in range(length + 1):
+            if (s, t) not in cells:
+                raise ValueError(f"{path}: station {s}: missing hour {t}")
 
 
 def ingest_station_csv(states_path, distances_path, times_path) -> MasRun:
@@ -243,43 +309,33 @@ def ingest_station_csv(states_path, distances_path, times_path) -> MasRun:
     """
     cells: dict[tuple[int, int], tuple[float, float, float]] = {}
     # one float per distinct cell text: station counts repeat, so a long run
-    # holds a few hundred state values rather than three floats per cell
+    # holds a few hundred state values rather than three floats per cell.
+    # Cells are looked up by their raw text; _state_value fills in a miss.
     values: dict[str, float] = {}
-
-    def state_value(hint, row, column):
-        raw = row[column]
-        v = values.get(raw)
-        if v is None:
-            v = values[raw] = _num(states_path, hint, column, raw)
-        return v
-
-    for k, row in _read_rows(states_path, STATES_HEADER):
-        hint = f"row {k}"
-        station = int(_num(states_path, hint, "station", row["station"], integral=True))
-        hour = int(_num(states_path, hint, "hour", row["hour"], integral=True))
-        if station < 1:
-            raise ValueError(f"{states_path}: {hint}: station ids are 1-indexed")
-        if hour < 0:
-            raise ValueError(f"{states_path}: {hint}: negative hour")
-        if (station, hour) in cells:
-            raise ValueError(f"{states_path}: {hint}: duplicate (station {station}, hour {hour})")
-        cells[(station, hour)] = (
-            state_value(hint, row, "n"),
-            state_value(hint, row, "n_in"),
-            state_value(hint, row, "n_out"),
-        )
+    value = values.get
+    for line, (station, hour, n, n_in, n_out) in _read_rows(states_path, STATES_HEADER):
+        # a plain, in-range, new key is taken as it is; any other is read
+        # again by _state_key, which accepts it or raises the row's fault
+        try:
+            key = int(station), int(hour)
+        except ValueError:
+            key = None
+        if (key is None or not (0 < key[0] <= _EXACT and 0 <= key[1] <= _EXACT)
+                or key in cells):
+            key = _state_key(states_path, line, station, hour, cells)
+        a, b, c = value(n), value(n_in), value(n_out)
+        if a is None or b is None or c is None:
+            a, b, c = (_state_value(states_path, line, column, raw, values)
+                       for column, raw in zip(STATES_HEADER[2:], (n, n_in, n_out)))
+        cells[key] = (a, b, c)
     if not cells:
         raise ValueError(f"{states_path}: no data rows")
-    stations = {s for s, _ in cells}
-    num_agents = max(stations)
-    if stations != set(range(1, num_agents + 1)):
-        missing = sorted(set(range(1, num_agents + 1)) - stations)
-        raise ValueError(f"{states_path}: station ids not contiguous; missing {missing}")
-    length = max(t for _, t in cells)
-    for s in range(1, num_agents + 1):
-        for t in range(length + 1):
-            if (s, t) not in cells:
-                raise ValueError(f"{states_path}: station {s}: missing hour {t}")
+    # keys are unique, stations >= 1 and hours >= 0: the cells cover
+    # 1..N x 0..L exactly when there are N * (L + 1) of them
+    num_agents = max(map(itemgetter(0), cells))
+    length = max(map(itemgetter(1), cells))
+    if len(cells) != num_agents * (length + 1):
+        _first_gap(states_path, cells, num_agents, length)
 
     try:
         trajectory = MasTrajectory(
@@ -288,31 +344,29 @@ def ingest_station_csv(states_path, distances_path, times_path) -> MasRun:
     except ValueError as exc:
         raise ValueError(f"{states_path}: {exc}") from None
 
-    def station_pair(path, hint, row, seen) -> tuple[int, int]:
-        src = int(_num(path, hint, "src", row["src"], integral=True))
-        dst = int(_num(path, hint, "dst", row["dst"], integral=True))
+    def station_pair(path, line, src_raw, dst_raw, seen) -> tuple[int, int]:
+        src = _index(path, line, "src", src_raw)
+        dst = _index(path, line, "dst", dst_raw)
         for v in (src, dst):
             if not 1 <= v <= num_agents:
-                raise ValueError(f"{path}: {hint}: station {v} out of range 1..{num_agents}")
+                raise ValueError(f"{path}: row {line}: station {v} out of range 1..{num_agents}")
         if (src, dst) in seen:
-            raise ValueError(f"{path}: {hint}: duplicate pair (src {src}, dst {dst})")
+            raise ValueError(f"{path}: row {line}: duplicate pair (src {src}, dst {dst})")
         seen.add((src, dst))
         return src, dst
 
     d_edges = []
     seen = set()
-    for k, row in _read_rows(distances_path, DISTANCES_HEADER):
-        hint = f"row {k}"
-        src, dst = station_pair(distances_path, hint, row, seen)
-        d_edges.append((src, dst, 1, _num(distances_path, hint, "miles", row["miles"])))
+    for line, (src, dst, miles) in _read_rows(distances_path, DISTANCES_HEADER):
+        src, dst = station_pair(distances_path, line, src, dst, seen)
+        d_edges.append((src, dst, 1, _num(distances_path, line, "miles", miles)))
 
     mt_edges = []
     seen = set()
-    for k, row in _read_rows(times_path, TIMES_HEADER):
-        hint = f"row {k}"
-        src, dst = station_pair(times_path, hint, row, seen)
-        mt_edges.append((src, dst, 1, _num(times_path, hint, "transit_min", row["transit_min"])))
-        mt_edges.append((src, dst, 2, _num(times_path, hint, "walk_min", row["walk_min"])))
+    for line, (src, dst, transit, walk) in _read_rows(times_path, TIMES_HEADER):
+        src, dst = station_pair(times_path, line, src, dst, seen)
+        mt_edges.append((src, dst, 1, _num(times_path, line, "transit_min", transit)))
+        mt_edges.append((src, dst, 2, _num(times_path, line, "walk_min", walk)))
 
     graphs = GraphTrajectory(
         length,
@@ -324,33 +378,34 @@ def ingest_station_csv(states_path, distances_path, times_path) -> MasRun:
     return MasRun(trajectory, graphs)
 
 
+def _write_csv(path, header: list[str], rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def export_station_csv(run: MasRun, states_path, distances_path, times_path):
     """Inverse of ingestion for bike-shaped runs (static d and mt graphs);
     re-ingesting the written files reproduces the run exactly."""
     traj = run.trajectory
     if traj.state_dim != 3:
         raise ValueError("station export expects [n, n_in, n_out] states")
-    with open(states_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(STATES_HEADER)
-        for t in range(traj.length + 1):
-            for s in range(1, traj.num_agents + 1):
-                n, n_in, n_out = traj.state(s, t)
-                w.writerow([s, t, repr(n), repr(n_in), repr(n_out)])
-    d = run.graphs.at("d", 0)
-    with open(distances_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(DISTANCES_HEADER)
-        for e in sorted(d.edges):
-            w.writerow([e.src, e.dst, repr(e.weight)])
     mt = run.graphs.at("mt", 0)
     by_pair: dict[tuple[int, int], dict[int, float]] = {}
     for e in mt.edges:
         by_pair.setdefault((e.src, e.dst), {})[e.index] = e.weight
-    with open(times_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(TIMES_HEADER)
-        for (src, dst), pair in sorted(by_pair.items()):
-            if set(pair) != {1, 2}:
-                raise ValueError(f"pair ({src}, {dst}) must carry edges 1 and 2")
-            w.writerow([src, dst, repr(pair[1]), repr(pair[2])])
+    pairs = sorted(by_pair.items())
+    for (src, dst), pair in pairs:
+        if set(pair) != {1, 2}:
+            raise ValueError(f"pair ({src}, {dst}) must carry edges 1 and 2")
+    # csv writes a float as str(), which is repr(): the shortest text that
+    # reads back as the same float
+    agents = range(1, traj.num_agents + 1)
+    _write_csv(states_path, STATES_HEADER, chain.from_iterable(
+        zip(agents, repeat(t), *zip(*slice_)) for t, slice_ in enumerate(traj.states)))
+    _write_csv(distances_path, DISTANCES_HEADER,
+               ((e.src, e.dst, e.weight) for e in sorted(run.graphs.at("d", 0).edges)))
+    _write_csv(times_path, TIMES_HEADER,
+               ((src, dst, pair[1], pair[2]) for (src, dst), pair in pairs))
+

@@ -1,16 +1,26 @@
 import math
+import random
 import re
+import time
+from itertools import chain
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stlgo import (
     BikeScenarioConfig,
     DroneScenarioConfig,
+    GraphTrajectory,
+    MasRun,
+    MasTrajectory,
+    MultigraphSnapshot,
     export_station_csv,
     gen_bike,
     gen_drone,
     ingest_station_csv,
 )
+from stlgo.scenario import _index, _num
 from stlgo.serialization import save_run
 
 
@@ -240,6 +250,110 @@ def test_noncontiguous_stations_rejected(tmp_path):
     times = write(tmp_path / "times.csv", "src,dst,transit_min,walk_min\n")
     with pytest.raises(ValueError, match="missing \\[2\\]"):
         ingest_station_csv(states, dist, times)
+
+
+@pytest.mark.parametrize("station", [10**9, 3_000_000])
+def test_far_out_station_fails_fast_with_a_short_message(tmp_path, station):
+    states = write(tmp_path / "states.csv",
+                   f"station,hour,n,n_in,n_out\n1,0,5,0,0\n{station},0,5,0,0\n")
+    dist = write(tmp_path / "dist.csv", "src,dst,miles\n")
+    times = write(tmp_path / "times.csv", "src,dst,transit_min,walk_min\n")
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        ingest_station_csv(states, dist, times)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == (f"{states}: station ids not contiguous; "
+                              f"missing [2, 3, 4, 5, 6] and {station - 7} more")
+
+
+@pytest.mark.parametrize("rows, missing", [
+    ("1,0,5,0,0\n7,0,5,0,0\n", "[2, 3, 4, 5, 6]"),
+    ("1,0,5,0,0\n8,0,5,0,0\n", "[2, 3, 4, 5, 6] and 1 more"),
+    ("2,0,5,0,0\n4,0,5,0,0\n", "[1, 3]"),
+])
+def test_missing_station_list_is_bounded(tmp_path, rows, missing):
+    states = write(tmp_path / "states.csv", "station,hour,n,n_in,n_out\n" + rows)
+    dist = write(tmp_path / "dist.csv", "src,dst,miles\n")
+    times = write(tmp_path / "times.csv", "src,dst,transit_min,walk_min\n")
+    with pytest.raises(ValueError, match=f"missing {re.escape(missing)}$"):
+        ingest_station_csv(states, dist, times)
+
+
+# Three stations over hours 0..2; the counts repeat, so cells share texts.
+STATES = {(s, t): (float(5 + s - t), float(t % 2), 1.0)
+          for s in (1, 2, 3) for t in (0, 1, 2)}
+
+
+def state_text(variant, s, t):
+    n, n_in, n_out = STATES[(s, t)]
+    cells = [str(s), str(t), str(int(n)), str(int(n_in)), str(int(n_out))]
+    if variant == "padded":
+        cells = [f" {c}\t" if k % 2 else f"  {c}" for k, c in enumerate(cells)]
+    elif variant == "station forms":
+        cells[0] = {1: "1.0", 2: "+2", 3: "03"}[s]
+    elif variant == "quoted":
+        cells = [f'"{c}"' for c in cells]
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("variant", [
+    "plain", "shuffled", "padded", "station forms", "crlf", "blank lines", "quoted"])
+def test_ingest_forms_give_the_direct_run(tmp_path, variant):
+    keys = sorted(STATES, key=lambda k: (k[1], k[0]))
+    if variant == "shuffled":
+        random.Random(3).shuffle(keys)
+    lines = ["station,hour,n,n_in,n_out"] + [state_text(variant, *k) for k in keys]
+    if variant == "blank lines":
+        lines = list(chain.from_iterable((line, "") for line in lines))
+    newline = "\r\n" if variant == "crlf" else "\n"
+    states = tmp_path / "states.csv"
+    states.write_bytes((newline.join(lines) + newline).encode())
+    dist = write(tmp_path / "dist.csv", "src,dst,miles\n1,2,0.5\n")
+    times = write(tmp_path / "times.csv", "src,dst,transit_min,walk_min\n3,1,4.0,9.5\n")
+    run = ingest_station_csv(states, dist, times)
+    direct = MasRun(
+        MasTrajectory([[STATES[(s, t)] for s in (1, 2, 3)] for t in (0, 1, 2)]),
+        GraphTrajectory(2, static={
+            "d": MultigraphSnapshot("d", True, [(1, 2, 1, 0.5)]),
+            "mt": MultigraphSnapshot("mt", True, [(3, 1, 1, 4.0), (3, 1, 2, 9.5)]),
+        }),
+    )
+    assert run == direct
+    # one float object per distinct cell text, whatever the padding
+    floats = list(chain.from_iterable(chain.from_iterable(run.trajectory.states)))
+    texts = {str(int(v)) for v in floats}
+    assert len({id(v) for v in floats}) == len(texts)
+
+
+@pytest.mark.parametrize("stations", [1, 6, 12])
+@pytest.mark.parametrize("hours", [1, 24, 2000])
+def test_csv_round_trip_sizes(tmp_path, stations, hours):
+    run = gen_bike(BikeScenarioConfig(stations=stations, seed=stations + hours, hours=hours))
+    paths = (tmp_path / "s.csv", tmp_path / "d.csv", tmp_path / "t.csv")
+    export_station_csv(run, *paths)
+    assert ingest_station_csv(*paths) == run
+
+
+def _old_index(raw):
+    """Integral cells as the ingestion read them before int() came first."""
+    return int(_num("f", 2, "c", raw.strip(), integral=True))
+
+
+@given(st.one_of(
+    st.text(alphabet=" \t+-_.0123456789e\u0663\u2003", max_size=12),
+    st.integers(-2**60, 2**60).map(str),
+    st.integers(2**53 - 3, 2**53 + 3).flatmap(
+        lambda v: st.sampled_from([str(v), f"-{v}", f" +{v} ", f"{v}.0"])),
+))
+def test_integral_cells_read_as_int_of_float(raw):
+    try:
+        want = _old_index(raw)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _index("f", 2, "c", raw)
+    else:
+        got = _index("f", 2, "c", raw)
+        assert got == want and type(got) is int
 
 
 def test_drone_determinism_byte_identical(tmp_path):
