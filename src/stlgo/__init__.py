@@ -12,8 +12,6 @@ from .model import (
     TimeOutOfRangeError,
     UnknownGraphTypeError,
     agent_neighbors,
-    neighbor_multiplicities,
-    neighbors,
 )
 from .formula import (
     AgentBind,
@@ -31,7 +29,6 @@ from .formula import (
     GlobalAtom,
     GlobalFormula,
     GraphOp,
-    GraphOpTree,
     Implies,
     LocalFormula,
     Not,
@@ -42,11 +39,8 @@ from .formula import (
     UnaryFn,
     Until,
     WeightInterval,
-    build_operator_tree,
-    expand_graph_quantifier,
     horizon,
     lower,
-    push_negations,
 )
 from .parser import ParseError, SourceSpan, parse_global, parse_local, print_formula
 from .central import (
@@ -77,7 +71,6 @@ from .translators import (
     translate_sastl_count,
     translate_sstl,
     translate_strel,
-    translate_strel_reach_hops,
 )
 from .scenario import (
     BikeScenarioConfig,

@@ -91,9 +91,6 @@ class Signal:
             raise TimeOutOfRangeError("time out of range")
         return self.values[t - self.t0]
 
-    def has_unknown(self) -> bool:
-        return None in self.values
-
 
 _SYSTEM_ONLY = (F.GlobalAtom,) + F.BINDERS
 

@@ -175,7 +175,9 @@ def is_determinable(
     T: int,
 ) -> DeterminabilityReport:
     """Sufficient per-leaf, per-time check that the distributed verdict will
-    be 0/1 at every time in [0, T].
+    be 0/1 at every time of the signal's whole domain, [0, min(T + T_f, L)]
+    with T_f the formula's horizon; the check has no strict mode, so this is
+    its domain even where ``monitor_dist(..., strict=True)`` stops at T.
 
     A leaf passes at time t when either (a) it reads no state at all, or the
     observer knows the states of every agent in the leaf's composed neighbor

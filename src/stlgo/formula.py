@@ -67,10 +67,6 @@ class WeightInterval:
     def contains(self, w: float) -> bool:
         return self.lo <= w <= self.hi
 
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
 
 FULL_WEIGHTS = WeightInterval(-INF, INF)
 
@@ -124,9 +120,6 @@ class CountSet:
             next_lo = int(hi) + 1
         out.append((next_lo, INF))
         return CountSet(tuple(out))
-
-    def union(self, other: CountSet) -> CountSet:
-        return CountSet(self.intervals + other.intervals)
 
 
 def _canon_intervals(intervals) -> tuple[tuple[int, float], ...]:
@@ -584,9 +577,12 @@ def _lower_step(f, subs):
         return _negate(Until(Truth(), _negate(subs[0]), f.interval))
     if kind is Not and type(subs[0]) in (Not, GraphOp):
         return _negate(subs[0])
-    if kind is GraphOp and len(f.graphs) > 1:  # the | (or &) chain of its single-tag copies
-        chain = _expand_step(f, subs)
-        return _lower_step(chain, _chain_parts(chain))
+    if kind is GraphOp and len(f.graphs) > 1:  # the | (or &) of its single-tag copies
+        copies = [GraphOp(f.direction, f.quantifier, (g,), f.counts, f.weights, subs[0])
+                  for g in f.graphs]
+        if f.quantifier == "forall":
+            return _balanced_and(copies)
+        return _negate(_balanced_and([_negate(c) for c in copies]))
     if kind is ForAllAgents:
         return _balanced_and([AgentBind(i, subs[0]) for i in f.agents])
     if kind is ExistsAgent:
@@ -604,56 +600,15 @@ def _balanced_and(parts: list) -> Formula:
     return And(_balanced_and(parts[:mid]), _balanced_and(parts[mid:]))
 
 
-# ---------------------------------------------------------------------------
-# normalizations over graph operators
-
-
-def push_negations(f: LocalFormula) -> LocalFormula:
-    """Eliminate negations sitting directly above graph operators.
-
-    A negated graph operator is replaced by the same operator with the
-    complemented count set; all other structure is preserved.
-    """
-    return fold(f, _push_step)
-
-
-def _push_step(f, subs):
-    if type(f) is Not and type(subs[0]) is GraphOp:
-        return _negate(subs[0])
-    return _with_operands(f, subs)
-
-
 def _negate(g):
-    """The negation of g as lowering builds it: not(not h) is h, and a
-    negated graph operator is the operator over the complemented count set.
-    Over several graphs the negation also dualizes the quantifier:
-    not(exists g: count in E) = forall g: count in complement(E). For a
-    single graph the quantifier is immaterial and kept as is.
-    """
+    """The negation of a core formula g as lowering builds it: not(not h) is
+    h, and a negated graph operator, which lowering has already cut down to
+    one graph, is the operator over the complemented count set."""
     if type(g) is Not:
         return g.child
     if type(g) is not GraphOp:
         return Not(g)
-    quant = g.quantifier
-    if len(g.graphs) > 1:
-        quant = "forall" if quant == "exists" else "exists"
-    return GraphOp(g.direction, quant, g.graphs, g.counts.complement(), g.weights, g.child)
-
-
-def expand_graph_quantifier(f: LocalFormula) -> LocalFormula:
-    """Rewrite each graph operator over m > 1 graphs into m single-graph
-    operators joined by disjunction (exists) or conjunction (forall)."""
-    return fold(f, _expand_step)
-
-
-def _expand_step(f, subs):
-    if type(f) is not GraphOp or len(f.graphs) == 1:
-        return _with_operands(f, subs)
-    return join_left(Or if f.quantifier == "exists" else And, _single_graph_ops(f, subs[0]))
-
-
-def _single_graph_ops(f: GraphOp, child) -> list:
-    return [GraphOp(f.direction, f.quantifier, (g,), f.counts, f.weights, child) for g in f.graphs]
+    return GraphOp(g.direction, g.quantifier, g.graphs, g.counts.complement(), g.weights, g.child)
 
 
 def prepare_for_distributed(f: LocalFormula) -> LocalFormula:
@@ -662,10 +617,6 @@ def prepare_for_distributed(f: LocalFormula) -> LocalFormula:
     written shape because the tree's leaves come from it; a balanced chain
     could split a leaf."""
     return fold(f, _lower_step)
-
-
-def contains_graph_op(f: LocalFormula) -> bool:
-    return any(type(node) is GraphOp for node in nodes(f))
 
 
 def contains_atom(f: LocalFormula) -> bool:

@@ -369,10 +369,6 @@ class GraphTrajectory:
     def types(self) -> frozenset[str]:
         return frozenset(self.static) | frozenset(self.dynamic)
 
-    @property
-    def static_types(self) -> frozenset[str]:
-        return frozenset(self.static)
-
     def at(self, graph_type: str, t: int) -> MultigraphSnapshot:
         if not 0 <= t <= self.length:
             raise TimeOutOfRangeError("time out of range")
@@ -433,43 +429,6 @@ class MasRun:
         return MasRun(self.trajectory, self.graphs.with_graph(tag, snapshots))
 
 
-def neighbors(
-    run: MasRun,
-    graph_type: str,
-    t: int,
-    i: int,
-    direction: Direction,
-    weights: tuple[float, float] = (NEG_INF, POS_INF),
-) -> frozenset[Edge]:
-    """Edges of agent i in one graph at time t whose weights fall in the window.
-
-    For ``in`` the returned edges are oriented (j, i, u); for ``out`` they
-    are (i, j, u). On undirected snapshots both directions expose the same
-    connections, re-oriented to the query.
-    """
-    snap = _query_snapshot(run, graph_type, t, (i,), direction, weights)
-    lo, hi = weights
-    return frozenset(
-        e for e in snap.oriented_edges(i, direction) if lo <= e.weight <= hi
-    )
-
-
-def _query_snapshot(
-    run: MasRun, graph_type: str, t: int, agents, direction: Direction, weights
-) -> MultigraphSnapshot:
-    """Validate a neighbor query of the agents and return the snapshot it
-    reads; an empty agent set is checked the same way."""
-    if direction not in ("in", "out"):
-        raise ValueError(f"direction must be 'in' or 'out', not {direction!r}")
-    lo, hi = weights
-    if lo > hi:
-        raise ValueError(f"weight interval reversed: [{lo}, {hi}]")
-    for i in agents:
-        if not 1 <= i <= run.num_agents:
-            raise ValueError(f"unknown agent {i}")
-    return run.graphs.at(graph_type, t)
-
-
 def agent_neighbors(
     run: MasRun,
     graph_type: str,
@@ -478,24 +437,18 @@ def agent_neighbors(
     direction: Direction,
     weights: tuple[float, float] = (NEG_INF, POS_INF),
 ) -> frozenset[int]:
-    """Opposite endpoints of ``neighbors``; accepts an agent or a set of agents."""
+    """The agents at the other end of an edge of agent i (or of any agent in
+    a set of agents) in one graph at time t, in the given direction, with a
+    weight in the window. The query is checked whole even for an empty set
+    of agents."""
+    if direction not in ("in", "out"):
+        raise ValueError(f"direction must be 'in' or 'out', not {direction!r}")
+    lo, hi = weights
+    if lo > hi:
+        raise ValueError(f"weight interval reversed: [{lo}, {hi}]")
     agents = (i,) if isinstance(i, int) else tuple(i)
-    snap = _query_snapshot(run, graph_type, t, agents, direction, weights)
-    return frozenset(j for a in agents for j in snap.multiplicities(a, direction, *weights))
-
-
-def neighbor_multiplicities(
-    run: MasRun,
-    graph_type: str,
-    t: int,
-    i: int,
-    direction: Direction,
-    weights: tuple[float, float] = (NEG_INF, POS_INF),
-) -> dict[int, int]:
-    """Opposite endpoint -> number of parallel edges inside the weight window.
-
-    Counts the same edges as ``neighbors``: a self-loop counts once, toward
-    agent i itself.
-    """
-    snap = _query_snapshot(run, graph_type, t, (i,), direction, weights)
-    return snap.multiplicities(i, direction, *weights)
+    for a in agents:
+        if not 1 <= a <= run.num_agents:
+            raise ValueError(f"unknown agent {a}")
+    snap = run.graphs.at(graph_type, t)
+    return frozenset(j for a in agents for j in snap.multiplicities(a, direction, lo, hi))

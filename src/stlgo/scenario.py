@@ -386,26 +386,40 @@ def _write_csv(path, header: list[str], rows):
 
 
 def export_station_csv(run: MasRun, states_path, distances_path, times_path):
-    """Inverse of ingestion for bike-shaped runs (static d and mt graphs);
-    re-ingesting the written files reproduces the run exactly."""
+    """Inverse of ingestion for bike-shaped runs; re-ingesting the written
+    files reproduces the run exactly. The run must carry just the two graphs
+    that ingestion builds, both static and directed: d with one edge per
+    pair, and mt with edges 1 and 2 per pair. Any other run is refused
+    before a file is written."""
     traj = run.trajectory
     if traj.state_dim != 3:
         raise ValueError("station export expects [n, n_in, n_out] states")
-    mt = run.graphs.at("mt", 0)
+    graphs = run.graphs
+    extra = sorted(graphs.types - {"d", "mt"})
+    if extra:
+        raise ValueError(f"graph {extra[0]!r}: station files carry only the graphs d and mt")
+    for tag in ("d", "mt"):
+        if tag not in graphs.static:
+            raise ValueError(f"graph {tag!r}: station files carry static graphs only")
+        if not graphs.at(tag, 0).directed:
+            raise ValueError(f"graph {tag!r}: station files carry directed graphs only")
+    parallel = sorted(e[:3] for e in graphs.at("d", 0).edges if e.index != 1)
+    if parallel:
+        raise ValueError(f"graph 'd': edge {parallel[0]}: station files carry one d edge per pair")
     by_pair: dict[tuple[int, int], dict[int, float]] = {}
-    for e in mt.edges:
+    for e in graphs.at("mt", 0).edges:
         by_pair.setdefault((e.src, e.dst), {})[e.index] = e.weight
     pairs = sorted(by_pair.items())
     for (src, dst), pair in pairs:
         if set(pair) != {1, 2}:
-            raise ValueError(f"pair ({src}, {dst}) must carry edges 1 and 2")
+            raise ValueError(f"graph 'mt': pair ({src}, {dst}) must carry edges 1 and 2")
     # csv writes a float as str(), which is repr(): the shortest text that
     # reads back as the same float
     agents = range(1, traj.num_agents + 1)
     _write_csv(states_path, STATES_HEADER, chain.from_iterable(
         zip(agents, repeat(t), *zip(*slice_)) for t, slice_ in enumerate(traj.states)))
     _write_csv(distances_path, DISTANCES_HEADER,
-               ((e.src, e.dst, e.weight) for e in sorted(run.graphs.at("d", 0).edges)))
+               ((e.src, e.dst, e.weight) for e in sorted(graphs.at("d", 0).edges)))
     _write_csv(times_path, TIMES_HEADER,
                ((src, dst, pair[1], pair[2]) for (src, dst), pair in pairs))
 

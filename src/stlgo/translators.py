@@ -26,7 +26,6 @@ from .formula import (
     AgentBind,
     And,
     CountSet,
-    FALSITY,
     ForAllAgents,
     GraphOp,
     LocalFormula,
@@ -34,7 +33,6 @@ from .formula import (
     Not,
     Or,
     WeightInterval,
-    FULL_WEIGHTS,
     join_left,
 )
 from .model import MasRun, MultigraphSnapshot
@@ -338,42 +336,3 @@ def translate_strel(
             raise ValueError("escape needs phi")
         return translate_strel_escape(phi, weights, agent, run, t, d_tag)
     raise ValueError(f"unsupported trace mode {op!r}")
-
-
-def translate_strel_reach_hops(
-    phi1: LocalFormula,
-    phi2: LocalFormula,
-    weights: WeightInterval,
-    agent: int,
-    num_agents: int,
-    d_tag: str = "d",
-) -> GlobalFormula:
-    """Hop-count alternative to the trace encoding, valid when every edge
-    weight is 1: reach within k hops nests k counting operators.
-
-    Unlike the trace route this counts revisiting routes too, so the two
-    strategies coincide only when shortcutting is free, i.e. for windows
-    with lower bound 0 (or 1 when the anchor itself is not the witness).
-    """
-    if weights.lo != int(weights.lo) and weights.lo != -INF:
-        raise ValueError("hop windows need integer bounds")
-    if weights.hi != INF and weights.hi != int(weights.hi):
-        raise ValueError("hop windows need integer bounds")
-    lo = max(0, int(weights.lo)) if weights.lo != -INF else 0
-    hi = num_agents - 1 if weights.hi == INF else min(int(weights.hi), num_agents - 1)
-    one_or_more = CountSet.single(1, INF)
-    disjuncts: list[LocalFormula] = []
-    for k in range(lo, hi + 1):
-        if k == 0:
-            disjuncts.append(phi2)
-            continue
-        nested = phi2
-        for _ in range(k):
-            nested = And(
-                phi1,
-                GraphOp("in", "exists", (d_tag,), one_or_more, FULL_WEIGHTS, nested),
-            )
-        disjuncts.append(nested)
-    if not disjuncts:
-        return FALSITY
-    return AgentBind(agent, join_left(Or, disjuncts))

@@ -163,11 +163,11 @@ def _random_expr(rng: random.Random, state_dim: int):
 def _random_count_set(rng: random.Random) -> CountSet:
     lo = rng.randint(0, 3)
     hi = rng.choice([lo, lo + 1, lo + 2, float("inf")])
-    cs = CountSet.single(lo, hi)
+    intervals = ((lo, hi),)
     if rng.random() < 0.25 and hi != float("inf"):
         lo2 = int(hi) + 2 + rng.randint(0, 2)
-        cs = cs.union(CountSet.single(lo2, rng.choice([lo2 + 1, float("inf")])))
-    return cs
+        intervals += ((lo2, rng.choice([lo2 + 1, float("inf")])),)
+    return CountSet(intervals)
 
 
 def _random_weight_interval(rng: random.Random) -> WeightInterval:

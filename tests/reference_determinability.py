@@ -18,7 +18,7 @@ from stlgo.distributed import (
     prepare_for_distributed,
 )
 from stlgo.formula import INF, build_operator_tree, contains_atom, horizon
-from stlgo.model import TimeOutOfRangeError, agent_neighbors, neighbor_multiplicities
+from stlgo.model import TimeOutOfRangeError
 
 
 def reference_is_determinable(run, mask, f, subject, T) -> DeterminabilityReport:
@@ -32,7 +32,7 @@ def reference_is_determinable(run, mask, f, subject, T) -> DeterminabilityReport
     prepared = prepare_for_distributed(f)
     tree = build_operator_tree(prepared)
     ops = dict(enumerate(tree.operators, 1))
-    static_tags = run.graphs.static_types
+    static_tags = run.graphs.static
     failures: list[LeafFailure] = []
 
     for leaf in tree.leaves:
@@ -64,27 +64,28 @@ def reference_is_determinable(run, mask, f, subject, T) -> DeterminabilityReport
     return DeterminabilityReport(not failures, tuple(failures), tree)
 
 
+def _snapshot_multiplicities(run, node, agent: int, u: int) -> dict[int, int]:
+    """The operator's per-neighbor parallel-edge counts at the agent, time u."""
+    return run.graphs.at(node.graphs[0], u).multiplicities(
+        agent, node.direction, node.weights.lo, node.weights.hi
+    )
+
+
 def _level_neighbors(run, node, agents, t) -> frozenset[int]:
     """Neighbor set one operator level out; t=None unions over all times."""
-    if t is not None:
-        return agent_neighbors(run, node.graphs[0], t, agents, node.direction, node.weights.bounds)
-    out: set[int] = set()
-    for u in range(run.length + 1):
-        out |= agent_neighbors(run, node.graphs[0], u, agents, node.direction, node.weights.bounds)
-    return frozenset(out)
+    times = range(run.length + 1) if t is None else (t,)
+    return frozenset(
+        j for u in times for a in agents for j in _snapshot_multiplicities(run, node, a, u)
+    )
 
 
 def _level_multiplicities(run, node, agent: int, t) -> dict[int, int]:
     """Per-neighbor parallel-edge counts; t=None takes the maximum over times."""
     if t is not None:
-        return neighbor_multiplicities(
-            run, node.graphs[0], t, agent, node.direction, node.weights.bounds
-        )
+        return _snapshot_multiplicities(run, node, agent, t)
     out: dict[int, int] = {}
     for u in range(run.length + 1):
-        for j, m in neighbor_multiplicities(
-            run, node.graphs[0], u, agent, node.direction, node.weights.bounds
-        ).items():
+        for j, m in _snapshot_multiplicities(run, node, agent, u).items():
             out[j] = max(out.get(j, 0), m)
     return out
 

@@ -36,16 +36,15 @@ from stlgo import (
     Until,
     WeightInterval,
     enumerate_traces,
-    expand_graph_quantifier,
     gen_bike,
     gen_drone,
     horizon,
     is_determinable,
     labeled_subgraph,
+    lower,
     monitor_dist,
     monitor_global,
     monitor_local,
-    push_negations,
     refine,
     shortest_distance_map,
     translate_sastl_count,
@@ -179,7 +178,7 @@ def test_criterion_2_distributed_soundness():
         if pairs % 7 == 0:
             full = KnowledgeMask.full(observer, run.num_agents, run.length)
             full_sig = check_sound(full)
-            assert not full_sig.has_unknown()
+            assert None not in full_sig.values
             assert full_sig.values == central.values
             full_checked += 1
             pairs += 1
@@ -359,27 +358,34 @@ def _expand_fa_ex(f):
 
 
 def test_criterion_5_normalization_laws():
+    """The negation and quantifier laws are checked through the oracle, which
+    evaluates sugar directly: the lowered formula (negations pushed into
+    graph operators, multi-graph operators expanded, FA/EX as chains of
+    binders) must hold exactly where the written one does. The monitor
+    lowers every variant itself, so comparing monitor signals would check
+    little for them."""
     locals_checked = 0
     globals_checked = 0
     for kind, run, f, T in criterion1_instances():
         if kind == "local":
             agent = 1 + (locals_checked % run.num_agents)
             reference = monitor_local(run, f, agent, T).values
-            for variant in (
-                push_negations(f),
-                expand_graph_quantifier(f),
-                _desugar_fg(f),
-            ):
-                assert monitor_local(run, variant, agent, T).values == reference
+            core = lower(f)
+            for t in range(len(reference)):
+                assert oracle_eval(run, core, agent, t) == oracle_eval(run, f, agent, t)
+            assert monitor_local(run, _desugar_fg(f), agent, T).values == reference
             locals_checked += 1
         else:
             reference = monitor_global(run, f, T).values
+            core = lower(f)
+            for t in range(len(reference)):
+                assert oracle_eval_global(run, core, t) == oracle_eval_global(run, f, t)
             assert monitor_global(run, _expand_fa_ex(f), T).values == reference
             globals_checked += 1
     report(
         "criterion 5 (normalization laws)",
-        f"{locals_checked} local instances x {{negation, quantifier, F/G}} fixpoints, "
-        f"{globals_checked} global instances x FA/EX expansion",
+        f"{locals_checked} local instances x {{lowering by the oracle, F/G}}, "
+        f"{globals_checked} global instances x {{lowering by the oracle, FA/EX expansion}}",
     )
 
 

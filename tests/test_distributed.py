@@ -144,7 +144,7 @@ def test_full_mask_matches_central():
         mask = KnowledgeMask.full(observer, run.num_agents, run.length)
         dist_sig = monitor_dist(run, mask, f, subject, T)
         central_sig = monitor_local(run, f, subject, T)
-        assert not dist_sig.has_unknown()
+        assert None not in dist_sig.values
         assert dist_sig.values == central_sig.values
 
 
@@ -708,7 +708,7 @@ def test_determinability_equals_per_time_step_reference():
         chains = [leaf.ancestors for leaf in report.tree.leaves]
         graphs = {p: node.graphs[0] for p, node in enumerate(report.tree.operators, 1)}
         if any(
-            len(c) >= 2 and any(graphs[p] not in run.graphs.static_types for p in c)
+            len(c) >= 2 and any(graphs[p] not in run.graphs.static for p in c)
             for c in chains
         ):
             time_varying_nested += 1

@@ -14,6 +14,7 @@ from stlgo import (
     GlobalAtom,
     GraphOp,
     Implies,
+    MultigraphSnapshot,
     Not,
     Or,
     StateVar,
@@ -21,13 +22,11 @@ from stlgo import (
     Truth,
     Until,
     WeightInterval,
-    build_operator_tree,
-    expand_graph_quantifier,
     horizon,
     lower,
-    push_negations,
 )
-from stlgo.formula import FULL_WEIGHTS, contains_graph_op, graph_ops, nodes
+from stlgo.formula import FULL_WEIGHTS, build_operator_tree, graph_ops, nodes
+from stlgo.central import oracle_eval
 from stlgo.distributed import prepare_for_distributed
 from stlgo.parser import parse_global, parse_local
 
@@ -134,42 +133,52 @@ def test_horizon_invariant_under_normalization(seed):
     rng = random.Random(seed)
     f = random_local_formula(rng, ("g1", "g2"), 2)
     h = horizon(f)
-    assert horizon(expand_graph_quantifier(f)) == h
-    assert horizon(push_negations(f)) == h
     assert horizon(lower(f)) == h
+    assert horizon(prepare_for_distributed(f)) == h
 
 
 # ---------------------------------------------------------------------------
-# negation normalization
+# negations, as lowering pushes them into graph operators
 
 
-def test_push_negation_complements_counts():
+def test_lowering_complements_negated_counts():
     f = Not(gop(counts=CountSet.single(2, INF)))
-    out = push_negations(f)
+    out = lower(f)
     assert isinstance(out, GraphOp)
     assert out.counts.intervals == ((0, 1),)
 
     f = Not(gop(counts=CountSet.single(1, 3)))
-    assert push_negations(f).counts.intervals == ((0, 0), (4, INF))
+    assert lower(f).counts.intervals == ((0, 0), (4, INF))
 
 
-def test_push_negation_double_negation():
+def test_lowering_drops_double_negation():
     inner = gop(counts=CountSet.single(1, 3))
-    assert push_negations(Not(Not(inner))) == inner
+    assert lower(Not(Not(inner))) == inner
 
 
-def test_push_negation_flips_quantifier_over_graph_sets():
+def test_lowering_dualizes_a_negated_graph_quantifier(fig_run):
+    # not(exists g: count in E) = forall g: count in complement(E), here as
+    # the conjunction of the single-graph operators over the complement
     f = Not(gop(tags=("a", "b"), quant="exists", counts=CountSet.single(1, 2)))
-    out = push_negations(f)
-    assert out.quantifier == "forall"
-    assert out.counts.intervals == ((0, 0), (3, INF))
+    complement = CountSet.single(1, 2).complement()
+    assert complement.intervals == ((0, 0), (3, INF))
+    assert lower(f) == And(gop(tags=("a",), counts=complement), gop(tags=("b",), counts=complement))
+    # the same law checked on a run: a is the d graph, b the d graph without
+    # its edges at agent 3
+    edges = fig_run.graphs.at("d", 0).edges
+    run = fig_run.with_graph("a", MultigraphSnapshot("a", False, edges)).with_graph(
+        "b", MultigraphSnapshot("b", False, [e for e in edges if 3 not in e[:2]]))
+    agents = range(1, run.num_agents + 1)
+    verdicts = [oracle_eval(run, f, agent, 0) for agent in agents]
+    assert verdicts == [oracle_eval(run, lower(f), agent, 0) for agent in agents]
+    assert set(verdicts) == {0, 1}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 100_000))
-def test_push_negation_leaves_no_negated_graph_op(seed):
+def test_lowering_leaves_no_negated_graph_op(seed):
     rng = random.Random(seed)
-    f = push_negations(random_local_formula(rng, ("g1", "g2"), 2))
+    f = lower(random_local_formula(rng, ("g1", "g2"), 2))
 
     def check(node):
         if isinstance(node, Not):
@@ -226,32 +235,32 @@ def test_lowering_yields_the_core_grammar(seed):
 
 
 # ---------------------------------------------------------------------------
-# graph quantifier expansion
+# graph quantifiers, as lowering expands them
 
 
-def test_expand_exists_becomes_disjunction():
+def test_lowering_expands_exists_into_a_disjunction():
     f = gop(tags=("s", "c"), quant="exists", counts=CountSet.single(1, 2))
-    out = expand_graph_quantifier(f)
-    assert isinstance(out, Or)
-    assert out.left.graphs == ("s",) and out.right.graphs == ("c",)
+    s, c = (gop(tags=(tag,), counts=CountSet.single(1, 2)) for tag in "sc")
+    assert lower(f) == lower(Or(s, c))
+    assert [op.graphs for op in graph_ops(lower(f))] == [("s",), ("c",)]
 
 
-def test_expand_forall_becomes_conjunction():
+def test_lowering_expands_forall_into_a_conjunction():
     f = gop(tags=("s", "c"), quant="forall", counts=CountSet.single(1, 2))
-    out = expand_graph_quantifier(f)
-    assert isinstance(out, And)
+    s, c = (gop(tags=(tag,), quant="forall", counts=CountSet.single(1, 2)) for tag in "sc")
+    assert lower(f) == And(s, c)
 
 
-def test_expand_single_graph_is_identity():
+def test_lowering_keeps_a_single_graph_operator():
     f = gop(tags=("d",), counts=CountSet.single(1, 2))
-    assert expand_graph_quantifier(f) == f
+    assert lower(f) is f
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 100_000))
-def test_expand_output_is_single_graph(seed):
+def test_lowering_output_is_single_graph(seed):
     rng = random.Random(seed)
-    f = expand_graph_quantifier(random_local_formula(rng, ("g1", "g2", "g3"), 2))
+    f = lower(random_local_formula(rng, ("g1", "g2", "g3"), 2))
     assert all(len(op.graphs) == 1 for op in graph_ops(f))
 
 
@@ -304,15 +313,13 @@ def test_operator_tree_rejects_unnormalized_negation():
 @given(st.integers(0, 100_000))
 def test_operator_tree_covers_all_graph_ops(seed):
     rng = random.Random(seed)
-    f = push_negations(
-        expand_graph_quantifier(random_local_formula(rng, ("g1", "g2"), 2))
-    )
+    f = prepare_for_distributed(random_local_formula(rng, ("g1", "g2"), 2))
     tree = build_operator_tree(f)
     expected = graph_ops(f)
     assert len(tree.operators) == len(expected)
     assert all(op is want for op, want in zip(tree.operators, expected))
     for leaf in tree.leaves:
-        assert not contains_graph_op(leaf.formula)
+        assert not graph_ops(leaf.formula)
 
 
 def test_expression_evaluation_and_errors():

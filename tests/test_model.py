@@ -13,8 +13,6 @@ from stlgo import (
     TimeOutOfRangeError,
     UnknownGraphTypeError,
     agent_neighbors,
-    neighbor_multiplicities,
-    neighbors,
 )
 
 from conftest import random_run
@@ -28,24 +26,29 @@ def two_edge_run(directed=False, edges=None):
     return MasRun(traj, GraphTrajectory(0, static={"c": snap}))
 
 
-def test_neighbors_weight_window_filters():
+def test_weight_window_filters():
     run = two_edge_run()
-    got = neighbors(run, "c", 0, 3, "in", (0.0, 7.0))
-    assert got == {Edge(1, 3, 1, 6.0)}
+    assert set(run.graphs.at("c", 0).oriented_edges(3, "in")) == {
+        Edge(1, 3, 1, 6.0), Edge(2, 3, 1, 8.0)}
+    assert run.graphs.at("c", 0).multiplicities(3, "in", 0.0, 7.0) == {1: 1}
+    assert agent_neighbors(run, "c", 0, 3, "in", (0.0, 7.0)) == {1}
 
 
-def test_neighbors_isolated_agent_is_empty():
+def test_isolated_agent_has_no_neighbors():
     run = two_edge_run(edges=[(1, 3, 1, 6.0)])
-    assert neighbors(run, "c", 0, 2, "in", (-math.inf, math.inf)) == frozenset()
-    assert neighbors(run, "c", 0, 2, "out", (-math.inf, math.inf)) == frozenset()
+    snap = run.graphs.at("c", 0)
+    for direction in ("in", "out"):
+        assert snap.oriented_edges(2, direction) == ()
+        assert snap.multiplicities(2, direction) == {}
+        assert agent_neighbors(run, "c", 0, 2, direction) == frozenset()
 
 
 def test_parallel_edges_stay_distinct():
     run = two_edge_run(directed=True, edges=[(1, 2, 1, 5.0), (1, 2, 2, 9.0)])
-    got = neighbors(run, "c", 0, 1, "out", (0.0, 10.0))
-    assert got == {Edge(1, 2, 1, 5.0), Edge(1, 2, 2, 9.0)}
+    snap = run.graphs.at("c", 0)
+    assert set(snap.oriented_edges(1, "out")) == {Edge(1, 2, 1, 5.0), Edge(1, 2, 2, 9.0)}
     assert agent_neighbors(run, "c", 0, 1, "out", (0.0, 10.0)) == {2}
-    assert neighbor_multiplicities(run, "c", 0, 1, "out", (0.0, 10.0)) == {2: 2}
+    assert snap.multiplicities(1, "out", 0.0, 10.0) == {2: 2}
 
 
 def test_agent_neighbors_union_over_sets(fig_run):
@@ -59,15 +62,17 @@ def test_fig_graph_neighbor_set(fig_run):
 
 def test_unknown_graph_and_time_errors(fig_run):
     with pytest.raises(UnknownGraphTypeError, match="unknown graph type"):
-        neighbors(fig_run, "nope", 0, 1, "in")
+        agent_neighbors(fig_run, "nope", 0, 1, "in")
     with pytest.raises(TimeOutOfRangeError, match="time out of range"):
-        neighbors(fig_run, "d", 5, 1, "in")
+        agent_neighbors(fig_run, "d", 5, 1, "in")
 
 
 def test_undirected_in_equals_out_modulo_orientation(fig_run):
+    snap = fig_run.graphs.at("d", 0)
     for i in range(1, 8):
-        ins = neighbors(fig_run, "d", 0, i, "in")
-        outs = neighbors(fig_run, "d", 0, i, "out")
+        ins = snap.oriented_edges(i, "in")
+        outs = snap.oriented_edges(i, "out")
+        assert all(e.dst == i for e in ins) and all(e.src == i for e in outs)
         assert {(e.src, e.index, e.weight) for e in ins} == {
             (e.dst, e.index, e.weight) for e in outs
         }
@@ -135,8 +140,11 @@ def test_nan_weight_rejected():
 
 def test_self_loops_are_permitted_and_counted():
     run = two_edge_run(directed=True, edges=[(2, 2, 1, 1.0)])
-    assert neighbors(run, "c", 0, 2, "in") == {Edge(2, 2, 1, 1.0)}
-    assert neighbors(run, "c", 0, 2, "out") == {Edge(2, 2, 1, 1.0)}
+    snap = run.graphs.at("c", 0)
+    for direction in ("in", "out"):
+        assert snap.oriented_edges(2, direction) == (Edge(2, 2, 1, 1.0),)
+        assert snap.multiplicities(2, direction) == {2: 1}
+        assert agent_neighbors(run, "c", 0, 2, direction) == {2}
 
 
 # states[t][i-1][k] that the trajectory constructor must reject
@@ -213,16 +221,17 @@ def test_with_graph_replaces_and_adds(fig_run):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), lo=st.integers(-2, 8), width=st.integers(0, 8))
-def test_neighbors_monotone_in_weight_window(seed, lo, width):
+def test_multiplicities_monotone_in_weight_window(seed, lo, width):
     rng = random.Random(seed)
     run = random_run(rng, max_agents=5, max_len=3)
     tag = sorted(run.graphs.types)[seed % len(run.graphs.types)]
     t = seed % (run.length + 1)
     i = 1 + seed % run.num_agents
     direction = "in" if seed % 2 else "out"
-    small = neighbors(run, tag, t, i, direction, (float(lo), float(lo + width)))
-    big = neighbors(run, tag, t, i, direction, (float(lo - 1), float(lo + width + 2)))
-    assert small <= big
+    snap = run.graphs.at(tag, t)
+    small = snap.multiplicities(i, direction, float(lo), float(lo + width))
+    big = snap.multiplicities(i, direction, float(lo - 1), float(lo + width + 2))
+    assert all(m <= big.get(j, 0) for j, m in small.items())
     assert agent_neighbors(run, tag, t, i, direction) <= set(
         range(1, run.num_agents + 1)
     )
@@ -233,18 +242,21 @@ def test_infinite_weights_allowed_and_filtered():
         directed=True,
         edges=[(1, 2, 1, math.inf), (1, 2, 2, -math.inf), (1, 2, 3, 4.0)],
     )
-    everything = neighbors(run, "c", 0, 1, "out", (-math.inf, math.inf))
-    assert len(everything) == 3
-    finite_window = neighbors(run, "c", 0, 1, "out", (0.0, 10.0))
-    assert {e.index for e in finite_window} == {3}
-    upper_open = neighbors(run, "c", 0, 1, "out", (0.0, math.inf))
-    assert {e.index for e in upper_open} == {1, 3}
+    snap = run.graphs.at("c", 0)
+    assert len(snap.oriented_edges(1, "out")) == 3
+    assert snap.multiplicities(1, "out") == {2: 3}
+    # only edge 3 (weight 4) is finite, edge 1 is +inf and edge 2 is -inf
+    assert snap.multiplicities(1, "out", 0.0, 10.0) == {2: 1}
+    assert snap.multiplicities(1, "out", 0.0, math.inf) == {2: 2}
+    assert snap.multiplicities(1, "out", -math.inf, 0.0) == {2: 1}
+    assert snap.multiplicities(1, "out", 5.0, 10.0) == {}
+    assert agent_neighbors(run, "c", 0, 1, "out", (0.0, math.inf)) == {2}
 
 
 def test_reversed_weight_window_rejected():
     run = two_edge_run()
     with pytest.raises(ValueError, match="reversed"):
-        neighbors(run, "c", 0, 1, "in", (5.0, 2.0))
+        agent_neighbors(run, "c", 0, 1, "in", (5.0, 2.0))
 
 
 def expected_multiplicities(snap, i, direction, lo, hi) -> Counter:
@@ -268,7 +280,7 @@ def expected_multiplicities(snap, i, direction, lo, hi) -> Counter:
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10**9), lo=st.integers(-2, 9), width=st.integers(0, 9))
-def test_neighbor_multiplicities_count_neighbor_endpoints(seed, lo, width):
+def test_multiplicities_count_neighbor_endpoints(seed, lo, width):
     rng = random.Random(seed)
     run = random_run(rng, max_agents=5, max_len=3)
 
@@ -293,25 +305,25 @@ def test_neighbor_multiplicities_count_neighbor_endpoints(seed, lo, width):
                 for direction in ("in", "out"):
                     for w in windows:
                         want = expected_multiplicities(snap, i, direction, *w)
-                        assert neighbor_multiplicities(run, tag, t, i, direction, w) == want
-                        edges = neighbors(run, tag, t, i, direction, w)
+                        assert snap.multiplicities(i, direction, *w) == want
+                        edges = [e for e in snap.oriented_edges(i, direction)
+                                 if w[0] <= e.weight <= w[1]]
                         ends = [(e.dst, e.src) if direction == "in" else e[:2] for e in edges]
                         assert Counter(there for _, there in ends) == want
                         assert all(here == i for here, _ in ends)
                         assert agent_neighbors(run, tag, t, i, direction, w) == set(want)
 
 
-def test_neighbor_multiplicities_reject_bad_queries():
+def test_agent_neighbors_rejects_bad_queries():
     run = two_edge_run()
     with pytest.raises(ValueError, match="reversed"):
-        neighbor_multiplicities(run, "c", 0, 1, "in", (5.0, 2.0))
+        agent_neighbors(run, "c", 0, 1, "in", (5.0, 2.0))
     with pytest.raises(ValueError, match="unknown agent"):
-        neighbor_multiplicities(run, "c", 0, 4, "in")
+        agent_neighbors(run, "c", 0, 4, "in")
     with pytest.raises(UnknownGraphTypeError):
-        neighbor_multiplicities(run, "x", 0, 1, "in")
-    for query in (neighbors, agent_neighbors, neighbor_multiplicities):
-        with pytest.raises(ValueError, match="direction must be"):
-            query(run, "c", 0, 1, "sideways")
+        agent_neighbors(run, "x", 0, 1, "in")
+    with pytest.raises(ValueError, match="direction must be"):
+        agent_neighbors(run, "c", 0, 1, "sideways")
 
 
 @pytest.mark.parametrize("agents", [[1], []])

@@ -161,6 +161,56 @@ def test_csv_round_trip(tmp_path):
     assert again == run
 
 
+def _two_station_graphs():
+    """The graphs of a two-station, two-step bike run that round-trips."""
+    return {"d": MultigraphSnapshot("d", True, [(1, 2, 1, 0.5)]),
+            "mt": MultigraphSnapshot("mt", True, [(1, 2, 1, 3.0), (1, 2, 2, 9.0)])}
+
+
+def _two_station_run(static, dynamic=None):
+    traj = MasTrajectory([[(1.0, 0.0, 0.0), (2.0, 1.0, 0.0)], [(1.0, 0.0, 1.0), (3.0, 0.0, 0.0)]])
+    return MasRun(traj, GraphTrajectory(1, static=static, dynamic=dynamic or {}))
+
+
+def test_csv_round_trip_two_stations(tmp_path):
+    run = _two_station_run(_two_station_graphs())
+    paths = (tmp_path / "s.csv", tmp_path / "d.csv", tmp_path / "t.csv")
+    export_station_csv(run, *paths)
+    assert ingest_station_csv(*paths) == run
+
+
+def _refused(tmp_path, run, message):
+    """The export of run fails naming the graph, and writes no file."""
+    paths = (tmp_path / "s.csv", tmp_path / "d.csv", tmp_path / "t.csv")
+    with pytest.raises(ValueError, match=message):
+        export_station_csv(run, *paths)
+    assert not any(path.exists() for path in paths)
+
+
+def test_export_refuses_a_time_varying_graph(tmp_path):
+    graphs = _two_station_graphs()
+    d = (graphs.pop("d"), MultigraphSnapshot("d", True, [(2, 1, 1, 0.5)]))
+    _refused(tmp_path, _two_station_run(graphs, {"d": d}), "graph 'd': .* static graphs only")
+
+
+def test_export_refuses_an_undirected_graph(tmp_path):
+    graphs = _two_station_graphs()
+    graphs["mt"] = MultigraphSnapshot("mt", False, [(1, 2, 1, 3.0), (1, 2, 2, 9.0)])
+    _refused(tmp_path, _two_station_run(graphs), "graph 'mt': .* directed graphs only")
+
+
+def test_export_refuses_parallel_distance_edges(tmp_path):
+    graphs = _two_station_graphs()
+    graphs["d"] = MultigraphSnapshot("d", True, [(1, 2, 1, 0.5), (1, 2, 2, 0.7)])
+    _refused(tmp_path, _two_station_run(graphs), r"graph 'd': edge \(1, 2, 2\): .* one d edge")
+
+
+def test_export_refuses_an_extra_graph(tmp_path):
+    graphs = _two_station_graphs()
+    graphs["c"] = MultigraphSnapshot("c", True, [(1, 2, 1, 1.0)])
+    _refused(tmp_path, _two_station_run(graphs), "graph 'c': .* only the graphs d and mt")
+
+
 def test_missing_hour_is_named(tmp_path):
     states = write(
         tmp_path / "states.csv",

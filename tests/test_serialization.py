@@ -106,7 +106,7 @@ def test_monitor_signals_load_back_equal(tmp_path):
         monitor_dist(run, KnowledgeMask.self_only(1), local, 2, 3),
         monitor_dist(run, KnowledgeMask.full(1, 4, 6), local, 2, 3),
     ]
-    assert signals[2].has_unknown() and not signals[0].has_unknown()
+    assert None in signals[2].values and None not in signals[0].values
     for k, signal in enumerate(signals):
         save_signal(signal, tmp_path / f"{k}.json")
         assert load_signal(tmp_path / f"{k}.json") == signal

@@ -32,7 +32,6 @@ from stlgo import (
     translate_sastl_count,
     translate_sstl,
     translate_strel,
-    translate_strel_reach_hops,
 )
 from stlgo.central import oracle_eval_global
 
@@ -408,31 +407,6 @@ def test_escape_translation_matches_direct(seed):
     assert oracle_eval_global(run, f, t) == int(
         strel_escape_direct(run, pi, wiv, anchor, t)
     ), f"seed={seed}"
-
-
-def test_hop_nesting_agrees_with_traces_on_unit_weights():
-    rng = random.Random(31)
-    for _ in range(30):
-        n = rng.randint(2, 6)
-        edges = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if rng.random() < 0.5:
-                    edges.append(Edge(i, j, 1, 1.0))
-        g = MultigraphSnapshot("d", False, edges)
-        states = [[(float(rng.randint(-2, 3)),) for _ in range(n)]]
-        run = MasRun(
-            MasTrajectory(states), GraphTrajectory(0, static={"d": g})
-        )
-        anchor = rng.randint(1, n)
-        wiv = W(0.0, float(rng.randint(0, 3)))  # lower bound 0: shortcutting free
-        pi1 = Atom(BinOp("-", StateVar(0), Const(0.0)))
-        pi2 = Atom(BinOp("-", Const(1.0), StateVar(0)))
-        via_traces = translate_strel("reach", wiv, anchor, run, 0, phi1=pi1, phi2=pi2)
-        via_hops = translate_strel_reach_hops(pi1, pi2, wiv, anchor, n)
-        assert oracle_eval_global(run, via_traces, 0) == oracle_eval_global(
-            run, via_hops, 0
-        )
 
 
 @settings(max_examples=60, deadline=None)
