@@ -3,18 +3,22 @@
 ``Cells`` is the semantic kernel of the centralized and the distributed
 monitor alike. Each query compiles its formula, lowered to the core fragment
 (see ``lower``), into one cell function per node, and each function
-memoizes its (agent, time) cells. A cell is 1, 0 or None (?). Without a
-knowledge mask every state is visible and every cell is Boolean;
-``monitor_local``, ``monitor_global`` and ``signal_table`` read the cells
-that way. Under a mask (``distributed.monitor_dist``) an atom over a hidden
-state is ?, negation and conjunction follow the strong Kleene tables, and
-Until is the Kleene disjunction over its witness times. A graph operator,
-over one graph in the core, counts the edges to neighbors that satisfy its
-child (n_sat) and to those that do not violate it (n_nviol), and decides
-with ``graph_op_verdict``. With no ? among the neighbors the two counts are
-equal and the verdict is the Boolean count test, so the central monitor is
-the mask-free case of the distributed one. Both return one ``Signal`` type:
-a centralized signal is one without ?.
+memoizes its (agent, time) cells. One function per core node serves both
+monitors and both logic layers: an agent-local atom and a system-level atom
+differ only in the state their compiled expression reads. A cell is 1, 0 or
+None (?). Without a knowledge mask every state is visible and every cell is
+Boolean; ``monitor_local``, ``monitor_global`` and ``signal_table`` read
+the cells that way. Under a mask (``distributed.monitor_dist``) an atom over
+a hidden state is ?, negation and conjunction follow the strong Kleene
+tables, and Until is the Kleene disjunction over its witness times. A
+graph operator, over one graph in the core, counts the edges to neighbors
+that satisfy its child (n_sat) and to those that do not violate it
+(n_nviol), and decides with ``graph_op_verdict``. With no ? among the
+neighbors the two counts are equal and the verdict is the Boolean count
+test, so the central monitor is the mask-free case of the distributed one:
+the same functions, reading the same cells in the same order as under a
+mask that hides nothing. Both return one ``Signal`` type: a centralized
+signal is one without ?.
 
 Until (and F, G, which lower to it) reads its window through next-witness
 searches rather than a scan per cell. Because phi1 must hold through the
@@ -88,7 +92,7 @@ class Signal:
 
     def value_at(self, t: int):
         if not self.t0 <= t <= self.t1:
-            raise TimeOutOfRangeError("time out of range")
+            raise TimeOutOfRangeError.of(t, self.t0, self.t1)
         return self.values[t - self.t0]
 
 
@@ -216,11 +220,12 @@ class Cells:
     system-level one with agent None. Cells are 1, 0 or None (?). None
     occurs only under a ``mask`` (an object with ``knows(subject, t)``, such
     as ``distributed.KnowledgeMask``), where an agent-local atom over a
-    hidden state is ?. The functions are built by one fold over the core
-    DAG, so compiling does not recurse. Each one calls its operands'
-    functions directly and memoizes its cells in ``rows[id(node)]``, one
-    list per agent indexed by t (truth, negation and agent binding map an
-    operand's cells and keep none); an atom's expression is compiled once.
+    hidden state is ?; the same functions are built with a mask or without.
+    The functions are built by one fold over the core DAG, so compiling
+    does not recurse. Each one calls its operands' functions directly and
+    memoizes its cells in ``rows[id(node)]``, one list per agent indexed by
+    t (truth, negation and agent binding map an operand's cells and keep
+    none); an atom's expression is compiled once.
     Cells do not depend on the order in which they are evaluated, so
     operators may skip operands that cannot change their verdict.
     """
@@ -256,8 +261,11 @@ class Cells:
         return lambda agent, t: 1
 
     def _atom(self, f):
+        # an agent-local atom reads the agent's vector of the time slice and
+        # is ? where the mask hides it; a system-level one reads the slice
         rows, expr, states = self._memo(f), compile_expr(f.expr), self.run.trajectory.states
-        knows = None if self.mask is None else self.mask.knows
+        local = type(f) is F.Atom
+        knows = self.mask.knows if local and self.mask is not None else None
 
         def cell(agent, t):
             row = rows[agent]
@@ -266,18 +274,8 @@ class Cells:
                 if knows is not None and not knows(agent, t):
                     v = row[t] = None
                 else:
-                    v = row[t] = 1 if expr(states[t][agent - 1], None) >= 0 else 0
-            return v
-        return cell
-
-    def _global_atom(self, f):
-        rows, expr, states = self._memo(f), compile_expr(f.expr), self.run.trajectory.states
-
-        def cell(agent, t):
-            row = rows[agent]
-            v = row[t]
-            if v is _UNSET:
-                v = row[t] = 1 if expr(None, states[t]) >= 0 else 0
+                    x = states[t][agent - 1] if local else states[t]
+                    v = row[t] = 1 if expr(x) >= 0 else 0
             return v
         return cell
 
@@ -302,26 +300,17 @@ class Cells:
 
     def _until(self, f, left, right):
         # the earliest candidate witness decides (module docstring); F and
-        # G lower to a Truth phi1, which is not read
+        # G lower to a Truth phi1, which is not read. Without a mask every
+        # cell is Boolean, "is 1" is "is not 0", and the searches for 1 and
+        # for not 1 are those for not 0 and for 0: r is the witness.
         rows, interval, length = self._memo(f), f.interval, self.run.length
+        one, not_one = (_NOT_ZERO, _ZERO) if self.mask is None else (_ONE, _NOT_ONE)
         first_not_zero = self._search(f.right, right, _NOT_ZERO)
-        left_zero = None if type(f.left) is F.Truth else self._search(f.left, left, _ZERO)
-        if self.mask is None:  # Boolean cells: r is the witness
-
-            def cell(agent, t):
-                row = rows[agent]
-                v = row[t]
-                if v is _UNSET:
-                    lo, hi = clamp_window(t, interval, length)
-                    r = first_not_zero(agent, lo, hi)
-                    if r is None:
-                        v = row[t] = 0
-                    else:
-                        v = row[t] = 1 if left_zero is None or left_zero(agent, t, r) is None else 0
-                return v
-            return cell
-        first_one = self._search(f.right, right, _ONE)
-        left_not_one = None if left_zero is None else self._search(f.left, left, _NOT_ONE)
+        first_one = self._search(f.right, right, one)
+        left_zero = left_not_one = None
+        if type(f.left) is not F.Truth:
+            left_zero = self._search(f.left, left, _ZERO)
+            left_not_one = self._search(f.left, left, not_one)
 
         def cell(agent, t):
             row = rows[agent]
@@ -428,7 +417,7 @@ class Cells:
 _COMPILE = {
     F.Truth: "_truth",
     F.Atom: "_atom",
-    F.GlobalAtom: "_global_atom",
+    F.GlobalAtom: "_atom",
     F.AgentBind: "_bind",
     F.Not: "_not",
     F.And: "_and",
@@ -453,7 +442,7 @@ def _signal_end(run: MasRun, f, agent, T: int, strict: bool = False) -> int:
             raise ValueError(f"unknown agent {agent}")
     length = run.length
     if not 0 <= T <= length:
-        raise TimeOutOfRangeError("time out of range")
+        raise TimeOutOfRangeError.of(T, 0, length)
     if not strict:
         return int(min(T + horizon(f)[1], length))
     # (subformula, latest time evaluation can reach it at)
@@ -563,9 +552,9 @@ def oracle_eval(run: MasRun, f, agent: int | None, t: int) -> int:
     ):
         raise TypeError(f"not a local formula: {f!r}")
     if isinstance(f, F.Atom):
-        return 1 if eval_expr(f.expr, local_state=run.trajectory.state(agent, t)) >= 0 else 0
+        return 1 if eval_expr(f.expr, run.trajectory.state(agent, t)) >= 0 else 0
     if isinstance(f, F.GlobalAtom):
-        return 1 if eval_expr(f.expr, full_state=run.trajectory.full_state(t)) >= 0 else 0
+        return 1 if eval_expr(f.expr, run.trajectory.full_state(t)) >= 0 else 0
     if isinstance(f, F.AgentBind):
         return oracle_eval(run, f.child, f.agent, t)
     if isinstance(f, F.Not):

@@ -63,23 +63,25 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _UsageError(Exception):
+    """A usage error; ``main`` prints its message, the whole stderr text,
+    and exits with EXIT_USAGE."""
+
+
 def _read_formula_file(path: str, global_mode: bool):
-    """The formula in a file, or None once the reason it cannot be read or
-    parsed is printed to stderr."""
+    """The formula in a file; _UsageError says why it cannot be read or
+    parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             src = fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise _UsageError(f"error: {exc}") from None
     except UnicodeDecodeError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None
+        raise _UsageError(f"error: {path}: {exc}") from None
     try:
         return parse_global(src) if global_mode else parse_local(src)
     except ParseError as exc:
-        print(exc.render(src), file=sys.stderr)
-        return None
+        raise _UsageError(exc.render(src)) from None
 
 
 def _weights(text: str) -> WeightInterval:
@@ -112,16 +114,12 @@ def _write_or_print(text: str, out: str | None):
 
 def cmd_parse(args) -> int:
     f = _read_formula_file(args.formula, args.global_)
-    if f is None:
-        return EXIT_USAGE
     print(print_formula(f))
     return EXIT_SAT
 
 
 def cmd_monitor(args) -> int:
     f = _read_formula_file(args.formula, args.global_)
-    if f is None:
-        return EXIT_USAGE
     run = io.load_run(args.run, args.graphs)
     T = args.tmax if args.tmax is not None else args.t0
     if args.global_:
@@ -137,8 +135,6 @@ def cmd_monitor(args) -> int:
 
 def cmd_monitor_dist(args) -> int:
     f = _read_formula_file(args.formula, False)
-    if f is None:
-        return EXIT_USAGE
     run = io.load_run(args.run, args.graphs)
     mask = io.load_mask(args.mask, run.length)
     if args.observer is not None and mask.observer != args.observer:
@@ -172,28 +168,25 @@ def cmd_monitor_dist(args) -> int:
     return EXIT_SAT if verdict == 1 else EXIT_VIOLATED
 
 
-def _missing_translate_flags(args) -> str | None:
-    """What the chosen translation lacks among its flags, or None."""
+def _check_translate_flags(args):
+    """Raise _UsageError naming what the chosen translation lacks among its
+    flags."""
     if args.source == "sastl" and None in (args.psi, args.anchor, args.cmp, args.count):
-        return "sastl needs --psi, --anchor, --cmp, --count"
+        raise _UsageError("error: sastl needs --psi, --anchor, --cmp, --count")
     if args.source == "sstl" and (
             args.op not in ("somewhere", "everywhere") or args.anchor is None):
-        return "sstl needs --op somewhere|everywhere and --anchor"
+        raise _UsageError("error: sstl needs --op somewhere|everywhere and --anchor")
     if args.source == "strel":
         if args.op not in ("reach", "escape") or args.anchor is None:
-            return "strel needs --op reach|escape and --anchor"
+            raise _UsageError("error: strel needs --op reach|escape and --anchor")
         if args.op == "reach" and not (args.inner and args.inner2):
-            return "reach needs --inner (phi1) and --inner2 (phi2)"
+            raise _UsageError("error: reach needs --inner (phi1) and --inner2 (phi2)")
         if not args.inner:
-            return "escape needs --inner (phi)"
-    return None
+            raise _UsageError("error: escape needs --inner (phi)")
 
 
 def cmd_translate(args) -> int:
-    missing = _missing_translate_flags(args)
-    if missing:
-        print(f"error: {missing}", file=sys.stderr)
-        return EXIT_USAGE
+    _check_translate_flags(args)
     run = io.load_run(args.run, args.graphs)
     if args.anchor is not None and not 1 <= args.anchor <= run.num_agents:
         raise ValueError(f"anchor {args.anchor} out of range 1..{run.num_agents}")
@@ -452,6 +445,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,8 +6,9 @@ it can see; graph topology is always fully known. Verdicts are three-valued:
 ``central.Signal`` that the centralized monitor returns too.
 
 ``monitor_dist`` lowers the formula exactly as the centralized monitor does
-and runs the same compiled cell functions (``central.Cells``), with the
-mask: atoms over masked states yield ? even when the expression would be
+and runs the same compiled cell functions (``central.Cells``, one per core
+node for both monitors and both logic layers), with the mask: atoms over
+masked states yield ? even when the expression would be
 constant in the masked components, Boolean and temporal operators follow
 the strong Kleene tables, and graph operators decide from the counts of
 satisfying and non-violating neighbor verdicts, weighted by edge

@@ -195,16 +195,21 @@ class BinFn(Expr):
     right: Expr
 
 
-def eval_expr(expr: Expr, local_state=None, full_state=None) -> float:
-    """Evaluate an expression against an agent state and/or the MAS state."""
-    return compile_expr(expr)(local_state, full_state)
+def eval_expr(expr: Expr, state) -> float:
+    """Evaluate an expression against the one state its atom reads: an
+    agent's state vector for an ``Atom``, the time slice of all agents'
+    vectors for a ``GlobalAtom``."""
+    return compile_expr(expr)(state)
 
 
 def compile_expr(expr: Expr):
-    """The expression as one function of (local_state, full_state), built by
-    an explicit-stack fold, so a monitor walks an atom's tree once and not
-    at every cell. Operands are evaluated left before right; a division by
-    zero or the sqrt of a negative value raises ValueError."""
+    """The expression as one function of the state its atom reads: a
+    ``StateVar`` reads ``x[k]`` of an agent's vector x, an ``AgentStateVar``
+    reads ``x[i][k]`` of a time slice x (the layer checks keep each accessor
+    in its own layer). Built by an explicit-stack fold, so a monitor walks an
+    atom's tree once and not at every cell. Operands are evaluated left
+    before right; a division by zero or the sqrt of a negative value raises
+    ValueError."""
     return fold(expr, _compile_expr_step, layout=_EXPR_OPERANDS)
 
 
@@ -228,18 +233,18 @@ def _compile_expr_step(e, subs):
     kind = type(e)
     if kind is Const:
         value = e.value
-        return lambda local, full: value
+        return lambda x: value
     if kind is StateVar:
         k = e.index
-        return lambda local, full: local[k]
+        return lambda x: x[k]
     if kind is AgentStateVar:
         i, k = e.agent - 1, e.index
-        return lambda local, full: full[i][k]
+        return lambda x: x[i][k]
     if kind is UnaryFn:
         fn, (arg,) = abs if e.fn == "abs" else _sqrt, subs
-        return lambda local, full: fn(arg(local, full))
+        return lambda x: fn(arg(x))
     fn, (left, right) = _BINARY_FNS[e.op if kind is BinOp else e.fn], subs
-    return lambda local, full: fn(left(local, full), right(local, full))
+    return lambda x: fn(left(x), right(x))
 
 
 def expr_vars(expr: Expr) -> set[Expr]:

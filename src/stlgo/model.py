@@ -34,6 +34,11 @@ class UnknownGraphTypeError(ValueError):
 class TimeOutOfRangeError(ValueError):
     """Raised when a query addresses a time index beyond the run length."""
 
+    @classmethod
+    def of(cls, t: int, lo: int, hi: int) -> TimeOutOfRangeError:
+        """The error for time t outside lo..hi, naming both."""
+        return cls(f"time out of range: T={t} not in {lo}..{hi}")
+
 
 class Edge(NamedTuple):
     src: int
@@ -162,14 +167,14 @@ class MasTrajectory:
 
     def state(self, agent: int, t: int) -> tuple[float, ...]:
         if not 0 <= t <= self.length:
-            raise TimeOutOfRangeError("time out of range")
+            raise TimeOutOfRangeError.of(t, 0, self.length)
         if not 1 <= agent <= self.num_agents:
             raise ValueError(f"unknown agent {agent}")
         return self.states[t][agent - 1]
 
     def full_state(self, t: int) -> tuple[tuple[float, ...], ...]:
         if not 0 <= t <= self.length:
-            raise TimeOutOfRangeError("time out of range")
+            raise TimeOutOfRangeError.of(t, 0, self.length)
         return self.states[t]
 
 
@@ -371,7 +376,7 @@ class GraphTrajectory:
 
     def at(self, graph_type: str, t: int) -> MultigraphSnapshot:
         if not 0 <= t <= self.length:
-            raise TimeOutOfRangeError("time out of range")
+            raise TimeOutOfRangeError.of(t, 0, self.length)
         if graph_type in self.static:
             return self.static[graph_type]
         if graph_type in self.dynamic:

@@ -275,47 +275,6 @@ def enumerate_traces(
     return frozenset(found)
 
 
-def translate_strel_reach(
-    phi1: LocalFormula,
-    phi2: LocalFormula,
-    weights: WeightInterval,
-    agent: int,
-    run: MasRun,
-    t: int,
-    d_tag: str = "d",
-) -> GlobalFormula:
-    """Reach as a disjunction over the enumerated traces: every agent before
-    the last must satisfy phi1 and the last must satisfy phi2. The one-node
-    trace contributes the empty conjunction for phi1, i.e. just phi2 at the
-    anchor. Trace sets depend on the distance graph at t, so the encoding is
-    per time step."""
-    traces = enumerate_traces(run.graphs.at(d_tag, t), agent, weights, "reach")
-    parts: list[GlobalFormula] = []
-    for tau in sorted(traces, key=lambda s: (len(s), s)):
-        bind = AgentBind(tau[-1], phi2)
-        prefix = tuple(sorted(set(tau[:-1])))
-        parts.append(bind if not prefix else And(ForAllAgents(prefix, phi1), bind))
-    return join_left(Or, parts)
-
-
-def translate_strel_escape(
-    phi: LocalFormula,
-    weights: WeightInterval,
-    agent: int,
-    run: MasRun,
-    t: int,
-    d_tag: str = "d",
-) -> GlobalFormula:
-    """Escape as a disjunction over the enumerated traces: every agent on the
-    trace must satisfy phi."""
-    traces = enumerate_traces(run.graphs.at(d_tag, t), agent, weights, "escape")
-    parts = [
-        ForAllAgents(tuple(sorted(set(tau))), phi)
-        for tau in sorted(traces, key=lambda s: (len(s), s))
-    ]
-    return join_left(Or, parts)
-
-
 def translate_strel(
     op: TraceMode,
     weights: WeightInterval,
@@ -327,12 +286,29 @@ def translate_strel(
     phi: LocalFormula | None = None,
     d_tag: str = "d",
 ) -> GlobalFormula:
+    """A reach or escape property at the agent and time t, as a disjunction
+    over the traces ``enumerate_traces`` finds in the distance graph at t,
+    shortest first. Reach needs phi1 and phi2: on each trace every agent
+    before the last satisfies phi1 and the last satisfies phi2, so the
+    one-node trace contributes just phi2 at the anchor. Escape needs phi:
+    every agent on the trace satisfies it. Trace sets depend on the graph at
+    t, so the encoding is per time step."""
     if op == "reach":
         if phi1 is None or phi2 is None:
             raise ValueError("reach needs phi1 and phi2")
-        return translate_strel_reach(phi1, phi2, weights, agent, run, t, d_tag)
-    if op == "escape":
+    elif op == "escape":
         if phi is None:
             raise ValueError("escape needs phi")
-        return translate_strel_escape(phi, weights, agent, run, t, d_tag)
-    raise ValueError(f"unsupported trace mode {op!r}")
+    else:
+        raise ValueError(f"unsupported trace mode {op!r}")
+    traces = enumerate_traces(run.graphs.at(d_tag, t), agent, weights, op)
+    parts: list[GlobalFormula] = []
+    for tau in sorted(traces, key=lambda s: (len(s), s)):
+        if op == "escape":
+            part = ForAllAgents(tuple(sorted(set(tau))), phi)
+        else:
+            part = AgentBind(tau[-1], phi2)
+            if len(tau) > 1:
+                part = And(ForAllAgents(tuple(sorted(set(tau[:-1]))), phi1), part)
+        parts.append(part)
+    return join_left(Or, parts)

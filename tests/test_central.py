@@ -31,7 +31,7 @@ from stlgo import (
     signal_table,
 )
 from stlgo.central import Cells, oracle_eval, oracle_eval_global
-from stlgo.formula import FULL_WEIGHTS, Or, AgentBind, graph_ops
+from stlgo.formula import FULL_WEIGHTS, AgentBind, AgentStateVar, BinOp, Const, GlobalAtom, Or, graph_ops
 
 from conftest import random_global_formula, random_local_formula, random_run
 
@@ -204,6 +204,22 @@ def test_monitor_global_forall_true():
 
     f = ForAllAgents((1, 2), Truth())
     assert monitor_global(run, f, 0).values == (1,)
+
+
+def test_global_atom_over_one_agent_equals_local_atom_at_it():
+    # s[i][k] read at system level and x[k] read at agent i are one cell
+    rng = random.Random(5)
+    for _ in range(40):
+        run = random_run(rng, max_agents=4, max_len=6)
+        agent = rng.randint(1, run.num_agents)
+        k = rng.randrange(run.trajectory.state_dim)
+        c = Const(float(rng.randint(-2, 6)))
+        wrap = rng.choice([lambda g: g, lambda g: Eventually(g, TimeInterval(0, 2)),
+                           lambda g: Not(Always(g, TimeInterval(1, INF)))])
+        T = rng.randint(0, run.length)
+        system = monitor_global(run, wrap(GlobalAtom(BinOp("-", AgentStateVar(agent, k), c))), T)
+        local = monitor_local(run, wrap(Atom(BinOp("-", StateVar(k), c))), agent, T)
+        assert system == local
 
 
 def test_exists_agent_equals_disjunction_of_binds():

@@ -645,3 +645,21 @@ def test_translate_missing_flags_are_usage_errors_before_any_file_is_read(
                  "--graphs", str(tmp_path / "no-graphs.json")])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("options, t", [
+    (["monitor", "--agent", "1", "--t0", "9"], 9),
+    (["monitor", "--agent", "1", "--tmax", "99"], 99),
+    (["translate", "--from", "strel", "--op", "escape", "--anchor", "1", "--inner", "true",
+      "--time", "99"], 99),
+])
+def test_time_out_of_range_names_the_time_and_the_range(tmp_path, capsys, options, t):
+    run = gen_drone(DroneScenarioConfig(sigma=3, seed=1, horizon=6))
+    run_path, graphs_path = tmp_path / "run.json", tmp_path / "graphs.json"
+    save_run(run, run_path, graphs_path)
+    if options[0] == "monitor":
+        options = [*options, "--formula", str(write_formula(tmp_path, "true"))]
+    code = main([*options, "--run", str(run_path), "--graphs", str(graphs_path)])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: time out of range: T={t} not in 0..{run.length}"]

@@ -148,6 +148,53 @@ def test_full_mask_matches_central():
         assert dist_sig.values == central_sig.values
 
 
+class _LoggedSlice(tuple):
+    """A time slice of a trajectory that logs (t, i) when agent i + 1's
+    state vector is read from it."""
+
+    def __new__(cls, t, vectors, log):
+        self = super().__new__(cls, vectors)
+        self.t, self.log = t, log
+        return self
+
+    def __getitem__(self, i):
+        self.log.append((self.t, i))
+        return tuple.__getitem__(self, i)
+
+
+def _log_state_reads(run) -> list:
+    """Replace the run's time slices with logging copies; return the log."""
+    log: list = []
+    traj = run.trajectory
+    object.__setattr__(
+        traj, "states", tuple(_LoggedSlice(t, s, log) for t, s in enumerate(traj.states)))
+    return log
+
+
+def test_central_monitor_is_the_full_knowledge_run_of_the_same_cells():
+    # the centralized monitor is the mask-free case of the distributed one:
+    # under a full mask both compute the same cells, and so read the same
+    # states in the same order
+    rng = random.Random(20)
+    reads = 0
+    for case in range(300):
+        run = random_run(rng, max_agents=4, max_len=6)
+        tags = tuple(sorted(run.graphs.types))
+        f = random_local_formula(rng, tags, run.trajectory.state_dim)
+        subject = rng.randint(1, run.num_agents)
+        mask = KnowledgeMask.full(rng.randint(1, run.num_agents), run.num_agents, run.length)
+        T = rng.randint(0, run.length)
+        log = _log_state_reads(run)
+        central = monitor_local(run, f, subject, T)
+        central_reads = log[:]
+        log.clear()
+        dist = monitor_dist(run, mask, f, subject, T)
+        assert dist.values == central.values, f"case {case}"
+        assert log == central_reads, f"case {case}"
+        reads += len(log)
+    assert reads > 500
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_soundness_of_determined_verdicts(seed):
