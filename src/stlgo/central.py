@@ -503,9 +503,7 @@ def monitor_global(run: MasRun, f: F.GlobalFormula, T: int, strict: bool = False
     return Signal(0, signal_cells(run, f, None, T, strict))
 
 
-def signal_table(
-    run: MasRun, f: F.LocalFormula | F.GlobalFormula, T: int, strict: bool = False
-) -> dict:
+def signal_table(run: MasRun, f: F.LocalFormula | F.GlobalFormula, T: int) -> dict:
     """Signals of every core subformula over [0, min(T + T_f, L)], keyed by
     (subformula, agent).
 
@@ -515,7 +513,7 @@ def signal_table(
     """
     system = any(isinstance(node, _SYSTEM_ONLY) for node in F.nodes(f))
     # a local formula is checked at agent 1, which every run has
-    end = _signal_end(run, f, None if system else 1, T, strict)
+    end = _signal_end(run, f, None if system else 1, T)
     core = lower(f)
     cells = Cells(run, core)
     table: dict = {}

@@ -57,7 +57,10 @@ def _edge_weight(w, decode_weight) -> float:
     if decode_weight is not None:
         w = decode_weight(w)
     if isinstance(w, (int, float)) and not isinstance(w, bool):
-        w = float(w)
+        try:
+            w = float(w)
+        except OverflowError:  # an int past the floats; its digits are not shown
+            raise ValueError("bad edge weight: an integer too large for a float") from None
         if not math.isnan(w):
             return w
         raise ValueError("bad edge weight nan: edge weights may not be NaN")
@@ -283,10 +286,12 @@ class DistanceSnapshot(MultigraphSnapshot):
     no self-loop. ``positions`` is the slice, ``states[t]`` of a
     ``MasTrajectory``; it is all the snapshot stores. A query of agent i
     computes i's distances once and keeps them, as a stored snapshot keeps
-    its tables. ``edges`` and ``rows`` are built on each read, for the
-    callers that need rows (the translators, ``save_graphs``, ``==``); they
-    hold the same floats a stored snapshot of those rows holds, since
-    ``math.dist`` is symmetric bit for bit.
+    its tables. ``edges`` is built on each read, for the callers that need
+    edges (the translators, ``==``); it holds the same floats a stored
+    snapshot of those rows holds, since ``math.dist`` is symmetric bit for
+    bit. A graph file writes no edge rows for it: a dynamic tag of these
+    snapshots is one descriptor, with the positions unless they are the
+    states saved beside it (``stlgo.serialization``).
     """
 
     def __init__(self, graph_type: str, positions: tuple[tuple[float, ...], ...]):
@@ -302,15 +307,9 @@ class DistanceSnapshot(MultigraphSnapshot):
 
     @property
     def edges(self) -> frozenset[Edge]:
-        new = tuple.__new__
-        return frozenset([new(Edge, row) for row in self.rows()])
-
-    def rows(self) -> list[tuple[int, int, int, float]]:
-        """The edges as plain (i, j, 1, w) rows, sorted; ``save_run`` and
-        ``save_graphs`` write these instead of sorting ``edges``."""
-        dist, here = math.dist, self.positions
-        return [(i, j, 1, dist(p, q))
-                for i, p in enumerate(here, 1) for j, q in enumerate(here[i:], i + 1)]
+        dist, here, new = math.dist, self.positions, tuple.__new__
+        return frozenset([new(Edge, (i, j, 1, dist(p, q)))
+                          for i, p in enumerate(here, 1) for j, q in enumerate(here[i:], i + 1)])
 
     def _row(self, i: int) -> tuple[float, ...]:
         """i's distance to every agent in agent order; i's own entry is NaN,

@@ -19,16 +19,21 @@ import random
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter
+from typing import ClassVar
 
 from .model import DistanceSnapshot, GraphTrajectory, MasRun, MasTrajectory, MultigraphSnapshot
 
-# drone stations and surveillance regions lie in [0, AREA]^2
+# drone stations and surveillance regions lie in [0, AREA]^2; a drone of
+# category k moves SPEEDS[k] per time step
 AREA = 8.0
 REGION_COUNT = 5
+SPEEDS = (0.6, 0.4)
 
-# bike stations: initial bikes, chance that a directed pair has a distance
-# (d) or a transit/walk (mt) edge, and the uniform ranges of edge weights
+# bike stations: initial bikes, the most bikes one station gains or loses in
+# an hour, chance that a directed pair has a distance (d) or a transit/walk
+# (mt) edge, and the uniform ranges of edge weights
 CAPACITY = (0, 30)
+FLOW_MAX = 8
 D_DENSITY = 0.35
 MT_DENSITY = 0.35
 DISTANCE_RANGE = (0.2, 5.0)
@@ -38,27 +43,22 @@ WALK_RANGE = (5.0, 45.0)
 
 @dataclass(frozen=True)
 class DroneScenarioConfig:
+    """A drone run over times 0..horizon: sigma drones, the first
+    floor(sigma/2) in category 0 and the rest in category 1. Two drones of
+    one category sense each other within ``sensing_radius``."""
+
     sigma: int
     seed: int = 0
     horizon: int = 80
-    station_positions: tuple[tuple[float, float], ...] | None = None
-    speeds: tuple[float, float] = (0.6, 0.4)
-    sensing_radius: float = 1.0
-    categories: tuple[int, ...] | None = None  # default: first floor(sigma/2) agents
+    sensing_radius: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.sigma < 2:
             raise ValueError("need at least 2 drones")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.sensing_radius <= 0:
-            raise ValueError("sensing radius must be positive")
-        if self.categories is not None and len(self.categories) != self.sigma:
-            raise ValueError("categories must list one category per drone")
 
     def category(self, agent: int) -> int:
-        if self.categories is not None:
-            return self.categories[agent - 1]
         return 0 if agent <= self.sigma // 2 else 1
 
 
@@ -69,14 +69,7 @@ def gen_drone(cfg: DroneScenarioConfig) -> MasRun:
     rng = random.Random(cfg.seed)
     sigma, L = cfg.sigma, cfg.horizon
 
-    if cfg.station_positions is not None:
-        stations = [
-            cfg.station_positions[i % len(cfg.station_positions)] for i in range(sigma)
-        ]
-    else:
-        stations = [
-            (rng.uniform(0, AREA), rng.uniform(0, AREA)) for _ in range(sigma)
-        ]
+    stations = [(rng.uniform(0, AREA), rng.uniform(0, AREA)) for _ in range(sigma)]
     regions = [(rng.uniform(0, AREA), rng.uniform(0, AREA)) for _ in range(REGION_COUNT)]
 
     pos = [list(p) for p in stations]
@@ -89,7 +82,7 @@ def gen_drone(cfg: DroneScenarioConfig) -> MasRun:
     for _ in range(L + 1):
         positions.append([(x, y) for x, y in pos])
         for i in range(sigma):
-            speed = cfg.speeds[category[i] % len(cfg.speeds)]
+            speed = SPEEDS[category[i]]
             if target[i] is None:
                 if dwell[i] > 0:
                     dwell[i] -= 1
@@ -140,7 +133,6 @@ class BikeScenarioConfig:
     stations: int
     seed: int = 0
     hours: int = 24
-    flow_max: int = 8
 
     def __post_init__(self):
         if self.stations < 1:
@@ -175,8 +167,8 @@ def gen_bike(cfg: BikeScenarioConfig) -> MasRun:
         slice_ = []
         next_counts = []
         for i in range(n_st):
-            inflow = rng.randint(0, cfg.flow_max)
-            outflow = min(rng.randint(0, cfg.flow_max), counts[i] + inflow)
+            inflow = rng.randint(0, FLOW_MAX)
+            outflow = min(rng.randint(0, FLOW_MAX), counts[i] + inflow)
             slice_.append((float(counts[i]), float(inflow), float(outflow)))
             next_counts.append(counts[i] + inflow - outflow)
         slices.append(slice_)

@@ -3,7 +3,8 @@
 Run file:    {"schema", "num_agents", "state_dim", "length", "states"[t][i][k]}
 Graph file:  {"schema", "types": {tag: {"directed", "static"?, "snapshots":
              [{"t"?, "edges": [[src, dst, u, w]]}]}
-                            | {"directed": false, "derived": "distance"}}}
+                            | {"directed": false, "derived": "distance",
+                               "positions"?[t][i][k]}}}
 Mask file:   {"schema", "observer", "known": [[subject, t_from, t_to]]}
 Report file: {"schema", "determinable", "failures": [{"leaf", "time",
              "unknown_states": [[agent, t]]}]} (monitor-dist) or
@@ -18,11 +19,13 @@ once, in (min, max) order. A weight w is a number or, for the infinities
 (JSON has no literal for them), the string "inf" or "-inf".
 
 A derived tag is a descriptor instead of snapshots: "distance" stands for
-one ``DistanceSnapshot`` per time slice of the run file's states. Only
-``save_run`` writes one, for a tag whose every snapshot derives from the
-states it saves beside it, and only ``load_run``, which has just read those
-states, reads one. A standalone graph file (``save_graphs``, ``load_graphs``)
-holds edge rows only, derived tags written out as the rows they stand for.
+one ``DistanceSnapshot`` per time slice of the positions it carries, or,
+without them, of the run file's states. Both writers name every dynamic tag
+of ``DistanceSnapshot``s this way. ``save_run`` leaves the positions out
+when they are the states it saves beside the graph file, and only
+``load_run``, which has just read those states, reads such a descriptor; a
+standalone graph file (``save_graphs``, ``load_graphs``) always carries
+them.
 
 Every file is written as one line of compact JSON (no spaces after "," and
 ":") in a fixed key order, edges sorted, so saving the same value twice
@@ -65,7 +68,7 @@ def _load(path):
             return json.load(fh)
         except RecursionError:
             raise SchemaError(f"{path}: JSON nested too deeply") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
             raise SchemaError(f"{path}: {exc}") from None
 
 
@@ -130,14 +133,15 @@ def load_trajectory(path) -> MasTrajectory:
 
 
 def save_graphs(graphs: GraphTrajectory, path):
-    """Write a standalone graph file: every tag as edge rows, derived ones too."""
+    """Write a standalone graph file: a derived tag carries its positions."""
     _dump(_graphs_doc(graphs, None), path)
 
 
 def _graphs_doc(graphs: GraphTrajectory, states) -> dict:
-    """The graph file of the graphs; with the run's ``states``, a tag whose
-    snapshot at every t is the distance graph of ``states[t]`` is written as
-    a descriptor, which ``load_run`` rebuilds from those states."""
+    """The graph file of the graphs. A dynamic tag whose every snapshot is a
+    ``DistanceSnapshot`` is written as a descriptor, with the positions the
+    snapshots derive from unless those are ``states``, the run's states that
+    ``save_run`` writes beside the graph file."""
     types = {}
     for tag in sorted(graphs.static):
         snap = graphs.static[tag]
@@ -148,11 +152,10 @@ def _graphs_doc(graphs: GraphTrajectory, states) -> dict:
         }
     for tag in sorted(graphs.dynamic):
         snaps = graphs.dynamic[tag]
-        if states is not None and all(
-            type(snap) is DistanceSnapshot and snap.positions == here
-            for snap, here in zip(snaps, states)
-        ):
+        if all(type(snap) is DistanceSnapshot for snap in snaps):
             types[tag] = {"directed": False, "derived": DERIVED_DISTANCE}
+            if states is None or any(snap.positions != here for snap, here in zip(snaps, states)):
+                types[tag]["positions"] = [snap.positions for snap in snaps]
             continue
         types[tag] = {
             "directed": snaps[0].directed,
@@ -167,15 +170,13 @@ def _edges_out(snap: MultigraphSnapshot):
     # plain tuples encode as JSON arrays in C (an Edge, being a tuple
     # subclass, is first copied to a list); only infinite weights need a token
     inf = math.inf
-    # a derived snapshot's rows come out sorted; building and sorting its
-    # edges instead takes about seven times as long at 30 agents
-    rows = snap.rows() if type(snap) is DistanceSnapshot else sorted(snap.edges)
-    return [e[:] if -inf < e[3] < inf else (*e[:3], _weight_out(e[3])) for e in rows]
+    return [e[:] if -inf < e[3] < inf else (*e[:3], _weight_out(e[3]))
+            for e in sorted(snap.edges)]
 
 
 def load_graphs(path, length: int) -> GraphTrajectory:
-    """The graphs of a standalone graph file; a derived tag, which only a
-    run's graph file carries, is a ``SchemaError``."""
+    """The graphs of a standalone graph file; a descriptor without its
+    positions, which only a run's graph file leaves out, is a ``SchemaError``."""
     return _graphs_in(path, length, None)
 
 
@@ -190,7 +191,7 @@ def _graphs_in(path, length: int, states) -> GraphTrajectory:
         if not isinstance(entry, dict):
             raise SchemaError(f"{path}: graph {tag!r}: must be an object")
         if "derived" in entry:
-            dynamic[tag] = _derived_in(tag, entry, states, path)
+            dynamic[tag] = _derived_in(tag, entry, length, states, path)
             continue
         if "directed" not in entry or "snapshots" not in entry:
             raise SchemaError(f"{path}: graph {tag!r}: need 'directed' and 'snapshots'")
@@ -228,8 +229,9 @@ def _graphs_in(path, length: int, states) -> GraphTrajectory:
     return GraphTrajectory(length, static, dynamic)
 
 
-def _derived_in(tag, entry, states, path) -> tuple[DistanceSnapshot, ...]:
-    """The snapshots a descriptor stands for, one per slice of the run's states."""
+def _derived_in(tag, entry, length: int, states, path) -> tuple[DistanceSnapshot, ...]:
+    """The snapshots a descriptor stands for, one per time slice of its
+    positions or, without them, of the run's states."""
     if entry["derived"] != DERIVED_DISTANCE:
         raise SchemaError(f"{path}: graph {tag!r}: unknown derived graph {entry['derived']!r}, "
                           f"expected {DERIVED_DISTANCE!r}")
@@ -237,9 +239,17 @@ def _derived_in(tag, entry, states, path) -> tuple[DistanceSnapshot, ...]:
         raise SchemaError(f"{path}: graph {tag!r}: a derived graph has no 'snapshots' or 'static'")
     if entry.get("directed") is not False:
         raise SchemaError(f"{path}: graph {tag!r}: a distance graph needs 'directed': false")
-    if states is None:
+    if "positions" in entry:
+        try:
+            states = MasTrajectory(entry["positions"]).states
+        except ValueError as exc:
+            raise SchemaError(f"{path}: graph {tag!r}: positions: {exc}") from None
+        if len(states) != length + 1:
+            raise SchemaError(f"{path}: graph {tag!r}: {len(states)} position slices, "
+                              f"need {length + 1}")
+    elif states is None:
         raise SchemaError(f"{path}: graph {tag!r}: derived from a run's states; "
-                          "a standalone graph file needs edge rows")
+                          "a standalone graph file needs its 'positions'")
     return tuple(DistanceSnapshot(tag, here) for here in states)
 
 

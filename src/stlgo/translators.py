@@ -94,9 +94,7 @@ def shortest_distance_map(
 
 
 def shortest_distance_graph(
-    g: MultigraphSnapshot,
-    graph_type: str | None = None,
-    nodes: Iterable[int] | None = None,
+    g: MultigraphSnapshot, graph_type: str, nodes: Iterable[int] | None = None
 ) -> MultigraphSnapshot:
     """Single-edge graph of shortest distances over reachable pairs.
 
@@ -104,7 +102,6 @@ def shortest_distance_graph(
     stays a fact of the distance map rather than an edge, so counting
     operators over the result never count the anchor agent itself.
     """
-    tag = graph_type if graph_type is not None else g.graph_type + "s"
     dmap = shortest_distance_map(g, nodes)
     edges = []
     for u, row in dmap.items():
@@ -113,7 +110,7 @@ def shortest_distance_graph(
                 continue
             if g.directed or u < v:
                 edges.append((u, v, 1, d))
-    return MultigraphSnapshot(tag, g.directed, edges)
+    return MultigraphSnapshot(graph_type, g.directed, edges)
 
 
 def psi_graph_tag(psi: str, agent: int) -> str:
@@ -131,29 +128,22 @@ def normalize_labels(labels: LabelMap, num_agents: int) -> dict[int, frozenset[s
 
 
 def labeled_subgraph(
-    ds: MultigraphSnapshot,
-    labels: LabelMap,
-    psi: str,
-    agent: int,
-    graph_type: str | None = None,
+    ds: MultigraphSnapshot, labels: LabelMap, psi: str, agent: int
 ) -> MultigraphSnapshot:
     """Induced subgraph of the shortest-distance graph on the agents carrying
     the label, plus the anchor agent; weights preserved. An unknown label
-    legally yields the graph on the anchor alone."""
+    legally yields the graph on the anchor alone. Its tag is
+    ``psi_graph_tag(psi, agent)``."""
     keep = {j for j, ls in labels.items() if psi in ls}
     keep.add(agent)
-    tag = graph_type if graph_type is not None else psi_graph_tag(psi, agent)
     edges = [e for e in ds.edges if e.src in keep and e.dst in keep]
-    return MultigraphSnapshot(tag, ds.directed, edges)
+    return MultigraphSnapshot(psi_graph_tag(psi, agent), ds.directed, edges)
 
 
-def anchor_subgraph(
-    g: MultigraphSnapshot, agent: int, graph_type: str | None = None
-) -> MultigraphSnapshot:
+def anchor_subgraph(g: MultigraphSnapshot, agent: int, graph_type: str) -> MultigraphSnapshot:
     """Subgraph keeping only the edges incident to one anchor agent."""
-    tag = graph_type if graph_type is not None else f"{g.graph_type}{agent}"
     edges = [e for e in g.edges if agent in (e.src, e.dst)]
-    return MultigraphSnapshot(tag, g.directed, edges)
+    return MultigraphSnapshot(graph_type, g.directed, edges)
 
 
 def count_set_for(cmp: Comparator, bound: float) -> CountSet:
@@ -189,7 +179,6 @@ def translate_sastl_count(
     agent: int,
     op: Literal["sum", "avg"] = "sum",
     n_prime: int | None = None,
-    graph_tag: str | None = None,
 ) -> GlobalFormula:
     """Counting over the psi-labeled shortest-distance graph of the anchor.
 
@@ -205,7 +194,7 @@ def translate_sastl_count(
         bound = c * n_prime
     else:
         raise ValueError(f"sastl op must be 'sum' or 'avg', not {op!r}")
-    tag = graph_tag if graph_tag is not None else psi_graph_tag(psi, agent)
+    tag = psi_graph_tag(psi, agent)
     counts = count_set_for(cmp, bound)
     return AgentBind(agent, GraphOp("in", "exists", (tag,), counts, weights, inner))
 
@@ -215,9 +204,8 @@ def translate_sstl(
     weights: WeightInterval,
     inner: LocalFormula,
     agent: int,
-    ds_tag: str = "ds",
 ) -> GlobalFormula:
-    """Somewhere / everywhere over the shortest-distance graph.
+    """Somewhere / everywhere over the shortest-distance graph, tagged "ds".
 
     Somewhere asks for at least one satisfying agent in the distance window;
     everywhere asks for zero violating agents there.
@@ -230,7 +218,7 @@ def translate_sstl(
         child = Not(inner)
     else:
         raise ValueError(f"unsupported operator {op!r}")
-    return AgentBind(agent, GraphOp("in", "exists", (ds_tag,), counts, weights, child))
+    return AgentBind(agent, GraphOp("in", "exists", ("ds",), counts, weights, child))
 
 
 # ---------------------------------------------------------------------------

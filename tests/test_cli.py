@@ -4,8 +4,22 @@ import warnings
 
 import pytest
 
-from stlgo.cli import main
-from stlgo.serialization import load_signal, load_run, save_run, save_mask, save_labels
+from stlgo.cli import drone_formulas, main, with_anchor_graphs
+from stlgo.parser import print_formula
+from stlgo.serialization import (
+    load_graphs,
+    load_run,
+    load_signal,
+    save_labels,
+    save_mask,
+    save_run,
+)
+from stlgo.translators import (
+    labeled_subgraph,
+    normalize_labels,
+    psi_graph_tag,
+    shortest_distance_graph,
+)
 from stlgo import (
     BikeScenarioConfig,
     DroneScenarioConfig,
@@ -417,7 +431,7 @@ def test_gen_and_reload(tmp_path):
 
 def test_gen_translate_and_monitor_the_augmented_graph_file(tmp_path):
     """A generated bundle names d in a descriptor; translate's graph file
-    writes it out as edge rows, and monitoring reads either."""
+    keeps it one, with its positions, and monitoring reads either."""
     out_run, out_graphs = tmp_path / "r.json", tmp_path / "g.json"
     assert main(["gen", "drone", "--sigma", "4", "--seed", "1", "--horizon", "6",
                  "--out-run", str(out_run), "--out-graphs", str(out_graphs)]) == 0
@@ -427,7 +441,8 @@ def test_gen_translate_and_monitor_the_augmented_graph_file(tmp_path):
                  "--weights", "0,3", "--inner", "[x[0] >= 4]", "--run", str(out_run),
                  "--graphs", str(out_graphs), "--out-formula", str(sw),
                  "--out-graphs", str(aug)]) == 0
-    assert "derived" not in aug.read_text()
+    d = json.loads(aug.read_text())["types"]["d"]
+    assert d["derived"] == "distance" and len(d["positions"]) == 7
     safe = write_formula(tmp_path, "G[0,2](Out{d} E[3,inf] W[0.3,inf] true)")
     codes = []
     for graphs in (out_graphs, aug):
@@ -436,6 +451,53 @@ def test_gen_translate_and_monitor_the_augmented_graph_file(tmp_path):
     assert codes[0] == codes[1] and codes[0] in (0, 2)
     assert main(["monitor", "--formula", str(sw), "--run", str(out_run), "--graphs", str(aug),
                  "--global", "--tmax", "4"]) in (0, 2)
+
+
+def test_augmented_graph_file_monitors_like_the_bundle(tmp_path, capsys):
+    """Monitoring against translate's graph file gives the same answers and
+    files as against the bundle's own, and the file loads back to the
+    translated graphs."""
+    sigma, anchor = 6, 2
+    run = with_anchor_graphs(gen_drone(DroneScenarioConfig(sigma=sigma, seed=4, horizon=12)), 1)
+    run_path, graphs_path = tmp_path / "run.json", tmp_path / "graphs.json"
+    save_run(run, run_path, graphs_path)
+    labels = {1: {"H"}, 3: {"H"}, 5: {"H"}}
+    save_labels(labels, tmp_path / "labels.json")
+    save_mask(KnowledgeMask(1, frozenset((j, t) for j in (2, 4) for t in range(13))),
+              tmp_path / "mask.json")
+    aug = tmp_path / "aug.json"
+    assert main(["translate", "--from", "sastl", "--labels", str(tmp_path / "labels.json"),
+                 "--psi", "H", "--anchor", str(anchor), "--weights", "0,4", "--cmp", ">=",
+                 "--count", "1", "--inner", "[x[1] >= 4]", "--time", "3",
+                 "--run", str(run_path), "--graphs", str(graphs_path),
+                 "--out-formula", str(tmp_path / "out.stlgo"), "--out-graphs", str(aug)]) == 0
+    ds = shortest_distance_graph(run.graphs.at("d", 3), "ds", nodes=range(1, sigma + 1))
+    want = run.graphs.with_graph("ds", ds).with_graph(
+        psi_graph_tag("H", anchor),
+        labeled_subgraph(ds, normalize_labels(labels, sigma), "H", anchor))
+    assert load_graphs(aug, run.length) == want
+    capsys.readouterr()
+
+    def answers(graphs, argv):
+        """Exit code, stdout and output files of one call against a graph file."""
+        out, report = tmp_path / "sig.json", tmp_path / "report.json"
+        for path in (out, report):
+            path.unlink(missing_ok=True)
+        code = main(argv[:1] + ["--run", str(run_path), "--graphs", str(graphs),
+                                "--out", str(out)] + argv[1:])
+        files = [out.read_bytes()] + ([report.read_bytes()] if "--report" in argv else [])
+        return code, capsys.readouterr(), files
+
+    dist = ["--mask", str(tmp_path / "mask.json"), "--report", str(tmp_path / "report.json")]
+    for name, f, kind in drone_formulas(run, sigma, 1):
+        path = write_formula(tmp_path, print_formula(f), f"{name}.stlgo")
+        calls = ([["monitor", "--formula", str(path), "--global", "--tmax", "8"]]
+                 if kind == "global" else
+                 [["monitor", "--formula", str(path), "--agent", str(agent), "--tmax", "8"]
+                  for agent in (1, 4)]
+                 + [["monitor-dist", "--formula", str(path), "--tmax", "8"] + dist])
+        for argv in calls:
+            assert answers(aug, argv) == answers(graphs_path, argv), argv
 
 
 def test_bench_smoke(tmp_path, capsys):

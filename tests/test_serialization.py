@@ -286,6 +286,16 @@ MALFORMED = {
         "directed": False, "derived": "distance", "static": True})),
     "derived directed": ("graphs", _set(["types", "d"], {"directed": True,
                                                          "derived": "distance"})),
+    "derived positions a number": ("graphs", _set(["types", "d"], {
+        "directed": False, "derived": "distance", "positions": 5})),
+    "derived positions ragged": ("graphs", _set(["types", "d"], {
+        "directed": False, "derived": "distance",
+        "positions": [[[0.0], [1.0], [2.0]], [[0.0], [1.0]], [[0.0], [1.0], [2.0]]]})),
+    "derived positions short of the run": ("graphs", _set(["types", "d"], {
+        "directed": False, "derived": "distance", "positions": [[[0.0], [1.0], [2.0]]] * 2})),
+    "weight an integer too large for a float": ("graphs", _c_edges([1, 2, 1, 10 ** 400])),
+    "weight an integer past the digit limit": ("graphs", lambda doc: json.dumps(
+        _c_edges([1, 2, 1, 0])(doc)).replace("[1, 2, 1, 0]", f"[1, 2, 1, {'9' * 5000}]")),
     "nested too deeply": ("graphs", lambda doc: "[" * 100_000 + "]" * 100_000),
     "truncated JSON": ("graphs", lambda doc: json.dumps(doc)[:-2]),
     "states a number": ("run", _set(["states"], 5)),
@@ -327,6 +337,17 @@ def test_malformed_file_exits_3_with_one_error_line(tmp_path, capsys, command, n
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert str(paths[which]) in lines[0]
+
+
+def test_integer_weight_too_large_for_a_float_is_a_schema_error_without_its_digits(tmp_path):
+    """The CLI's exit 3 is among MALFORMED; this checks the message."""
+    paths = _bundle(tmp_path)
+    doc = json.loads(paths["graphs"].read_text(encoding="utf-8"))
+    doc["types"]["c"]["snapshots"][0]["edges"] = [[1, 2, 1, int("9" * 400)]]
+    paths["graphs"].write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SchemaError, match="bad edge weight") as caught:
+        load_run(paths["run"], paths["graphs"])
+    assert str(paths["graphs"]) in str(caught.value) and "9" * 20 not in str(caught.value)
 
 
 def test_well_formed_bundle_monitors_with_a_derived_distance_graph(tmp_path):
@@ -414,13 +435,25 @@ def test_run_file_names_a_derived_graph_in_one_descriptor(tmp_path):
     assert (tmp_path / "g2.json").read_bytes() == (tmp_path / "g.json").read_bytes()
 
 
-def test_standalone_graph_file_writes_a_derived_graph_as_edge_rows(tmp_path):
+def test_standalone_graph_file_keeps_a_derived_graph_derived(tmp_path):
+    """A standalone graph file names a derived graph in a descriptor that
+    carries its positions, and loads back to the same derived graph."""
     run = gen_drone(DroneScenarioConfig(sigma=5, seed=3, horizon=6))
-    stored = _stored_d(run)
-    save_graphs(run.graphs, tmp_path / "derived.json")
-    save_graphs(stored.graphs, tmp_path / "stored.json")
-    assert (tmp_path / "derived.json").read_bytes() == (tmp_path / "stored.json").read_bytes()
-    assert load_graphs(tmp_path / "derived.json", run.length) == run.graphs
+    save_graphs(run.graphs, tmp_path / "g.json")
+    doc = json.loads((tmp_path / "g.json").read_text(encoding="utf-8"))
+    assert doc["types"]["d"] == {"directed": False, "derived": "distance",
+                                 "positions": json.loads(json.dumps(run.trajectory.states))}
+    back = load_graphs(tmp_path / "g.json", run.length)
+    assert back == run.graphs == _stored_d(run).graphs
+    assert all(type(snap) is DistanceSnapshot for snap in back.dynamic["d"])
+    save_graphs(back, tmp_path / "g2.json")
+    assert (tmp_path / "g2.json").read_bytes() == (tmp_path / "g.json").read_bytes()
+    # a stored distance graph is still written as its edge rows
+    save_graphs(_stored_d(run).graphs, tmp_path / "stored.json")
+    assert "derived" not in (tmp_path / "stored.json").read_text(encoding="utf-8")
+    # the bundle's graph file, loaded on its own, brings its positions along
+    with pytest.raises(SchemaError):
+        load_graphs(tmp_path / "g.json", run.length + 1)
 
 
 def test_standalone_graph_file_with_a_descriptor_raises_schema_error(tmp_path):
@@ -443,18 +476,19 @@ def test_bundle_with_stored_distance_rows_loads_and_saves_byte_for_byte(tmp_path
             (tmp_path / f"{name}.json").read_bytes()
 
 
-def test_distance_graph_of_another_trajectory_is_saved_as_edge_rows(tmp_path):
-    """A derived graph is written as a descriptor only when it derives from
-    the states saved beside it; otherwise the reloaded weights would change."""
+def test_distance_graph_of_another_trajectory_is_saved_with_its_positions(tmp_path):
+    """A run's descriptor leaves its positions out only when they are the
+    states saved beside it; otherwise the reloaded weights would change."""
     cfg = DroneScenarioConfig(sigma=4, seed=1, horizon=5)
     run_a = gen_drone(cfg)
     run_b = gen_drone(DroneScenarioConfig(sigma=4, seed=2, horizon=5))
     mixed = MasRun(run_b.trajectory, run_a.graphs)
     save_run(mixed, tmp_path / "r.json", tmp_path / "g.json")
     doc = json.loads((tmp_path / "g.json").read_text(encoding="utf-8"))
-    assert "derived" not in doc["types"]["d"]
+    assert doc["types"]["d"]["positions"] == json.loads(json.dumps(run_a.trajectory.states))
     back = load_run(tmp_path / "r.json", tmp_path / "g.json")
     assert back == mixed and back.graphs == run_a.graphs
+    assert all(type(snap) is DistanceSnapshot for snap in back.graphs.dynamic["d"])
     # equal states held in another trajectory object still derive the same graph
     copy = MasRun(MasTrajectory([list(s) for s in run_a.trajectory.states]), run_a.graphs)
     save_run(copy, tmp_path / "r.json", tmp_path / "g.json")

@@ -70,7 +70,7 @@ def test_single_edge_distance():
 
 
 def test_distance_graph_has_no_self_edges(fig_snapshot):
-    ds = shortest_distance_graph(fig_snapshot)
+    ds = shortest_distance_graph(fig_snapshot, "ds")
     assert ds.graph_type == "ds"
     assert all(e.src != e.dst for e in ds.edges)
 
@@ -111,21 +111,21 @@ def test_negative_weight_rejected():
 
 
 def test_labeled_subgraph_keeps_all_when_all_labeled(fig_snapshot):
-    ds = shortest_distance_graph(fig_snapshot)
+    ds = shortest_distance_graph(fig_snapshot, "ds")
     labels = {i: {"H"} for i in range(1, 8)}
     sub = labeled_subgraph(ds, labels, "H", 3)
     assert sub.edges == ds.edges
 
 
 def test_labeled_subgraph_unknown_label_keeps_anchor(fig_snapshot):
-    ds = shortest_distance_graph(fig_snapshot)
+    ds = shortest_distance_graph(fig_snapshot, "ds")
     sub = labeled_subgraph(ds, FIG_LABELS, "Z", 3)
     assert sub.edges == frozenset()
 
 
 def test_labeled_subgraph_fig_labels(fig_snapshot):
     # anchor 3 is the only C; every other node is H, so nothing is dropped
-    ds = shortest_distance_graph(fig_snapshot)
+    ds = shortest_distance_graph(fig_snapshot, "ds")
     sub = labeled_subgraph(ds, FIG_LABELS, "H", 3)
     nodes = {e.src for e in sub.edges} | {e.dst for e in sub.edges}
     assert nodes == set(range(1, 8))
