@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 from . import formula as F
 from .formula import INF, compile_expr, eval_expr, expr_vars, horizon, lower
-from .model import MasRun, TimeOutOfRangeError
+from .model import MasRun, TimeOutOfRangeError, edge_count, neighbor_items
 
 
 class InsufficientTraceError(ValueError):
@@ -225,7 +225,10 @@ class Cells:
     does not recurse. Each one calls its operands' functions directly and
     memoizes its cells in ``rows[id(node)]``, one list per agent indexed by
     t (truth, negation and agent binding map an operand's cells and keep
-    none); an atom's expression is compiled once.
+    none); an atom's expression is compiled once. The memos live as long
+    as the ``Cells``, one query. A graph operator's neighbors come from the
+    run's ``NeighborIndex``, which lives as long as the run and is shared
+    by every query on it and by ``is_determinable``.
     Cells do not depend on the order in which they are evaluated, so
     operators may skip operands that cannot change their verdict.
     """
@@ -235,7 +238,6 @@ class Cells:
         self.mask = mask
         self.core = core  # keeps the nodes, and so their ids, alive
         self.rows: dict = {}  # id(node) -> its memo (``_memo``)
-        self.mult: dict = {}  # id(graph op) -> agent -> (multiplicities, edges); static tags
         self._searches: dict = {}  # (id(node), want) -> first-hit search
         self._fns: dict = {}
         size = run.length + 1
@@ -376,31 +378,24 @@ class Cells:
     def _graph_op(self, f, child):
         """A single-graph operator's cell: ``graph_op_verdict`` of n_sat and
         n_nviol, the edges to neighbors whose child cell is 1, and is 1 or
-        ?. The multiplicities are kept per (operator, agent) for a static
-        tag only: each (operator, agent, t) cell is evaluated once, so a
-        time-varying tag's would not be read again."""
-        rows, graphs, counts = self._memo(f), self.run.graphs, f.counts
-        (tag,), direction, lo, hi = f.graphs, f.direction, f.weights.lo, f.weights.hi
-        kept = self.mult[id(f)] = {}
-        static = tag in graphs.static
+        ?. The neighbors and their multiplicities come from the run's
+        ``NeighborIndex`` of the operator's graph, direction and weight
+        window, which every query on the run shares."""
+        rows, counts = self._memo(f), f.counts
+        (tag,), weights = f.graphs, f.weights
+        at = self.run.graphs.neighbor_index(tag, f.direction, weights.lo, weights.hi).at
         truth = type(f.child) is F.Truth
 
         def cell(agent, t):
             row = rows[agent]
             v = row[t]
             if v is _UNSET:
-                hit = kept.get(agent)
-                if hit is None:
-                    mult = graphs.at(tag, t).multiplicities(agent, direction, lo, hi)
-                    hit = (mult, sum(mult.values()))
-                    if static:
-                        kept[agent] = hit
-                mult, edges = hit
+                mult = at(agent, t)
                 if truth:
-                    n_sat = n_nviol = edges
+                    n_sat = n_nviol = edge_count(mult)
                 else:
                     n_sat = n_unknown = 0
-                    for j, m in mult.items():
+                    for j, m in neighbor_items(mult):
                         c = child(j, t)
                         if c == 1:
                             n_sat += m

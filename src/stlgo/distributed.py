@@ -33,8 +33,10 @@ the core form with & and | chains as written (``prepare_for_distributed``);
 its operators are the formula's own ``GraphOp`` nodes. Each leaf takes one
 sweep: out from the subject along the leaf's chain, level by level, to the
 composed neighbor set, then back in, folding the nested neighbor counts
-over the same levels. Both read one memo of edge multiplicities keyed by
-(operator position, agent). Neither depends on the time step, so only the
+over the same levels. Both read each operator's edge multiplicities per
+agent, maximized over all times, from the run's neighbor index
+(``model.NeighborIndex.over_time``), which the monitors read too and which
+lives as long as the run. Neither depends on the time step, so only the
 scan for hidden states in the leaf's window runs per step; the check stays
 sufficient.
 """
@@ -52,7 +54,7 @@ from .formula import (
     horizon,
     prepare_for_distributed,
 )
-from .model import MasRun
+from .model import MasRun, neighbor_items
 
 
 @dataclass(frozen=True)
@@ -198,29 +200,35 @@ def is_determinable(
     chain touching a time-varying graph takes the union of neighbor sets
     (maximum of edge multiplicities) over all times, since temporal
     operators between nested graph operators can shift evaluation to
-    instants where the topology differs. The per-call memo holds those
-    multiplicities, keyed by (operator position, agent); only the window
-    scan runs per time step.
+    instants where the topology differs. Those multiplicities come from the
+    run's neighbor index, per (graph, direction, weight window) and agent
+    (``NeighborIndex.over_time``); an entry is computed on its first read
+    by any query and kept as long as the run, so later calls on the run
+    read it again. Only the window scan runs per time step.
     """
     end = _signal_end(run, f, subject, T)
     tree = build_operator_tree(prepare_for_distributed(f))
     ops = tree.operators
-    memo: dict = {}
     failures: list[LeafFailure] = []
 
     for leaf in tree.leaves:
         if not contains_atom(leaf.formula):
             continue
         chain = leaf.ancestors
+        over_time = {}  # operator p -> an agent's neighbors in p over all times
+        for p in chain:
+            op = ops[p - 1]
+            over_time[p] = run.graphs.neighbor_index(
+                op.graphs[0], op.direction, op.weights.lo, op.weights.hi).over_time
         levels = [{subject}]
         for p in chain:
-            levels.append({j for a in levels[-1] for j in _multiplicities(run, ops, p, a, memo)})
+            levels.append({j for a in levels[-1] for j in over_time[p](a)})
         # condition (b): every edge of the innermost operator counts, and a
         # leaf with no chain keeps count 1 against need 1
         count, need = dict.fromkeys(levels[-1], 1), 1
         for p, agents in zip(reversed(chain), reversed(levels[:-1])):
-            count = {a: sum(m for j, m in _multiplicities(run, ops, p, a, memo).items()
-                            if count[j] >= need) for a in agents}
+            count = {a: sum(m for j, m in neighbor_items(over_time[p](a)) if count[j] >= need)
+                     for a in agents}
             need = ops[p - 1].counts.min_value()
         if count[subject] < need:
             continue  # condition (b) holds at every t
@@ -240,20 +248,3 @@ def is_determinable(
                 failures.append(LeafFailure(leaf.index, t, tuple(missing)))
 
     return DeterminabilityReport(not failures, tuple(failures), tree)
-
-
-def _multiplicities(run: MasRun, ops, p: int, agent: int, memo: dict) -> dict[int, int]:
-    """Per-neighbor parallel-edge counts of operator p (1-based) at the
-    agent, maximized over all times (one time suffices for a static graph)."""
-    out = memo.get((p, agent))
-    if out is None:
-        op = ops[p - 1]
-        (tag,) = op.graphs
-        out = memo[(p, agent)] = {}
-        for u in (0,) if tag in run.graphs.static else range(run.length + 1):
-            mult = run.graphs.at(tag, u).multiplicities(
-                agent, op.direction, op.weights.lo, op.weights.hi
-            )
-            for j, m in mult.items():
-                out[j] = max(out.get(j, 0), m)
-    return out

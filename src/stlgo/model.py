@@ -2,7 +2,9 @@
 
 Agents are 1-indexed (1..N). Time is discrete, 0..L where L is the last
 valid index. All types are immutable after construction and safe to share
-across concurrent evaluators.
+across concurrent evaluators; the one thing a run fills in later is its
+neighbor index (``NeighborIndex``), a cache of answers its snapshots
+already determine.
 
 Each value type has one constructor, which checks what it is given and
 packs it in the pass that builds it: ``MasTrajectory`` takes raw state
@@ -18,7 +20,7 @@ import math
 import operator
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple
 
 Direction = Literal["in", "out"]
@@ -181,6 +183,25 @@ class MasTrajectory:
         return self.states[t]
 
 
+_ONES = repeat(1)
+
+
+def neighbor_items(entry) -> Iterable[tuple[int, int]]:
+    """The (neighbor, multiplicity) pairs of a ``NeighborIndex`` entry."""
+    return zip(entry, _ONES) if type(entry) is tuple else entry.items()
+
+
+def edge_count(entry) -> int:
+    """The number of edges a ``NeighborIndex`` entry counts."""
+    return len(entry) if type(entry) is tuple else sum(entry.values())
+
+
+def _lean(mult: dict[int, int]) -> tuple[int, ...] | dict[int, int]:
+    # every multiplicity 1, as in any graph without parallel edges: the
+    # neighbors alone, and no neighbors at all is the one empty tuple
+    return tuple(mult) if len(mult) == sum(mult.values()) else mult
+
+
 def _packed(table: dict[int, list[Edge]]) -> dict[int, tuple[Edge, ...]]:
     # tuples hold a table's lists without their spare capacity; a snapshot
     # keeps its tables for its lifetime
@@ -265,6 +286,10 @@ class MultigraphSnapshot:
                 mult[j] = mult.get(j, 0) + 1
         return mult
 
+    def _entry(self, i: int, direction: Direction, lo: float, hi: float):
+        """``multiplicities`` as a ``NeighborIndex`` entry."""
+        return _lean(self.multiplicities(i, direction, lo, hi))
+
     def max_node(self) -> int:
         return self._max_node
 
@@ -284,14 +309,14 @@ class DistanceSnapshot(MultigraphSnapshot):
     It is the complete undirected graph with one edge (i, j, 1, w) per pair
     of agents i < j, where w = ``math.dist`` of their state vectors, and
     no self-loop. ``positions`` is the slice, ``states[t]`` of a
-    ``MasTrajectory``; it is all the snapshot stores. A query of agent i
-    computes i's distances once and keeps them, as a stored snapshot keeps
-    its tables. ``edges`` is built on each read, for the callers that need
-    edges (the translators, ``==``); it holds the same floats a stored
-    snapshot of those rows holds, since ``math.dist`` is symmetric bit for
-    bit. A graph file writes no edge rows for it: a dynamic tag of these
-    snapshots is one descriptor, with the positions unless they are the
-    states saved beside it (``stlgo.serialization``).
+    ``MasTrajectory``; it is all the snapshot stores. Each query of agent
+    i computes i's distances; the answers the monitors read again are kept
+    by the run's ``NeighborIndex``. ``edges`` is built on each read, for
+    the callers that need edges (the translators, ``==``); it holds the
+    same floats a stored snapshot of those rows holds, since ``math.dist``
+    is symmetric bit for bit. A graph file writes no edge rows for it: a
+    dynamic tag of these snapshots is one descriptor, with the positions
+    unless they are the states saved beside it (``stlgo.serialization``).
     """
 
     def __init__(self, graph_type: str, positions: tuple[tuple[float, ...], ...]):
@@ -300,7 +325,6 @@ class DistanceSnapshot(MultigraphSnapshot):
         object.__setattr__(self, "directed", False)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "_max_node", n if n > 1 else 0)
-        object.__setattr__(self, "_rows", {})
 
     def __repr__(self):
         return f"DistanceSnapshot({self.graph_type!r}, <{len(self.positions)} positions>)"
@@ -311,18 +335,15 @@ class DistanceSnapshot(MultigraphSnapshot):
         return frozenset([new(Edge, (i, j, 1, dist(p, q)))
                           for i, p in enumerate(here, 1) for j, q in enumerate(here[i:], i + 1)])
 
-    def _row(self, i: int) -> tuple[float, ...]:
+    def _row(self, i: int) -> list[float]:
         """i's distance to every agent in agent order; i's own entry is NaN,
         which lies in no weight window. An agent beyond the slice has none."""
-        row = self._rows.get(i)
-        if row is None:
-            here = self.positions
-            if not 1 <= i <= len(here):
-                return ()
-            dist, p = math.dist, here[i - 1]
-            row = [dist(p, q) for q in here]
-            row[i - 1] = math.nan
-            row = self._rows[i] = tuple(row)
+        here = self.positions
+        if not 1 <= i <= len(here):
+            return []
+        dist, p = math.dist, here[i - 1]
+        row = [dist(p, q) for q in here]
+        row[i - 1] = math.nan
         return row
 
     def oriented_edges(self, i: int, direction: Direction) -> tuple[Edge, ...]:
@@ -336,6 +357,70 @@ class DistanceSnapshot(MultigraphSnapshot):
     ) -> dict[int, int]:
         return {j: 1 for j, w in enumerate(self._row(i), 1) if lo <= w <= hi}
 
+    def _entry(self, i: int, direction: Direction, lo: float, hi: float):
+        return tuple([j for j, w in enumerate(self._row(i), 1) if lo <= w <= hi])
+
+
+class NeighborIndex:
+    """The neighbors of every agent in one graph type, in one direction,
+    over the edges whose weight lies in one window [lo, hi]: a run's
+    ``MultigraphSnapshot.multiplicities``, each entry filled on its first
+    read and kept as long as the run (``GraphTrajectory.neighbor_index``).
+
+    An entry is the neighbors of an agent with their multiplicities: the
+    tuple of neighbors when every multiplicity is 1, else a dict neighbor
+    -> multiplicity. Iterating either yields the neighbors, and
+    ``neighbor_items`` their (neighbor, multiplicity) pairs. ``at(i, t)``
+    is agent i's entry at time t, one entry per agent for a static graph;
+    ``over_time(i)`` takes each neighbor's largest multiplicity over all
+    times. An entry filled twice is filled equal, so concurrent readers
+    may share an index. Over a graph type the run does not carry, the
+    first read raises ``UnknownGraphTypeError``.
+    """
+
+    __slots__ = ("_tag", "_snaps", "_static", "_query", "_at", "_over_time")
+
+    def __init__(self, tag: str, snaps: tuple[MultigraphSnapshot, ...] | None,
+                 direction: Direction, lo: float, hi: float):
+        self._tag = tag
+        self._snaps = snaps  # one per time, a static graph's one alone, None if unknown
+        self._static = snaps is None or len(snaps) == 1
+        self._query = (direction, lo, hi)
+        self._at: dict = {}  # agent -> its entry (static) or its entries per time
+        self._over_time: dict = {}  # agent -> its entry over all times
+
+    def at(self, i: int, t: int) -> tuple[int, ...] | dict[int, int]:
+        if self._static:
+            entry = self._at.get(i)
+            if entry is None:
+                entry = self._at[i] = self._fill(i, 0)
+            return entry
+        row = self._at.get(i)
+        if row is None:
+            row = self._at[i] = [None] * len(self._snaps)
+        entry = row[t]
+        if entry is None:
+            entry = row[t] = self._fill(i, t)
+        return entry
+
+    def over_time(self, i: int) -> tuple[int, ...] | dict[int, int]:
+        if self._static:
+            return self.at(i, 0)
+        entry = self._over_time.get(i)
+        if entry is None:
+            most: dict[int, int] = {}
+            for t in range(len(self._snaps)):
+                for j, m in neighbor_items(self.at(i, t)):
+                    if m > most.get(j, 0):
+                        most[j] = m
+            entry = self._over_time[i] = _lean(most)
+        return entry
+
+    def _fill(self, i: int, t: int):
+        if self._snaps is None:
+            raise UnknownGraphTypeError(f"unknown graph type: {self._tag!r}")
+        return self._snaps[t]._entry(i, *self._query)
+
 
 @dataclass(frozen=True)
 class GraphTrajectory:
@@ -343,11 +428,18 @@ class GraphTrajectory:
 
     ``static`` holds graph types whose single snapshot applies at every t;
     ``dynamic`` maps a type to one snapshot per time index 0..length.
+
+    The run's neighbor queries go through one ``NeighborIndex`` per (graph
+    type, direction, weight window), made on the first ask and filled
+    entry by entry as entries are read. The indexes are derived data:
+    they take no part in ``==`` or ``repr``, and every new trajectory,
+    ``with_graph``'s copies included, starts without them.
     """
 
     length: int
     static: Mapping[str, MultigraphSnapshot] = field(default_factory=dict)
     dynamic: Mapping[str, tuple[MultigraphSnapshot, ...]] = field(default_factory=dict)
+    _neighbors: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         overlap = set(self.static) & set(self.dynamic)
@@ -381,6 +473,21 @@ class GraphTrajectory:
         if graph_type in self.dynamic:
             return self.dynamic[graph_type][t]
         raise UnknownGraphTypeError(f"unknown graph type: {graph_type!r}")
+
+    def neighbor_index(
+        self, graph_type: str, direction: Direction, lo: float, hi: float
+    ) -> NeighborIndex:
+        """The run's index of neighbors in one graph type and direction,
+        over the edges with a weight in [lo, hi]."""
+        key = (graph_type, direction, lo, hi)
+        index = self._neighbors.get(key)
+        if index is None:
+            if graph_type in self.static:
+                snaps = (self.static[graph_type],)
+            else:
+                snaps = self.dynamic.get(graph_type)
+            index = self._neighbors[key] = NeighborIndex(graph_type, snaps, direction, lo, hi)
+        return index
 
     def with_graph(
         self,
@@ -443,8 +550,8 @@ def agent_neighbors(
 ) -> frozenset[int]:
     """The agents at the other end of an edge of agent i (or of any agent in
     a set of agents) in one graph at time t, in the given direction, with a
-    weight in the window. The query is checked whole even for an empty set
-    of agents."""
+    weight in the window, read from the run's ``NeighborIndex``. The query
+    is checked whole even for an empty set of agents."""
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', not {direction!r}")
     lo, hi = weights
@@ -454,5 +561,6 @@ def agent_neighbors(
     for a in agents:
         if not 1 <= a <= run.num_agents:
             raise ValueError(f"unknown agent {a}")
-    snap = run.graphs.at(graph_type, t)
-    return frozenset(j for a in agents for j in snap.multiplicities(a, direction, lo, hi))
+    run.graphs.at(graph_type, t)  # checks the time, then the graph type
+    index = run.graphs.neighbor_index(graph_type, direction, lo, hi)
+    return frozenset(j for a in agents for j in index.at(a, t))

@@ -30,8 +30,9 @@ from stlgo import (
     parse_local,
     signal_table,
 )
-from stlgo.central import Cells, oracle_eval, oracle_eval_global
-from stlgo.formula import FULL_WEIGHTS, AgentBind, AgentStateVar, BinOp, Const, GlobalAtom, Or, graph_ops
+from stlgo.central import oracle_eval, oracle_eval_global
+from stlgo.formula import FULL_WEIGHTS, AgentBind, AgentStateVar, BinOp, Const, GlobalAtom, Or
+from stlgo.model import edge_count, neighbor_items
 
 from conftest import random_global_formula, random_local_formula, random_run
 
@@ -78,9 +79,44 @@ def test_multigraph_multiplicity_counts_edges():
     assert monitor_local(run, two, 1, 0).values == (1,)
 
 
-def test_neighbor_multiplicities_are_kept_for_static_tags_only():
-    # "d" changes every step and "c" is static; each (operator, agent, t)
-    # cell is evaluated once, so only a static tag's multiplicities repeat
+WINDOWS = ((-INF, INF), (0.0, 4.0), (3.0, 3.0), (5.0, INF), (-INF, -1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_neighbor_index_entries_are_the_snapshots_multiplicities(seed):
+    # g1 is a multigraph; each tag is static or time-varying at random
+    rng = random.Random(seed)
+    run = random_run(rng, max_agents=5, max_len=5)
+    keys = [(tag, d, lo, hi) for tag in sorted(run.graphs.types) for d in ("in", "out")
+            for lo, hi in WINDOWS]
+    rng.shuffle(keys)  # entries are read in any order, across the run's keys
+    for tag, direction, lo, hi in keys:
+        index = run.graphs.neighbor_index(tag, direction, lo, hi)
+        assert run.graphs.neighbor_index(tag, direction, lo, hi) is index
+        cells = [(i, t) for i in range(1, run.num_agents + 1) for t in range(run.length + 1)]
+        rng.shuffle(cells)
+        for i, t in cells:
+            if rng.random() < 0.3:
+                index.over_time(i)
+            want = run.graphs.at(tag, t).multiplicities(i, direction, lo, hi)
+            entry = index.at(i, t)
+            assert dict(neighbor_items(entry)) == want
+            assert edge_count(entry) == sum(want.values())
+            assert set(entry) == set(want)
+            # lean: the tuple of neighbors where every multiplicity is 1
+            assert (type(entry) is tuple) == all(m == 1 for m in want.values())
+            assert index.at(i, t) is entry
+        for i in range(1, run.num_agents + 1):
+            most = {}
+            for t in range(run.length + 1):
+                for j, m in run.graphs.at(tag, t).multiplicities(i, direction, lo, hi).items():
+                    most[j] = max(most.get(j, 0), m)
+            assert dict(neighbor_items(index.over_time(i))) == most
+
+
+def test_neighbor_index_fills_an_entry_on_its_first_read_only(monkeypatch):
+    # "d" changes every step and "c" is static
     def snap(tag, t):
         edges = [(1, 2, 1, 1.0), (2, 3, 1, 1.0), (1, 3 - t % 2, 2, 1.0)]
         return MultigraphSnapshot(tag, False, edges)
@@ -88,15 +124,29 @@ def test_neighbor_multiplicities_are_kept_for_static_tags_only():
     states = [[(float(i - t),) for i in range(3)] for t in range(4)]
     run = MasRun(MasTrajectory(states), GraphTrajectory(
         3, static={"c": snap("c", 0)}, dynamic={"d": tuple(snap("d", t) for t in range(4))}))
-    for tag, cached in (("d", False), ("c", True)):
-        core = lower(parse_local(f"G[0,3] Out{{{tag}}} E[1,inf] (In{{{tag}}} E[0,2] [x[0] >= 0])"))
-        cells = Cells(run, core)
-        assert cells[core](1, 0) == monitor_local(run, core, 1, 0).values[0]
-        # an operator's memo holds a row for each agent it was evaluated at
-        evaluated = {(id(op), a) for op in graph_ops(core) for a in cells.rows[id(op)]}
-        assert len(evaluated) > len(graph_ops(core))  # several agents were counted
-        kept = {(id(op), a) for op in graph_ops(core) for a in cells.mult[id(op)]}
-        assert kept == (evaluated if cached else set())
+    calls = []
+    original = MultigraphSnapshot.multiplicities
+
+    def counting(snapshot, i, direction, lo, hi):
+        calls.append((snapshot.graph_type, i))
+        return original(snapshot, i, direction, lo, hi)
+
+    monkeypatch.setattr(MultigraphSnapshot, "multiplicities", counting)
+    assert run.graphs.neighbor_index("d", "out", -INF, INF).at(1, 1) == {2: 2}
+    assert calls == [("d", 1)]
+    f = parse_local("G[0,3] Out{d} E[1,inf] (In{d} E[0,2] [x[0] >= 0])")
+    first = monitor_local(run, f, 1, 0)
+    assert len(calls) > 1
+    count = len(calls)
+    # a second query on the run reads the entries the first one filled
+    assert monitor_local(run, f, 1, 0) == first and len(calls) == count
+    # one entry per agent for a static graph, one per (agent, time) otherwise
+    monitor_local(run, parse_local("G[0,3] Out{c} E[1,inf] [x[0] >= 0]"), 1, 0)
+    assert calls[count:] == [("c", 1)]
+    # an equal run has its own index, and a copy with another graph starts empty
+    assert run == MasRun(run.trajectory, GraphTrajectory(3, run.graphs.static, run.graphs.dynamic))
+    run.with_graph("c", snap("c", 1)).graphs.neighbor_index("d", "out", -INF, INF).at(1, 1)
+    assert calls[-1] == ("d", 1) and len(calls) == count + 2
 
 
 def test_min_distance_violation_window():

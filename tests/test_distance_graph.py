@@ -24,7 +24,7 @@ from stlgo import (
 )
 from stlgo.cli import drone_formulas, with_anchor_graphs
 from stlgo.formula import horizon
-from stlgo.model import DistanceSnapshot
+from stlgo.model import DistanceSnapshot, neighbor_items
 
 CASES = [(sigma, seed) for sigma in (2, 4, 30) for seed in range(4)]
 
@@ -76,6 +76,15 @@ def test_derived_snapshot_matches_stored_rows(sigma, seed):
                 for lo, hi in windows(b, rng):
                     assert a.multiplicities(i, direction, lo, hi) == \
                         b.multiplicities(i, direction, lo, hi)
+    # and so does the derived run's neighbor index, which skips
+    # ``multiplicities`` for a distance snapshot
+    for lo, hi in ((0.3, math.inf), (-math.inf, math.inf), (1.0, 0.5)):
+        for direction in ("in", "out"):
+            index = derived.graphs.neighbor_index("d", direction, lo, hi)
+            for t, b in enumerate(stored.graphs.dynamic["d"]):
+                for i in range(1, sigma + 2):
+                    want = b.multiplicities(i, direction, lo, hi)
+                    assert dict(neighbor_items(index.at(i, t))) == want
 
 
 def test_distance_snapshot_equality_and_graph_type():

@@ -35,7 +35,7 @@ from stlgo import (
 from stlgo.central import Cells, graph_op_verdict, k_and, k_not, k_or, oracle_eval
 from stlgo.distributed import LeafFailure, prepare_for_distributed
 from stlgo.formula import FULL_WEIGHTS, horizon
-from stlgo.serialization import load_mask, save_mask
+from stlgo.serialization import load_mask, load_run, save_mask, save_run
 
 from conftest import (
     make_fig_run,
@@ -782,6 +782,35 @@ def test_determinability_equals_reference_on_drone_observer_shapes():
                 )
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_a_warmed_run_answers_like_an_equal_fresh_run(seed):
+    # the run's neighbor index is filled by queries on other tags,
+    # directions and windows before the compared queries read it
+    rng = random.Random(seed)
+    run = random_run(rng, max_agents=4, max_len=5)
+    tags = tuple(sorted(run.graphs.types))
+    dim = run.trajectory.state_dim
+    for _ in range(3):
+        warm = random_local_formula(rng, tags, dim)
+        agent = rng.randint(1, run.num_agents)
+        monitor_local(run, warm, agent, 0)
+        is_determinable(run, random_mask(rng, run, agent, 0.5), warm, agent, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_run(run, Path(tmp) / "r.json", Path(tmp) / "g.json")
+        fresh = load_run(Path(tmp) / "r.json", Path(tmp) / "g.json")
+    assert fresh == run
+    for _ in range(3):
+        f = random_local_formula(rng, tags, dim)
+        subject = rng.randint(1, run.num_agents)
+        mask = random_mask(rng, run, rng.randint(1, run.num_agents), rng.choice([0.0, 0.5]))
+        T = rng.randint(0, run.length)
+        for query in (lambda r: monitor_local(r, f, subject, T),
+                      lambda r: monitor_dist(r, mask, f, subject, T),
+                      lambda r: is_determinable(r, mask, f, subject, T)):
+            assert query(run) == query(fresh), f"seed={seed}"
+
+
 def test_determinability_is_polynomial_in_nesting_depth(monkeypatch):
     # 49 nested graph operators (98 parser levels, with the parentheses):
     # the chain count must not recurse into every neighbor at every level
@@ -802,7 +831,8 @@ def test_determinability_is_polynomial_in_nesting_depth(monkeypatch):
 
     shallow = is_determinable(run, mask, nested(12), 1, 0)
     monkeypatch.setattr(MultigraphSnapshot, "multiplicities", counting)
-    deep = is_determinable(run, mask, nested(49), 1, 0)
+    # a fresh run: the first run's neighbor index already holds every entry
+    deep = is_determinable(make_fig_run(), mask, nested(49), 1, 0)
     assert (deep.determinable, deep.failures) == (shallow.determinable, shallow.failures)
 
 
