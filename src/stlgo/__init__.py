@@ -50,7 +50,6 @@ from .central import (
     monitor_local,
     oracle_eval,
     oracle_eval_global,
-    signal_table,
 )
 from .distributed import (
     DeterminabilityReport,

@@ -7,18 +7,18 @@ memoizes its (agent, time) cells. One function per core node serves both
 monitors and both logic layers: an agent-local atom and a system-level atom
 differ only in the state their compiled expression reads. A cell is 1, 0 or
 None (?). Without a knowledge mask every state is visible and every cell is
-Boolean; ``monitor_local``, ``monitor_global`` and ``signal_table`` read
-the cells that way. Under a mask (``distributed.monitor_dist``) an atom over
-a hidden state is ?, negation and conjunction follow the strong Kleene
-tables, and Until is the Kleene disjunction over its witness times. A
-graph operator, over one graph in the core, counts the edges to neighbors
-that satisfy its child (n_sat) and to those that do not violate it
-(n_nviol), and decides with ``graph_op_verdict``. With no ? among the
-neighbors the two counts are equal and the verdict is the Boolean count
-test, so the central monitor is the mask-free case of the distributed one:
-the same functions, reading the same cells in the same order as under a
-mask that hides nothing. Both return one ``Signal`` type: a centralized
-signal is one without ?.
+Boolean; ``monitor_local`` and ``monitor_global`` read the cells that way.
+All three monitors drive the kernel through one call, ``signal_cells``.
+Under a mask (``distributed.monitor_dist``) an atom over a hidden state is
+?, negation and conjunction follow the strong Kleene tables, and Until is
+the Kleene disjunction over its witness times. A graph operator, over one
+graph in the core, counts the edges to neighbors that satisfy its child
+(n_sat) and to those that do not violate it (n_nviol), and decides with
+``graph_op_verdict``. With no ? among the neighbors the two counts are
+equal and the verdict is the Boolean count test, so the central monitor is
+the mask-free case of the distributed one: the same functions, reading the
+same cells in the same order as under a mask that hides nothing. Both
+return one ``Signal`` type: a centralized signal is one without ?.
 
 Until (and F, G, which lower to it) reads its window through next-witness
 searches rather than a scan per cell. Because phi1 must hold through the
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import sys
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import formula as F
@@ -459,27 +458,21 @@ def _signal_end(run: MasRun, f, agent, T: int, strict: bool = False) -> int:
     return T
 
 
-@contextmanager
-def _depth_guard():
-    """Report the cell functions' recursion past the stack limit as a
+def signal_cells(run: MasRun, f, agent, T: int, strict: bool = False, mask=None) -> tuple:
+    """Cells of f over its signal domain: at ``agent`` for an agent-local
+    formula, at system level for agent None; three-valued under a mask.
+    The cell functions' recursion past the stack limit is reported as a
     ValueError."""
+    end = _signal_end(run, f, agent, T, strict)
+    core = lower(f)
     try:
-        yield
+        cell = Cells(run, core, mask)[core]
+        return tuple(cell(agent, t) for t in range(end + 1))
     except RecursionError:
         raise ValueError(
             "formula too deep for the monitor "
             f"(Python recursion limit {sys.getrecursionlimit()})"
         ) from None
-
-
-def signal_cells(run: MasRun, f, agent, T: int, strict: bool = False, mask=None) -> tuple:
-    """Cells of f over its signal domain: at ``agent`` for an agent-local
-    formula, at system level for agent None; three-valued under a mask."""
-    end = _signal_end(run, f, agent, T, strict)
-    core = lower(f)
-    with _depth_guard():
-        cell = Cells(run, core, mask)[core]
-        return tuple(cell(agent, t) for t in range(end + 1))
 
 
 def monitor_local(
@@ -496,33 +489,6 @@ def monitor_local(
 def monitor_global(run: MasRun, f: F.GlobalFormula, T: int, strict: bool = False) -> Signal:
     """Boolean satisfaction signal of a system-level formula."""
     return Signal(0, signal_cells(run, f, None, T, strict))
-
-
-def signal_table(run: MasRun, f: F.LocalFormula | F.GlobalFormula, T: int) -> dict:
-    """Signals of every core subformula over [0, min(T + T_f, L)], keyed by
-    (subformula, agent).
-
-    f is system-level when it binds an agent or reads the whole state, and
-    agent-local otherwise. Local subformulas get one signal per agent;
-    system-level subformulas one signal under the agent key None.
-    """
-    system = any(isinstance(node, _SYSTEM_ONLY) for node in F.nodes(f))
-    # a local formula is checked at agent 1, which every run has
-    end = _signal_end(run, f, None if system else 1, T)
-    core = lower(f)
-    cells = Cells(run, core)
-    table: dict = {}
-    # (subformula, whether it is read per agent), in pre-order
-    pending = [(core, not system)]
-    with _depth_guard():
-        while pending:
-            sub, local = pending.pop()
-            cell = cells[sub]
-            for agent in range(1, run.num_agents + 1) if local else (None,):
-                table[(sub, agent)] = Signal(0, tuple(cell(agent, t) for t in range(end + 1)))
-            local = local or isinstance(sub, F.AgentBind)
-            pending.extend((child, local) for child in reversed(F.operands(sub)))
-    return table
 
 
 # ---------------------------------------------------------------------------

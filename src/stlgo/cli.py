@@ -195,7 +195,7 @@ def cmd_translate(args) -> int:
 
     if args.source in ("sastl", "sstl"):
         ds = shortest_distance_graph(
-            run.graphs.at(args.d_tag, args.time), "ds",
+            run.graphs.at("d", args.time), "ds",
             nodes=range(1, run.num_agents + 1),
         )
         graphs = graphs.with_graph("ds", ds)
@@ -217,12 +217,11 @@ def cmd_translate(args) -> int:
             out = translate_strel(
                 "reach", args.weights, args.anchor, run, args.time,
                 phi1=parse_local(args.inner), phi2=parse_local(args.inner2),
-                d_tag=args.d_tag,
             )
         else:
             out = translate_strel(
                 "escape", args.weights, args.anchor, run, args.time,
-                phi=parse_local(args.inner), d_tag=args.d_tag,
+                phi=parse_local(args.inner),
             )
 
     _write_or_print(print_formula(out), args.out_formula)
@@ -413,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", help="inner formula text (phi; phi1 for reach)")
     p.add_argument("--inner2", help="phi2 for reach")
     p.add_argument("--time", type=int, default=0, help="time step for trace enumeration")
-    p.add_argument("--d-tag", default="d", help="distance graph tag")
     p.add_argument("--out-formula", help="write the encoded formula here")
     p.add_argument("--out-graphs", help="write the augmented graph file here")
     p.set_defaults(func=cmd_translate)

@@ -156,7 +156,11 @@ def monitor_dist(
 
 @dataclass(frozen=True)
 class LeafFailure:
-    """One (leaf, time) pair where neither determinability condition holds."""
+    """One (leaf, time) pair where neither determinability condition holds.
+
+    Leaves are numbered from 1 in depth-first pre-order, as in
+    ``build_operator_tree(prepare_for_distributed(f))``: leaf k is that
+    tree's ``leaves[k - 1]``."""
 
     leaf_index: int
     time: int
@@ -165,9 +169,11 @@ class LeafFailure:
 
 @dataclass(frozen=True)
 class DeterminabilityReport:
+    """Whether every verdict of the signal will be 0/1, and the (leaf,
+    time) pairs where the check could not show it."""
+
     determinable: bool
     failures: tuple[LeafFailure, ...]
-    tree: F.GraphOpTree
 
 
 def is_determinable(
@@ -247,4 +253,4 @@ def is_determinable(
             if missing:
                 failures.append(LeafFailure(leaf.index, t, tuple(missing)))
 
-    return DeterminabilityReport(not failures, tuple(failures), tree)
+    return DeterminabilityReport(not failures, tuple(failures))

@@ -628,11 +628,6 @@ def contains_atom(f: LocalFormula) -> bool:
     return any(type(node) is Atom for node in nodes(f))
 
 
-def graph_ops(f: LocalFormula) -> list[GraphOp]:
-    """All graph operator nodes of a local formula, in depth-first pre-order."""
-    return [node for node in nodes(f) if type(node) is GraphOp]
-
-
 # ---------------------------------------------------------------------------
 # graph operator tree
 
@@ -642,7 +637,6 @@ class LeafNode:
     """One maximal graph-operator-free subformula with its ancestor chain."""
 
     index: int
-    level: int
     formula: LocalFormula
     ancestors: tuple[int, ...]
 
@@ -656,7 +650,6 @@ class GraphOpTree:
     operator p is ``operators[p - 1]``.
     """
 
-    root: LocalFormula
     operators: tuple[GraphOp, ...]
     leaves: tuple[LeafNode, ...]
 
@@ -667,8 +660,7 @@ def build_operator_tree(f: LocalFormula) -> GraphOpTree:
 
     The operators are the formula's own nodes, kept in depth-first
     pre-order; leaves are numbered from 1 in the same order. Each leaf
-    records the chain of operator positions connecting it to the root, so
-    its level is one more than the chain length.
+    records the chain of operator positions connecting it to the root.
     """
     has_op: dict = {}
     fold(f, lambda node, subs: type(node) is GraphOp or any(subs), has_op)
@@ -678,7 +670,7 @@ def build_operator_tree(f: LocalFormula) -> GraphOpTree:
     while stack:
         node, chain = stack.pop()
         if not has_op[id(node)]:
-            leaves.append(LeafNode(len(leaves) + 1, len(chain) + 1, node, chain))
+            leaves.append(LeafNode(len(leaves) + 1, node, chain))
             continue
         if type(node) is GraphOp:
             if len(node.graphs) != 1:
@@ -688,4 +680,4 @@ def build_operator_tree(f: LocalFormula) -> GraphOpTree:
         elif type(node) is Not and type(node.child) is GraphOp:
             raise ValueError("formula must be negation-normalized first")
         stack.extend((sub, chain) for sub in reversed(operands(node)))
-    return GraphOpTree(f, tuple(operators), tuple(leaves))
+    return GraphOpTree(tuple(operators), tuple(leaves))

@@ -23,6 +23,8 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple
 
+from .formula import WeightInterval
+
 Direction = Literal["in", "out"]
 
 NEG_INF = float("-inf")
@@ -554,13 +556,11 @@ def agent_neighbors(
     is checked whole even for an empty set of agents."""
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', not {direction!r}")
-    lo, hi = weights
-    if lo > hi:
-        raise ValueError(f"weight interval reversed: [{lo}, {hi}]")
+    window = WeightInterval(*weights)
     agents = (i,) if isinstance(i, int) else tuple(i)
     for a in agents:
         if not 1 <= a <= run.num_agents:
             raise ValueError(f"unknown agent {a}")
     run.graphs.at(graph_type, t)  # checks the time, then the graph type
-    index = run.graphs.neighbor_index(graph_type, direction, lo, hi)
+    index = run.graphs.neighbor_index(graph_type, direction, window.lo, window.hi)
     return frozenset(j for a in agents for j in index.at(a, t))

@@ -272,12 +272,11 @@ def translate_strel(
     phi1: LocalFormula | None = None,
     phi2: LocalFormula | None = None,
     phi: LocalFormula | None = None,
-    d_tag: str = "d",
 ) -> GlobalFormula:
     """A reach or escape property at the agent and time t, as a disjunction
-    over the traces ``enumerate_traces`` finds in the distance graph at t,
-    shortest first. Reach needs phi1 and phi2: on each trace every agent
-    before the last satisfies phi1 and the last satisfies phi2, so the
+    over the traces ``enumerate_traces`` finds in the distance graph ``d``
+    at t, shortest first. Reach needs phi1 and phi2: on each trace every
+    agent before the last satisfies phi1 and the last satisfies phi2, so the
     one-node trace contributes just phi2 at the anchor. Escape needs phi:
     every agent on the trace satisfies it. Trace sets depend on the graph at
     t, so the encoding is per time step."""
@@ -289,7 +288,7 @@ def translate_strel(
             raise ValueError("escape needs phi")
     else:
         raise ValueError(f"unsupported trace mode {op!r}")
-    traces = enumerate_traces(run.graphs.at(d_tag, t), agent, weights, op)
+    traces = enumerate_traces(run.graphs.at("d", t), agent, weights, op)
     parts: list[GlobalFormula] = []
     for tau in sorted(traces, key=lambda s: (len(s), s)):
         if op == "escape":

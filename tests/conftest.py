@@ -42,6 +42,7 @@ from stlgo import (
     Until,
     WeightInterval,
 )
+from stlgo.formula import nodes
 
 FIG_EDGES = [
     (1, 3, 1, 6.0),
@@ -139,6 +140,11 @@ def random_run(
 
 # ---------------------------------------------------------------------------
 # random formulas
+
+
+def graph_ops(f) -> list[GraphOp]:
+    """All graph operator nodes of a local formula, in depth-first pre-order."""
+    return [node for node in nodes(f) if type(node) is GraphOp]
 
 
 def _random_expr(rng: random.Random, state_dim: int):

@@ -61,7 +61,7 @@ def reference_is_determinable(run, mask, f, subject, T) -> DeterminabilityReport
                     continue
             failures.append(LeafFailure(leaf.index, t, missing))
 
-    return DeterminabilityReport(not failures, tuple(failures), tree)
+    return DeterminabilityReport(not failures, tuple(failures))
 
 
 def _snapshot_multiplicities(run, node, agent: int, u: int) -> dict[int, int]:

@@ -55,11 +55,12 @@ from stlgo import BikeScenarioConfig, DroneScenarioConfig
 from stlgo.central import oracle_eval, oracle_eval_global
 from stlgo.cli import bench_scenario, drone_formulas, with_anchor_graphs
 from stlgo.central import graph_op_verdict
-from stlgo.formula import FULL_WEIGHTS, graph_ops
+from stlgo.formula import FULL_WEIGHTS
 from stlgo.translators import psi_graph_tag
 
 from conftest import (
     FIG_EDGES,
+    graph_ops,
     nested_graph_formula,
     random_global_formula,
     random_local_formula,

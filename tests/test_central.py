@@ -24,11 +24,9 @@ from stlgo import (
     TimeInterval,
     Truth,
     WeightInterval,
-    lower,
     monitor_global,
     monitor_local,
     parse_local,
-    signal_table,
 )
 from stlgo.central import oracle_eval, oracle_eval_global
 from stlgo.formula import FULL_WEIGHTS, AgentBind, AgentStateVar, BinOp, Const, GlobalAtom, Or
@@ -293,23 +291,6 @@ def test_monitor_answers_when_nested_bounds_sum_past_float_range():
     run = star_run([1], length=3)
     f = parse_local("G[0,inf] F[0,1E308] F[0,1E308] true")
     assert monitor_local(run, f, 1, 0).values == (1, 1, 1, 1)
-
-
-def test_signal_table_has_every_subformula():
-    run = star_run([1, -1])
-    f = And(POSITIVE, GraphOp("in", "exists", ("g",), CountSet.single(1, INF), FULL_WEIGHTS, Truth()))
-    table = signal_table(run, f, 0)
-    core = lower(f)
-    assert (core, 1) in table
-    assert (core.left, 2) in table
-    assert (core.right.child, 3) in table
-
-
-def test_signal_table_refuses_a_formula_too_deep_like_the_monitor():
-    run = star_run([1, -1])
-    f = parse_local(" U[0,2] ".join(["[x[0] >= 0]"] * 1000))
-    with pytest.raises(ValueError, match="too deep"):
-        signal_table(run, f, 0)
 
 
 def test_unknown_graph_tag_raises():

@@ -34,7 +34,7 @@ from stlgo import (
 )
 from stlgo.central import Cells, graph_op_verdict, k_and, k_not, k_or, oracle_eval
 from stlgo.distributed import LeafFailure, prepare_for_distributed
-from stlgo.formula import FULL_WEIGHTS, horizon
+from stlgo.formula import FULL_WEIGHTS, build_operator_tree, horizon
 from stlgo.serialization import load_mask, load_run, save_mask, save_run
 
 from conftest import (
@@ -752,8 +752,9 @@ def test_determinability_equals_per_time_step_reference():
         report = is_determinable(run, mask, f, subject, T)
         assert report == reference_is_determinable(run, mask, f, subject, T)
         outcomes.add(report.determinable)
-        chains = [leaf.ancestors for leaf in report.tree.leaves]
-        graphs = {p: node.graphs[0] for p, node in enumerate(report.tree.operators, 1)}
+        tree = build_operator_tree(prepare_for_distributed(f))
+        chains = [leaf.ancestors for leaf in tree.leaves]
+        graphs = {p: node.graphs[0] for p, node in enumerate(tree.operators, 1)}
         if any(
             len(c) >= 2 and any(graphs[p] not in run.graphs.static for p in c)
             for c in chains

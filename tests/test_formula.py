@@ -25,12 +25,12 @@ from stlgo import (
     horizon,
     lower,
 )
-from stlgo.formula import FULL_WEIGHTS, build_operator_tree, graph_ops, nodes
+from stlgo.formula import FULL_WEIGHTS, build_operator_tree, nodes
 from stlgo.central import oracle_eval
 from stlgo.distributed import prepare_for_distributed
 from stlgo.parser import parse_global, parse_local
 
-from conftest import nested_graph_formula, random_global_formula, random_local_formula
+from conftest import graph_ops, nested_graph_formula, random_global_formula, random_local_formula
 
 INF = math.inf
 
@@ -281,7 +281,6 @@ def test_operator_tree_worked_example():
     assert len(tree.operators) == 3
     assert [leaf.formula for leaf in tree.leaves] == [pi1, pi2, Truth()]
     assert [leaf.ancestors for leaf in tree.leaves] == [(1,), (2,), (2, 3)]
-    assert all(leaf.level == len(leaf.ancestors) + 1 for leaf in tree.leaves)
 
 
 def test_operator_tree_degenerate():

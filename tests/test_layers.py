@@ -34,7 +34,6 @@ from stlgo import (
     monitor_local,
     parse_global,
     parse_local,
-    signal_table,
 )
 from stlgo.central import oracle_eval, oracle_eval_global
 from stlgo.cli import main
@@ -93,14 +92,6 @@ def test_monitor_global_rejects_agent_state_accessor_in_system_atom():
         monitor_global(star_run([1, -1]), GlobalAtom(StateVar(0)), 0)
 
 
-def test_signal_table_checks_the_layer_it_infers():
-    run = star_run([1, -1])
-    with pytest.raises(ValueError, match="Atom outside an agent binding"):
-        signal_table(run, And(POSITIVE, AgentBind(1, Truth())), 0)
-    with pytest.raises(ValueError, match="GraphOp outside an agent binding"):
-        signal_table(run, SYSTEM_NODES_IN_LOCAL["GlobalAtom"], 0)
-
-
 def test_oracle_refuses_mixed_layers():
     run = star_run([1, -1])
     with pytest.raises(TypeError):
@@ -111,24 +102,6 @@ def test_oracle_refuses_mixed_layers():
 
 # ---------------------------------------------------------------------------
 # one node set for both layers
-
-def test_signal_table_keys_system_nodes_under_none_and_bound_nodes_per_agent():
-    run = star_run([1, -1, 1])
-    f = Always(ForAllAgents((1, 2), IN_G), WIN)
-    table = signal_table(run, f, 0)
-    core = lower(f)  # !(true U !(@1.(In) & @2.(In)))
-    conj = core.child.right.child
-    system = [core, core.child, core.child.left, core.child.right, conj, conj.left, conj.right]
-    bound = [conj.left.child, conj.left.child.child]  # In{g} ..., its true
-    agents = range(1, run.num_agents + 1)
-    assert set(table) == (
-        {(node, None) for node in system} | {(node, a) for node in bound for a in agents}
-    )
-    for a in agents:
-        assert table[(conj.left.child, a)] == monitor_local(run, IN_G, a, 1)
-    assert table[(core, None)] == monitor_global(run, f, 0)
-    assert table[(core, None)].values == (0, 0)  # agent 2 has no in-edges
-
 
 @pytest.mark.parametrize("text", [
     "true",

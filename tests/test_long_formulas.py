@@ -84,6 +84,18 @@ def test_ten_thousand_term_chain_lowers_balanced_and_monitors(chains, op):
         assert report.determinable == is_determinable(run, mask, atom, 3, 3).determinable
 
 
+def test_reports_on_separate_parses_of_a_long_chain_compare_hash_and_print():
+    # a report holds answers only, so its size does not follow the formula's
+    text = " | ".join([ATOM_TEXT] * 2_000)
+    run = make_fig_run(length=3)
+    mask = KnowledgeMask.self_only(1)
+    a, b = (is_determinable(run, mask, parse_local(text), 3, 3) for _ in range(2))
+    assert not a.determinable
+    assert a == b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b)
+
+
 @pytest.mark.parametrize("stations", [10, 12])
 def test_strel_escape_over_a_bike_city_prints_and_matches_direct_semantics(stations):
     run = gen_bike(BikeScenarioConfig(stations=stations, seed=0, hours=12))

@@ -326,6 +326,17 @@ def test_agent_neighbors_rejects_bad_queries():
         agent_neighbors(run, "c", 0, 1, "sideways")
 
 
+@pytest.mark.parametrize("weights", [(math.nan, 5.0), (0.0, math.nan)])
+def test_agent_neighbors_rejects_a_nan_weight_bound(weights):
+    # nan != nan, so a NaN bound in the index key would add one more index
+    # to the run at every call
+    run = two_edge_run()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="NaN"):
+            agent_neighbors(run, "c", 0, 1, "in", weights)
+    assert run.graphs._neighbors == {}
+
+
 @pytest.mark.parametrize("agents", [[1], []])
 def test_agent_neighbors_checks_the_query_for_any_agent_set(agents):
     run = two_edge_run()

@@ -2,7 +2,8 @@
 suite: a reference (a name, or an attribute such as ``F.GraphOp``) in another
 module of the package, in ``scripts/`` or in ``perfbench/``, or a mention as
 code in README.md. An export that only its own tests call is dead weight in
-the public API: delete it, or name its user.
+the public API: delete it, or name its user. The same holds for every public
+module-level function and class of the package, exported or not.
 
 Likewise every defaulted parameter of a public function or method, and every
 defaulted init field of a public dataclass, is set by some call outside the
@@ -59,6 +60,32 @@ def test_the_package_exports_names():
 def test_every_export_has_a_user_outside_the_tests():
     used = referenced_names() | readme_code_names()
     assert [name for name in exported_names() if name not in used] == []
+
+
+def public_definitions() -> list[tuple[str, str]]:
+    """(module, name) for each public function and class that a module of
+    the package defines at its top level."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"stlgo.{path.stem}")
+        out += [(path.stem, name) for name, obj in vars(module).items()
+                if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                and obj.__module__ == module.__name__]
+    return out
+
+
+def test_the_definition_scan_finds_functions_and_classes():
+    found = set(public_definitions())
+    assert {("central", "monitor_local"), ("central", "Cells"), ("formula", "nodes")} <= found
+
+
+def test_every_public_definition_has_a_user_outside_the_tests():
+    """A module-level function or class that only tests reference is dead
+    code whether or not ``__init__`` exports it: move it into the tests, or
+    name its user. Users are counted as for exports."""
+    used = referenced_names() | readme_code_names()
+    assert [f"{module}.{name}" for module, name in public_definitions()
+            if name not in used] == []
 
 
 # -- options -------------------------------------------------------------------
