@@ -13,11 +13,10 @@ import argparse
 import math
 import re
 import sys
-import time
 
 from . import formula as F
 from . import serialization as io
-from .central import Cells, monitor_global, monitor_local
+from .central import monitor_global, monitor_local
 from .distributed import is_determinable, monitor_dist
 from .formula import (
     Always,
@@ -30,7 +29,6 @@ from .formula import (
     Truth,
     WeightInterval,
     join_left,
-    lower,
 )
 from .model import MasRun
 from .parser import ParseError, parse_global, parse_local, print_formula
@@ -93,13 +91,6 @@ def _weights(text: str) -> WeightInterval:
             f"expected 'lo,hi' with numbers lo <= hi, got {text!r}") from None
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}") from None
-
-
 def _write_or_print(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -137,11 +128,10 @@ def cmd_monitor_dist(args) -> int:
     f = _read_formula_file(args.formula, False)
     run = io.load_run(args.run, args.graphs)
     mask = io.load_mask(args.mask, run.length)
-    if args.observer is not None and mask.observer != args.observer:
-        raise ValueError(
-            f"mask observer mismatch: file says {mask.observer}, "
-            f"--observer says {args.observer}"
-        )
+    agent = max([mask.observer, *(j for j, _, _ in mask.ranges)])
+    if agent > run.num_agents:
+        raise ValueError(f"{args.mask}: names agent {agent}, but the run has agents "
+                         f"1..{run.num_agents}")
     subject = args.subject if args.subject is not None else mask.observer
     T = args.tmax if args.tmax is not None else args.t0
     signal = monitor_dist(run, mask, f, subject, T, strict=args.strict_horizon)
@@ -245,7 +235,7 @@ def cmd_gen(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# benchmark
+# drone case study (scripts/drone_case_study.py and the benchmark read these)
 
 
 def drone_formulas(run: MasRun, sigma: int, anchor: int):
@@ -302,55 +292,6 @@ def with_anchor_graphs(run: MasRun, anchor: int) -> MasRun:
     return run.with_graph("si", si).with_graph("ci", ci)
 
 
-def bench_scenario(sigma: int, steps: int, seed: int, anchor: int = 1):
-    """Per-step monitoring of the four drone formulas over t in 0..steps.
-
-    Each step compiles the lowered formula afresh (``central.Cells``) and
-    reads its cell at that single time, mirroring repeated one-shot
-    monitoring; reported times are per-step means in milliseconds.
-    """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, not {steps}")
-    if not 1 <= anchor <= sigma:
-        raise ValueError(f"anchor {anchor} out of range 1..{sigma}")
-    run = gen_drone(DroneScenarioConfig(sigma=sigma, seed=seed, horizon=steps + 2))
-    run = with_anchor_graphs(run, anchor)
-    rows = []
-    for name, formula, kind in drone_formulas(run, sigma, anchor):
-        core = lower(formula)
-        agent = anchor if kind == "local" else None
-        start = time.perf_counter()
-        verdicts = [Cells(run, core)[core](agent, t) for t in range(steps + 1)]
-        elapsed = time.perf_counter() - start
-        sat = sum(verdicts)
-        rows.append(
-            {
-                "sigma": sigma,
-                "formula": name,
-                "sat": sat,
-                "vio": len(verdicts) - sat,
-                "mean_ms": elapsed * 1000.0 / len(verdicts),
-                "total_s": elapsed,
-            }
-        )
-    return rows
-
-
-def cmd_bench(args) -> int:
-    all_rows = []
-    print(f"{'sigma':>6} {'formula':>8} {'sat':>5} {'vio':>5} {'mean ms/step':>13}")
-    for sigma in args.sigma:
-        for row in bench_scenario(sigma, args.steps, args.seed, args.anchor):
-            all_rows.append(row)
-            print(
-                f"{row['sigma']:>6} {row['formula']:>8} {row['sat']:>5} "
-                f"{row['vio']:>5} {row['mean_ms']:>13.3f}"
-            )
-    if args.out:
-        io.save_report({"results": all_rows}, args.out)
-    return EXIT_SAT
-
-
 # ---------------------------------------------------------------------------
 # argument wiring
 
@@ -386,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     bundle_args(p)
     p.add_argument("--mask", required=True, help="knowledge mask file (JSON)")
-    p.add_argument("--observer", type=int, default=None,
-                   help="cross-check against the mask file's observer")
     p.add_argument("--subject", type=int, default=None,
                    help="agent the formula is imposed on (default: the observer)")
     p.add_argument("--t0", type=int, default=0)
@@ -411,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-prime", type=int, default=None, help="neighbor total N' (sastl avg)")
     p.add_argument("--inner", help="inner formula text (phi; phi1 for reach)")
     p.add_argument("--inner2", help="phi2 for reach")
-    p.add_argument("--time", type=int, default=0, help="time step for trace enumeration")
+    p.add_argument("--time", type=int, default=0,
+                   help="time step whose distance graph d the encoding is built on")
     p.add_argument("--out-formula", help="write the encoded formula here")
     p.add_argument("--out-graphs", help="write the augmented graph file here")
     p.set_defaults(func=cmd_translate)
@@ -426,15 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-run", required=True)
     p.add_argument("--out-graphs", required=True)
     p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("bench", help="per-step scaling benchmark on drone scenarios")
-    p.add_argument("--sigma", type=_int_list, default="4,10,50",
-                   help="comma list of agent counts")
-    p.add_argument("--steps", type=int, default=80, help="monitor t in 0..steps")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--anchor", type=int, default=1)
-    p.add_argument("--out", help="JSON results file")
-    p.set_defaults(func=cmd_bench)
 
     return top
 

@@ -7,8 +7,7 @@ Graph file:  {"schema", "types": {tag: {"directed", "static"?, "snapshots":
                                "positions"?[t][i][k]}}}
 Mask file:   {"schema", "observer", "known": [[subject, t_from, t_to]]}
 Report file: {"schema", "determinable", "failures": [{"leaf", "time",
-             "unknown_states": [[agent, t]]}]} (monitor-dist) or
-             {"schema", "results": [{...}]} (bench)
+             "unknown_states": [[agent, t]]}]} (monitor-dist --report)
 Signal file: {"schema", "t0", "values": [0 | 1 | "?"]}
 Label file:  {"schema", "labels": {agent: [label, ...]}}
 

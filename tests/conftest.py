@@ -3,6 +3,7 @@ instance generators used by the per-module tests and the acceptance suite."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import sys
 from pathlib import Path
@@ -55,6 +56,17 @@ FIG_EDGES = [
 ]
 
 FIG_LABELS = {1: {"H"}, 2: {"H"}, 3: {"C"}, 4: {"H"}, 5: {"H"}, 6: {"H"}, 7: {"H"}}
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """A module of ``scripts/``, loaded from its file: the directory is not
+    a package."""
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -53,7 +53,7 @@ from stlgo import (
 )
 from stlgo import BikeScenarioConfig, DroneScenarioConfig
 from stlgo.central import oracle_eval, oracle_eval_global
-from stlgo.cli import bench_scenario, drone_formulas, with_anchor_graphs
+from stlgo.cli import drone_formulas, with_anchor_graphs
 from stlgo.central import graph_op_verdict
 from stlgo.formula import FULL_WEIGHTS
 from stlgo.translators import psi_graph_tag
@@ -61,6 +61,7 @@ from stlgo.translators import psi_graph_tag
 from conftest import (
     FIG_EDGES,
     graph_ops,
+    load_script,
     nested_graph_formula,
     random_global_formula,
     random_local_formula,
@@ -621,7 +622,7 @@ def test_criterion_8_case_study_shapes():
 
 
 def test_criterion_9_desk_scale_performance():
-    rows = bench_scenario(100, 80, seed=7, anchor=1)
+    rows = load_script("drone_case_study").drone_rows(100, 80, seed=7)
     by_name = {r["formula"]: r for r in rows}
     fast_total = sum(by_name[n]["total_s"] for n in ("phi3", "phi4", "Phi4"))
     slow_total = by_name["Phi3"]["total_s"]

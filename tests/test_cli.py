@@ -282,11 +282,6 @@ def test_report_files_are_one_line_of_compact_json(bike_bundle, tmp_path):
         ],
     }
     assert report_path.read_text() == json.dumps(want, separators=(",", ":")) + "\n"
-    bench_path = tmp_path / "bench.json"
-    main(["bench", "--sigma", "4", "--steps", "2", "--out", str(bench_path)])
-    text = bench_path.read_text()
-    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
-    assert len(json.loads(text)["results"]) == 4
 
 
 def test_monitor_dist_isolated_subject_below_threshold(tmp_path):
@@ -315,17 +310,28 @@ def test_monitor_dist_isolated_subject_below_threshold(tmp_path):
     assert json.loads(report_path.read_text())["determinable"] is True
 
 
-def test_monitor_dist_observer_mismatch(bike_bundle, tmp_path):
+@pytest.mark.parametrize("observer, known, agent", [
+    (99, [], 99),
+    (1, [[77, 0, 3]], 77),
+    (99, [[2, 0, 3], [77, 1, 2]], 99),
+    (2, [[1, 0, 3], [7, 0, 0]], 7),
+])
+def test_monitor_dist_refuses_a_mask_naming_agents_outside_the_run(
+        bike_bundle, tmp_path, capsys, observer, known, agent):
     run, run_path, graphs_path = bike_bundle
     f = write_formula(tmp_path, "true")
     mask_path = tmp_path / "mask.json"
-    save_mask(KnowledgeMask.self_only(1), mask_path)
+    mask_path.write_text(json.dumps({"schema": "stlgo/1", "observer": observer, "known": known}))
+    report_path = tmp_path / "report.json"
     code = main(
         ["monitor-dist", "--formula", str(f), "--run", str(run_path),
          "--graphs", str(graphs_path), "--mask", str(mask_path),
-         "--observer", "2"]
+         "--subject", "1", "--report", str(report_path)]
     )
     assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {mask_path}: names agent {agent}, but the run has agents 1..6"]
+    assert not report_path.exists()
 
 
 def test_translate_sastl_end_to_end(tmp_path, capsys):
@@ -500,28 +506,6 @@ def test_augmented_graph_file_monitors_like_the_bundle(tmp_path, capsys):
             assert answers(aug, argv) == answers(graphs_path, argv), argv
 
 
-def test_bench_smoke(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    assert main(
-        ["bench", "--sigma", "4", "--steps", "5", "--seed", "1", "--out", str(out)]
-    ) == 0
-    doc = json.loads(out.read_text())
-    rows = doc["results"]
-    assert {r["formula"] for r in rows} == {"phi3", "phi4", "Phi3", "Phi4"}
-    for r in rows:
-        assert r["sat"] + r["vio"] == 6
-
-
-def test_bench_counts_deterministic_per_seed():
-    from stlgo.cli import bench_scenario
-
-    a = bench_scenario(4, 5, seed=9)
-    b = bench_scenario(4, 5, seed=9)
-    assert [(r["formula"], r["sat"], r["vio"]) for r in a] == [
-        (r["formula"], r["sat"], r["vio"]) for r in b
-    ]
-
-
 def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc_info:
         main(["monitor", "--formula"])
@@ -615,33 +599,6 @@ def test_translate_anchor_outside_the_run_is_data_error(tmp_path, capsys, source
     assert code == 3
     assert capsys.readouterr().err.strip() == f"error: anchor {anchor} out of range 1..7"
     assert not out_formula.exists()
-
-
-@pytest.mark.parametrize("options, message", [
-    (["--steps", "-1"], "steps must be >= 0, not -1"),
-    (["--anchor", "9"], "anchor 9 out of range 1..4"),
-    (["--anchor", "0"], "anchor 0 out of range 1..4"),
-    (["--anchor", "-1"], "anchor -1 out of range 1..4"),
-])
-def test_bench_rejects_bad_steps_and_anchor(tmp_path, capsys, options, message):
-    out = tmp_path / "bench.json"
-    code = main(["bench", "--sigma", "4", "--steps", "2", *options, "--out", str(out)])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.splitlines() == [f"error: {message}"]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("sigma", ["4,x", "", "4,,10", "2.5"])
-def test_bench_bad_sigma_list_is_usage_error(tmp_path, capsys, sigma):
-    out = tmp_path / "bench.json"
-    with pytest.raises(SystemExit) as exc_info:
-        main(["bench", "--sigma", sigma, "--steps", "2", "--out", str(out)])
-    assert exc_info.value.code == 1
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1].endswith(
-        f"argument --sigma: expected a comma list of integers, got {sigma!r}")
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("weights", ["1,x", "1", "5,1", "nan,1", "1,2,3"])

@@ -8,14 +8,19 @@ module-level function and class of the package, exported or not.
 Likewise every defaulted parameter of a public function or method, and every
 defaulted init field of a public dataclass, is set by some call outside the
 test suite: in the package, ``scripts/``, ``perfbench/`` or a Python block of
-README.md. A setting that only tests set is a configuration nothing runs."""
+README.md. A setting that only tests set is a configuration nothing runs.
+So is a CLI option that only tests pass: each appears in README.md's code,
+in CI's workflow, in ``perfbench/`` or in ``scripts/``."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
 import inspect
 import re
 from pathlib import Path
+
+from stlgo.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stlgo"
@@ -43,14 +48,18 @@ def referenced_names() -> set[str]:
     return out
 
 
-def readme_code_names() -> set[str]:
-    """The identifiers in README.md's fenced blocks and inline code spans;
-    prose words such as "neighbors" do not count."""
+def readme_code() -> list[str]:
+    """README.md's fenced blocks and inline code spans; prose words such as
+    "neighbors" are not code."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     code = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
     prose = re.sub(r"^```[^\n]*\n.*?^```", "", text, flags=re.M | re.S)
-    code += re.findall(r"`([^`\n]+)`", prose)
-    return {name for span in code for name in re.findall(r"[A-Za-z_]\w*", span)}
+    return code + re.findall(r"`([^`\n]+)`", prose)
+
+
+def readme_code_names() -> set[str]:
+    """The identifiers in README.md's code."""
+    return {name for span in readme_code() for name in re.findall(r"[A-Za-z_]\w*", span)}
 
 
 def test_the_package_exports_names():
@@ -181,3 +190,33 @@ def test_every_option_has_a_caller_outside_the_tests():
     unset = [label for label, called, index, name in public_options()
              if not any(_sets(call, index, name) for call in by_name.get(called, ()))]
     assert unset == []
+
+
+def cli_options() -> list[tuple[str, str]]:
+    """(subcommand, option) for each ``--option`` of each subcommand of the
+    CLI."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return [(command, option) for command, parser in subparsers.choices.items()
+            for action in parser._actions for option in action.option_strings
+            if option.startswith("--") and option != "--help"]
+
+
+def test_the_cli_option_scan_finds_options():
+    options = set(cli_options())
+    assert {("monitor", "--strict-horizon"), ("translate", "--n-prime"),
+            ("gen", "--out-run")} <= options
+
+
+def test_every_cli_option_has_a_user_outside_the_tests():
+    """A CLI option that only tests pass is a knob nothing turns: retire it,
+    or show it in use. An option is in use when it appears in README.md's
+    code, in CI's workflow, or in a file of ``perfbench/`` or ``scripts/``;
+    as for parameters, options are matched by name, not by subcommand."""
+    texts = readme_code() + [(ROOT / ".github" / "workflows" / "tests.yml").read_text(
+        encoding="utf-8")]
+    texts += [p.read_text(encoding="utf-8")
+              for p in [*(ROOT / "perfbench").rglob("*.py"), *(ROOT / "scripts").rglob("*.py")]]
+    unused = [f"{command} {option}" for command, option in cli_options()
+              if not any(re.search(rf"{re.escape(option)}(?![\w-])", text) for text in texts)]
+    assert unused == []
