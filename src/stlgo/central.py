@@ -14,7 +14,9 @@ Under a mask (``distributed.monitor_dist``) an atom over a hidden state is
 the Kleene disjunction over its witness times. A graph operator, over one
 graph in the core, counts the edges to neighbors that satisfy its child
 (n_sat) and to those that do not violate it (n_nviol), and decides with
-``graph_op_verdict``. With no ? among the neighbors the two counts are
+``graph_op_verdict``. It stops reading neighbors as soon as the edges not
+yet read cannot change that verdict (``Cells._graph_op``), but always
+reads one when it has any. With no ? among the neighbors the two counts are
 equal and the verdict is the Boolean count test, so the central monitor is
 the mask-free case of the distributed one: the same functions, reading the
 same cells in the same order as under a mask that hides nothing. Both
@@ -379,8 +381,21 @@ class Cells:
         n_nviol, the edges to neighbors whose child cell is 1, and is 1 or
         ?. The neighbors and their multiplicities come from the run's
         ``NeighborIndex`` of the operator's graph, direction and weight
-        window, which every query on the run shares."""
+        window, which every query on the run shares.
+
+        The neighbor loop stops once its verdict is fixed. While it runs,
+        ``s`` (the edges read so far whose child is 1) can only grow and
+        ``n`` (n_nviol plus the edges not yet read) can only shrink, and the
+        final counts lie in [s, n]. So with [e1, e2] the first interval of
+        the count set that does not end below s (an unbounded sentinel past
+        the last), the verdict is already 1 when s >= e1 and n <= e2, and
+        already 0 when n < e1: the answer ``graph_op_verdict`` gives on the
+        full counts. The loop reads at least one child cell, so a nested
+        operator over an unknown graph raises as soon as one of its cells
+        is needed.
+        """
         rows, counts = self._memo(f), f.counts
+        bounds = (*counts.intervals, (INF, INF))
         (tag,), weights = f.graphs, f.weights
         at = self.run.graphs.neighbor_index(tag, f.direction, weights.lo, weights.hi).at
         truth = type(f.child) is F.Truth
@@ -390,18 +405,30 @@ class Cells:
             v = row[t]
             if v is _UNSET:
                 mult = at(agent, t)
+                n = edge_count(mult)
                 if truth:
-                    n_sat = n_nviol = edge_count(mult)
+                    s = n
                 else:
-                    n_sat = n_unknown = 0
+                    s = k = 0
+                    e1, e2 = bounds[0]
                     for j, m in neighbor_items(mult):
                         c = child(j, t)
                         if c == 1:
-                            n_sat += m
-                        elif c is None:
-                            n_unknown += m
-                    n_nviol = n_sat + n_unknown
-                v = row[t] = graph_op_verdict(counts, n_sat, n_nviol)
+                            s += m
+                            while s > e2:
+                                k += 1
+                                e1, e2 = bounds[k]
+                        elif c == 0:
+                            n -= m
+                        if n < e1:
+                            v = 0
+                            break
+                        if s >= e1 and n <= e2:
+                            v = 1
+                            break
+                if v is _UNSET:
+                    v = graph_op_verdict(counts, s, n)
+                row[t] = v
             return v
         return cell
 

@@ -117,9 +117,9 @@ def cmd_monitor(args) -> int:
         signal = monitor_global(run, f, T, strict=args.strict_horizon)
     else:
         signal = monitor_local(run, f, args.agent, T, strict=args.strict_horizon)
+    verdict = signal.value_at(args.t0)  # before any file is written
     if args.out:
         io.save_signal(signal, args.out)
-    verdict = signal.value_at(args.t0)
     print(f"s({args.t0}) = {verdict}")
     return EXIT_SAT if verdict == 1 else EXIT_VIOLATED
 
@@ -135,6 +135,7 @@ def cmd_monitor_dist(args) -> int:
     subject = args.subject if args.subject is not None else mask.observer
     T = args.tmax if args.tmax is not None else args.t0
     signal = monitor_dist(run, mask, f, subject, T, strict=args.strict_horizon)
+    verdict = signal.value_at(args.t0)  # before any file is written
     report = is_determinable(run, mask, f, subject, T)
     if args.out:
         io.save_signal(signal, args.out)
@@ -150,7 +151,6 @@ def cmd_monitor_dist(args) -> int:
             },
             args.report,
         )
-    verdict = signal.value_at(args.t0)
     shown = "?" if verdict is None else verdict
     print(f"s({args.t0}) = {shown}  determinable = {report.determinable}")
     if verdict is None:

@@ -36,14 +36,17 @@ composed neighbor set, then back in, folding the nested neighbor counts
 over the same levels. Both read each operator's edge multiplicities per
 agent, maximized over all times, from the run's neighbor index
 (``model.NeighborIndex.over_time``), which the monitors read too and which
-lives as long as the run. Neither depends on the time step, so only the
-scan for hidden states in the leaf's window runs per step; the check stays
-sufficient.
+lives as long as the run. Neither depends on the time step; the check
+stays sufficient. Per step it reads the mask's visible ranges, not its
+states one by one: the observer and agents visible over the leaf's whole
+span drop out, an agent no visible range touches in a step's window adds
+that whole window, and only the few (step, agent) pairs a range touches
+walk the gaps between ranges.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import formula as F
@@ -103,12 +106,6 @@ class KnowledgeMask:
 
     def knows(self, subject: int, t: int) -> bool:
         return subject == self.observer or bisect_right(self._bounds.get(subject, ()), t) % 2 == 1
-
-    def hidden_times(self, subject: int, last: int) -> list[int]:
-        """The times in [0, last] at which the subject's state is hidden."""
-        flat = [0, last + 1] if subject == self.observer else self._bounds.get(subject, [])
-        edges = [0, *flat, last + 1]  # the gaps between ranges, start and end + 1
-        return [u for lo, hi in zip(edges[::2], edges[1::2]) for u in range(lo, min(hi, last + 1))]
 
     @classmethod
     def self_only(cls, observer: int) -> KnowledgeMask:
@@ -210,7 +207,16 @@ def is_determinable(
     run's neighbor index, per (graph, direction, weight window) and agent
     (``NeighborIndex.over_time``); an entry is computed on its first read
     by any query and kept as long as the run, so later calls on the run
-    read it again. Only the window scan runs per time step.
+    read it again.
+
+    Only the window scan runs per time step, and it reads the mask's
+    visible ranges clipped to the leaf's span [0, last]. The observer and
+    agents visible over all of it drop out up front. At a step t whose
+    window [t, t + leaf horizon] no range of an agent touches, the agent's
+    hidden states are the whole window, a slice of its (agent, time) pairs
+    over the span; only the (t, agent) pairs a range touches walk the gaps
+    between the agent's ranges. Failures list their states by agent, then
+    time.
     """
     end = _signal_end(run, f, subject, T)
     tree = build_operator_tree(prepare_for_distributed(f))
@@ -240,17 +246,51 @@ def is_determinable(
             continue  # condition (b) holds at every t
         _, leaf_t_max = horizon(leaf.formula)
         last = int(min(end + leaf_t_max, run.length))
-        # per agent with hidden states: their times, and the (agent, time) pairs
-        hidden = [(times, [(j, u) for u in times])
-                  for j in sorted(levels[-1]) if (times := mask.hidden_times(j, last))]
-        if not hidden:
+        # the visible ranges within [0, last] of the composed neighbor set;
+        # the observer, and agents visible over all of [0, last], drop out
+        seen: dict[int, list[tuple[int, int]]] = {}
+        for j, lo, hi in mask.ranges:
+            if lo <= last and j in levels[-1]:
+                seen.setdefault(j, []).append((lo, min(hi, last)))
+        agents = [j for j in sorted(levels[-1])
+                  if j != mask.observer and seen.get(j) != [(0, last)]]
+        if not agents:
             continue
+        # t -> the agents with a visible range that touches the window
+        # [t, t + leaf_t_max]; every other agent is hidden over all of it
+        touched_at: dict[int, set[int]] = {}
+        for j in agents:
+            for lo, hi in seen.get(j, ()):
+                for t in range(int(max(0, lo - leaf_t_max)), min(hi, end) + 1):
+                    touched_at.setdefault(t, set()).add(j)
+        # each agent's (agent, time) pairs over [0, last], which every
+        # failure of the leaf slices
+        rows = [(j, [(j, u) for u in range(last + 1)]) for j in agents]
         for t in range(end + 1):
-            w_end = int(min(t + leaf_t_max, run.length))
+            stop = int(min(t + leaf_t_max, run.length)) + 1
+            touched = touched_at.get(t, ())
             missing = []
-            for times, pairs in hidden:
-                missing.extend(pairs[bisect_left(times, t):bisect_right(times, w_end)])
+            for j, row in rows:
+                if j in touched:
+                    for lo, hi in _gaps(seen[j], t, stop):
+                        missing += row[lo:hi]
+                else:
+                    missing += row[t:stop]
             if missing:
                 failures.append(LeafFailure(leaf.index, t, tuple(missing)))
 
     return DeterminabilityReport(not failures, tuple(failures))
+
+
+def _gaps(ranges, lo: int, stop: int):
+    """The maximal runs [start, stop) of times in [lo, stop) that no range
+    of the sorted, disjoint, inclusive (start, end) ``ranges`` covers."""
+    for a, b in ranges:
+        if b >= lo:
+            if a >= stop:
+                break
+            if a > lo:
+                yield lo, a
+            lo = b + 1
+    if lo < stop:
+        yield lo, stop

@@ -682,3 +682,27 @@ def test_time_out_of_range_names_the_time_and_the_range(tmp_path, capsys, option
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
         f"error: time out of range: T={t} not in 0..{run.length}"]
+
+
+@pytest.mark.parametrize("command", ["monitor", "monitor-dist"])
+def test_t0_outside_the_signal_writes_no_file(tmp_path, capsys, command):
+    # the signal of F[0,1] up to T=2 ends at 3, so t0=5 has no verdict
+    run = gen_drone(DroneScenarioConfig(sigma=4, seed=1, horizon=6))
+    run_path, graphs_path = tmp_path / "run.json", tmp_path / "graphs.json"
+    save_run(run, run_path, graphs_path)
+    outs = [tmp_path / "sig.json"]
+    options = ["--out", str(outs[0])]
+    if command == "monitor":
+        options += ["--agent", "1"]
+    else:
+        mask_path = tmp_path / "mask.json"
+        save_mask(KnowledgeMask(1, [(2, 0, 3)]), mask_path)
+        outs.append(tmp_path / "report.json")
+        options += ["--mask", str(mask_path), "--report", str(outs[1])]
+    code = main([command, "--formula", str(write_formula(tmp_path, "F[0,1] [x[0] >= 1]")),
+                 "--run", str(run_path), "--graphs", str(graphs_path),
+                 "--t0", "5", "--tmax", "2", *options])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: time out of range: T=5 not in 0..3"]
+    assert [p.name for p in outs if p.exists()] == []

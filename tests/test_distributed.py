@@ -783,6 +783,47 @@ def test_determinability_equals_reference_on_drone_observer_shapes():
                 )
 
 
+def test_determinability_window_edges_equal_reference():
+    # six agents on a complete directed graph, so every composed neighbor
+    # set holds the observer 1. Agent 2 is visible throughout (up to L or
+    # past it), 3 over ranges that straddle window ends and L = 10, 5 at
+    # two single times, and the hidden 4 and 6 sit between them.
+    n, length = 6, 10
+    snap = MultigraphSnapshot("g", True, [(i, j, 1, 1.0) for i in range(1, n + 1)
+                                          for j in range(1, n + 1) if i != j])
+    states = [[(float((i + t) % 4),) for i in range(n)] for t in range(length + 1)]
+    run = MasRun(MasTrajectory(states), GraphTrajectory(length, static={"g": snap}))
+    shapes = (
+        "In{g} E[1,inf] F[0,3] [x[0] >= 1]",
+        "Out{g} E[2,inf] G[0,inf] [x[0] >= 1]",
+        "G[0,2] (In{g} E[0,2] (F[1,4] [x[0] >= 2]))",
+        "In{g} E[1,inf] (Out{g} E[1,inf] [x[0] >= 1])",
+        "F[0,2] [x[0] >= 1]",
+    )
+    masks = (
+        KnowledgeMask(1, [(2, 0, 10), (3, 2, 4), (3, 8, 14), (5, 0, 0), (5, 6, 6)]),
+        KnowledgeMask(1, [(2, 0, 15), (3, 0, 3), (3, 5, 9), (5, 4, 5), (6, 10, 10)]),
+        KnowledgeMask(1, [(2, 0, 7), (4, 1, 1), (4, 3, 3), (6, 9, 12)]),
+        KnowledgeMask.self_only(1),
+        KnowledgeMask.full(1, n, length),
+    )
+    partial = 0
+    for text in shapes:
+        f = parse_local(text)
+        for mask in masks:
+            for subject in (1, 2, 4):
+                for T in range(length + 1):
+                    report = is_determinable(run, mask, f, subject, T)
+                    assert report == reference_is_determinable(run, mask, f, subject, T), (
+                        text, mask, subject, T)
+                    for failure in report.failures:
+                        agents = {j for j, _ in failure.unknown_states}
+                        assert 1 not in agents
+                        times = {u for _, u in failure.unknown_states}
+                        partial += len(failure.unknown_states) < len(agents) * len(times)
+    assert partial > 100
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_a_warmed_run_answers_like_an_equal_fresh_run(seed):
