@@ -30,16 +30,18 @@ BIG1 = "FA{{{V}}}(G[0,24](Out{{d}} E[3,inf] W[0,1] [x[0] >= 8]))"
 BIG2 = "FA{{{V}}}(G[0,24]([x[0] < 2] -> Out{{mt}} E[3,inf] W[0,12] [x[0] >= 4]))"
 
 ANCHOR = 1
+D_RADIUS = 2.5  # miles on the distance graph
+MT_MINUTES = 7.0  # minutes on the travel-time multigraph
 
 
-def visibility_mask(run, observer, d_radius=2.5, mt_minutes=7.0):
+def visibility_mask(run, observer):
     """States visible to the observer: everything about stations reachable
     within the distance radius or the travel-time budget, at every hour."""
     visible = {observer}
-    visible |= agent_neighbors(run, "d", 0, observer, "out", (0.0, d_radius))
-    visible |= agent_neighbors(run, "d", 0, observer, "in", (0.0, d_radius))
-    visible |= agent_neighbors(run, "mt", 0, observer, "out", (0.0, mt_minutes))
-    visible |= agent_neighbors(run, "mt", 0, observer, "in", (0.0, mt_minutes))
+    visible |= agent_neighbors(run, "d", 0, observer, "out", (0.0, D_RADIUS))
+    visible |= agent_neighbors(run, "d", 0, observer, "in", (0.0, D_RADIUS))
+    visible |= agent_neighbors(run, "mt", 0, observer, "out", (0.0, MT_MINUTES))
+    visible |= agent_neighbors(run, "mt", 0, observer, "in", (0.0, MT_MINUTES))
     return KnowledgeMask(observer, [(j, 0, run.length) for j in visible])
 
 

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 from . import formula as F
 from .formula import INF, compile_expr, eval_expr, expr_vars, horizon, lower
-from .model import MasRun, TimeOutOfRangeError, edge_count, neighbor_items
+from .model import MasRun, TimeOutOfRangeError
 
 
 class InsufficientTraceError(ValueError):
@@ -379,9 +379,10 @@ class Cells:
     def _graph_op(self, f, child):
         """A single-graph operator's cell: ``graph_op_verdict`` of n_sat and
         n_nviol, the edges to neighbors whose child cell is 1, and is 1 or
-        ?. The neighbors and their multiplicities come from the run's
-        ``NeighborIndex`` of the operator's graph, direction and weight
-        window, which every query on the run shares.
+        ?. The neighbors come from the run's ``NeighborIndex`` of the
+        operator's graph, direction and weight window, which every query on
+        the run shares: one per edge, so each element counts 1 and a
+        neighbor's parallel edges read its memoized cell again.
 
         The neighbor loop stops once its verdict is fixed. While it runs,
         ``s`` (the edges read so far whose child is 1) can only grow and
@@ -404,22 +405,22 @@ class Cells:
             row = rows[agent]
             v = row[t]
             if v is _UNSET:
-                mult = at(agent, t)
-                n = edge_count(mult)
+                entry = at(agent, t)
+                n = len(entry)
                 if truth:
                     s = n
                 else:
                     s = k = 0
                     e1, e2 = bounds[0]
-                    for j, m in neighbor_items(mult):
+                    for j in entry:
                         c = child(j, t)
                         if c == 1:
-                            s += m
+                            s += 1
                             while s > e2:
                                 k += 1
                                 e1, e2 = bounds[k]
                         elif c == 0:
-                            n -= m
+                            n -= 1
                         if n < e1:
                             v = 0
                             break

@@ -33,15 +33,15 @@ the core form with & and | chains as written (``prepare_for_distributed``);
 its operators are the formula's own ``GraphOp`` nodes. Each leaf takes one
 sweep: out from the subject along the leaf's chain, level by level, to the
 composed neighbor set, then back in, folding the nested neighbor counts
-over the same levels. Both read each operator's edge multiplicities per
-agent, maximized over all times, from the run's neighbor index
-(``model.NeighborIndex.over_time``), which the monitors read too and which
-lives as long as the run. Neither depends on the time step; the check
-stays sufficient. Per step it reads the mask's visible ranges, not its
-states one by one: the observer and agents visible over the leaf's whole
-span drop out, an agent no visible range touches in a step's window adds
-that whole window, and only the few (step, agent) pairs a range touches
-walk the gaps between ranges.
+over the same levels. Both read each operator's neighbors per agent, one
+per edge, each as often as its most edges at any one time, from the run's
+neighbor index (``model.NeighborIndex.over_time``), which the monitors
+read too and which lives as long as the run. Neither depends on the time
+step; the check stays sufficient. Per step it reads the mask's visible
+ranges, not its states one by one: the observer and agents visible over
+the leaf's whole span drop out, an agent no visible range touches in a
+step's window adds that whole window, and only the few (step, agent) pairs
+a range touches walk the gaps between ranges.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .formula import (
     horizon,
     prepare_for_distributed,
 )
-from .model import MasRun, neighbor_items
+from .model import MasRun
 
 
 @dataclass(frozen=True)
@@ -203,11 +203,11 @@ def is_determinable(
     chain touching a time-varying graph takes the union of neighbor sets
     (maximum of edge multiplicities) over all times, since temporal
     operators between nested graph operators can shift evaluation to
-    instants where the topology differs. Those multiplicities come from the
-    run's neighbor index, per (graph, direction, weight window) and agent
-    (``NeighborIndex.over_time``); an entry is computed on its first read
-    by any query and kept as long as the run, so later calls on the run
-    read it again.
+    instants where the topology differs. Those neighbors, one per edge,
+    come from the run's neighbor index, per (graph, direction, weight
+    window) and agent (``NeighborIndex.over_time``); an entry is computed
+    on its first read by any query and kept as long as the run, so later
+    calls on the run read it again.
 
     Only the window scan runs per time step, and it reads the mask's
     visible ranges clipped to the leaf's span [0, last]. The observer and
@@ -239,8 +239,7 @@ def is_determinable(
         # leaf with no chain keeps count 1 against need 1
         count, need = dict.fromkeys(levels[-1], 1), 1
         for p, agents in zip(reversed(chain), reversed(levels[:-1])):
-            count = {a: sum(m for j, m in neighbor_items(over_time[p](a)) if count[j] >= need)
-                     for a in agents}
+            count = {a: sum(count[j] >= need for j in over_time[p](a)) for a in agents}
             need = ops[p - 1].counts.min_value()
         if count[subject] < need:
             continue  # condition (b) holds at every t

@@ -42,7 +42,9 @@ class TimeInterval:
             raise ValueError("time interval bounds must be >= 0")
         if self.lo > self.hi:
             raise ValueError(f"time interval reversed: [{self.lo}, {self.hi}]")
-        if self.hi != INF and int(self.hi) != self.hi:
+        if self.lo == INF:
+            raise ValueError("time interval lower bound must be finite")
+        if int(self.lo) != self.lo or (self.hi != INF and int(self.hi) != self.hi):
             raise ValueError("finite time bounds must be integers")
         object.__setattr__(self, "lo", int(self.lo))
         if self.hi != INF:
@@ -129,6 +131,8 @@ def _canon_intervals(intervals) -> tuple[tuple[int, float], ...]:
             raise ValueError("count bounds must be >= 0")
         if lo > hi:
             raise ValueError(f"count interval reversed: [{lo}, {hi}]")
+        if lo == INF:
+            raise ValueError("count interval lower bound must be finite")
         if int(lo) != lo or (hi != INF and int(hi) != hi):
             raise ValueError("finite count bounds must be integers")
         cleaned.append((int(lo), INF if hi == INF else int(hi)))

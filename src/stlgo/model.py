@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple
 
 from .formula import WeightInterval
@@ -185,25 +186,6 @@ class MasTrajectory:
         return self.states[t]
 
 
-_ONES = repeat(1)
-
-
-def neighbor_items(entry) -> Iterable[tuple[int, int]]:
-    """The (neighbor, multiplicity) pairs of a ``NeighborIndex`` entry."""
-    return zip(entry, _ONES) if type(entry) is tuple else entry.items()
-
-
-def edge_count(entry) -> int:
-    """The number of edges a ``NeighborIndex`` entry counts."""
-    return len(entry) if type(entry) is tuple else sum(entry.values())
-
-
-def _lean(mult: dict[int, int]) -> tuple[int, ...] | dict[int, int]:
-    # every multiplicity 1, as in any graph without parallel edges: the
-    # neighbors alone, and no neighbors at all is the one empty tuple
-    return tuple(mult) if len(mult) == sum(mult.values()) else mult
-
-
 def _packed(table: dict[int, list[Edge]]) -> dict[int, tuple[Edge, ...]]:
     # tuples hold a table's lists without their spare capacity; a snapshot
     # keeps its tables for its lifetime
@@ -276,21 +258,15 @@ class MultigraphSnapshot:
             return tuple(Edge(d if s == i else s, i, u, w) for s, d, u, w in edges)
         return tuple(Edge(i, d if s == i else s, u, w) for s, d, u, w in edges)
 
-    def multiplicities(
-        self, i: int, direction: Direction, lo: float = NEG_INF, hi: float = POS_INF
-    ) -> dict[int, int]:
-        """Neighbor j -> number of i's edges in the direction to j whose
-        weight lies in [lo, hi]; the same edges ``oriented_edges`` yields."""
-        mult: dict[int, int] = {}
-        for s, d, _, w in self._tables[direction == "in"].get(i, ()):
-            if lo <= w <= hi:
-                j = d if s == i else s
-                mult[j] = mult.get(j, 0) + 1
-        return mult
-
-    def _entry(self, i: int, direction: Direction, lo: float, hi: float):
-        """``multiplicities`` as a ``NeighborIndex`` entry."""
-        return _lean(self.multiplicities(i, direction, lo, hi))
+    def _entry(self, i: int, direction: Direction, lo: float, hi: float) -> tuple[int, ...]:
+        """The neighbors at the other end of i's edges in the direction whose
+        weight lies in [lo, hi], the edges ``oriented_edges`` yields: one
+        neighbor per edge, a neighbor's copies together, in the order of
+        each neighbor's first edge. A ``NeighborIndex`` entry."""
+        ends = Counter([d if s == i else s
+                        for s, d, _, w in self._tables[direction == "in"].get(i, ())
+                        if lo <= w <= hi])
+        return tuple(ends.elements())
 
     def max_node(self) -> int:
         return self._max_node
@@ -354,11 +330,6 @@ class DistanceSnapshot(MultigraphSnapshot):
             return tuple(Edge(j, i, 1, w) for j, w in enumerate(row, 1) if j != i)
         return tuple(Edge(i, j, 1, w) for j, w in enumerate(row, 1) if j != i)
 
-    def multiplicities(
-        self, i: int, direction: Direction, lo: float = NEG_INF, hi: float = POS_INF
-    ) -> dict[int, int]:
-        return {j: 1 for j, w in enumerate(self._row(i), 1) if lo <= w <= hi}
-
     def _entry(self, i: int, direction: Direction, lo: float, hi: float):
         return tuple([j for j, w in enumerate(self._row(i), 1) if lo <= w <= hi])
 
@@ -366,18 +337,17 @@ class DistanceSnapshot(MultigraphSnapshot):
 class NeighborIndex:
     """The neighbors of every agent in one graph type, in one direction,
     over the edges whose weight lies in one window [lo, hi]: a run's
-    ``MultigraphSnapshot.multiplicities``, each entry filled on its first
+    ``MultigraphSnapshot._entry`` answers, each entry filled on its first
     read and kept as long as the run (``GraphTrajectory.neighbor_index``).
 
-    An entry is the neighbors of an agent with their multiplicities: the
-    tuple of neighbors when every multiplicity is 1, else a dict neighbor
-    -> multiplicity. Iterating either yields the neighbors, and
-    ``neighbor_items`` their (neighbor, multiplicity) pairs. ``at(i, t)``
-    is agent i's entry at time t, one entry per agent for a static graph;
-    ``over_time(i)`` takes each neighbor's largest multiplicity over all
-    times. An entry filled twice is filled equal, so concurrent readers
-    may share an index. Over a graph type the run does not carry, the
-    first read raises ``UnknownGraphTypeError``.
+    An entry is a tuple with one neighbor per edge: a neighbor with k
+    parallel edges in the window appears k times, its copies together, so
+    its length is the number of edges and a count over it adds 1 per
+    element. ``at(i, t)`` is agent i's entry at time t, one entry per agent
+    for a static graph; ``over_time(i)`` repeats each neighbor as often as
+    its most edges at any one time. An entry filled twice is filled equal,
+    so concurrent readers may share an index. Over a graph type the run
+    does not carry, the first read raises ``UnknownGraphTypeError``.
     """
 
     __slots__ = ("_tag", "_snaps", "_static", "_query", "_at", "_over_time")
@@ -391,7 +361,7 @@ class NeighborIndex:
         self._at: dict = {}  # agent -> its entry (static) or its entries per time
         self._over_time: dict = {}  # agent -> its entry over all times
 
-    def at(self, i: int, t: int) -> tuple[int, ...] | dict[int, int]:
+    def at(self, i: int, t: int) -> tuple[int, ...]:
         if self._static:
             entry = self._at.get(i)
             if entry is None:
@@ -405,20 +375,18 @@ class NeighborIndex:
             entry = row[t] = self._fill(i, t)
         return entry
 
-    def over_time(self, i: int) -> tuple[int, ...] | dict[int, int]:
+    def over_time(self, i: int) -> tuple[int, ...]:
         if self._static:
             return self.at(i, 0)
         entry = self._over_time.get(i)
         if entry is None:
-            most: dict[int, int] = {}
+            most = Counter()
             for t in range(len(self._snaps)):
-                for j, m in neighbor_items(self.at(i, t)):
-                    if m > most.get(j, 0):
-                        most[j] = m
-            entry = self._over_time[i] = _lean(most)
+                most |= Counter(self.at(i, t))
+            entry = self._over_time[i] = tuple(most.elements())
         return entry
 
-    def _fill(self, i: int, t: int):
+    def _fill(self, i: int, t: int) -> tuple[int, ...]:
         if self._snaps is None:
             raise UnknownGraphTypeError(f"unknown graph type: {self._tag!r}")
         return self._snaps[t]._entry(i, *self._query)

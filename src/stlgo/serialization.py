@@ -80,14 +80,6 @@ def _dump(doc, path):
         fh.write("\n")
 
 
-def _weight_out(w: float):
-    if w == math.inf:
-        return "inf"
-    if w == -math.inf:
-        return "-inf"
-    return w
-
-
 def _weight_in(raw):
     """A file's weight with its infinity tokens decoded, for the snapshot to check."""
     if raw == "inf":
@@ -169,7 +161,7 @@ def _edges_out(snap: MultigraphSnapshot):
     # plain tuples encode as JSON arrays in C (an Edge, being a tuple
     # subclass, is first copied to a list); only infinite weights need a token
     inf = math.inf
-    return [e[:] if -inf < e[3] < inf else (*e[:3], _weight_out(e[3]))
+    return [e[:] if -inf < e[3] < inf else (*e[:3], "inf" if e[3] > 0 else "-inf")
             for e in sorted(snap.edges)]
 
 

@@ -11,6 +11,8 @@ once per leaf and must return reports equal to this one.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from stlgo.central import validate_local
 from stlgo.distributed import (
     DeterminabilityReport,
@@ -64,11 +66,11 @@ def reference_is_determinable(run, mask, f, subject, T) -> DeterminabilityReport
     return DeterminabilityReport(not failures, tuple(failures))
 
 
-def _snapshot_multiplicities(run, node, agent: int, u: int) -> dict[int, int]:
+def _snapshot_multiplicities(run, node, agent: int, u: int) -> Counter:
     """The operator's per-neighbor parallel-edge counts at the agent, time u."""
-    return run.graphs.at(node.graphs[0], u).multiplicities(
+    return Counter(run.graphs.at(node.graphs[0], u)._entry(
         agent, node.direction, node.weights.lo, node.weights.hi
-    )
+    ))
 
 
 def _level_neighbors(run, node, agents, t) -> frozenset[int]:
@@ -79,7 +81,7 @@ def _level_neighbors(run, node, agents, t) -> frozenset[int]:
     )
 
 
-def _level_multiplicities(run, node, agent: int, t) -> dict[int, int]:
+def _level_multiplicities(run, node, agent: int, t) -> Counter:
     """Per-neighbor parallel-edge counts; t=None takes the maximum over times."""
     if t is not None:
         return _snapshot_multiplicities(run, node, agent, t)

@@ -2,16 +2,16 @@
 
 ``FullCountCells`` is ``stlgo.central.Cells`` with every graph-operator cell
 computed by counting every neighbor: it reads the child cell behind each
-edge, sums n_sat and n_nviol over all of them and decides once with
-``graph_op_verdict``. The compiled kernel stops its neighbor loop as soon as
-the verdict is fixed; it must give the same cells and raise the same errors.
+edge (the neighbor index lists a neighbor once per edge), sums n_sat and
+n_nviol over all of them and decides once with ``graph_op_verdict``. The
+compiled kernel stops its neighbor loop as soon as the verdict is fixed; it
+must give the same cells and raise the same errors.
 """
 
 from __future__ import annotations
 
 from stlgo.central import _UNSET, Cells, _signal_end, graph_op_verdict
 from stlgo.formula import lower
-from stlgo.model import neighbor_items
 
 
 class FullCountCells(Cells):
@@ -26,12 +26,12 @@ class FullCountCells(Cells):
             row = rows[agent]
             if row[t] is _UNSET:
                 n_sat = n_nviol = 0
-                for j, m in neighbor_items(at(agent, t)):
+                for j in at(agent, t):
                     c = child(j, t)
                     if c == 1:
-                        n_sat += m
+                        n_sat += 1
                     if c != 0:
-                        n_nviol += m
+                        n_nviol += 1
                 row[t] = graph_op_verdict(f.counts, n_sat, n_nviol)
             return row[t]
         return cell

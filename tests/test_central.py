@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,6 @@ from stlgo import (
 )
 from stlgo.central import oracle_eval, oracle_eval_global
 from stlgo.formula import FULL_WEIGHTS, AgentBind, AgentStateVar, BinOp, Const, GlobalAtom, Or
-from stlgo.model import edge_count, neighbor_items
 
 from conftest import random_global_formula, random_local_formula, random_run
 
@@ -97,20 +97,24 @@ def test_neighbor_index_entries_are_the_snapshots_multiplicities(seed):
         for i, t in cells:
             if rng.random() < 0.3:
                 index.over_time(i)
-            want = run.graphs.at(tag, t).multiplicities(i, direction, lo, hi)
+            snap = run.graphs.at(tag, t)
+            want = Counter(snap._entry(i, direction, lo, hi))
             entry = index.at(i, t)
-            assert dict(neighbor_items(entry)) == want
-            assert edge_count(entry) == sum(want.values())
-            assert set(entry) == set(want)
-            # lean: the tuple of neighbors where every multiplicity is 1
-            assert (type(entry) is tuple) == all(m == 1 for m in want.values())
+            # a tuple with one neighbor per edge, a neighbor's copies
+            # together, the neighbors in the order of their first edge
+            firsts = dict.fromkeys(e.src if direction == "in" else e.dst
+                                   for e in snap.oriented_edges(i, direction)
+                                   if lo <= e.weight <= hi)
+            assert entry == tuple(j for j in firsts for _ in range(want[j]))
             assert index.at(i, t) is entry
         for i in range(1, run.num_agents + 1):
-            most = {}
+            most = Counter()
             for t in range(run.length + 1):
-                for j, m in run.graphs.at(tag, t).multiplicities(i, direction, lo, hi).items():
-                    most[j] = max(most.get(j, 0), m)
-            assert dict(neighbor_items(index.over_time(i))) == most
+                for j, m in Counter(run.graphs.at(tag, t)._entry(i, direction, lo, hi)).items():
+                    most[j] = max(most[j], m)
+            entry = index.over_time(i)
+            assert Counter(entry) == most
+            assert entry == tuple(j for j in dict.fromkeys(entry) for _ in range(most[j]))
 
 
 def test_neighbor_index_fills_an_entry_on_its_first_read_only(monkeypatch):
@@ -123,14 +127,14 @@ def test_neighbor_index_fills_an_entry_on_its_first_read_only(monkeypatch):
     run = MasRun(MasTrajectory(states), GraphTrajectory(
         3, static={"c": snap("c", 0)}, dynamic={"d": tuple(snap("d", t) for t in range(4))}))
     calls = []
-    original = MultigraphSnapshot.multiplicities
+    original = MultigraphSnapshot._entry
 
     def counting(snapshot, i, direction, lo, hi):
         calls.append((snapshot.graph_type, i))
         return original(snapshot, i, direction, lo, hi)
 
-    monkeypatch.setattr(MultigraphSnapshot, "multiplicities", counting)
-    assert run.graphs.neighbor_index("d", "out", -INF, INF).at(1, 1) == {2: 2}
+    monkeypatch.setattr(MultigraphSnapshot, "_entry", counting)
+    assert Counter(run.graphs.neighbor_index("d", "out", -INF, INF).at(1, 1)) == {2: 2}
     assert calls == [("d", 1)]
     f = parse_local("G[0,3] Out{d} E[1,inf] (In{d} E[0,2] [x[0] >= 0])")
     first = monitor_local(run, f, 1, 0)
@@ -312,6 +316,16 @@ def test_state_accessors_validated_against_run():
 
     with pytest.raises(ValueError, match="agent 7"):
         monitor_global(run, GlobalAtom(AgentStateVar(7, 0)), 0)
+
+
+def test_local_queries_refuse_agent_accessors_and_unknown_agents():
+    run = star_run([1])
+    with pytest.raises(ValueError) as err:
+        monitor_local(run, Atom(AgentStateVar(1, 0)), 1, 0)
+    assert str(err.value) == "agent-indexed accessor inside an agent-local formula"
+    with pytest.raises(ValueError) as err:
+        monitor_local(run, Truth(), 99, 0)
+    assert str(err.value) == "unknown agent 99"
 
 
 def test_signal_value_bounds():

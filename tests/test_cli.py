@@ -334,6 +334,22 @@ def test_monitor_dist_refuses_a_mask_naming_agents_outside_the_run(
     assert not report_path.exists()
 
 
+def test_monitor_dist_refuses_a_subject_outside_the_run(bike_bundle, tmp_path, capsys):
+    _, run_path, graphs_path = bike_bundle
+    f = write_formula(tmp_path, "true")
+    mask_path = tmp_path / "mask.json"
+    save_mask(KnowledgeMask.self_only(1), mask_path)
+    report_path = tmp_path / "report.json"
+    code = main(
+        ["monitor-dist", "--formula", str(f), "--run", str(run_path),
+         "--graphs", str(graphs_path), "--mask", str(mask_path),
+         "--subject", "99", "--report", str(report_path)]
+    )
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == ["error: unknown agent 99"]
+    assert not report_path.exists()
+
+
 def test_translate_sastl_end_to_end(tmp_path, capsys):
     from conftest import FIG_LABELS, make_fig_run
 

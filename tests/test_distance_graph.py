@@ -8,6 +8,7 @@ either kind.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,7 +25,7 @@ from stlgo import (
 )
 from stlgo.cli import drone_formulas, with_anchor_graphs
 from stlgo.formula import horizon
-from stlgo.model import DistanceSnapshot, neighbor_items
+from stlgo.model import DistanceSnapshot
 
 CASES = [(sigma, seed) for sigma in (2, 4, 30) for seed in range(4)]
 
@@ -74,17 +75,16 @@ def test_derived_snapshot_matches_stored_rows(sigma, seed):
             for direction in ("in", "out"):
                 assert set(a.oriented_edges(i, direction)) == set(b.oriented_edges(i, direction))
                 for lo, hi in windows(b, rng):
-                    assert a.multiplicities(i, direction, lo, hi) == \
-                        b.multiplicities(i, direction, lo, hi)
-    # and so does the derived run's neighbor index, which skips
-    # ``multiplicities`` for a distance snapshot
+                    assert Counter(a._entry(i, direction, lo, hi)) == \
+                        Counter(b._entry(i, direction, lo, hi))
+    # and so does the derived run's neighbor index
     for lo, hi in ((0.3, math.inf), (-math.inf, math.inf), (1.0, 0.5)):
         for direction in ("in", "out"):
             index = derived.graphs.neighbor_index("d", direction, lo, hi)
             for t, b in enumerate(stored.graphs.dynamic["d"]):
                 for i in range(1, sigma + 2):
-                    want = b.multiplicities(i, direction, lo, hi)
-                    assert dict(neighbor_items(index.at(i, t))) == want
+                    want = Counter(b._entry(i, direction, lo, hi))
+                    assert Counter(index.at(i, t)) == want
 
 
 def test_distance_snapshot_equality_and_graph_type():
@@ -99,7 +99,7 @@ def test_distance_snapshot_equality_and_graph_type():
     # one agent: no pair, no edge
     lone = DistanceSnapshot("d", ((0.0, 0.0),))
     assert lone == MultigraphSnapshot("d", False, []) and lone.max_node() == 0
-    assert lone.multiplicities(1, "out") == {} and lone.oriented_edges(1, "in") == ()
+    assert lone._entry(1, "out", -math.inf, math.inf) == () and lone.oriented_edges(1, "in") == ()
 
 
 @pytest.mark.parametrize("sigma, seed", CASES)

@@ -860,7 +860,7 @@ def test_determinability_is_polynomial_in_nesting_depth(monkeypatch):
     mask = KnowledgeMask.self_only(1)
     bound = 49 * run.num_agents * (run.length + 1)  # operators x agents x times
     calls = []
-    original = MultigraphSnapshot.multiplicities
+    original = MultigraphSnapshot._entry
 
     def counting(*args):
         calls.append(args)
@@ -872,10 +872,17 @@ def test_determinability_is_polynomial_in_nesting_depth(monkeypatch):
         return parse_local("In{d} E[0,inf] (" * depth + "[x[0] >= 3]" + ")" * depth)
 
     shallow = is_determinable(run, mask, nested(12), 1, 0)
-    monkeypatch.setattr(MultigraphSnapshot, "multiplicities", counting)
+    monkeypatch.setattr(MultigraphSnapshot, "_entry", counting)
     # a fresh run: the first run's neighbor index already holds every entry
     deep = is_determinable(make_fig_run(), mask, nested(49), 1, 0)
     assert (deep.determinable, deep.failures) == (shallow.determinable, shallow.failures)
+
+
+def test_monitor_dist_refuses_an_unknown_subject():
+    run = make_fig_run()
+    with pytest.raises(ValueError) as err:
+        monitor_dist(run, KnowledgeMask.self_only(1), Truth(), 99, 0)
+    assert str(err.value) == "unknown agent 99"
 
 
 def test_determinability_leaves_no_reference_cycles():

@@ -85,6 +85,22 @@ def test_reversed_intervals_rejected():
         TimeInterval(3, 1)
 
 
+@pytest.mark.parametrize("make, message", [
+    # a fractional lower bound was truncated to [0, 2]
+    (lambda: TimeInterval(0.5, 2), "finite time bounds must be integers"),
+    (lambda: TimeInterval(1.5, INF), "finite time bounds must be integers"),
+    (lambda: TimeInterval(0, 2.5), "finite time bounds must be integers"),
+    # an infinite lower bound raised OverflowError from int()
+    (lambda: TimeInterval(INF, INF), "time interval lower bound must be finite"),
+    (lambda: CountSet(((INF, INF),)), "count interval lower bound must be finite"),
+    (lambda: CountSet.single(0.5, 2), "finite count bounds must be integers"),
+], ids=["time-lo-half", "time-lo-half-unbounded", "time-hi-half", "time-lo-inf", "count-lo-inf",
+        "count-lo-half"])
+def test_bad_interval_bounds_raise_value_error(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # horizon
 

@@ -30,7 +30,7 @@ def test_weight_window_filters():
     run = two_edge_run()
     assert set(run.graphs.at("c", 0).oriented_edges(3, "in")) == {
         Edge(1, 3, 1, 6.0), Edge(2, 3, 1, 8.0)}
-    assert run.graphs.at("c", 0).multiplicities(3, "in", 0.0, 7.0) == {1: 1}
+    assert Counter(run.graphs.at("c", 0)._entry(3, "in", 0.0, 7.0)) == {1: 1}
     assert agent_neighbors(run, "c", 0, 3, "in", (0.0, 7.0)) == {1}
 
 
@@ -39,7 +39,7 @@ def test_isolated_agent_has_no_neighbors():
     snap = run.graphs.at("c", 0)
     for direction in ("in", "out"):
         assert snap.oriented_edges(2, direction) == ()
-        assert snap.multiplicities(2, direction) == {}
+        assert Counter(snap._entry(2, direction, -math.inf, math.inf)) == {}
         assert agent_neighbors(run, "c", 0, 2, direction) == frozenset()
 
 
@@ -48,7 +48,7 @@ def test_parallel_edges_stay_distinct():
     snap = run.graphs.at("c", 0)
     assert set(snap.oriented_edges(1, "out")) == {Edge(1, 2, 1, 5.0), Edge(1, 2, 2, 9.0)}
     assert agent_neighbors(run, "c", 0, 1, "out", (0.0, 10.0)) == {2}
-    assert snap.multiplicities(1, "out", 0.0, 10.0) == {2: 2}
+    assert Counter(snap._entry(1, "out", 0.0, 10.0)) == {2: 2}
 
 
 def test_agent_neighbors_union_over_sets(fig_run):
@@ -143,7 +143,7 @@ def test_self_loops_are_permitted_and_counted():
     snap = run.graphs.at("c", 0)
     for direction in ("in", "out"):
         assert snap.oriented_edges(2, direction) == (Edge(2, 2, 1, 1.0),)
-        assert snap.multiplicities(2, direction) == {2: 1}
+        assert Counter(snap._entry(2, direction, -math.inf, math.inf)) == {2: 1}
         assert agent_neighbors(run, "c", 0, 2, direction) == {2}
 
 
@@ -229,8 +229,8 @@ def test_multiplicities_monotone_in_weight_window(seed, lo, width):
     i = 1 + seed % run.num_agents
     direction = "in" if seed % 2 else "out"
     snap = run.graphs.at(tag, t)
-    small = snap.multiplicities(i, direction, float(lo), float(lo + width))
-    big = snap.multiplicities(i, direction, float(lo - 1), float(lo + width + 2))
+    small = Counter(snap._entry(i, direction, float(lo), float(lo + width)))
+    big = Counter(snap._entry(i, direction, float(lo - 1), float(lo + width + 2)))
     assert all(m <= big.get(j, 0) for j, m in small.items())
     assert agent_neighbors(run, tag, t, i, direction) <= set(
         range(1, run.num_agents + 1)
@@ -244,13 +244,31 @@ def test_infinite_weights_allowed_and_filtered():
     )
     snap = run.graphs.at("c", 0)
     assert len(snap.oriented_edges(1, "out")) == 3
-    assert snap.multiplicities(1, "out") == {2: 3}
+    assert Counter(snap._entry(1, "out", -math.inf, math.inf)) == {2: 3}
     # only edge 3 (weight 4) is finite, edge 1 is +inf and edge 2 is -inf
-    assert snap.multiplicities(1, "out", 0.0, 10.0) == {2: 1}
-    assert snap.multiplicities(1, "out", 0.0, math.inf) == {2: 2}
-    assert snap.multiplicities(1, "out", -math.inf, 0.0) == {2: 1}
-    assert snap.multiplicities(1, "out", 5.0, 10.0) == {}
+    assert Counter(snap._entry(1, "out", 0.0, 10.0)) == {2: 1}
+    assert Counter(snap._entry(1, "out", 0.0, math.inf)) == {2: 2}
+    assert Counter(snap._entry(1, "out", -math.inf, 0.0)) == {2: 1}
+    assert Counter(snap._entry(1, "out", 5.0, 10.0)) == {}
     assert agent_neighbors(run, "c", 0, 1, "out", (0.0, math.inf)) == {2}
+
+
+_EMPTY_G = MultigraphSnapshot("g", True, [])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GraphTrajectory(0, static={"g": _EMPTY_G}, dynamic={"g": (_EMPTY_G,)}),
+     "graph types both static and dynamic: ['g']"),
+    (lambda: GraphTrajectory(0, static={"h": _EMPTY_G}), "snapshot for 'h' is typed 'g'"),
+    (lambda: GraphTrajectory(1, dynamic={"h": (MultigraphSnapshot("h", True, []), _EMPTY_G)}),
+     "snapshot for 'h' is typed 'g'"),
+    (lambda: MasRun(MasTrajectory([[(0.0,)]]), GraphTrajectory(1)),
+     "trajectory length 0 != graph length 1"),
+], ids=["static-and-dynamic", "static-mistyped", "dynamic-mistyped", "run-lengths"])
+def test_inconsistent_graph_trajectories_and_runs_rejected(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_reversed_weight_window_rejected():
@@ -305,7 +323,7 @@ def test_multiplicities_count_neighbor_endpoints(seed, lo, width):
                 for direction in ("in", "out"):
                     for w in windows:
                         want = expected_multiplicities(snap, i, direction, *w)
-                        assert snap.multiplicities(i, direction, *w) == want
+                        assert Counter(snap._entry(i, direction, *w)) == want
                         edges = [e for e in snap.oriented_edges(i, direction)
                                  if w[0] <= e.weight <= w[1]]
                         ends = [(e.dst, e.src) if direction == "in" else e[:2] for e in edges]

@@ -14,7 +14,10 @@ from stlgo import (
     CountSet,
     ForAllAgents,
     GraphOp,
+    GraphTrajectory,
     Implies,
+    MasRun,
+    MasTrajectory,
     Not,
     Or,
     ParseError,
@@ -27,6 +30,7 @@ from stlgo import (
     parse_local,
     print_formula,
 )
+from stlgo.central import oracle_eval
 from stlgo.formula import FULL_WEIGHTS
 from stlgo.parser import MAX_NESTING
 
@@ -122,6 +126,31 @@ def test_equality_desugars_to_two_sided():
         Atom(BinOp("-", StateVar(0), Const(3.0))),
         Atom(BinOp("-", Const(3.0), StateVar(0))),
     )
+
+
+@pytest.mark.parametrize("parse, src", [
+    (parse_local, "[x[0] > x[1] + 2]"),
+    (parse_local, "[x[0] != 3]"),
+    (parse_local, "G[0,2]([x[1] > 0] & In{g} E[1,inf] [x[0] != x[2]])"),
+    (parse_global, "[s[1][0] > s[2][0]]"),
+    (parse_global, "FA{1..3}([x[0] != 0] | [x[1] > x[0]])"),
+])
+def test_strict_and_unequal_comparisons_round_trip(parse, src):
+    f = parse(src)
+    assert parse(print_formula(f)) == f
+
+
+def test_strict_and_unequal_comparisons_negate_their_complements():
+    # agent i's state is (i mod 3, 1): every order between x[0] and x[1] occurs
+    run = MasRun(MasTrajectory([[(float(i % 3), 1.0) for i in range(1, 7)]]),
+                 GraphTrajectory(0))
+    pairs = (("[x[0] > x[1]]", "![x[0] <= x[1]]"), ("[x[0] != x[1]]", "!([x[0] == x[1]])"))
+    for text, negated in pairs:
+        for i in range(1, 7):
+            got = oracle_eval(run, parse_local(text), i, 0)
+            assert got == oracle_eval(run, parse_local(negated), i, 0)
+            x0 = i % 3
+            assert got == (x0 > 1 if ">" in text else x0 != 1)
 
 
 # ---------------------------------------------------------------------------

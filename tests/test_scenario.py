@@ -281,6 +281,41 @@ def test_row_hint_counts_blank_lines(tmp_path, name, rows, message):
         ingest_station_csv(*paths)
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("states", "0,0,5,0,0\n", "row 2: station ids are 1-indexed"),
+    ("states", "1,-1,5,0,0\n", "row 2: negative hour"),
+    ("states", "1,0,5,0,0\n2,0,5,0,0\n1,0,6,0,0\n", "row 4: duplicate (station 1, hour 0)"),
+    ("states", None, "empty file"),
+    ("states", "", "no data rows"),
+    ("states", "1,0,5,0\n", "row 2: expected 5 fields"),
+    ("dist", "1,3,2.0\n", "row 2: station 3 out of range 1..2"),
+    ("times", "0,1,4.0,9.0\n", "row 2: station 0 out of range 1..2"),
+], ids=["station-0", "negative-hour", "duplicate-key", "empty-file", "header-only", "short-row",
+        "dist-src-out-of-range", "times-src-out-of-range"])
+def test_bad_station_rows_name_the_file_and_the_fault(tmp_path, name, text, message):
+    # text None is a file without even a header
+    headers = {"states": "station,hour,n,n_in,n_out\n", "dist": "src,dst,miles\n",
+               "times": "src,dst,transit_min,walk_min\n"}
+    default = {"states": "1,0,5,0,0\n2,0,5,0,0\n", "dist": "", "times": ""}
+    paths = [write(tmp_path / f"{k}.csv", "" if k == name and text is None
+                   else headers[k] + (text if k == name else default[k]))
+             for k in ("states", "dist", "times")]
+    bad = tmp_path / f"{name}.csv"
+    with pytest.raises(ValueError) as err:
+        ingest_station_csv(*paths)
+    assert str(err.value) == f"{bad}: {message}"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: DroneScenarioConfig(sigma=1), "need at least 2 drones"),
+    (lambda: BikeScenarioConfig(stations=0), "need at least one station"),
+], ids=["drone-sigma-1", "bike-stations-0"])
+def test_scenario_configs_too_small_rejected(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_bad_header_reported(tmp_path):
     states = write(tmp_path / "states.csv", "station,hour,bikes\n1,0,5\n")
     dist = write(tmp_path / "dist.csv", "src,dst,miles\n")
