@@ -2,13 +2,14 @@
 
 ``Cells`` is the semantic kernel of the centralized and the distributed
 monitor alike. Each query compiles its formula, lowered to the core fragment
-(see ``lower``), into one cell function per node, and each function
-memoizes its (agent, time) cells. One function per core node serves both
-monitors and both logic layers: an agent-local atom and a system-level atom
-differ only in the state their compiled expression reads. A cell is 1, 0 or
-None (?). Without a knowledge mask every state is visible and every cell is
-Boolean; ``monitor_local`` and ``monitor_global`` read the cells that way.
-All three monitors drive the kernel through one call, ``signal_cells``.
+(see ``lower``), into one cell function per core node, a whole & chain
+counting as one node, and each function memoizes its (agent, time) cells.
+The same functions serve both monitors and both logic layers: an
+agent-local atom and a system-level atom differ only in the state their
+compiled expression reads. A cell is 1, 0 or None (?). Without a knowledge
+mask every state is visible and every cell is Boolean; ``monitor_local``
+and ``monitor_global`` read the cells that way. All three monitors drive
+the kernel through one call, ``signal_cells``.
 Under a mask (``distributed.monitor_dist``) an atom over a hidden state is
 ?, negation and conjunction follow the strong Kleene tables, and Until is
 the Kleene disjunction over its witness times. A graph operator, over one
@@ -165,14 +166,6 @@ def k_not(a):
     return None if a is None else 1 - a
 
 
-def k_and(a, b):
-    if a == 0 or b == 0:
-        return 0
-    if a is None or b is None:
-        return None
-    return 1
-
-
 def k_or(a, b):
     if a == 1 or b == 1:
         return 1
@@ -214,16 +207,17 @@ _NOT_ONE = frozenset((0, None))
 
 class Cells:
     """A lowered core formula compiled over one run: one cell function per
-    node.
+    node, where a maximal & chain is one node over its parts.
 
     ``Cells(run, core, mask)[node]`` is the function ``(agent, t) -> cell``
-    of a node of ``core``: an agent-local subformula at (agent, t), a
-    system-level one with agent None. Cells are 1, 0 or None (?). None
-    occurs only under a ``mask`` (an object with ``knows(subject, t)``, such
-    as ``distributed.KnowledgeMask``), where an agent-local atom over a
-    hidden state is ?; the same functions are built with a mask or without.
-    The functions are built by one fold over the core DAG, so compiling
-    does not recurse. Each one calls its operands' functions directly and
+    of a node of ``core`` other than an & inside a chain: an agent-local
+    subformula at (agent, t), a system-level one with agent None. Cells are
+    1, 0 or None (?). None occurs only under a ``mask`` (an object with
+    ``knows(subject, t)``, such as ``distributed.KnowledgeMask``), where an
+    agent-local atom over a hidden state is ?; the same functions are built
+    with a mask or without. The functions are built by one fold over the
+    core DAG, so compiling does not recurse, and an & chain of any length
+    is one loop. Each one calls its operands' functions directly and
     memoizes its cells in ``rows[id(node)]``, one list per agent indexed by
     t (truth, negation and agent binding map an operand's cells and keep
     none); an atom's expression is compiled once. The memos live as long
@@ -243,7 +237,7 @@ class Cells:
         self._fns: dict = {}
         size = run.length + 1
         self._new_row = lambda: [_UNSET] * size
-        F.fold(core, self._compile, self._fns)
+        F.fold(core, self._compile, self._fns, layout=_CELL_OPERANDS)
 
     def __getitem__(self, node):
         return self._fns[id(node)]
@@ -289,15 +283,24 @@ class Cells:
     def _not(self, f, child):
         return lambda agent, t: k_not(child(agent, t))
 
-    def _and(self, f, left, right):
+    def _and(self, f, *parts):
+        """An & chain's cell, the Kleene conjunction of its parts: read left
+        to right up to the first 0, as the chain's binary & nodes would."""
         rows = self._memo(f)
 
         def cell(agent, t):
             row = rows[agent]
             v = row[t]
             if v is _UNSET:
-                a = left(agent, t)
-                v = row[t] = 0 if a == 0 else k_and(a, right(agent, t))
+                v = 1
+                for part in parts:
+                    c = part(agent, t)
+                    if c == 0:
+                        v = 0
+                        break
+                    if c is None:
+                        v = None
+                row[t] = v
             return v
         return cell
 
@@ -434,6 +437,21 @@ class Cells:
         return cell
 
 
+def _chain_parts(f) -> tuple:
+    """The parts of the maximal & chain at f, left to right: the operands of
+    f and of every & below it without another node between."""
+    parts, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is F.And:
+            stack += (node.right, node.left)
+        else:
+            parts.append(node)
+    return tuple(parts)
+
+
+# a node's function is compiled over its operands, and an & chain's over its parts
+_CELL_OPERANDS = {**F._OPERANDS, F.And: _chain_parts}
 # the method that compiles each core node type, by name so that a subclass
 # can replace one
 _COMPILE = {

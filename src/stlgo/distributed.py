@@ -7,15 +7,16 @@ it can see; graph topology is always fully known. Verdicts are three-valued:
 
 ``monitor_dist`` lowers the formula exactly as the centralized monitor does
 and runs the same compiled cell functions (``central.Cells``, one per core
-node for both monitors and both logic layers), with the mask: atoms over
-masked states yield ? even when the expression would be
-constant in the masked components, Boolean and temporal operators follow
-the strong Kleene tables, and graph operators decide from the counts of
-satisfying and non-violating neighbor verdicts, weighted by edge
-multiplicity (``central.graph_op_verdict``). Finite traces and strict mode follow the
-centralized conventions, including the up-front strict-horizon check, so
-both monitors raise on the same inputs; ``is_determinable`` checks its
-query and covers the same [0, min(T + T_f, L)] through the same helper.
+node, a whole & chain being one, for both monitors and both logic layers),
+with the mask: atoms over masked states yield ? even when the expression
+would be constant in the masked components, Boolean and temporal operators
+follow the strong Kleene tables, and graph operators decide from the counts
+of satisfying and non-violating neighbor verdicts, weighted by edge
+multiplicity (``central.graph_op_verdict``). Finite traces and strict mode
+follow the centralized conventions, including the up-front strict-horizon
+check, so both monitors raise on the same inputs; ``is_determinable``
+checks its query and covers the same [0, min(T + T_f, L)] through the same
+helper.
 
 The monitor is sound: a 0/1 verdict always agrees with the centralized
 verdict on the full run. Count sets with several intervals take the
@@ -29,19 +30,20 @@ count bounds cannot express the resulting gaps, so some
 determined-by-enumeration cases report ?.
 
 ``is_determinable`` analyses the formula's graph-operator tree, built from
-the core form with & and | chains as written (``prepare_for_distributed``);
-its operators are the formula's own ``GraphOp`` nodes. Each leaf takes one
-sweep: out from the subject along the leaf's chain, level by level, to the
-composed neighbor set, then back in, folding the nested neighbor counts
-over the same levels. Both read each operator's neighbors per agent, one
-per edge, each as often as its most edges at any one time, from the run's
-neighbor index (``model.NeighborIndex.over_time``), which the monitors
-read too and which lives as long as the run. Neither depends on the time
-step; the check stays sufficient. Per step it reads the mask's visible
-ranges, not its states one by one: the observer and agents visible over
-the leaf's whole span drop out, an agent no visible range touches in a
-step's window adds that whole window, and only the few (step, agent) pairs
-a range touches walk the gaps between ranges.
+the core form the monitors read (``lower``, which keeps & and | chains as
+written, so a chain never splits a leaf); its operators are the formula's
+own ``GraphOp`` nodes. Each leaf takes one sweep: out from the subject
+along the leaf's chain, level by level, to the composed neighbor set, then
+back in, folding the nested neighbor counts over the same levels. Both read
+each operator's neighbors per agent, one per edge, each as often as its
+most edges at any one time, from the run's neighbor index
+(``model.NeighborIndex.over_time``), which the monitors read too and which
+lives as long as the run. Neither depends on the time step; the check stays
+sufficient. Per step it reads the mask's visible ranges, not its states one
+by one: the observer and agents visible over the leaf's whole span drop
+out, an agent no visible range touches in a step's window adds that whole
+window, and only the few (step, agent) pairs a range touches walk the gaps
+between ranges.
 """
 
 from __future__ import annotations
@@ -51,12 +53,8 @@ from dataclasses import dataclass
 
 from . import formula as F
 from .central import Signal, _signal_end, signal_cells
-from .formula import (
-    build_operator_tree,
-    contains_atom,
-    horizon,
-    prepare_for_distributed,
-)
+from .formula import build_operator_tree, contains_atom, horizon
+from .formula import lower as prepare_for_distributed
 from .model import MasRun
 
 
@@ -156,8 +154,8 @@ class LeafFailure:
     """One (leaf, time) pair where neither determinability condition holds.
 
     Leaves are numbered from 1 in depth-first pre-order, as in
-    ``build_operator_tree(prepare_for_distributed(f))``: leaf k is that
-    tree's ``leaves[k - 1]``."""
+    ``build_operator_tree(lower(f))``: leaf k is that tree's
+    ``leaves[k - 1]``."""
 
     leaf_index: int
     time: int

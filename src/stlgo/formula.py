@@ -38,17 +38,25 @@ class TimeInterval:
     hi: float  # int or math.inf
 
     def __post_init__(self):
-        if self.lo < 0 or (self.hi != INF and self.hi < 0):
-            raise ValueError("time interval bounds must be >= 0")
-        if self.lo > self.hi:
-            raise ValueError(f"time interval reversed: [{self.lo}, {self.hi}]")
-        if self.lo == INF:
-            raise ValueError("time interval lower bound must be finite")
-        if int(self.lo) != self.lo or (self.hi != INF and int(self.hi) != self.hi):
-            raise ValueError("finite time bounds must be integers")
-        object.__setattr__(self, "lo", int(self.lo))
-        if self.hi != INF:
-            object.__setattr__(self, "hi", int(self.hi))
+        lo, hi = _discrete_bounds("time", self.lo, self.hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+
+def _discrete_bounds(kind: str, lo, hi) -> tuple[int, float]:
+    """[lo, hi] of a time or count interval as an int and an int or inf, or
+    a ValueError naming the ``kind`` of bounds that do not fit one."""
+    if lo != lo or hi != hi:  # NaN; isnan would overflow on a huge int
+        raise ValueError(f"{kind} bounds may not be NaN")
+    if lo < 0 or hi < 0:
+        raise ValueError(f"{kind} bounds must be >= 0")
+    if lo > hi:
+        raise ValueError(f"{kind} interval reversed: [{lo}, {hi}]")
+    if lo == INF:
+        raise ValueError(f"{kind} interval lower bound must be finite")
+    if int(lo) != lo or (hi != INF and int(hi) != hi):
+        raise ValueError(f"finite {kind} bounds must be integers")
+    return int(lo), INF if hi == INF else int(hi)
 
 
 @dataclass(frozen=True)
@@ -125,18 +133,7 @@ class CountSet:
 
 
 def _canon_intervals(intervals) -> tuple[tuple[int, float], ...]:
-    cleaned = []
-    for lo, hi in intervals:
-        if lo < 0:
-            raise ValueError("count bounds must be >= 0")
-        if lo > hi:
-            raise ValueError(f"count interval reversed: [{lo}, {hi}]")
-        if lo == INF:
-            raise ValueError("count interval lower bound must be finite")
-        if int(lo) != lo or (hi != INF and int(hi) != hi):
-            raise ValueError("finite count bounds must be integers")
-        cleaned.append((int(lo), INF if hi == INF else int(hi)))
-    cleaned.sort()
+    cleaned = sorted(_discrete_bounds("count", lo, hi) for lo, hi in intervals)
     merged: list[list] = []
     for lo, hi in cleaned:
         if merged and lo <= merged[-1][1] + 1:
@@ -548,36 +545,21 @@ def lower(f: Formula) -> Formula:
     a negation or a graph operator.
 
     Several tags combine by Kleene any/all: forall is the conjunction of the
-    single-tag copies, exists its dual. Each & (or |) chain becomes a
-    balanced conjunction of its parts, and FA and EX of the bound copies
-    (which share one lowered child), in order, so the tree is
-    logarithmically deep in the number of parts. Core nodes whose operands
-    lower to themselves are returned as they are.
+    single-tag copies, exists its dual. Each & and | is lowered on its own,
+    so a chain keeps its written shape; the kernel reads a whole & chain as
+    one cell (``central.Cells``). The conjunctions that lowering itself
+    builds, of the single-tag copies and of FA and EX's bound copies (which
+    share one lowered child), are balanced, in order, so a shallow formula
+    gives a shallow core. Core nodes whose operands lower to themselves are
+    returned as they are.
     """
-    return fold(f, _lower_step, layout=_CHAINS)
-
-
-def _chain_parts(f) -> tuple:
-    """The parts of the maximal & (or |) chain at f, left to right."""
-    parts, stack = [], [f]
-    while stack:
-        node = stack.pop()
-        if type(node) is type(f):
-            stack += (node.right, node.left)
-        else:
-            parts.append(node)
-    return tuple(parts)
-
-
-_CHAINS = {**_OPERANDS, And: _chain_parts, Or: _chain_parts}
+    return fold(f, _lower_step)
 
 
 def _lower_step(f, subs):
     kind = type(f)
-    if kind is And:
-        return _with_operands(f, subs) if len(subs) == 2 else _balanced_and(subs)
     if kind is Or:
-        return _negate(_balanced_and([_negate(s) for s in subs]))
+        return _negate(And(_negate(subs[0]), _negate(subs[1])))
     if kind is Implies:
         return _negate(And(subs[0], _negate(subs[1])))
     if kind is Eventually:
@@ -600,9 +582,8 @@ def _lower_step(f, subs):
 
 
 def _balanced_and(parts: list) -> Formula:
-    """The conjunction of parts, split at the middle. Evaluated left to
-    right it reads the same parts, and stops at the same one, as the
-    left-deep chain."""
+    """The conjunction of parts, split at the middle so that it is only
+    logarithmically deep; the kernel reads it as one & chain of the parts."""
     if len(parts) == 1:
         return parts[0]
     mid = len(parts) // 2
@@ -618,14 +599,6 @@ def _negate(g):
     if type(g) is not GraphOp:
         return Not(g)
     return GraphOp(g.direction, g.quantifier, g.graphs, g.counts.complement(), g.weights, g.child)
-
-
-def prepare_for_distributed(f: LocalFormula) -> LocalFormula:
-    """``lower`` with each & and | lowered on its own: the core form
-    ``is_determinable`` builds its operator tree from. Chains keep their
-    written shape because the tree's leaves come from it; a balanced chain
-    could split a leaf."""
-    return fold(f, _lower_step)
 
 
 def contains_atom(f: LocalFormula) -> bool:

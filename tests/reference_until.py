@@ -12,8 +12,12 @@ the same cells.
 from __future__ import annotations
 
 from stlgo import formula as F
-from stlgo.central import _UNSET, Cells, _signal_end, clamp_window, k_and, k_or
+from stlgo.central import _UNSET, Cells, _signal_end, clamp_window, k_or
 from stlgo.formula import lower
+
+
+def k_and(a, b):
+    return 0 if a == 0 or b == 0 else None if a is None or b is None else 1
 
 
 class ReferenceCells(Cells):

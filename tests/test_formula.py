@@ -94,8 +94,13 @@ def test_reversed_intervals_rejected():
     (lambda: TimeInterval(INF, INF), "time interval lower bound must be finite"),
     (lambda: CountSet(((INF, INF),)), "count interval lower bound must be finite"),
     (lambda: CountSet.single(0.5, 2), "finite count bounds must be integers"),
+    # a NaN bound reached int() and raised its message, not one naming it
+    (lambda: TimeInterval(0, math.nan), "time bounds may not be NaN"),
+    (lambda: TimeInterval(math.nan, 1), "time bounds may not be NaN"),
+    (lambda: CountSet(((math.nan, 1),)), "count bounds may not be NaN"),
+    (lambda: CountSet(((0, math.nan),)), "count bounds may not be NaN"),
 ], ids=["time-lo-half", "time-lo-half-unbounded", "time-hi-half", "time-lo-inf", "count-lo-inf",
-        "count-lo-half"])
+        "count-lo-half", "time-hi-nan", "time-lo-nan", "count-lo-nan", "count-hi-nan"])
 def test_bad_interval_bounds_raise_value_error(make, message):
     with pytest.raises(ValueError, match=message):
         make()

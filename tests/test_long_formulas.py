@@ -3,6 +3,7 @@ terms parse, print, lower, monitor and analyse, and the STREL escape
 translation of a bike city prints and monitors."""
 
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -24,7 +25,8 @@ from stlgo import (
     print_formula,
     translate_strel,
 )
-from stlgo.formula import fold, nodes
+from stlgo.central import Cells
+from stlgo.formula import nodes
 from stlgo.parser import tokenize
 
 from conftest import make_fig_run
@@ -34,8 +36,12 @@ ATOM_TEXT = "[x[0] >= 3]"
 CHAINS = {op: f" {op} ".join([ATOM_TEXT] * 10_000) for op in ("&", "|", "U[0,2]")}
 
 
-def depth(f) -> int:
-    return fold(f, lambda node, subs: 1 + max(subs, default=0))
+def stack_depth() -> int:
+    """The number of Python frames on the stack at the caller."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def same_formula(a, b) -> bool:
@@ -72,16 +78,31 @@ def test_ten_thousand_term_chain_prints_as_written(chains, op):
 
 
 @pytest.mark.parametrize("op", ["&", "|"])
-def test_ten_thousand_term_chain_lowers_balanced_and_monitors(chains, op):
+def test_ten_thousand_term_chain_monitors_in_a_shallow_stack(chains, op):
+    # the stack a chain of any length needs is a few frames per nesting
+    # level of the formula, not one per term
     f = chains[op]
-    assert depth(lower(f)) <= math.ceil(math.log2(10_000)) + 4
     run = make_fig_run(length=3)
     atom = parse_local(ATOM_TEXT)
-    assert monitor_local(run, f, 3, 3) == monitor_local(run, atom, 3, 3)
-    for mask in (KnowledgeMask.full(3, run.num_agents, run.length), KnowledgeMask.self_only(1)):
-        assert monitor_dist(run, mask, f, 3, 3) == monitor_dist(run, mask, atom, 3, 3)
-        report = is_determinable(run, mask, f, 3, 3)
-        assert report.determinable == is_determinable(run, mask, atom, 3, 3).determinable
+    masks = (KnowledgeMask.full(3, run.num_agents, run.length), KnowledgeMask.self_only(1))
+    expected = (monitor_local(run, atom, 3, 3),
+                [(monitor_dist(run, mask, atom, 3, 3),
+                  is_determinable(run, mask, atom, 3, 3).determinable) for mask in masks])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)
+    try:
+        got = (monitor_local(run, f, 3, 3),
+               [(monitor_dist(run, mask, f, 3, 3),
+                 is_determinable(run, mask, f, 3, 3).determinable) for mask in masks])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected
+
+
+def test_an_and_chain_compiles_to_one_cell_over_its_parts():
+    f = parse_local(" & ".join(f"[x[0] >= {k}]" for k in range(1_000)))
+    core = lower(f)
+    assert len(Cells(make_fig_run(length=3), core).rows) == 1_001
 
 
 def test_reports_on_separate_parses_of_a_long_chain_compare_hash_and_print():
