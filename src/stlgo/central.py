@@ -23,6 +23,21 @@ the mask-free case of the distributed one: the same functions, reading the
 same cells in the same order as under a mask that hides nothing. Both
 return one ``Signal`` type: a centralized signal is one without ?.
 
+``signal_cells`` evaluates the part of the core above the graph operators
+(every node the root reaches without crossing one) as whole rows over the
+times the signal needs, bottom-up by a walk on an explicit stack
+(``Cells._signal``): an atom is one comprehension over the trajectory,
+negation and & map and filter their operands' rows, and Until sweeps its
+operands' rows once per kind of cell sought. A subformula without graph
+operators is filled over the whole range of times it is asked for. Graph
+operators, and everything below them, stay pointwise: one cell function
+call per (agent, t), reading its operands' cells on demand. Above them, a
+row reads each operand only at the cells its pointwise cells read (an &
+part only where the parts before it are not 0), so every graph-operator
+cell that the pointwise drive evaluates is evaluated, and no other. Rows
+do not recurse, so a U chain above the graph operators may have any
+length; below one, cells recurse once per nesting level of the formula.
+
 Until (and F, G, which lower to it) reads its window through next-witness
 searches rather than a scan per cell. Because phi1 must hold through the
 witness, the earliest candidate decides: the cell is 0 without a phi2 cell
@@ -33,7 +48,8 @@ strong Kleene logic). Each search keeps path-compressed next-hit pointers
 per (subformula, agent, kind of cell sought), so the windows of
 consecutive times share their work: a full signal of ``G[0,inf] p`` or
 ``p U[a,b] q`` reads each cell of p and q O(1) times amortized, O(L) per
-agent in all, and never reads a cell outside [t, t + b].
+agent in all, and never reads a cell outside [t, t + b]. A row of Until
+applies the same rule with one forward sweep over its windows in order.
 
 ``oracle_eval`` / ``oracle_eval_global`` are deliberately separate: a plain,
 memo-free recursive transcription of the semantics that also interprets
@@ -59,6 +75,8 @@ same inputs.
 from __future__ import annotations
 
 import sys
+import weakref
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -71,10 +89,11 @@ class InsufficientTraceError(ValueError):
     """Raised in strict mode when the trace is too short for a bounded window."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Signal:
     """Per-time verdicts over the contiguous domain t0..t0+len-1: 0, 1, or
-    None for ?. A centralized signal is one without ?."""
+    None for ?. A centralized signal is one without ?. The monitors return
+    one object for equal signals while it lives (``_shared_signal``)."""
 
     t0: int
     values: tuple
@@ -96,6 +115,19 @@ class Signal:
         if not self.t0 <= t <= self.t1:
             raise TimeOutOfRangeError.of(t, self.t0, self.t1)
         return self.values[t - self.t0]
+
+
+# the live monitor signals by their values: a caller that keeps the answers
+# of repeated queries holds each distinct signal once
+_SIGNALS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared_signal(values: tuple) -> Signal:
+    """``Signal(0, values)``, or the live monitor signal equal to it."""
+    sig = _SIGNALS.get(values)
+    if sig is None:
+        sig = _SIGNALS[values] = Signal(0, values)
+    return sig
 
 
 _SYSTEM_ONLY = (F.GlobalAtom,) + F.BINDERS
@@ -220,10 +252,12 @@ class Cells:
     is one loop. Each one calls its operands' functions directly and
     memoizes its cells in ``rows[id(node)]``, one list per agent indexed by
     t (truth, negation and agent binding map an operand's cells and keep
-    none); an atom's expression is compiled once. The memos live as long
-    as the ``Cells``, one query. A graph operator's neighbors come from the
-    run's ``NeighborIndex``, which lives as long as the run and is shared
-    by every query on it and by ``is_determinable``.
+    none); an atom's expression is compiled once. The same fold marks the
+    nodes without a graph operator at or below them, whose rows ``_signal``
+    fills over whole ranges; rows share the memos with the functions. The
+    memos live as long as the ``Cells``, one query. A graph operator's
+    neighbors come from the run's ``NeighborIndex``, which lives as long as
+    the run and is shared by every query on it and by ``is_determinable``.
     Cells do not depend on the order in which they are evaluated, so
     operators may skip operands that cannot change their verdict.
     """
@@ -235,6 +269,10 @@ class Cells:
         self.rows: dict = {}  # id(node) -> its memo (``_memo``)
         self._searches: dict = {}  # (id(node), want) -> first-hit search
         self._fns: dict = {}
+        self._over_graphs: set = set()  # id(node) with a graph operator at or below it
+        self._exprs: dict = {}  # id(atom) -> its compiled expression
+        self._spans: dict = {}  # (id(node), agent) -> the span its row covers
+        self._negations: dict = {}  # (id(not node), agent) -> its row
         size = run.length + 1
         self._new_row = lambda: [_UNSET] * size
         F.fold(core, self._compile, self._fns, layout=_CELL_OPERANDS)
@@ -246,7 +284,14 @@ class Cells:
         name = _COMPILE.get(type(f))
         if name is None:
             raise TypeError(f"monitor requires a lowered core formula, got {type(f).__name__}")
+        over = self._over_graphs
+        if type(f) is F.GraphOp or not over.isdisjoint(map(id, _CELL_OPERANDS[type(f)](f))):
+            over.add(id(f))
         return getattr(self, name)(f, *subs)
+
+    def _graph_free(self, f) -> bool:
+        """Whether no graph operator is at or below f."""
+        return id(f) not in self._over_graphs
 
     def _memo(self, f) -> defaultdict:
         """f's memo, agent -> a list of cells indexed by t, ``_UNSET`` where
@@ -261,6 +306,7 @@ class Cells:
         # an agent-local atom reads the agent's vector of the time slice and
         # is ? where the mask hides it; a system-level one reads the slice
         rows, expr, states = self._memo(f), compile_expr(f.expr), self.run.trajectory.states
+        self._exprs[id(f)] = expr
         local = type(f) is F.Atom
         knows = self.mask.knows if local and self.mask is not None else None
 
@@ -436,13 +482,243 @@ class Cells:
             return v
         return cell
 
+    # whole rows above the graph operators: a request (node, agent, times)
+    # fills the node's row at those times and returns it, a list indexed by
+    # t. A memoized node's row is its memo, a negation keeps its own, and an
+    # agent binding's is its operand's at the bound agent.
+
+    def _signal(self, agent, end: int) -> tuple:
+        """The root's cells at agent over [0, end], evaluated as rows.
+
+        A request that reads operand rows is a generator: it yields their
+        requests and receives their rows. The generators wait on an explicit
+        stack, so the walk does not recurse. A graph-free node fills its row
+        over the whole range from its first to its last requested time. Any
+        other node fills exactly the requested times and requests of its
+        operands exactly the cells its cell function reads first; an Until
+        reads on through its first-hit searches. So every graph operator is
+        read at the same (agent, t) cells as by the pointwise drive, through
+        its cell function.
+        """
+        stack, row = [], self._row(self.core, agent, range(end + 1))
+        while True:
+            if type(row) is not list:  # a request that reads operand rows
+                stack.append(row)
+                row = None
+            elif not stack:
+                return tuple(row[:end + 1])
+            try:
+                row = self._row(*stack[-1].send(row))
+            except StopIteration as done:
+                stack.pop()
+                row = done.value
+
+    def _row(self, f, agent, times):
+        return _ROW[type(f)](self, f, agent, times)
+
+    def _todo(self, f, agent, times, row):
+        """The times a request must fill in f's row: for a graph-free f the
+        range from the first to the last requested time, unless an earlier
+        request covered it; for any other f the requested times not yet
+        filled."""
+        if not self._graph_free(f):
+            todo = [t for t in times if row[t] is _UNSET]
+            return times if len(todo) == len(times) else todo
+        lo, hi = times[0], times[-1]
+        key = (id(f), agent)
+        span = self._spans.get(key)
+        if span is not None and lo <= span[1] + 1 and span[0] <= hi + 1:
+            if span[0] <= lo and hi <= span[1]:
+                return ()
+            self._spans[key] = (min(lo, span[0]), max(hi, span[1]))
+        else:
+            self._spans[key] = (lo, hi)
+        return range(lo, hi + 1)
+
+    def _truth_row(self, f, agent, times):
+        return [1] * (self.run.length + 1)
+
+    def _atom_row(self, f, agent, times):
+        row = self.rows[id(f)][agent]
+        todo = self._todo(f, agent, times, row)
+        if todo:
+            expr = self._exprs[id(f)]
+            states = self.run.trajectory.states[todo.start:todo.stop]
+            if type(f) is F.GlobalAtom:
+                values = [1 if expr(x) >= 0 else 0 for x in states]
+            elif self.mask is None:
+                i = agent - 1
+                values = [1 if expr(x[i]) >= 0 else 0 for x in states]
+            else:
+                i, knows = agent - 1, self.mask.knows
+                values = [(1 if expr(x[i]) >= 0 else 0) if knows(agent, t) else None
+                          for t, x in zip(todo, states)]
+            row[todo.start:todo.stop] = values
+        return row
+
+    def _bind_row(self, f, agent, times):
+        return (yield f.child, f.agent, times)
+
+    def _not_row(self, f, agent, times):
+        key = (id(f), agent)
+        row = self._negations.get(key)
+        if row is None:
+            row = self._negations[key] = self._new_row()
+        todo = self._todo(f, agent, times, row)
+        if todo:
+            cells = yield f.child, agent, todo
+            _fill(row, todo, [None if c is None else 1 - c for c in _take(cells, todo)])
+        return row
+
+    def _and_row(self, f, agent, times):
+        """Each part is read where every part before it is not 0, as the
+        chain's cell reads it."""
+        row = self.rows[id(f)][agent]
+        todo = self._todo(f, agent, times, row)
+        if todo:
+            alive, unknown = todo, set()
+            for part in _chain_parts(f):
+                cells = yield part, agent, alive
+                if self.mask is not None:
+                    unknown.update(t for t in alive if cells[t] is None)
+                alive = [t for t in alive if cells[t] != 0]
+                if not alive:
+                    break
+            _fill(row, todo, [0] * len(todo))
+            for t in alive:
+                row[t] = None if t in unknown else 1
+        return row
+
+    def _until_row(self, f, agent, times):
+        """The rule of ``_until`` over rows: per window the first phi2 cell
+        r other than 0, the first 1 from r, and phi1's first cell other than
+        1 up to that 1 or first 0 up to r, each found by one forward sweep
+        over the windows (``_first_hits``). A graph-free operand is filled
+        over all the windows; another only where every cell of the Until
+        reads it first (the window start for phi2, t for phi1, once a
+        witness is found), and the sweeps read on through its first-hit
+        searches."""
+        row = self.rows[id(f)][agent]
+        todo = self._todo(f, agent, times, row)
+        if not todo:
+            return row
+        left, right, length = f.left, f.right, self.run.length
+        a, b = f.interval.lo, f.interval.hi
+        if b == INF:
+            starts, ends = [min(t + a, length) for t in todo], [length] * len(todo)
+        else:
+            b = int(b)
+            starts = [t + a for t in todo]
+            ends = [t + b if t + b < length else length for t in todo]
+        live = bisect_right(starts, length)  # the windows that are not empty
+        if not live:
+            _fill(row, todo, [0] * len(todo))
+            return row
+        if self._graph_free(right):
+            cells = yield right, agent, range(starts[0], ends[live - 1] + 1)
+        else:
+            cells = yield right, agent, list(dict.fromkeys(starts[:live]))
+        witness = self._first_hits(cells, starts, ends, _NOT_ZERO, right, agent)
+        ones = witness  # without a mask, a cell other than 0 is 1
+        if self.mask is not None:
+            ones = list(witness)
+            ks = [k for k, r in enumerate(witness) if r is not None and cells[r] is None]
+            found = self._first_hits(
+                cells, [witness[k] for k in ks], [ends[k] for k in ks], _ONE, right, agent)
+            for k, p in zip(ks, found):
+                ones[k] = p
+        if type(left) is F.Truth:
+            _fill(row, todo, [0 if r is None else 1 if p is not None else None
+                              for r, p in zip(witness, ones)])
+            return row
+        values = [0] * len(todo)
+        ks = [k for k, r in enumerate(witness) if r is not None]
+        if ks:
+            if self._graph_free(left):
+                last = max(witness[k] if ones[k] is None else ones[k] for k in ks)
+                cells = yield left, agent, range(todo[ks[0]], last + 1)
+            else:
+                cells = yield left, agent, [todo[k] for k in ks]
+            with_one = [k for k in ks if ones[k] is not None]
+            found = self._first_hits(cells, [todo[k] for k in with_one],
+                                     [ones[k] for k in with_one],
+                                     _ZERO if self.mask is None else _NOT_ONE, left, agent)
+            for k, q in zip(with_one, found):
+                if q is None:  # phi1 is 1 up to the first 1 of phi2
+                    values[k] = 1
+            if self.mask is not None:  # without a mask, the cell other than 1 found is a 0
+                ks = [k for k in ks if values[k] != 1]
+                found = self._first_hits(cells, [todo[k] for k in ks],
+                                         [witness[k] for k in ks], _ZERO, left, agent)
+                for k, z in zip(ks, found):
+                    values[k] = None if z is None else 0
+        _fill(row, todo, values)
+        return row
+
+    def _first_hits(self, cells, starts, ends, want, g, agent) -> list:
+        """For windows [s, hi] in nondecreasing order of s: the first u in
+        each whose cell of g is in ``want``, or None. One cursor sweeps the
+        windows over ``cells``, g's row, so no cell is visited twice; where
+        the row lacks a cell, g's first-hit search reads on from it, just as
+        the window's pointwise cell would."""
+        hits, u, search = [], 0, None
+        for s, hi in zip(starts, ends):
+            if u < s:
+                u = s
+            while u <= hi:
+                c = cells[u]
+                if c in want:
+                    break
+                if c is _UNSET:
+                    cell = self._fns[id(g)]
+                    if search is None:
+                        search = self._search(g, cell, want)
+                    u = search(agent, u, hi)
+                    if u is None:
+                        u = hi + 1
+                    elif cells[u] is _UNSET:  # a negation's row: the search fills its operand's
+                        cells[u] = cell(agent, u)
+                    break
+                u += 1
+            hits.append(u if u <= hi else None)
+        return hits
+
+    def _graph_op_row(self, f, agent, times):
+        cell, row = self._fns[id(f)], self.rows[id(f)][agent]
+        for t in times:
+            row[t] = cell(agent, t)
+        return row
+
+
+def _take(cells, times) -> list:
+    """cells at times, a range or a list of times."""
+    if type(times) is range:
+        return cells[times.start:times.stop]
+    return [cells[t] for t in times]
+
+
+def _fill(row, times, values):
+    """Set row at times, a range or a list of times, to values."""
+    if type(times) is range:
+        row[times.start:times.stop] = values
+    else:
+        for t, v in zip(times, values):
+            row[t] = v
+
 
 def _chain_parts(f) -> tuple:
     """The parts of the maximal & chain at f, left to right: the operands of
-    f and of every & below it without another node between."""
-    parts, stack = [], [f]
+    f and of every & below it without another node between. A shared & node
+    or part is taken once, where it first occurs: Kleene & is idempotent,
+    and a part read again would be a memo hit, so the chain reads the same
+    cells and stops at the same part, and a DAG of shared & nodes gives a
+    chain as long as the DAG, not one part per path through it."""
+    parts, seen, stack = [], set(), [f]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if type(node) is F.And:
             stack += (node.right, node.left)
         else:
@@ -463,6 +739,17 @@ _COMPILE = {
     F.And: "_and",
     F.Until: "_until",
     F.GraphOp: "_graph_op",
+}
+# the method that fills each core node type's row
+_ROW = {
+    F.Truth: Cells._truth_row,
+    F.Atom: Cells._atom_row,
+    F.GlobalAtom: Cells._atom_row,
+    F.AgentBind: Cells._bind_row,
+    F.Not: Cells._not_row,
+    F.And: Cells._and_row,
+    F.Until: Cells._until_row,
+    F.GraphOp: Cells._graph_op_row,
 }
 
 
@@ -507,10 +794,19 @@ def _signal_end(run: MasRun, f, agent, T: int, strict: bool = False) -> int:
 def signal_cells(run: MasRun, f, agent, T: int, strict: bool = False, mask=None) -> tuple:
     """Cells of f over its signal domain: at ``agent`` for an agent-local
     formula, at system level for agent None; three-valued under a mask.
+
+    The nodes above the graph operators are evaluated as whole rows
+    (``Cells._signal``), and may evaluate an atom at a time that the
+    pointwise cells never read. If the rows raise, the query is driven
+    pointwise from fresh cells, so it ends with the error it raises there.
     The cell functions' recursion past the stack limit is reported as a
     ValueError."""
     end = _signal_end(run, f, agent, T, strict)
     core = lower(f)
+    try:
+        return Cells(run, core, mask)._signal(agent, end)
+    except Exception:
+        pass
     try:
         cell = Cells(run, core, mask)[core]
         return tuple(cell(agent, t) for t in range(end + 1))
@@ -529,12 +825,12 @@ def monitor_local(
     The signal covers [0, min(T + T_f, L)] (or [0, T] in strict mode); its
     value at t is 1 exactly when the run satisfies f at (agent, t).
     """
-    return Signal(0, signal_cells(run, f, agent, T, strict))
+    return _shared_signal(signal_cells(run, f, agent, T, strict))
 
 
 def monitor_global(run: MasRun, f: F.GlobalFormula, T: int, strict: bool = False) -> Signal:
     """Boolean satisfaction signal of a system-level formula."""
-    return Signal(0, signal_cells(run, f, None, T, strict))
+    return _shared_signal(signal_cells(run, f, None, T, strict))
 
 
 # ---------------------------------------------------------------------------

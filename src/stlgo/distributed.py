@@ -52,7 +52,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import formula as F
-from .central import Signal, _signal_end, signal_cells
+from .central import Signal, _shared_signal, _signal_end, signal_cells
 from .formula import build_operator_tree, contains_atom, horizon
 from .formula import lower as prepare_for_distributed
 from .model import MasRun
@@ -142,7 +142,7 @@ def monitor_dist(
     the mask's observer. The observer may monitor a subject other than
     itself; the mask governs what is visible, the subject selects where the
     formula is imposed."""
-    return Signal(0, signal_cells(run, f, subject, T, strict, mask))
+    return _shared_signal(signal_cells(run, f, subject, T, strict, mask))
 
 
 # ---------------------------------------------------------------------------

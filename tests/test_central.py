@@ -16,6 +16,7 @@ from stlgo import (
     GraphOp,
     GraphTrajectory,
     InsufficientTraceError,
+    KnowledgeMask,
     MasRun,
     MasTrajectory,
     MultigraphSnapshot,
@@ -25,6 +26,7 @@ from stlgo import (
     TimeInterval,
     Truth,
     WeightInterval,
+    monitor_dist,
     monitor_global,
     monitor_local,
     parse_local,
@@ -32,7 +34,7 @@ from stlgo import (
 from stlgo.central import oracle_eval, oracle_eval_global
 from stlgo.formula import FULL_WEIGHTS, AgentBind, AgentStateVar, BinOp, Const, GlobalAtom, Or
 
-from conftest import random_global_formula, random_local_formula, random_run
+from conftest import make_fig_run, random_global_formula, random_local_formula, random_run
 
 INF = math.inf
 
@@ -335,6 +337,17 @@ def test_signal_value_bounds():
         with pytest.raises(ValueError):
             Signal(t0, values)
     assert Signal(3, (0, 1, None)).t1 == 5
+
+
+def test_equal_monitor_signals_are_one_object_while_one_lives():
+    # a caller that keeps the answers of repeated queries holds each
+    # distinct signal once
+    run = make_fig_run(length=3)
+    first = monitor_local(run, parse_local("F[0,1] [x[0] >= 3]"), 3, 3)
+    assert monitor_local(run, parse_local("[x[0] >= 3] | [x[0] >= 3]"), 3, 3) is first
+    assert monitor_dist(run, KnowledgeMask.self_only(3), parse_local("F[0,1] [x[0] >= 3]"),
+                        3, 3) is first
+    assert monitor_local(run, parse_local("!F[0,1] [x[0] >= 3]"), 3, 3) is not first
 
 
 # ---------------------------------------------------------------------------

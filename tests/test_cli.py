@@ -121,9 +121,10 @@ def test_formula_file_that_is_not_utf8_exits_one_with_one_error_line(
 
 
 # chains the printer handles at any length but the pointwise evaluator
-# follows one Python frame (or more) per term
+# follows one Python frame (or more) per term: a U chain below a graph
+# operator, where cells stay pointwise, and an arithmetic chain
 TOO_DEEP_TO_EVALUATE = {
-    "until": " U[0,2] ".join(["[x[0] >= 0]"] * 1000),
+    "until": "Out{d} E[0,inf] (" + " U[0,2] ".join(["[x[0] >= 0]"] * 1000) + ")",
     "sum": "[" + " + ".join(["x[0]"] * 1000) + " >= 0]",
 }
 

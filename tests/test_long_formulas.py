@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from stlgo import (
+    And,
     BikeScenarioConfig,
     GlobalFormula,
     KnowledgeMask,
@@ -25,7 +26,7 @@ from stlgo import (
     print_formula,
     translate_strel,
 )
-from stlgo.central import Cells
+from stlgo.central import Cells, _chain_parts
 from stlgo.formula import nodes
 from stlgo.parser import tokenize
 
@@ -77,10 +78,12 @@ def test_ten_thousand_term_chain_prints_as_written(chains, op):
     assert print_formula(chains[op]) == CHAINS[op]
 
 
-@pytest.mark.parametrize("op", ["&", "|"])
+@pytest.mark.parametrize("op", sorted(CHAINS))
 def test_ten_thousand_term_chain_monitors_in_a_shallow_stack(chains, op):
     # the stack a chain of any length needs is a few frames per nesting
-    # level of the formula, not one per term
+    # level of the formula, not one per term; a U chain above every graph
+    # operator is evaluated as whole rows. Agent 3's p holds at every time,
+    # so every chain has p's signal
     f = chains[op]
     run = make_fig_run(length=3)
     atom = parse_local(ATOM_TEXT)
@@ -103,6 +106,19 @@ def test_an_and_chain_compiles_to_one_cell_over_its_parts():
     f = parse_local(" & ".join(f"[x[0] >= {k}]" for k in range(1_000)))
     core = lower(f)
     assert len(Cells(make_fig_run(length=3), core).rows) == 1_001
+
+
+def test_shared_and_nodes_compile_to_one_part_each():
+    # f = f & f, 16 times over one atom: 16 & nodes and 65 536 paths
+    atom = parse_local(ATOM_TEXT)
+    f = atom
+    for _ in range(16):
+        f = And(f, f)
+    core = lower(f)
+    assert _chain_parts(core) == (atom,)
+    run = make_fig_run(length=3)
+    assert len(Cells(run, core).rows) == 2
+    assert monitor_local(run, f, 3, 3) == monitor_local(run, atom, 3, 3)
 
 
 def test_reports_on_separate_parses_of_a_long_chain_compare_hash_and_print():

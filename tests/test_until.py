@@ -18,7 +18,7 @@ from stlgo import (
     parse_local,
 )
 from stlgo import central
-from stlgo.central import Cells, oracle_eval, signal_cells
+from stlgo.central import _UNSET, Cells, oracle_eval, signal_cells
 
 from conftest import random_global_formula, random_local_formula, random_mask, random_run
 from reference_until import reference_signal_cells
@@ -167,9 +167,17 @@ class CountingCells(Cells):
     """The compiled cells with every read of a memoized cell counted: the
     function of each node that keeps a memo is wrapped, and the nodes above
     it call the wrapper. Truth, negation and agent binding keep none; they
-    only map the cells of their operand."""
+    only map the cells of their operand. The whole rows that
+    ``signal_cells`` evaluates above the graph operators fill memos, and a
+    negation's own row, without calling these functions, so ``work`` adds
+    the cells that every query's rows hold once it is done."""
 
     reads = 0
+    queries: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        CountingCells.queries.append(self)
 
     def _compile(self, f, subs):
         cell = super()._compile(f, subs)
@@ -181,6 +189,15 @@ class CountingCells(Cells):
             return cell(agent, t)
         return counted
 
+    @classmethod
+    def work(cls) -> int:
+        """The cells read plus the cells filled since the last call."""
+        rows = [row for q in cls.queries for memo in q.rows.values() for row in memo.values()]
+        rows += [row for q in cls.queries for row in q._negations.values()]
+        work = cls.reads + sum(len(row) - row.count(_UNSET) for row in rows)
+        cls.reads, cls.queries = 0, []
+        return work
+
 
 @pytest.mark.parametrize(
     "text", ["G[0,inf] [x[0] >= 0]", "[x[0] >= 0] U[0,inf] [x[0] >= 5]"]
@@ -188,20 +205,20 @@ class CountingCells(Cells):
 def test_full_signal_makes_linear_number_of_cell_reads(monkeypatch, text):
     # p holds everywhere and q only at the last sample: every window runs
     # to L, which the per-cell scan reads in full at every t; observer 2
-    # sees subject 1 at even times only
+    # sees subject 1 at even times only. Each cell read or filled counts.
     L = 4000
     run = _scalar_run([1.0] * L + [5.0], agents=2)
     monkeypatch.setattr(central, "Cells", CountingCells)
     monkeypatch.setattr(CountingCells, "reads", 0)
+    monkeypatch.setattr(CountingCells, "queries", [])
     f = parse_local(text)
     assert monitor_local(run, f, 1, L).values == (1,) * (L + 1)
-    central_reads = CountingCells.reads
-    CountingCells.reads = 0
+    central_work = CountingCells.work()
     hidden = KnowledgeMask(2, frozenset((1, t) for t in range(0, L + 1, 2)))
     dist = monitor_dist(run, hidden, f, 1, L).values
     assert dist[L] == 1 and set(dist) == {None, 1}
-    assert 0 < central_reads <= 6 * (L + 1)
-    assert 0 < CountingCells.reads <= 6 * (L + 1)
+    assert 0 < central_work <= 6 * (L + 1)
+    assert 0 < CountingCells.work() <= 6 * (L + 1)
 
 
 def _zero_outside(reached, L):
