@@ -28,15 +28,19 @@ return one ``Signal`` type: a centralized signal is one without ?.
 times the signal needs, bottom-up by a walk on an explicit stack
 (``Cells._signal``): an atom is one comprehension over the trajectory,
 negation and & map and filter their operands' rows, and Until sweeps its
-operands' rows once per kind of cell sought. A subformula without graph
-operators is filled over the whole range of times it is asked for. Graph
-operators, and everything below them, stay pointwise: one cell function
-call per (agent, t), reading its operands' cells on demand. Above them, a
-row reads each operand only at the cells its pointwise cells read (an &
-part only where the parts before it are not 0), so every graph-operator
-cell that the pointwise drive evaluates is evaluated, and no other. Rows
-do not recurse, so a U chain above the graph operators may have any
-length; below one, cells recurse once per nesting level of the formula.
+operands' rows once per kind of cell sought; with phi1 true (F, and G
+through !F!) it ORs shifted bit planes of phi2's row instead, wherever
+that row is filled. A subformula without graph operators is filled over
+the whole range of times it is asked for. Graph operators, and everything
+below them, stay pointwise: one cell function call per (agent, t), reading
+its operands' cells on demand. Above them, a row reads each operand only at
+the cells its pointwise cells read (an & part only where the parts before
+it are not 0), so every graph-operator cell that the pointwise drive
+evaluates is evaluated, and no other. Rows do not recurse, so a U chain
+above the graph operators may have any length; below one, cells recurse
+once per nesting level of the formula. An atom's expression is one
+straight-line function (``compile_expr``), so an arithmetic chain may have
+any length anywhere.
 
 Until (and F, G, which lower to it) reads its window through next-witness
 searches rather than a scan per cell. Because phi1 must hold through the
@@ -79,6 +83,7 @@ import weakref
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 
 from . import formula as F
 from .formula import INF, compile_expr, eval_expr, expr_vars, horizon, lower
@@ -135,7 +140,14 @@ _SYSTEM_ONLY = (F.GlobalAtom,) + F.BINDERS
 
 def validate_local(run: MasRun, f: F.LocalFormula):
     """Check that f is agent-local and its state accessors fit the run."""
-    for node in F.nodes(f):
+    _validate_local(run, f, set())
+
+
+def _validate_local(run: MasRun, f, seen: set):
+    """``validate_local`` over the nodes of f not in ``seen``: a node seen
+    before was checked at its first occurrence, so the checks raise as
+    over every occurrence."""
+    for node in F.nodes(f, seen=seen):
         if isinstance(node, _SYSTEM_ONLY):
             raise ValueError(f"{type(node).__name__} inside an agent-local formula")
         if isinstance(node, F.Atom):
@@ -148,19 +160,20 @@ def validate_local(run: MasRun, f: F.LocalFormula):
 def validate_global(run: MasRun, f: F.GlobalFormula):
     """Check that f reads agent states only through agent bindings, and its
     agent references and state accessors fit the run."""
-    system = list(F.nodes(f, into_binders=False))
+    system = list(F.nodes(f, into_binders=False, seen=set()))
     for node in system:
         if isinstance(node, (F.Atom, F.GraphOp)):
             raise ValueError(
                 f"{type(node).__name__} outside an agent binding in a system-level formula"
             )
+    seen: set = set()  # the bound nodes checked, over every binder
     for node in system:
         if isinstance(node, F.BINDERS):
             agents = (node.agent,) if isinstance(node, F.AgentBind) else node.agents
             for agent in agents:
                 if agent > run.num_agents:
                     raise ValueError(f"agent {agent} out of range (N={run.num_agents})")
-            validate_local(run, node.child)
+            _validate_local(run, node.child, seen)
     for node in system:
         if isinstance(node, F.GlobalAtom):
             for var in expr_vars(node.expr):
@@ -230,11 +243,13 @@ def graph_op_verdict(counts: F.CountSet, n_sat: int, n_nviol: int):
 
 
 _UNSET = object()
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # Boolean negation of a row as bytes
 # the cells a window search stops at: 1, not 0, 0, not 1
 _ONE = frozenset((1,))
 _NOT_ZERO = frozenset((1, None))
 _ZERO = frozenset((0,))
 _NOT_ONE = frozenset((0, None))
+_UNKNOWN = frozenset((None,))
 
 
 class Cells:
@@ -244,17 +259,18 @@ class Cells:
     ``Cells(run, core, mask)[node]`` is the function ``(agent, t) -> cell``
     of a node of ``core`` other than an & inside a chain: an agent-local
     subformula at (agent, t), a system-level one with agent None. Cells are
-    1, 0 or None (?). None occurs only under a ``mask`` (an object with
-    ``knows(subject, t)``, such as ``distributed.KnowledgeMask``), where an
-    agent-local atom over a hidden state is ?; the same functions are built
-    with a mask or without. The functions are built by one fold over the
-    core DAG, so compiling does not recurse, and an & chain of any length
-    is one loop. Each one calls its operands' functions directly and
-    memoizes its cells in ``rows[id(node)]``, one list per agent indexed by
-    t (truth, negation and agent binding map an operand's cells and keep
-    none); an atom's expression is compiled once. The same fold marks the
-    nodes without a graph operator at or below them, whose rows ``_signal``
-    fills over whole ranges; rows share the memos with the functions. The
+    1, 0 or None (?). None occurs only under a ``mask`` (a
+    ``distributed.KnowledgeMask``), where an agent-local atom over a state
+    the observer does not know is ?; the same functions are built with a
+    mask or without. The functions are built by one fold over the core DAG,
+    so compiling does not recurse, and an & chain of any length is one
+    loop. Each one calls its operands' functions directly and memoizes its
+    cells in ``rows[id(node)]``, one list per agent indexed by t (truth,
+    negation and agent binding map an operand's cells and keep none); an
+    atom's expression is compiled once, into one straight-line function
+    (``compile_expr``). The same fold marks the nodes without a graph
+    operator at or below them, whose rows ``_signal`` fills over whole
+    ranges; rows share the memos with the functions. The
     memos live as long as the ``Cells``, one query. A graph operator's
     neighbors come from the run's ``NeighborIndex``, which lives as long as
     the run and is shared by every query on it and by ``is_determinable``.
@@ -522,6 +538,8 @@ class Cells:
         request covered it; for any other f the requested times not yet
         filled."""
         if not self._graph_free(f):
+            if type(times) is range and row[times.start:times.stop].count(_UNSET) == len(times):
+                return times
             todo = [t for t in times if row[t] is _UNSET]
             return times if len(todo) == len(times) else todo
         lo, hi = times[0], times[-1]
@@ -546,7 +564,7 @@ class Cells:
             states = self.run.trajectory.states[todo.start:todo.stop]
             if type(f) is F.GlobalAtom:
                 values = [1 if expr(x) >= 0 else 0 for x in states]
-            elif self.mask is None:
+            elif self.mask is None or agent == self.mask.observer:  # every state visible
                 i = agent - 1
                 values = [1 if expr(x[i]) >= 0 else 0 for x in states]
             else:
@@ -566,8 +584,11 @@ class Cells:
             row = self._negations[key] = self._new_row()
         todo = self._todo(f, agent, times, row)
         if todo:
-            cells = yield f.child, agent, todo
-            _fill(row, todo, [None if c is None else 1 - c for c in _take(cells, todo)])
+            cells = _take((yield f.child, agent, todo), todo)
+            if None in cells:
+                _fill(row, todo, [None if c is None else 1 - c for c in cells])
+            else:
+                _fill(row, todo, list(bytes(cells).translate(_FLIP)))
         return row
 
     def _and_row(self, f, agent, times):
@@ -578,10 +599,10 @@ class Cells:
         if todo:
             alive, unknown = todo, set()
             for part in _chain_parts(f):
-                cells = yield part, agent, alive
-                if self.mask is not None:
-                    unknown.update(t for t in alive if cells[t] is None)
-                alive = [t for t in alive if cells[t] != 0]
+                cells = _take((yield part, agent, alive), alive)
+                if None in cells:
+                    unknown.update(compress(alive, map(_UNKNOWN.__contains__, cells)))
+                alive = list(compress(alive, map(_NOT_ZERO.__contains__, cells)))
                 if not alive:
                     break
             _fill(row, todo, [0] * len(todo))
@@ -597,40 +618,43 @@ class Cells:
         over all the windows; another only where every cell of the Until
         reads it first (the window start for phi2, t for phi1, once a
         witness is found), and the sweeps read on through its first-hit
-        searches."""
+        searches. With phi1 true (F, and G through !F!), every window
+        within phi2's filled cells is read off bit planes instead
+        (``_eventually_planes``), without a cell function call; only the
+        windows that reach past them sweep."""
         row = self.rows[id(f)][agent]
         todo = self._todo(f, agent, times, row)
         if not todo:
             return row
         left, right, length = f.left, f.right, self.run.length
         a, b = f.interval.lo, f.interval.hi
-        if b == INF:
-            starts, ends = [min(t + a, length) for t in todo], [length] * len(todo)
-        else:
-            b = int(b)
-            starts = [t + a for t in todo]
-            ends = [t + b if t + b < length else length for t in todo]
+        starts = _clamped(todo, a, length if b == INF else INF)
+        ends = [length] * len(todo) if b == INF else _clamped(todo, int(b), length)
         live = bisect_right(starts, length)  # the windows that are not empty
         if not live:
             _fill(row, todo, [0] * len(todo))
             return row
         if self._graph_free(right):
-            cells = yield right, agent, range(starts[0], ends[live - 1] + 1)
+            filled = ends[live - 1]
+            cells = yield right, agent, range(starts[0], filled + 1)
         else:
-            cells = yield right, agent, list(dict.fromkeys(starts[:live]))
-        witness = self._first_hits(cells, starts, ends, _NOT_ZERO, right, agent)
-        ones = witness  # without a mask, a cell other than 0 is 1
-        if self.mask is not None:
-            ones = list(witness)
-            ks = [k for k, r in enumerate(witness) if r is not None and cells[r] is None]
-            found = self._first_hits(
-                cells, [witness[k] for k in ks], [ends[k] for k in ks], _ONE, right, agent)
-            for k, p in zip(ks, found):
-                ones[k] = p
+            if type(todo) is range:  # the starts are consecutive, up to one repeated L
+                wanted = range(starts[0], starts[live - 1] + 1)
+            else:
+                wanted = list(dict.fromkeys(starts[:live]))
+            cells = yield right, agent, wanted
+            # the cells filled from the first start on: the wanted starts,
+            # when they are consecutive
+            filled = wanted[-1] if wanted[-1] - wanted[0] == len(wanted) - 1 else -1
         if type(left) is F.Truth:
-            _fill(row, todo, [0 if r is None else 1 if p is not None else None
-                              for r, p in zip(witness, ones)])
+            head = bisect_right(ends, filled, 0, live)  # the windows within the filled cells
+            values = _eventually_planes(cells, filled, starts[:head], b - a)
+            witness, ones = self._witnesses(cells, starts[head:live], ends[head:live], right, agent)
+            values += [0 if r is None else 1 if p is not None else None
+                       for r, p in zip(witness, ones)]
+            _fill(row, todo, values + [0] * (len(todo) - live))
             return row
+        witness, ones = self._witnesses(cells, starts, ends, right, agent)
         values = [0] * len(todo)
         ks = [k for k, r in enumerate(witness) if r is not None]
         if ks:
@@ -654,6 +678,21 @@ class Cells:
                     values[k] = None if z is None else 0
         _fill(row, todo, values)
         return row
+
+    def _witnesses(self, cells, starts, ends, g, agent) -> tuple[list, list]:
+        """For windows [s, hi] in nondecreasing order of s: the first u in
+        each whose cell of g is not 0, and the first whose cell is 1 (None
+        where there is none), found by ``_first_hits``."""
+        witness = self._first_hits(cells, starts, ends, _NOT_ZERO, g, agent)
+        if self.mask is None:  # a cell other than 0 is 1
+            return witness, witness
+        ones = list(witness)
+        ks = [k for k, r in enumerate(witness) if r is not None and cells[r] is None]
+        found = self._first_hits(cells, [witness[k] for k in ks], [ends[k] for k in ks],
+                                 _ONE, g, agent)
+        for k, p in zip(ks, found):
+            ones[k] = p
+        return witness, ones
 
     def _first_hits(self, cells, starts, ends, want, g, agent) -> list:
         """For windows [s, hi] in nondecreasing order of s: the first u in
@@ -690,6 +729,15 @@ class Cells:
         return row
 
 
+def _clamped(todo, offset: int, cap) -> list:
+    """t + offset for t in todo, a range or a list of times, but at most cap."""
+    if type(todo) is not range:
+        return [t + offset if t + offset < cap else cap for t in todo]
+    first = todo.start + offset
+    below = max(0, min(len(todo), cap - first))  # the times whose value is below cap
+    return [*range(first, first + below), *[cap] * (len(todo) - below)]
+
+
 def _take(cells, times) -> list:
     """cells at times, a range or a list of times."""
     if type(times) is range:
@@ -704,6 +752,57 @@ def _fill(row, times, values):
     else:
         for t, v in zip(times, values):
             row[t] = v
+
+
+def _eventually_planes(row, hi: int, starts, span) -> list:
+    """F's cells over the windows [s, s + span] for s in starts, clipped to
+    hi, where ``row``, its operand's row, is filled from the first start to
+    hi: 1 where a window holds a 1, ? where it holds a ? and no 1, else 0.
+
+    The operand's cells are packed into one byte each, whose bits are two
+    bit planes: bit 1 "is 1" and bit 0 "is not 0" (a row without ? is its
+    own bytes, one plane). A window's OR is then O(log span) shifted ORs of
+    the packed row, each a few big-int operations, and the window's cell is
+    read off the OR's byte at its start. An unbounded window (span inf) ends
+    at hi, so it compares its start with the last 1 and the last cell other
+    than 0."""
+    if not starts:
+        return []
+    lo = starts[0]
+    cells = row[lo:hi + 1]
+    if span == INF:
+        last_one = _last_index(cells, 1)
+        last_not_zero = max(last_one, _last_index(cells, None))
+        ones = bisect_right(starts, lo + last_one)
+        not_zeros = bisect_right(starts, lo + last_not_zero)
+        return [1] * ones + [None] * (not_zeros - ones) + [0] * (len(starts) - not_zeros)
+    n, unknown = len(cells), None in cells
+    width = min(span + 1, n)
+    packed = bytes(map(_PLANES.__getitem__, cells)) if unknown else bytes(cells)
+    bits, done = int.from_bytes(packed, "little"), 1
+    while 2 * done <= width:  # byte i of bits is the OR of cells i to i + done - 1
+        bits |= bits >> 8 * done
+        done *= 2
+    window = (bits | bits >> 8 * (width - done)).to_bytes(n, "little")
+    if starts[-1] - lo == len(starts) - 1:  # consecutive starts
+        window = window[:len(starts)]
+    else:
+        window = bytes(window[s - lo] for s in starts)
+    return list(map(_BY_PLANES.__getitem__, window)) if unknown else list(window)
+
+
+# a cell's byte in the bit planes, and a window's cell by its OR's byte (a
+# cell that is 1 is not 0, so the byte 2 does not occur)
+_PLANES = {0: 0, None: 1, 1: 3}
+_BY_PLANES = (0, None, None, 1)
+
+
+def _last_index(cells, value) -> int:
+    """The last index of value in cells, or -1."""
+    try:
+        return len(cells) - 1 - cells[::-1].index(value)
+    except ValueError:
+        return -1
 
 
 def _chain_parts(f) -> tuple:
@@ -772,10 +871,14 @@ def _signal_end(run: MasRun, f, agent, T: int, strict: bool = False) -> int:
         raise TimeOutOfRangeError.of(T, 0, length)
     if not strict:
         return int(min(T + horizon(f)[1], length))
-    # (subformula, latest time evaluation can reach it at)
-    pending = [(f, T)]
+    # (subformula, latest time evaluation can reach it at); a pair seen
+    # before had its subformulas checked by then
+    pending, seen = [(f, T)], set()
     while pending:
         node, t = pending.pop()
+        if (id(node), t) in seen:
+            continue
+        seen.add((id(node), t))
         interval = getattr(node, "interval", None)
         if interval is not None:
             if interval.hi == INF:

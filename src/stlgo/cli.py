@@ -10,6 +10,7 @@ leaving the meanings of 0 and 2 intact.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -370,8 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing keeps no
+    state in it, and each of its options costs a help formatter to build."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

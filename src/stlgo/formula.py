@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Literal, Union
 
 INF = math.inf
@@ -203,15 +203,87 @@ def eval_expr(expr: Expr, state) -> float:
     return compile_expr(expr)(state)
 
 
+_EXPR_LEAVES = (Const, StateVar, AgentStateVar)
+# the operands of the other expression nodes, and the source of each one's
+# value from its operands' values
+_EXPR_OPERANDS = {UnaryFn: lambda e: (e.arg,), BinOp: operator.attrgetter("left", "right"),
+                  BinFn: operator.attrgetter("left", "right")}
+_EXPR_SOURCE = {
+    (BinOp, "+"): "{} + {}", (BinOp, "-"): "{} - {}", (BinOp, "*"): "{} * {}",
+    (BinOp, "/"): "_divide({}, {})", (BinFn, "min"): "min({}, {})",
+    (BinFn, "max"): "max({}, {})", (UnaryFn, "abs"): "abs({})", (UnaryFn, "sqrt"): "_sqrt({})",
+}
+
+
 def compile_expr(expr: Expr):
     """The expression as one function of the state its atom reads: a
     ``StateVar`` reads ``x[k]`` of an agent's vector x, an ``AgentStateVar``
     reads ``x[i][k]`` of a time slice x (the layer checks keep each accessor
-    in its own layer). Built by an explicit-stack fold, so a monitor walks an
-    atom's tree once and not at every cell. Operands are evaluated left
-    before right; a division by zero or the sqrt of a negative value raises
-    ValueError."""
-    return fold(expr, _compile_expr_step, layout=_EXPR_OPERANDS)
+    in its own layer).
+
+    The function is straight-line Python source with one assignment per
+    operator node, written by one post-order walk on an explicit stack, so
+    neither compiling nor evaluating recurses and an arithmetic chain may
+    have any length. Operands are evaluated left before right, a shared
+    subexpression once; ``min``, ``max`` and ``abs`` are the builtins, with
+    their operands in the written order. A division by zero or the sqrt of
+    a negative value raises ValueError. Constants are bound as arguments,
+    never printed, so expressions of one shape share one compiled factory
+    (``_expr_factory``)."""
+    args, lines, text = [], [], {}  # id(operator node) -> the name of its value
+
+    def index(k) -> str:
+        if type(k) is int:
+            return str(k)
+        args.append(k)
+        return f"c{len(args) - 1}"
+
+    def value(e) -> str:
+        """The source text of an operand's value, once its operands are done."""
+        kind = type(e)
+        if kind is Const:
+            args.append(e.value)
+            return f"c{len(args) - 1}"
+        if kind is StateVar:
+            return f"x[{index(e.index)}]"
+        if kind is AgentStateVar:
+            return f"x[{index(e.agent - 1)}][{index(e.index)}]"
+        return text[id(e)]
+
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if type(e) is tuple:  # its operands are done
+            (e,) = e
+            kind = type(e)
+            source = _EXPR_SOURCE.get((kind, e.op if kind is BinOp else e.fn))
+            if source is None:
+                raise ValueError(f"unknown function in expression: {e!r}")
+            # operands left before right, so that constants are bound in order
+            line = source.format(*[value(sub) for sub in _EXPR_OPERANDS[kind](e)])
+            text[id(e)] = name = f"v{len(lines)}"
+            lines.append(f"        {name} = {line}\n")
+            continue
+        get = _EXPR_OPERANDS.get(type(e))
+        if get is None:
+            if type(e) not in _EXPR_LEAVES:
+                raise TypeError(f"not an expression: {e!r}")
+        elif id(e) not in text:
+            stack.append((e,))
+            stack.extend(reversed(get(e)))
+    result = value(expr)
+    params = ", ".join(f"c{k}" for k in range(len(args)))
+    source = "".join((f"def factory({params}):\n    def expr(x):\n", *lines,
+                      f"        return {result}\n    return expr\n"))
+    return _expr_factory(source)(*args)
+
+
+@lru_cache(maxsize=256)
+def _expr_factory(source: str):
+    """The ``factory`` that ``source`` defines, compiled once per shape."""
+    namespace = {"_divide": _divide, "_sqrt": _sqrt}
+    exec(compile(source, "<stlgo expression>", "exec"), namespace)
+    return namespace["factory"]
 
 
 def _divide(a: float, b: float) -> float:
@@ -224,28 +296,6 @@ def _sqrt(a: float) -> float:
     if a < 0:
         raise ValueError("sqrt of a negative value in predicate function")
     return math.sqrt(a)
-
-
-_BINARY_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
-               "min": min, "max": max}
-
-
-def _compile_expr_step(e, subs):
-    kind = type(e)
-    if kind is Const:
-        value = e.value
-        return lambda x: value
-    if kind is StateVar:
-        k = e.index
-        return lambda x: x[k]
-    if kind is AgentStateVar:
-        i, k = e.agent - 1, e.index
-        return lambda x: x[i][k]
-    if kind is UnaryFn:
-        fn, (arg,) = abs if e.fn == "abs" else _sqrt, subs
-        return lambda x: fn(arg(x))
-    fn, (left, right) = _BINARY_FNS[e.op if kind is BinOp else e.fn], subs
-    return lambda x: fn(left(x), right(x))
 
 
 def expr_vars(expr: Expr) -> set[Expr]:
@@ -432,9 +482,6 @@ _REBUILD = {
     ExistsAgent: lambda f, s: ExistsAgent(f.agents, *s),
 }
 BINDERS = (AgentBind, ForAllAgents, ExistsAgent)
-_EXPR_OPERANDS = {Const: lambda e: (), StateVar: lambda e: (), AgentStateVar: lambda e: (),
-                  UnaryFn: lambda e: (e.arg,), BinOp: operator.attrgetter("left", "right"),
-                  BinFn: operator.attrgetter("left", "right")}
 
 
 def operands(f) -> tuple:
@@ -452,13 +499,21 @@ def _with_operands(f, subs):
     return _REBUILD[type(f)](f, subs)
 
 
-def nodes(f, into_binders: bool = True):
+def nodes(f, into_binders: bool = True, seen: set | None = None):
     """Every node occurrence of f in depth-first pre-order; with
     ``into_binders`` False, only the system-level part (binders are yielded,
-    their children are not)."""
+    their children are not). With a ``seen`` set of node ids, only the
+    nodes not in it, each at its first occurrence, and each is added to it:
+    a node that occurs again is skipped with all of its subformulas, so a
+    formula that shares subformulas is walked in time linear in its
+    distinct nodes."""
     stack = [f]
     while stack:
         node = stack.pop()
+        if seen is not None:
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
         yield node
         if into_binders or not isinstance(node, BINDERS):
             stack.extend(reversed(operands(node)))

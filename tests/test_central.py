@@ -25,6 +25,7 @@ from stlgo import (
     StateVar,
     TimeInterval,
     Truth,
+    Until,
     WeightInterval,
     monitor_dist,
     monitor_global,
@@ -465,3 +466,31 @@ def test_count_monotonicity(seed):
         s = monitor_local(run, f_small, agent, T).values
         b = monitor_local(run, f_big, agent, T).values
         assert all(x <= y for x, y in zip(s, b))
+
+
+def test_shared_subformulas_are_walked_once_per_distinct_node(monkeypatch):
+    # f = f U[0,1] f, 20 times: 21 distinct nodes and 2**21 - 1 occurrences.
+    # Checking the query (validation and the strict horizon) walks the
+    # operands of each distinct node, at each latest time, once
+    import stlgo.formula as formula
+
+    f = parse_local("[x[0] >= 2]")
+    for _ in range(20):
+        f = Until(f, f, TimeInterval(0, 1))
+    g = And(AgentBind(1, f), AgentBind(2, f))
+    run = make_fig_run(length=40)
+    mask = KnowledgeMask.self_only(1)
+    visits, operands = Counter(), formula.operands
+
+    def counted(node):
+        visits[id(node)] += 1
+        return operands(node)
+
+    monkeypatch.setattr(formula, "operands", counted)
+    for strict in (False, True):
+        for monitor in (lambda: monitor_local(run, f, 1, 10, strict=strict),
+                        lambda: monitor_global(run, g, 10, strict=strict),
+                        lambda: monitor_dist(run, mask, f, 1, 10, strict=strict)):
+            visits.clear()
+            monitor()
+            assert len(visits) <= 24 and max(visits.values()) <= 3, (strict, dict(visits))

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from stlgo.cli import drone_formulas, main, with_anchor_graphs
+from stlgo.cli import build_parser, drone_formulas, main, with_anchor_graphs
 from stlgo.parser import print_formula
 from stlgo.serialization import (
     load_graphs,
@@ -122,11 +122,13 @@ def test_formula_file_that_is_not_utf8_exits_one_with_one_error_line(
 
 # chains the printer handles at any length but the pointwise evaluator
 # follows one Python frame (or more) per term: a U chain below a graph
-# operator, where cells stay pointwise, and an arithmetic chain
+# operator, where cells stay pointwise
 TOO_DEEP_TO_EVALUATE = {
     "until": "Out{d} E[0,inf] (" + " U[0,2] ".join(["[x[0] >= 0]"] * 1000) + ")",
-    "sum": "[" + " + ".join(["x[0]"] * 1000) + " >= 0]",
 }
+# an arithmetic chain compiles to one straight-line function, so it has no
+# length limit
+SUM_CHAIN = "[" + " + ".join(["x[0]"] * 1000) + " >= 0]"
 
 
 @pytest.mark.parametrize("name", sorted(TOO_DEEP_TO_EVALUATE))
@@ -154,6 +156,24 @@ def test_monitor_formula_too_deep_to_evaluate_is_data_error(
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "recursion limit" in err
+
+
+@pytest.mark.parametrize("command", ["monitor", "monitor-dist"])
+def test_monitor_answers_a_long_arithmetic_chain(bike_bundle, tmp_path, capsys, command):
+    _, run_path, graphs_path = bike_bundle
+    f = write_formula(tmp_path, SUM_CHAIN)
+    assert main(["parse", str(f)]) == 0
+    assert capsys.readouterr().out == SUM_CHAIN + "\n"
+    argv = [command, "--formula", str(f), "--run", str(run_path), "--graphs", str(graphs_path)]
+    if command == "monitor":
+        argv += ["--agent", "1"]
+    else:
+        save_mask(KnowledgeMask.self_only(1), tmp_path / "mask.json")
+        argv += ["--mask", str(tmp_path / "mask.json")]
+    # station 1 never holds a negative number of bikes, and sees itself
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("s(0) = 1") and err == ""
 
 
 def test_monitor_answers_when_nested_bounds_sum_past_float_range(bike_bundle, tmp_path):
@@ -527,6 +547,39 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc_info:
         main(["monitor", "--formula"])
     assert exc_info.value.code == 1
+
+
+def _exit_output(parse_args, argv, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        parse_args(argv)
+    return exc_info.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("columns", ["50", "200"])
+@pytest.mark.parametrize("argv", [["--help"], ["monitor", "--help"], ["monitor-dist", "-h"],
+                                  ["monitor"], ["nope"], ["gen", "drone", "--sigma", "x"]])
+def test_help_and_usage_errors_are_those_of_a_fresh_parser(monkeypatch, capsys, argv, columns):
+    # main builds its parser once per process; the help text still takes the
+    # terminal width of the call that prints it
+    monkeypatch.setenv("COLUMNS", columns)
+    for _ in range(2):
+        assert (_exit_output(main, argv, capsys)
+                == _exit_output(lambda a: build_parser().parse_args(a), argv, capsys))
+
+
+def test_consecutive_main_calls_keep_no_options(bike_bundle, tmp_path, capsys):
+    _, run_path, graphs_path = bike_bundle
+    bundle = ["--run", str(run_path), "--graphs", str(graphs_path)]
+    local = write_formula(tmp_path, "[x[0] >= 0]", "local.stlgo")
+    system = write_formula(tmp_path, "@1.([x[0] >= 0])", "system.stlgo")
+    out = tmp_path / "sig.json"
+    assert main(["monitor", "--formula", str(system), *bundle, "--global", "--out", str(out)]) == 0
+    out.unlink()
+    assert main(["parse", str(local)]) == 0
+    # neither --global nor --out carries over
+    assert main(["monitor", "--formula", str(local), *bundle, "--agent", "1"]) == 0
+    assert not out.exists()
+    assert capsys.readouterr().out == "s(0) = 1\n[x[0] >= 0]\ns(0) = 1\n"
 
 
 def test_translate_rejects_labels_for_unknown_agents(tmp_path):

@@ -356,6 +356,65 @@ def test_expression_evaluation_and_errors():
         eval_expr(UnaryFn("sqrt", StateVar(1)), state)
 
 
+_SPECIAL_FLOATS = (0.0, -0.0, 1.0, -1.0, -2.5, 3.0, 1e308, -1e308, math.inf, -math.inf)
+_numbers = st.sampled_from(_SPECIAL_FLOATS) | st.floats(-1e6, 1e6)
+
+
+def _exprs(leaf):
+    from stlgo.formula import BinFn, BinOp, UnaryFn
+
+    return st.recursive(leaf, lambda sub: st.one_of(
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(BinFn, st.sampled_from(("min", "max")), sub, sub),
+        st.builds(UnaryFn, st.sampled_from(("abs", "sqrt")), sub),
+    ), max_leaves=24)
+
+
+def _outcome(fn, *args):
+    """fn's float as its bits (every NaN alike), or its ValueError's text."""
+    import struct
+
+    try:
+        v = fn(*args)
+    except ValueError as e:
+        return "error", str(e)
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compiled_expressions_match_a_recursive_interpreter(data):
+    from stlgo.formula import AgentStateVar, Const, compile_expr
+
+    from reference_expr import reference_eval
+
+    local = data.draw(st.booleans())
+    if local:
+        leaf = st.builds(Const, _numbers) | st.builds(StateVar, st.integers(0, 2))
+        state = data.draw(st.tuples(_numbers, _numbers, _numbers))
+    else:
+        leaf = st.builds(Const, _numbers) | st.builds(
+            AgentStateVar, st.integers(1, 2), st.integers(0, 1))
+        state = data.draw(st.tuples(st.tuples(_numbers, _numbers), st.tuples(_numbers, _numbers)))
+    e = data.draw(_exprs(leaf))
+    assert _outcome(compile_expr(e), state) == _outcome(reference_eval, e, state)
+
+
+def test_compiled_expression_of_shared_nodes_and_long_chains():
+    from stlgo.formula import BinOp, Const, compile_expr
+
+    # a DAG of 2**40 paths: each shared node is one assignment, evaluated once
+    e = StateVar(0)
+    for _ in range(40):
+        e = BinOp("*", BinOp("+", e, e), Const(0.5))
+    assert compile_expr(e)((3.0,)) == 3.0
+    # an arithmetic chain of any length evaluates without recursion
+    chain = Const(0.0)
+    for k in range(20_000):
+        chain = BinOp("+", chain, StateVar(k % 2))
+    assert compile_expr(chain)((1.0, 2.0)) == 30_000.0
+
+
 def test_graph_op_rejects_bad_tag_sets():
     with pytest.raises(ValueError, match="at least one"):
         GraphOp("in", "exists", (), E_ANY, FULL_WEIGHTS, Truth())

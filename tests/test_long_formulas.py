@@ -14,6 +14,7 @@ from stlgo import (
     GlobalFormula,
     KnowledgeMask,
     LocalFormula,
+    Signal,
     WeightInterval,
     gen_bike,
     is_determinable,
@@ -26,7 +27,7 @@ from stlgo import (
     print_formula,
     translate_strel,
 )
-from stlgo.central import Cells, _chain_parts
+from stlgo.central import Cells, _chain_parts, oracle_eval
 from stlgo.formula import nodes
 from stlgo.parser import tokenize
 
@@ -100,6 +101,29 @@ def test_ten_thousand_term_chain_monitors_in_a_shallow_stack(chains, op):
     finally:
         sys.setrecursionlimit(limit)
     assert got == expected
+
+
+def test_ten_thousand_term_arithmetic_chain_monitors_in_a_shallow_stack():
+    # an atom's expression compiles to one straight-line function, so an
+    # arithmetic chain has no length limit: agent i's state is i, and the
+    # sum of 10 000 of them reaches 30 000 at agents 3 and up
+    f = parse_local("[" + " + ".join(["x[0]"] * 10_000) + " >= 30000]")
+    run = make_fig_run(length=3)
+    masks = (KnowledgeMask.full(3, run.num_agents, run.length), KnowledgeMask.self_only(1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)
+    try:
+        signals = {agent: monitor_local(run, f, agent, 3) for agent in (1, 2, 3, 7)}
+        dist = [(monitor_dist(run, mask, f, 3, 3), is_determinable(run, mask, f, 3, 3).determinable)
+                for mask in masks]
+        cells = {(agent, t): oracle_eval(run, f, agent, t) for agent in signals for t in (0, 3)}
+    finally:
+        sys.setrecursionlimit(limit)
+    assert {agent: sig.values for agent, sig in signals.items()} == {
+        1: (0,) * 4, 2: (0,) * 4, 3: (1,) * 4, 7: (1,) * 4}
+    assert all(signals[agent].values[t] == cell for (agent, t), cell in cells.items())
+    # the full mask sees agent 3; observer 1 alone does not
+    assert dist == [(signals[3], True), (Signal(0, (None,) * 4), False)]
 
 
 def test_an_and_chain_compiles_to_one_cell_over_its_parts():

@@ -8,8 +8,9 @@ from collections import Counter
 
 from stlgo import parse_global, parse_local
 from stlgo import central
-from stlgo.central import _UNSET, Cells, oracle_eval, signal_cells
-from stlgo.formula import And, Eventually, Not, TimeInterval, Until
+from stlgo.central import _UNSET, Cells, _signal_end, oracle_eval, signal_cells
+from stlgo.distributed import KnowledgeMask
+from stlgo.formula import And, Eventually, Not, TimeInterval, Until, lower
 
 from conftest import random_global_formula, random_local_formula, random_mask, random_run
 from reference_rows import pointwise_signal_cells
@@ -161,3 +162,67 @@ def test_a_shared_node_fills_its_row_once_per_span(monkeypatch):
     monkeypatch.setattr(Cells, "_row", counted)
     assert signal_cells(run, f, 1, 10) == pointwise_signal_cells(run, f, 1, 10)
     assert len(requests) == 1 + 2 * 16  # the root, then each Until's two operands
+
+
+# F and G windows that rows read off bit planes: a > 0, b past the trace end,
+# unbounded, over & and negation, and over a graph operator, where only the
+# windows within its cells filled at the window starts are read off planes
+# and the last ones sweep on through its first-hit searches
+PLANE_SHAPES = (
+    "F[2,5] [x[0] >= 3]",
+    "G[1,4] [x[0] >= 1]",
+    "F[0,0] [x[0] >= 2]",
+    "F[3,60] [x[0] >= 6]",
+    "G[0,60] ([x[0] >= 0] & [x[0] <= 6])",
+    "F[4,inf] [x[0] >= 7]",
+    "G[2,inf] [x[0] >= -2]",
+    "F[1,3] Out{g1} E[1,inf] [x[0] >= 2]",
+    "G[2,4] !(In{g2} E[0,1] [x[0] >= 3])",
+    "F[0,inf] (Out{g3} E[0,0] [x[0] >= 1] & [x[0] >= 2])",
+    "G[1,inf] (Out{g1} E[1,inf] true | [x[0] >= 5])",
+    "F[1,3] G[2,4] (In{g1} E[1,inf] true)",
+    "G[0,2] ([x[0] >= 1] U[1,2] In{g3} E[1,inf] [x[0] >= 0])",
+)
+
+
+def _rows_signal(run, f, agent, T, strict, mask):
+    """``signal_cells`` without its pointwise fallback: the rows' own cells,
+    or their own error."""
+    end = _signal_end(run, f, agent, T, strict)
+    return GraphOpCells(run, lower(f), mask)._signal(agent, end)
+
+
+def _hidden_stretches(rng, run, observer) -> KnowledgeMask:
+    """A mask that shows each other agent over a few stretches of time and
+    hides it between them."""
+    ranges = []
+    for j in range(1, run.num_agents + 1):
+        for _ in range(rng.randint(0, 3)):
+            lo = rng.randint(0, run.length)
+            ranges.append((j, lo, min(run.length, lo + rng.randint(0, 6))))
+    return KnowledgeMask(observer, ranges)
+
+
+def test_plane_windows_equal_the_pointwise_drive():
+    rng = random.Random(29_002)
+    seen = Counter()
+    for k in range(260):
+        run = random_run(rng, max_agents=4, min_len=4, max_len=30)
+        f = parse_local(PLANE_SHAPES[k % len(PLANE_SHAPES)])
+        agent, L = rng.randint(1, run.num_agents), run.length
+        masks = [None] + [_hidden_stretches(rng, run, rng.randint(1, run.num_agents))
+                          for _ in range(2)]
+        for T in {0, L, L - 1, rng.randint(0, L)}:
+            for mask in masks:
+                for strict in (False, True):
+                    got = _outcome(_rows_signal, run, f, agent, T, strict, mask)
+                    want = _outcome(pointwise_signal_cells, run, f, agent, T, strict, mask,
+                                    GraphOpCells)
+                    assert got == want, (k, T, mask, strict)
+                    cells, evaluated = got
+                    if evaluated is not None:
+                        seen["unknown"] += None in cells
+                        seen["graph-op cells"] += sum(evaluated.values())
+                        seen["mixed"] += len(set(cells)) == 3
+    assert seen["unknown"] >= 200 and seen["mixed"] >= 50
+    assert seen["graph-op cells"] >= 3_000
