@@ -58,8 +58,8 @@ applies the same rule with one forward sweep over its windows in order.
 ``oracle_eval`` / ``oracle_eval_global`` are deliberately separate: a plain,
 memo-free recursive transcription of the semantics that also interprets
 sugar directly. The oracle is the reference the monitor is tested against
-and shares no evaluation logic with it but the expression semantics:
-``eval_expr`` is a thin wrapper over the ``compile_expr`` the atoms use.
+and shares no evaluation logic with it but the expression semantics: its
+atoms call the same ``compile_expr`` functions as the kernel's.
 
 Finite traces: by default a window reaching past the trace end L is clamped
 to the available samples; for an unbounded interval the window becomes
@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from . import formula as F
-from .formula import INF, compile_expr, eval_expr, expr_vars, horizon, lower
+from .formula import INF, compile_expr, expr_vars, horizon, lower
 from .model import MasRun, TimeOutOfRangeError
 
 
@@ -900,15 +900,17 @@ def signal_cells(run: MasRun, f, agent, T: int, strict: bool = False, mask=None)
 
     The nodes above the graph operators are evaluated as whole rows
     (``Cells._signal``), and may evaluate an atom at a time that the
-    pointwise cells never read. If the rows raise, the query is driven
-    pointwise from fresh cells, so it ends with the error it raises there.
+    pointwise cells never read. If the rows raise the ValueError of an atom
+    or a graph operator, or recurse too deep below a graph operator, the
+    query is driven pointwise from fresh cells, so it ends with the error
+    it raises there; any other error is a fault of the rows and propagates.
     The cell functions' recursion past the stack limit is reported as a
     ValueError."""
     end = _signal_end(run, f, agent, T, strict)
     core = lower(f)
     try:
         return Cells(run, core, mask)._signal(agent, end)
-    except Exception:
+    except (ValueError, RecursionError):
         pass
     try:
         cell = Cells(run, core, mask)[core]
@@ -956,9 +958,9 @@ def oracle_eval(run: MasRun, f, agent: int | None, t: int) -> int:
     ):
         raise TypeError(f"not a local formula: {f!r}")
     if isinstance(f, F.Atom):
-        return 1 if eval_expr(f.expr, run.trajectory.state(agent, t)) >= 0 else 0
+        return 1 if compile_expr(f.expr)(run.trajectory.state(agent, t)) >= 0 else 0
     if isinstance(f, F.GlobalAtom):
-        return 1 if eval_expr(f.expr, run.trajectory.full_state(t)) >= 0 else 0
+        return 1 if compile_expr(f.expr)(run.trajectory.full_state(t)) >= 0 else 0
     if isinstance(f, F.AgentBind):
         return oracle_eval(run, f.child, f.agent, t)
     if isinstance(f, F.Not):

@@ -29,14 +29,16 @@ hidden neighbor contributes its whole multiplicity at once, and the scalar
 count bounds cannot express the resulting gaps, so some
 determined-by-enumeration cases report ?.
 
-``is_determinable`` analyses the formula's graph-operator tree, built from
-the core form the monitors read (``lower``, which keeps & and | chains as
-written, so a chain never splits a leaf); its operators are the formula's
-own ``GraphOp`` nodes. Each leaf takes one sweep: out from the subject
-along the leaf's chain, level by level, to the composed neighbor set, then
-back in, folding the nested neighbor counts over the same levels. Both read
-each operator's neighbors per agent, one per edge, each as often as its
-most edges at any one time, from the run's neighbor index
+``is_determinable`` checks the leaves of the core form the monitors read
+(``lower``, which keeps & and | chains as written, so a chain never splits
+a leaf): leaf k is the k-th maximal graph-operator-free subformula of
+``lower(f)`` in depth-first pre-order, and its chain is the ``GraphOp``
+nodes above it, outermost first (``build_operator_tree``). Each leaf that
+reads a state takes one sweep: out from the subject along the leaf's chain,
+level by level, to the composed neighbor set, then back in, folding the
+nested neighbor counts over the same levels. Both read each operator's
+neighbors per agent, one per edge, each as often as its most edges at any
+one time, from the run's neighbor index
 (``model.NeighborIndex.over_time``), which the monitors read too and which
 lives as long as the run. Neither depends on the time step; the check stays
 sufficient. Per step it reads the mask's visible ranges, not its states one
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 from . import formula as F
 from .central import Signal, _shared_signal, _signal_end, signal_cells
-from .formula import build_operator_tree, contains_atom, horizon
+from .formula import horizon
 from .formula import lower as prepare_for_distributed
 from .model import MasRun
 
@@ -153,9 +155,8 @@ def monitor_dist(
 class LeafFailure:
     """One (leaf, time) pair where neither determinability condition holds.
 
-    Leaves are numbered from 1 in depth-first pre-order, as in
-    ``build_operator_tree(lower(f))``: leaf k is that tree's
-    ``leaves[k - 1]``."""
+    Leaf k is the k-th maximal graph-operator-free subformula of
+    ``lower(f)`` in depth-first pre-order, counting from 1."""
 
     leaf_index: int
     time: int
@@ -217,31 +218,25 @@ def is_determinable(
     time.
     """
     end = _signal_end(run, f, subject, T)
-    tree = build_operator_tree(prepare_for_distributed(f))
-    ops = tree.operators
     failures: list[LeafFailure] = []
 
-    for leaf in tree.leaves:
-        if not contains_atom(leaf.formula):
-            continue
-        chain = leaf.ancestors
-        over_time = {}  # operator p -> an agent's neighbors in p over all times
-        for p in chain:
-            op = ops[p - 1]
-            over_time[p] = run.graphs.neighbor_index(
-                op.graphs[0], op.direction, op.weights.lo, op.weights.hi).over_time
+    for index, leaf, chain in build_operator_tree(prepare_for_distributed(f)):
+        # per operator of the chain, an agent's neighbors in it over all times
+        over_time = [run.graphs.neighbor_index(
+            op.graphs[0], op.direction, op.weights.lo, op.weights.hi).over_time for op in chain]
         levels = [{subject}]
-        for p in chain:
-            levels.append({j for a in levels[-1] for j in over_time[p](a)})
+        for neighbors in over_time:
+            levels.append({j for a in levels[-1] for j in neighbors(a)})
         # condition (b): every edge of the innermost operator counts, and a
         # leaf with no chain keeps count 1 against need 1
         count, need = dict.fromkeys(levels[-1], 1), 1
-        for p, agents in zip(reversed(chain), reversed(levels[:-1])):
-            count = {a: sum(count[j] >= need for j in over_time[p](a)) for a in agents}
-            need = ops[p - 1].counts.min_value()
+        for op, neighbors, agents in zip(reversed(chain), reversed(over_time),
+                                         reversed(levels[:-1])):
+            count = {a: sum(count[j] >= need for j in neighbors(a)) for a in agents}
+            need = op.counts.min_value()
         if count[subject] < need:
             continue  # condition (b) holds at every t
-        _, leaf_t_max = horizon(leaf.formula)
+        _, leaf_t_max = horizon(leaf)
         last = int(min(end + leaf_t_max, run.length))
         # the visible ranges within [0, last] of the composed neighbor set;
         # the observer, and agents visible over all of [0, last], drop out
@@ -274,9 +269,45 @@ def is_determinable(
                 else:
                     missing += row[t:stop]
             if missing:
-                failures.append(LeafFailure(leaf.index, t, tuple(missing)))
+                failures.append(LeafFailure(index, t, tuple(missing)))
 
     return DeterminabilityReport(not failures, tuple(failures))
+
+
+# what is at or below a node of a lowered core: a graph operator, an atom
+_GRAPH_OP, _STATE = 1, 2
+
+
+def build_operator_tree(core) -> list:
+    """The leaves of a lowered core that read a state, as (k, leaf, chain)
+    triples: leaf k is the k-th maximal graph-operator-free subformula in
+    depth-first pre-order, every leaf counted, those without an atom and
+    each occurrence of a shared node included, and its chain is the
+    ``GraphOp`` nodes above it, outermost first."""
+    marks: dict = {}  # id(node) -> its _GRAPH_OP and _STATE bits
+    F.fold(core, _mark, marks)
+    leaves, count = [], 0
+    stack = [(core, ())]
+    while stack:
+        node, chain = stack.pop()
+        mark = marks[id(node)]
+        if not mark & _GRAPH_OP:
+            count += 1
+            if mark & _STATE:
+                leaves.append((count, node, chain))
+            continue
+        if type(node) is F.GraphOp:
+            chain += (node,)
+        stack.extend((sub, chain) for sub in reversed(F.operands(node)))
+    return leaves
+
+
+def _mark(node, subs):
+    kind = type(node)
+    mark = _GRAPH_OP if kind is F.GraphOp else _STATE if kind is F.Atom else 0
+    for sub in subs:
+        mark |= sub
+    return mark
 
 
 def _gaps(ranges, lo: int, stop: int):

@@ -196,13 +196,6 @@ class BinFn(Expr):
     right: Expr
 
 
-def eval_expr(expr: Expr, state) -> float:
-    """Evaluate an expression against the one state its atom reads: an
-    agent's state vector for an ``Atom``, the time slice of all agents'
-    vectors for a ``GlobalAtom``."""
-    return compile_expr(expr)(state)
-
-
 _EXPR_LEAVES = (Const, StateVar, AgentStateVar)
 # the operands of the other expression nodes, and the source of each one's
 # value from its operands' values
@@ -655,61 +648,3 @@ def _negate(g):
         return Not(g)
     return GraphOp(g.direction, g.quantifier, g.graphs, g.counts.complement(), g.weights, g.child)
 
-
-def contains_atom(f: LocalFormula) -> bool:
-    return any(type(node) is Atom for node in nodes(f))
-
-
-# ---------------------------------------------------------------------------
-# graph operator tree
-
-
-@dataclass(frozen=True)
-class LeafNode:
-    """One maximal graph-operator-free subformula with its ancestor chain."""
-
-    index: int
-    formula: LocalFormula
-    ancestors: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GraphOpTree:
-    """A formula's graph operators and the leaves between them.
-
-    ``operators`` are the formula's own single-graph ``GraphOp`` nodes in
-    depth-first pre-order; chains name them by 1-based position, so
-    operator p is ``operators[p - 1]``.
-    """
-
-    operators: tuple[GraphOp, ...]
-    leaves: tuple[LeafNode, ...]
-
-
-def build_operator_tree(f: LocalFormula) -> GraphOpTree:
-    """Decompose a negation-normalized, single-graph formula into its graph
-    operators and the maximal graph-operator-free leaves between them.
-
-    The operators are the formula's own nodes, kept in depth-first
-    pre-order; leaves are numbered from 1 in the same order. Each leaf
-    records the chain of operator positions connecting it to the root.
-    """
-    has_op: dict = {}
-    fold(f, lambda node, subs: type(node) is GraphOp or any(subs), has_op)
-    operators: list[GraphOp] = []
-    leaves: list[LeafNode] = []
-    stack = [(f, ())]
-    while stack:
-        node, chain = stack.pop()
-        if not has_op[id(node)]:
-            leaves.append(LeafNode(len(leaves) + 1, node, chain))
-            continue
-        if type(node) is GraphOp:
-            if len(node.graphs) != 1:
-                raise ValueError("expand graphs first")
-            operators.append(node)
-            chain += (len(operators),)
-        elif type(node) is Not and type(node.child) is GraphOp:
-            raise ValueError("formula must be negation-normalized first")
-        stack.extend((sub, chain) for sub in reversed(operands(node)))
-    return GraphOpTree(tuple(operators), tuple(leaves))

@@ -17,9 +17,10 @@ from stlgo.central import validate_local
 from stlgo.distributed import (
     DeterminabilityReport,
     LeafFailure,
+    build_operator_tree,
     prepare_for_distributed,
 )
-from stlgo.formula import INF, build_operator_tree, contains_atom, horizon
+from stlgo.formula import INF, horizon
 from stlgo.model import TimeOutOfRangeError
 
 
@@ -31,21 +32,16 @@ def reference_is_determinable(run, mask, f, subject, T) -> DeterminabilityReport
         raise TimeOutOfRangeError("time out of range")
     _, t_max = horizon(f)
     end = int(min(T + t_max, run.length))
-    prepared = prepare_for_distributed(f)
-    tree = build_operator_tree(prepared)
-    ops = dict(enumerate(tree.operators, 1))
     static_tags = run.graphs.static
     failures: list[LeafFailure] = []
 
-    for leaf in tree.leaves:
-        if not contains_atom(leaf.formula):
-            continue
-        _, leaf_t_max = horizon(leaf.formula)
-        exact = all(ops[p].graphs[0] in static_tags for p in leaf.ancestors)
+    for index, leaf, chain in build_operator_tree(prepare_for_distributed(f)):
+        _, leaf_t_max = horizon(leaf)
+        exact = all(op.graphs[0] in static_tags for op in chain)
         for t in range(end + 1):
             agents = frozenset((subject,))
-            for p in leaf.ancestors:
-                agents = _level_neighbors(run, ops[p], agents, t if exact else None)
+            for op in chain:
+                agents = _level_neighbors(run, op, agents, t if exact else None)
             w_end = run.length if leaf_t_max == INF else int(min(t + leaf_t_max, run.length))
             missing = tuple(
                 (j, u)
@@ -55,13 +51,11 @@ def reference_is_determinable(run, mask, f, subject, T) -> DeterminabilityReport
             )
             if not missing:
                 continue
-            if leaf.ancestors:
-                count = _chain_count(
-                    run, subject, leaf.ancestors, t if exact else None, ops
-                )
-                if count < ops[leaf.ancestors[0]].counts.min_value():
+            if chain:
+                count = _chain_count(run, subject, chain, t if exact else None)
+                if count < chain[0].counts.min_value():
                     continue
-            failures.append(LeafFailure(leaf.index, t, missing))
+            failures.append(LeafFailure(index, t, missing))
 
     return DeterminabilityReport(not failures, tuple(failures))
 
@@ -92,16 +86,15 @@ def _level_multiplicities(run, node, agent: int, t) -> Counter:
     return out
 
 
-def _chain_count(run, agent: int, chain: tuple[int, ...], t, ops) -> int:
+def _chain_count(run, agent: int, chain: tuple, t) -> int:
     """Edges at the chain's first operator leading to agents whose own nested
     counts reach the downstream minimum thresholds."""
-    node = ops[chain[0]]
-    mult = _level_multiplicities(run, node, agent, t)
+    mult = _level_multiplicities(run, chain[0], agent, t)
     if len(chain) == 1:
         return sum(mult.values())
-    threshold = ops[chain[1]].counts.min_value()
+    threshold = chain[1].counts.min_value()
     total = 0
     for j, m in mult.items():
-        if _chain_count(run, j, chain[1:], t, ops) >= threshold:
+        if _chain_count(run, j, chain[1:], t) >= threshold:
             total += m
     return total

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from stlgo import (
     Always,
+    And,
     Atom,
     Not,
     CountSet,
@@ -25,6 +26,7 @@ from stlgo import (
     StateVar,
     TimeInterval,
     Truth,
+    Until,
     gen_drone,
     is_determinable,
     monitor_dist,
@@ -33,12 +35,13 @@ from stlgo import (
     refine,
 )
 from stlgo.central import Cells, graph_op_verdict, k_not, k_or, oracle_eval
-from stlgo.distributed import LeafFailure, prepare_for_distributed
-from stlgo.formula import FULL_WEIGHTS, build_operator_tree, horizon, lower
+from stlgo.distributed import LeafFailure, build_operator_tree, prepare_for_distributed
+from stlgo.formula import FULL_WEIGHTS, horizon, lower, nodes, operands
 from stlgo.parser import parse_global
 from stlgo.serialization import load_mask, load_run, save_mask, save_run
 
 from conftest import (
+    graph_ops,
     make_fig_run,
     nested_graph_formula,
     random_local_formula,
@@ -372,6 +375,83 @@ def test_masks_hold_ranges_not_instants():
     assert _peak_bytes(lambda: refine(KnowledgeMask.self_only(1), [(2, 0, 100000)])) < 2**20
     assert _peak_bytes(lambda: KnowledgeMask.full(1, 12, 10**6)) < 2**20
     assert KnowledgeMask.full(2, 3, 4).ranges == ((1, 0, 4), (3, 0, 4))
+
+
+# ---------------------------------------------------------------------------
+# the leaves determinability checks
+
+
+def test_leaves_worked_example():
+    # In pi1 U Out (pi2 & In true): leaves pi1, pi2, true with chains
+    # (first operator), (second), (second, third); true reads no state
+    pi1, pi2 = Atom(StateVar(0)), Atom(StateVar(1))
+    f = Until(
+        count_op(0, INF, child=pi1),
+        GraphOp("out", "exists", ("g",), CountSet.single(0, INF), FULL_WEIGHTS,
+                And(pi2, count_op(0, INF, child=Truth()))),
+        TimeInterval(0, 2),
+    )
+    (k1, leaf1, chain1), (k2, leaf2, chain2) = build_operator_tree(f)
+    assert (k1, k2) == (1, 2) and leaf1 is pi1 and leaf2 is pi2
+    assert len(chain1) == len(chain2) == 1
+    assert chain1[0] is f.left and chain2[0] is f.right
+
+
+def test_leaves_degenerate():
+    assert build_operator_tree(POSITIVE) == [(1, POSITIVE, ())]
+
+
+def test_leaves_nested_operators_single_leaf():
+    def nested(leaf):
+        return count_op(0, INF, child=GraphOp("out", "exists", ("g",), CountSet.single(0, INF),
+                                              FULL_WEIGHTS, leaf))
+
+    assert build_operator_tree(nested(Truth())) == []  # its one leaf reads no state
+    g = nested(POSITIVE)
+    [(k, leaf, chain)] = build_operator_tree(g)
+    assert (k, leaf) == (1, POSITIVE)
+    assert len(chain) == 2 and chain[0] is g and chain[1] is g.child
+
+
+def test_an_atom_free_first_leaf_is_counted():
+    # true is leaf 1 and reads no state, so the atom is leaf 2 in the walk
+    # and in the failure report
+    run = star_run([1, 1, 1])
+    mask = hide(run, 1, [(3, 0)])
+    f = And(count_op(1, INF, child=Truth()), count_op(2, INF))
+    core = lower(f)
+    [(k, leaf, chain)] = build_operator_tree(core)
+    assert (k, leaf) == (2, POSITIVE) and chain == (core.right,)
+    report = is_determinable(run, mask, f, 1, 0)
+    assert {failure.leaf_index for failure in report.failures} == {2}
+    assert report == reference_is_determinable(run, mask, f, 1, 0)
+
+
+def _leaves_by_recursion(node, chain=()):
+    """Every maximal graph-operator-free subformula with its chain, in
+    depth-first pre-order."""
+    if not graph_ops(node):
+        return [(node, chain)]
+    if type(node) is GraphOp:
+        chain += (node,)
+    return [leaf for sub in operands(node) for leaf in _leaves_by_recursion(sub, chain)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100_000))
+def test_leaves_cover_all_graph_ops(seed):
+    rng = random.Random(seed)
+    f = prepare_for_distributed(random_local_formula(rng, ("g1", "g2"), 2))
+    leaves = build_operator_tree(f)
+    expected = [(k, leaf, chain)
+                for k, (leaf, chain) in enumerate(_leaves_by_recursion(f), 1)
+                if any(type(node) is Atom for node in nodes(leaf))]
+    # the formula's own nodes, compared by identity
+    assert [(k, id(leaf), [id(op) for op in chain]) for k, leaf, chain in leaves] == [
+        (k, id(leaf), [id(op) for op in chain]) for k, leaf, chain in expected]
+    # every operator with an atom below it is on some leaf's chain
+    assert {id(op) for _, _, chain in leaves for op in chain} == {
+        id(op) for op in graph_ops(f) if any(type(node) is Atom for node in nodes(op))}
 
 
 # ---------------------------------------------------------------------------
@@ -756,11 +836,9 @@ def test_determinability_equals_per_time_step_reference():
         report = is_determinable(run, mask, f, subject, T)
         assert report == reference_is_determinable(run, mask, f, subject, T)
         outcomes.add(report.determinable)
-        tree = build_operator_tree(prepare_for_distributed(f))
-        chains = [leaf.ancestors for leaf in tree.leaves]
-        graphs = {p: node.graphs[0] for p, node in enumerate(tree.operators, 1)}
+        chains = [chain for _, _, chain in build_operator_tree(prepare_for_distributed(f))]
         if any(
-            len(c) >= 2 and any(graphs[p] not in run.graphs.static for p in c)
+            len(c) >= 2 and any(op.graphs[0] not in run.graphs.static for op in c)
             for c in chains
         ):
             time_varying_nested += 1

@@ -25,7 +25,7 @@ from stlgo import (
     horizon,
     lower,
 )
-from stlgo.formula import FULL_WEIGHTS, build_operator_tree, nodes
+from stlgo.formula import FULL_WEIGHTS, nodes
 from stlgo.central import oracle_eval
 from stlgo.distributed import prepare_for_distributed
 from stlgo.parser import parse_global, parse_local
@@ -285,75 +285,18 @@ def test_lowering_output_is_single_graph(seed):
     assert all(len(op.graphs) == 1 for op in graph_ops(f))
 
 
-# ---------------------------------------------------------------------------
-# graph operator tree
-
-
-def test_operator_tree_worked_example():
-    # In pi1 U Out (pi2 & In true): leaves pi1, pi2, true with chains
-    # (1), (2), (2, 3)
-    pi1, pi2 = Atom(StateVar(0)), Atom(StateVar(1))
-    f = Until(
-        gop(child=pi1),
-        gop(direction="out", child=And(pi2, gop(child=Truth()))),
-        TimeInterval(0, 2),
-    )
-    tree = build_operator_tree(f)
-    assert len(tree.operators) == 3
-    assert [leaf.formula for leaf in tree.leaves] == [pi1, pi2, Truth()]
-    assert [leaf.ancestors for leaf in tree.leaves] == [(1,), (2,), (2, 3)]
-
-
-def test_operator_tree_degenerate():
-    tree = build_operator_tree(ATOM)
-    assert tree.operators == ()
-    assert len(tree.leaves) == 1
-    assert tree.leaves[0].ancestors == ()
-
-
-def test_operator_tree_nested_ops_single_leaf():
-    f = gop(child=gop(direction="out", child=Truth()))
-    tree = build_operator_tree(f)
-    assert len(tree.operators) == 2
-    assert len(tree.leaves) == 1
-    assert tree.leaves[0].ancestors == (1, 2)
-
-
-def test_operator_tree_rejects_multi_graph():
-    with pytest.raises(ValueError, match="expand graphs first"):
-        build_operator_tree(gop(tags=("a", "b")))
-
-
-def test_operator_tree_rejects_unnormalized_negation():
-    with pytest.raises(ValueError, match="negation-normalized"):
-        build_operator_tree(Not(gop()))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 100_000))
-def test_operator_tree_covers_all_graph_ops(seed):
-    rng = random.Random(seed)
-    f = prepare_for_distributed(random_local_formula(rng, ("g1", "g2"), 2))
-    tree = build_operator_tree(f)
-    expected = graph_ops(f)
-    assert len(tree.operators) == len(expected)
-    assert all(op is want for op, want in zip(tree.operators, expected))
-    for leaf in tree.leaves:
-        assert not graph_ops(leaf.formula)
-
-
 def test_expression_evaluation_and_errors():
-    from stlgo.formula import BinFn, BinOp, Const, StateVar, UnaryFn, eval_expr
+    from stlgo.formula import BinFn, BinOp, Const, StateVar, UnaryFn, compile_expr
 
     state = (9.0, -4.0)
-    assert eval_expr(BinOp("/", StateVar(0), Const(3.0)), state) == 3.0
-    assert eval_expr(UnaryFn("sqrt", StateVar(0)), state) == 3.0
-    assert eval_expr(UnaryFn("abs", StateVar(1)), state) == 4.0
-    assert eval_expr(BinFn("max", StateVar(0), StateVar(1)), state) == 9.0
+    assert compile_expr(BinOp("/", StateVar(0), Const(3.0)))(state) == 3.0
+    assert compile_expr(UnaryFn("sqrt", StateVar(0)))(state) == 3.0
+    assert compile_expr(UnaryFn("abs", StateVar(1)))(state) == 4.0
+    assert compile_expr(BinFn("max", StateVar(0), StateVar(1)))(state) == 9.0
     with pytest.raises(ValueError, match="division by zero"):
-        eval_expr(BinOp("/", Const(1.0), Const(0.0)), state)
+        compile_expr(BinOp("/", Const(1.0), Const(0.0)))(state)
     with pytest.raises(ValueError, match="sqrt of a negative"):
-        eval_expr(UnaryFn("sqrt", StateVar(1)), state)
+        compile_expr(UnaryFn("sqrt", StateVar(1)))(state)
 
 
 _SPECIAL_FLOATS = (0.0, -0.0, 1.0, -1.0, -2.5, 3.0, 1e308, -1e308, math.inf, -math.inf)

@@ -6,7 +6,9 @@ evaluated), and against the oracle at L >= 1000."""
 import random
 from collections import Counter
 
-from stlgo import parse_global, parse_local
+import pytest
+
+from stlgo import monitor_local, parse_global, parse_local
 from stlgo import central
 from stlgo.central import _UNSET, Cells, _signal_end, oracle_eval, signal_cells
 from stlgo.distributed import KnowledgeMask
@@ -125,6 +127,17 @@ def test_rows_equal_the_pointwise_drive(monkeypatch):
     # graph operators raise, never on a fault of their own
     assert GraphOpCells.row_errors
     assert all(isinstance(e, ValueError) for e in GraphOpCells.row_errors)
+
+
+def test_a_fault_of_the_rows_is_raised(monkeypatch):
+    # a row method that fails on its own is not hidden by the pointwise drive
+    def broken(self, f, agent, times):
+        raise TypeError("broken row")
+
+    monkeypatch.setitem(central._ROW, Not, broken)
+    run = random_run(random.Random(28_003), min_len=8, max_len=8)
+    with pytest.raises(TypeError, match="broken row"):
+        monitor_local(run, parse_local("G[0,2] [x[0] >= 3]"), 1, 0)
 
 
 def test_rows_equal_the_oracle_at_long_trace():
