@@ -9,7 +9,9 @@ agent-local atom and a system-level atom differ only in the state their
 compiled expression reads. A cell is 1, 0 or None (?). Without a knowledge
 mask every state is visible and every cell is Boolean; ``monitor_local``
 and ``monitor_global`` read the cells that way. All three monitors drive
-the kernel through one call, ``signal_cells``.
+the kernel through one call, ``signal_cells``, which checks, lowers and
+marks the formula once, in one prepared query (``_Query``), and compiles
+that query's ``Cells``; ``distributed.is_determinable`` reads the same query.
 Under a mask (``distributed.monitor_dist``) an atom over a hidden state is
 ?, negation and conjunction follow the strong Kleene tables, and Until is
 the Kleene disjunction over its witness times. A graph operator, over one
@@ -86,7 +88,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from . import formula as F
-from .formula import INF, compile_expr, expr_vars, horizon, lower
+from .formula import INF, compile_expr, expr_vars, lower
 from .model import MasRun, TimeOutOfRangeError
 
 
@@ -253,61 +255,54 @@ _UNKNOWN = frozenset((None,))
 
 
 class Cells:
-    """A lowered core formula compiled over one run: one cell function per
+    """A query's lowered core compiled over its run: one cell function per
     node, where a maximal & chain is one node over its parts.
 
-    ``Cells(run, core, mask)[node]`` is the function ``(agent, t) -> cell``
-    of a node of ``core`` other than an & inside a chain: an agent-local
-    subformula at (agent, t), a system-level one with agent None. Cells are
-    1, 0 or None (?). None occurs only under a ``mask`` (a
-    ``distributed.KnowledgeMask``), where an agent-local atom over a state
-    the observer does not know is ?; the same functions are built with a
-    mask or without. The functions are built by one fold over the core DAG,
-    so compiling does not recurse, and an & chain of any length is one
-    loop. Each one calls its operands' functions directly and memoizes its
-    cells in ``rows[id(node)]``, one list per agent indexed by t (truth,
-    negation and agent binding map an operand's cells and keep none); an
-    atom's expression is compiled once, into one straight-line function
-    (``compile_expr``). The same fold marks the nodes without a graph
-    operator at or below them, whose rows ``_signal`` fills over whole
-    ranges; rows share the memos with the functions. The
-    memos live as long as the ``Cells``, one query. A graph operator's
-    neighbors come from the run's ``NeighborIndex``, which lives as long as
-    the run and is shared by every query on it and by ``is_determinable``.
-    Cells do not depend on the order in which they are evaluated, so
-    operators may skip operands that cannot change their verdict.
+    ``Cells(query, mask)[node]`` is the function ``(agent, t) -> cell`` of
+    a node of the core of ``query`` (a ``_Query``) other than an & inside a
+    chain: an agent-local subformula at (agent, t), a system-level one with
+    agent None. Cells are 1, 0 or None (?). None occurs only under a
+    ``mask`` (a ``distributed.KnowledgeMask``), where an agent-local atom
+    over a state the observer does not know is ?; the same functions are
+    built with a mask or without. The functions are built by one fold over
+    the core DAG, so compiling does not recurse, and an & chain of any
+    length is one loop. Each one calls its operands' functions directly and
+    memoizes its cells in ``rows[id(node)]``, one list per agent indexed by
+    t (truth, negation and agent binding map an operand's cells and keep
+    none); an atom's expression is compiled once, into one straight-line
+    function (``compile_expr``). ``_signal`` fills the rows of the nodes
+    that the query marks free of graph operators over whole ranges; rows
+    share the memos with the functions. The memos live as long as the
+    ``Cells``, one query. A graph operator's neighbors come from the run's
+    ``NeighborIndex``, which lives as long as the run and is shared by every
+    query on it and by ``is_determinable``. Cells do not depend on the order
+    in which they are evaluated, so operators may skip operands that cannot
+    change their verdict.
     """
 
-    def __init__(self, run: MasRun, core, mask=None):
-        self.run = run
+    def __init__(self, query: _Query, mask=None):
+        self.query = query  # its core keeps the nodes, and so their ids, alive
+        self.run = query.run
         self.mask = mask
-        self.core = core  # keeps the nodes, and so their ids, alive
         self.rows: dict = {}  # id(node) -> its memo (``_memo``)
         self._searches: dict = {}  # (id(node), want) -> first-hit search
         self._fns: dict = {}
-        self._over_graphs: set = set()  # id(node) with a graph operator at or below it
         self._exprs: dict = {}  # id(atom) -> its compiled expression
         self._spans: dict = {}  # (id(node), agent) -> the span its row covers
         self._negations: dict = {}  # (id(not node), agent) -> its row
-        size = run.length + 1
+        size = query.run.length + 1
         self._new_row = lambda: [_UNSET] * size
-        F.fold(core, self._compile, self._fns, layout=_CELL_OPERANDS)
+        F.fold(query.core, self._compile, self._fns, layout=_CELL_OPERANDS)
 
     def __getitem__(self, node):
         return self._fns[id(node)]
 
     def _compile(self, f, subs):
-        name = _COMPILE.get(type(f))
-        if name is None:
-            raise TypeError(f"monitor requires a lowered core formula, got {type(f).__name__}")
-        over = self._over_graphs
-        if type(f) is F.GraphOp or not over.isdisjoint(map(id, _CELL_OPERANDS[type(f)](f))):
-            over.add(id(f))
-        return getattr(self, name)(f, *subs)
+        return getattr(self, _COMPILE[type(f)])(f, *subs)
 
     def _graph_free(self, f) -> bool:
         """Whether no graph operator is at or below f."""
-        return id(f) not in self._over_graphs
+        return not self.query.marks[id(f)][0]
 
     def _memo(self, f) -> defaultdict:
         """f's memo, agent -> a list of cells indexed by t, ``_UNSET`` where
@@ -503,8 +498,9 @@ class Cells:
     # t. A memoized node's row is its memo, a negation keeps its own, and an
     # agent binding's is its operand's at the bound agent.
 
-    def _signal(self, agent, end: int) -> tuple:
-        """The root's cells at agent over [0, end], evaluated as rows.
+    def _signal(self) -> tuple:
+        """The root's cells at the query's agent over its signal domain
+        [0, end], evaluated as rows.
 
         A request that reads operand rows is a generator: it yields their
         requests and receives their rows. The generators wait on an explicit
@@ -516,7 +512,8 @@ class Cells:
         read at the same (agent, t) cells as by the pointwise drive, through
         its cell function.
         """
-        stack, row = [], self._row(self.core, agent, range(end + 1))
+        agent, end = self.query.agent, self.query.end
+        stack, row = [], self._row(self.query.core, agent, range(end + 1))
         while True:
             if type(row) is not list:  # a request that reads operand rows
                 stack.append(row)
@@ -852,46 +849,67 @@ _ROW = {
 }
 
 
-def _signal_end(run: MasRun, f, agent, T: int, strict: bool = False) -> int:
-    """Check a query and return the last time of f's signal.
+class _Query:
+    """One request, checked, lowered and marked once: what the monitors and
+    ``distributed.is_determinable`` read of it.
 
     f must be agent-local at ``agent`` (system-level at agent None) and fit
-    the run, and 0 <= T <= L. The signal ends at min(T + T_f, L), or at T
-    in strict mode once no bounded window reachable from [0, T] is found to
-    end past L.
+    the run, and 0 <= T <= L; in strict mode no bounded window reachable
+    from [0, T] may end past L. ``core`` is ``lower(f)``, and ``marks`` holds
+    what one fold over it finds per id(node): whether a graph operator is at
+    or below the node, whether an atom is, and the node's horizon
+    (``formula.horizon``). The signal ends at ``end``: min(T + T_f, L) with
+    T_f the root's horizon, or T in strict mode.
     """
-    if agent is None:
-        validate_global(run, f)
-    else:
-        validate_local(run, f)
-        if not 1 <= agent <= run.num_agents:
-            raise ValueError(f"unknown agent {agent}")
-    length = run.length
-    if not 0 <= T <= length:
-        raise TimeOutOfRangeError.of(T, 0, length)
-    if not strict:
-        return int(min(T + horizon(f)[1], length))
-    # (subformula, latest time evaluation can reach it at); a pair seen
-    # before had its subformulas checked by then
-    pending, seen = [(f, T)], set()
-    while pending:
-        node, t = pending.pop()
-        if (id(node), t) in seen:
-            continue
-        seen.add((id(node), t))
-        interval = getattr(node, "interval", None)
-        if interval is not None:
-            if interval.hi == INF:
-                t = length
-            elif t + interval.hi > length:
-                raise InsufficientTraceError(
-                    f"insufficient trace: window [{t + interval.lo}, "
-                    f"{t + interval.hi}] exceeds length {length}"
-                )
-            else:
-                t += interval.hi
-        pending.extend((sub, t) for sub in F.operands(node))
-    return T
+
+    __slots__ = ("run", "agent", "core", "marks", "end")
+
+    def __init__(self, run: MasRun, f, agent, T: int, strict: bool = False):
+        if agent is None:
+            validate_global(run, f)
+        else:
+            validate_local(run, f)
+            if not 1 <= agent <= run.num_agents:
+                raise ValueError(f"unknown agent {agent}")
+        length = run.length
+        if not 0 <= T <= length:
+            raise TimeOutOfRangeError.of(T, 0, length)
+        # in strict mode, (subformula, latest time evaluation can reach it
+        # at); a pair seen before had its subformulas checked by then
+        pending, seen = [(f, T)] if strict else [], set()
+        while pending:
+            node, t = pending.pop()
+            if (id(node), t) in seen:
+                continue
+            seen.add((id(node), t))
+            interval = getattr(node, "interval", None)
+            if interval is not None:
+                if interval.hi == INF:
+                    t = length
+                elif t + interval.hi > length:
+                    raise InsufficientTraceError(
+                        f"insufficient trace: window [{t + interval.lo}, "
+                        f"{t + interval.hi}] exceeds length {length}"
+                    )
+                else:
+                    t += interval.hi
+            pending.extend((sub, t) for sub in F.operands(node))
+        self.run, self.agent, self.core, self.marks = run, agent, lower(f), {}
+        _, t_f = F.fold(self.core, _mark, self.marks)[2]
+        self.end = T if strict else int(min(T + t_f, length))
+
+
+def _mark(f, subs) -> tuple:
+    """A core node's marks: a graph operator at or below it, an atom at or
+    below it, and its horizon."""
+    kind = type(f)
+    if not subs:
+        return False, kind is F.Atom, (0, 0)
+    graphs, atoms, horizons = kind is F.GraphOp, False, []
+    for g, a, h in subs:
+        graphs, atoms = graphs or g, atoms or a
+        horizons.append(h)
+    return graphs, atoms, F._horizon_step(f, horizons)
 
 
 def signal_cells(run: MasRun, f, agent, T: int, strict: bool = False, mask=None) -> tuple:
@@ -906,15 +924,14 @@ def signal_cells(run: MasRun, f, agent, T: int, strict: bool = False, mask=None)
     it raises there; any other error is a fault of the rows and propagates.
     The cell functions' recursion past the stack limit is reported as a
     ValueError."""
-    end = _signal_end(run, f, agent, T, strict)
-    core = lower(f)
+    query = _Query(run, f, agent, T, strict)
     try:
-        return Cells(run, core, mask)._signal(agent, end)
+        return Cells(query, mask)._signal()
     except (ValueError, RecursionError):
         pass
     try:
-        cell = Cells(run, core, mask)[core]
-        return tuple(cell(agent, t) for t in range(end + 1))
+        cell = Cells(query, mask)[query.core]
+        return tuple(cell(agent, t) for t in range(query.end + 1))
     except RecursionError:
         raise ValueError(
             "formula too deep for the monitor "

@@ -14,9 +14,9 @@ follow the strong Kleene tables, and graph operators decide from the counts
 of satisfying and non-violating neighbor verdicts, weighted by edge
 multiplicity (``central.graph_op_verdict``). Finite traces and strict mode
 follow the centralized conventions, including the up-front strict-horizon
-check, so both monitors raise on the same inputs; ``is_determinable``
-checks its query and covers the same [0, min(T + T_f, L)] through the same
-helper.
+check, so both monitors raise on the same inputs. ``is_determinable``
+builds the same prepared query (``central._Query``), so it raises on the
+same inputs and covers the same [0, min(T + T_f, L)].
 
 The monitor is sound: a 0/1 verdict always agrees with the centralized
 verdict on the full run. Count sets with several intervals take the
@@ -33,10 +33,11 @@ determined-by-enumeration cases report ?.
 (``lower``, which keeps & and | chains as written, so a chain never splits
 a leaf): leaf k is the k-th maximal graph-operator-free subformula of
 ``lower(f)`` in depth-first pre-order, and its chain is the ``GraphOp``
-nodes above it, outermost first (``build_operator_tree``). Each leaf that
-reads a state takes one sweep: out from the subject along the leaf's chain,
-level by level, to the composed neighbor set, then back in, folding the
-nested neighbor counts over the same levels. Both read each operator's
+nodes above it, outermost first (``build_operator_tree``, from the
+query's marks). Each leaf that reads a state takes one sweep: out from the
+subject along the leaf's chain, level by level, to the composed neighbor
+set, then back in, folding the nested neighbor counts over the same
+levels. Both read each operator's
 neighbors per agent, one per edge, each as often as its most edges at any
 one time, from the run's neighbor index
 (``model.NeighborIndex.over_time``), which the monitors read too and which
@@ -54,9 +55,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import formula as F
-from .central import Signal, _shared_signal, _signal_end, signal_cells
-from .formula import horizon
-from .formula import lower as prepare_for_distributed
+from .central import Signal, _Query, _shared_signal, signal_cells
+from .formula import lower as prepare_for_distributed  # noqa: F401, perfbench's spans name it
 from .model import MasRun
 
 
@@ -183,6 +183,7 @@ def is_determinable(
     be 0/1 at every time of the signal's whole domain, [0, min(T + T_f, L)]
     with T_f the formula's horizon; the check has no strict mode, so this is
     its domain even where ``monitor_dist(..., strict=True)`` stops at T.
+    The leaves, their horizons and the domain come from one ``_Query``.
 
     A leaf passes at time t when either (a) it reads no state at all, or the
     observer knows the states of every agent in the leaf's composed neighbor
@@ -217,10 +218,10 @@ def is_determinable(
     between the agent's ranges. Failures list their states by agent, then
     time.
     """
-    end = _signal_end(run, f, subject, T)
-    failures: list[LeafFailure] = []
+    query = _Query(run, f, subject, T)
+    end, failures = query.end, []
 
-    for index, leaf, chain in build_operator_tree(prepare_for_distributed(f)):
+    for index, leaf, chain in build_operator_tree(query):
         # per operator of the chain, an agent's neighbors in it over all times
         over_time = [run.graphs.neighbor_index(
             op.graphs[0], op.direction, op.weights.lo, op.weights.hi).over_time for op in chain]
@@ -236,7 +237,7 @@ def is_determinable(
             need = op.counts.min_value()
         if count[subject] < need:
             continue  # condition (b) holds at every t
-        _, leaf_t_max = horizon(leaf)
+        _, leaf_t_max = query.marks[id(leaf)][2]
         last = int(min(end + leaf_t_max, run.length))
         # the visible ranges within [0, last] of the composed neighbor set;
         # the observer, and agents visible over all of [0, last], drop out
@@ -274,40 +275,28 @@ def is_determinable(
     return DeterminabilityReport(not failures, tuple(failures))
 
 
-# what is at or below a node of a lowered core: a graph operator, an atom
-_GRAPH_OP, _STATE = 1, 2
-
-
-def build_operator_tree(core) -> list:
-    """The leaves of a lowered core that read a state, as (k, leaf, chain)
-    triples: leaf k is the k-th maximal graph-operator-free subformula in
-    depth-first pre-order, every leaf counted, those without an atom and
-    each occurrence of a shared node included, and its chain is the
-    ``GraphOp`` nodes above it, outermost first."""
-    marks: dict = {}  # id(node) -> its _GRAPH_OP and _STATE bits
-    F.fold(core, _mark, marks)
-    leaves, count = [], 0
-    stack = [(core, ())]
+def build_operator_tree(query) -> list:
+    """The leaves of a query's core (a ``central._Query``) that read a
+    state, as (k, leaf, chain) triples: leaf k is the k-th maximal
+    graph-operator-free subformula in depth-first pre-order, every leaf
+    counted, those without an atom and each occurrence of a shared node
+    included, and its chain is the ``GraphOp`` nodes above it, outermost
+    first. The query's marks tell which nodes are leaves and which read a
+    state."""
+    leaves, count, marks = [], 0, query.marks
+    stack = [(query.core, ())]
     while stack:
         node, chain = stack.pop()
-        mark = marks[id(node)]
-        if not mark & _GRAPH_OP:
+        over_graphs, reads_state, _ = marks[id(node)]
+        if not over_graphs:
             count += 1
-            if mark & _STATE:
+            if reads_state:
                 leaves.append((count, node, chain))
             continue
         if type(node) is F.GraphOp:
             chain += (node,)
         stack.extend((sub, chain) for sub in reversed(F.operands(node)))
     return leaves
-
-
-def _mark(node, subs):
-    kind = type(node)
-    mark = _GRAPH_OP if kind is F.GraphOp else _STATE if kind is F.Atom else 0
-    for sub in subs:
-        mark |= sub
-    return mark
 
 
 def _gaps(ranges, lo: int, stop: int):

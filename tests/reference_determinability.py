@@ -13,13 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from stlgo.central import validate_local
-from stlgo.distributed import (
-    DeterminabilityReport,
-    LeafFailure,
-    build_operator_tree,
-    prepare_for_distributed,
-)
+from stlgo.central import _Query, validate_local
+from stlgo.distributed import DeterminabilityReport, LeafFailure, build_operator_tree
 from stlgo.formula import INF, horizon
 from stlgo.model import TimeOutOfRangeError
 
@@ -35,7 +30,7 @@ def reference_is_determinable(run, mask, f, subject, T) -> DeterminabilityReport
     static_tags = run.graphs.static
     failures: list[LeafFailure] = []
 
-    for index, leaf, chain in build_operator_tree(prepare_for_distributed(f)):
+    for index, leaf, chain in build_operator_tree(_Query(run, f, subject, T)):
         _, leaf_t_max = horizon(leaf)
         exact = all(op.graphs[0] in static_tags for op in chain)
         for t in range(end + 1):

@@ -10,8 +10,7 @@ must give the same cells and raise the same errors.
 
 from __future__ import annotations
 
-from stlgo.central import _UNSET, Cells, _signal_end, graph_op_verdict
-from stlgo.formula import lower
+from stlgo.central import _UNSET, Cells, _Query, graph_op_verdict
 
 
 class FullCountCells(Cells):
@@ -38,7 +37,6 @@ class FullCountCells(Cells):
 
 
 def full_count_signal_cells(run, f, agent, T, strict=False, mask=None) -> tuple:
-    end = _signal_end(run, f, agent, T, strict)
-    core = lower(f)
-    cell = FullCountCells(run, core, mask)[core]
-    return tuple(cell(agent, t) for t in range(end + 1))
+    query = _Query(run, f, agent, T, strict)
+    cell = FullCountCells(query, mask)[query.core]
+    return tuple(cell(agent, t) for t in range(query.end + 1))

@@ -10,14 +10,12 @@ cells.
 
 from __future__ import annotations
 
-from stlgo.central import Cells, _signal_end
-from stlgo.formula import lower
+from stlgo.central import Cells, _Query
 
 
 def pointwise_signal_cells(run, f, agent, T, strict=False, mask=None, cells=Cells) -> tuple:
     """f's cells over its signal domain, each read through the root's cell
     function of ``cells``, a ``Cells`` class."""
-    end = _signal_end(run, f, agent, T, strict)
-    core = lower(f)
-    cell = cells(run, core, mask)[core]
-    return tuple(cell(agent, t) for t in range(end + 1))
+    query = _Query(run, f, agent, T, strict)
+    cell = cells(query, mask)[query.core]
+    return tuple(cell(agent, t) for t in range(query.end + 1))

@@ -12,8 +12,7 @@ the same cells.
 from __future__ import annotations
 
 from stlgo import formula as F
-from stlgo.central import _UNSET, Cells, _signal_end, clamp_window, k_or
-from stlgo.formula import lower
+from stlgo.central import _UNSET, Cells, _Query, clamp_window, k_or
 
 
 def k_and(a, b):
@@ -53,7 +52,6 @@ def until_scan(left, right, interval, length, agent, t):
 
 
 def reference_signal_cells(run, f, agent, T, strict=False, mask=None) -> tuple:
-    end = _signal_end(run, f, agent, T, strict)
-    core = lower(f)
-    cell = ReferenceCells(run, core, mask)[core]
-    return tuple(cell(agent, t) for t in range(end + 1))
+    query = _Query(run, f, agent, T, strict)
+    cell = ReferenceCells(query, mask)[query.core]
+    return tuple(cell(agent, t) for t in range(query.end + 1))

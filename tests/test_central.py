@@ -27,6 +27,7 @@ from stlgo import (
     Truth,
     Until,
     WeightInterval,
+    is_determinable,
     monitor_dist,
     monitor_global,
     monitor_local,
@@ -298,6 +299,23 @@ def test_monitor_answers_when_nested_bounds_sum_past_float_range():
     run = star_run([1], length=3)
     f = parse_local("G[0,inf] F[0,1E308] F[0,1E308] true")
     assert monitor_local(run, f, 1, 0).values == (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("text", [
+    "F[0,1E308] (In{g} E[1,inf] F[0,1E308] [x[0] >= 1])",
+    "G[0,inf] F[0,1E308] (In{g} E[1,inf] F[0,1E308] [x[0] >= 1])",
+])
+def test_distributed_answers_when_nested_bounds_sum_past_float_range(text):
+    # the root's horizon is 1E308 + 1E308, past the float range, or inf
+    # beyond it; the domain and the leaf's window end at L
+    run = star_run([1], length=3)
+    f = parse_local(text)
+    mask = KnowledgeMask.self_only(1)
+    assert monitor_dist(run, mask, f, 1, 0).values == (None,) * 4
+    report = is_determinable(run, mask, f, 1, 0)
+    assert not report.determinable
+    assert [(fl.time, fl.unknown_states) for fl in report.failures] == [
+        (t, tuple((2, u) for u in range(t, 4))) for t in range(4)]
 
 
 def test_unknown_graph_tag_raises():

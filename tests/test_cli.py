@@ -305,6 +305,40 @@ def test_report_files_are_one_line_of_compact_json(bike_bundle, tmp_path):
     assert report_path.read_text() == json.dumps(want, separators=(",", ":")) + "\n"
 
 
+def test_strict_monitor_dist_keeps_the_reports_whole_domain(tmp_path):
+    # T + T_f = 3 + 2 <= L = 6: the strict signal ends at T, while the
+    # report, which has no strict mode, covers [0, min(T + T_f, L)] = [0, 5]
+    from stlgo import is_determinable, monitor_dist, parse_local
+
+    text = "F[0,2] In{g} E[1,inf] [x[0] >= 1]"
+    # agents 2 and 3 point at agent 1; agent 3 holds from t = 4 on
+    states = [[(0.0,), (0.0,), (1.0 if t >= 4 else 0.0,)] for t in range(7)]
+    snap = MultigraphSnapshot("g", True, [(2, 1, 1, 1.0), (3, 1, 1, 1.0)])
+    run = MasRun(MasTrajectory(states), GraphTrajectory(6, static={"g": snap}))
+    save_run(run, tmp_path / "run.json", tmp_path / "graphs.json")
+    mask = KnowledgeMask(1, [(3, 0, 6)])  # observer 1 sees agent 3, not agent 2
+    save_mask(mask, tmp_path / "mask.json")
+    out, report_path = tmp_path / "sig.json", tmp_path / "report.json"
+    code = main(["monitor-dist", "--formula", str(write_formula(tmp_path, text)),
+                 "--run", str(tmp_path / "run.json"), "--graphs", str(tmp_path / "graphs.json"),
+                 "--mask", str(tmp_path / "mask.json"), "--subject", "1", "--tmax", "3",
+                 "--strict-horizon", "--out", str(out), "--report", str(report_path)])
+    assert code == 4  # s(0) = ?
+    f = parse_local(text)
+    signal = load_signal(out)
+    assert signal == monitor_dist(run, mask, f, 1, 3, strict=True)
+    assert (signal.t0, signal.t1, signal.values) == (0, 3, (None, None, 1, 1))
+    report = is_determinable(run, mask, f, 1, 3)
+    assert [fl.time for fl in report.failures] == [0, 1, 2, 3, 4, 5]
+    assert json.loads(report_path.read_text()) == {
+        "schema": "stlgo/1",
+        "determinable": False,
+        "failures": [{"leaf": fl.leaf_index, "time": fl.time,
+                      "unknown_states": [list(p) for p in fl.unknown_states]}
+                     for fl in report.failures],
+    }
+
+
 def test_monitor_dist_isolated_subject_below_threshold(tmp_path):
     # no knowledge at all, but the subject has no in-edges: the counting
     # property needing two neighbors is a determined violation

@@ -30,11 +30,12 @@ from stlgo import (
     gen_drone,
     is_determinable,
     monitor_dist,
+    monitor_global,
     monitor_local,
     parse_local,
     refine,
 )
-from stlgo.central import Cells, graph_op_verdict, k_not, k_or, oracle_eval
+from stlgo.central import Cells, _Query, graph_op_verdict, k_not, k_or, oracle_eval
 from stlgo.distributed import LeafFailure, build_operator_tree, prepare_for_distributed
 from stlgo.formula import FULL_WEIGHTS, horizon, lower, nodes, operands
 from stlgo.parser import parse_global
@@ -93,8 +94,8 @@ def _bound_cells(values, text):
     observer 1 sees it unless the value is None (?)."""
     run = star_run([1 if v is None else v for v in values])
     mask = KnowledgeMask(1, [(j, 0, 0) for j, v in enumerate(values, 2) if v is not None])
-    core = lower(parse_global(text))
-    return Cells(run, core, mask)[core](None, 0)
+    query = _Query(run, parse_global(text), None, 0)
+    return Cells(query, mask)[query.core](None, 0)
 
 
 @pytest.mark.parametrize("a", [0, 1, None])
@@ -381,6 +382,13 @@ def test_masks_hold_ranges_not_instants():
 # the leaves determinability checks
 
 
+def leaves(core):
+    """``build_operator_tree`` over core's query at agent 1, time 0, on a
+    one-agent run with two state components; the graph tags are not read."""
+    run = MasRun(MasTrajectory([[(0.0, 0.0)]]), GraphTrajectory(0))
+    return build_operator_tree(_Query(run, core, 1, 0))
+
+
 def test_leaves_worked_example():
     # In pi1 U Out (pi2 & In true): leaves pi1, pi2, true with chains
     # (first operator), (second), (second, third); true reads no state
@@ -391,14 +399,14 @@ def test_leaves_worked_example():
                 And(pi2, count_op(0, INF, child=Truth()))),
         TimeInterval(0, 2),
     )
-    (k1, leaf1, chain1), (k2, leaf2, chain2) = build_operator_tree(f)
+    (k1, leaf1, chain1), (k2, leaf2, chain2) = leaves(f)
     assert (k1, k2) == (1, 2) and leaf1 is pi1 and leaf2 is pi2
     assert len(chain1) == len(chain2) == 1
     assert chain1[0] is f.left and chain2[0] is f.right
 
 
 def test_leaves_degenerate():
-    assert build_operator_tree(POSITIVE) == [(1, POSITIVE, ())]
+    assert leaves(POSITIVE) == [(1, POSITIVE, ())]
 
 
 def test_leaves_nested_operators_single_leaf():
@@ -406,9 +414,9 @@ def test_leaves_nested_operators_single_leaf():
         return count_op(0, INF, child=GraphOp("out", "exists", ("g",), CountSet.single(0, INF),
                                               FULL_WEIGHTS, leaf))
 
-    assert build_operator_tree(nested(Truth())) == []  # its one leaf reads no state
+    assert leaves(nested(Truth())) == []  # its one leaf reads no state
     g = nested(POSITIVE)
-    [(k, leaf, chain)] = build_operator_tree(g)
+    [(k, leaf, chain)] = leaves(g)
     assert (k, leaf) == (1, POSITIVE)
     assert len(chain) == 2 and chain[0] is g and chain[1] is g.child
 
@@ -419,9 +427,9 @@ def test_an_atom_free_first_leaf_is_counted():
     run = star_run([1, 1, 1])
     mask = hide(run, 1, [(3, 0)])
     f = And(count_op(1, INF, child=Truth()), count_op(2, INF))
-    core = lower(f)
-    [(k, leaf, chain)] = build_operator_tree(core)
-    assert (k, leaf) == (2, POSITIVE) and chain == (core.right,)
+    query = _Query(run, f, 1, 0)
+    [(k, leaf, chain)] = build_operator_tree(query)
+    assert (k, leaf) == (2, POSITIVE) and chain == (query.core.right,)
     report = is_determinable(run, mask, f, 1, 0)
     assert {failure.leaf_index for failure in report.failures} == {2}
     assert report == reference_is_determinable(run, mask, f, 1, 0)
@@ -442,15 +450,15 @@ def _leaves_by_recursion(node, chain=()):
 def test_leaves_cover_all_graph_ops(seed):
     rng = random.Random(seed)
     f = prepare_for_distributed(random_local_formula(rng, ("g1", "g2"), 2))
-    leaves = build_operator_tree(f)
+    found = leaves(f)
     expected = [(k, leaf, chain)
                 for k, (leaf, chain) in enumerate(_leaves_by_recursion(f), 1)
                 if any(type(node) is Atom for node in nodes(leaf))]
     # the formula's own nodes, compared by identity
-    assert [(k, id(leaf), [id(op) for op in chain]) for k, leaf, chain in leaves] == [
+    assert [(k, id(leaf), [id(op) for op in chain]) for k, leaf, chain in found] == [
         (k, id(leaf), [id(op) for op in chain]) for k, leaf, chain in expected]
     # every operator with an atom below it is on some leaf's chain
-    assert {id(op) for _, _, chain in leaves for op in chain} == {
+    assert {id(op) for _, _, chain in found for op in chain} == {
         id(op) for op in graph_ops(f) if any(type(node) is Atom for node in nodes(op))}
 
 
@@ -636,6 +644,53 @@ def test_strict_mode_same_outcome_central_and_full_mask(seed):
 
 def test_determinability_reads_the_monitors_core_form():
     assert prepare_for_distributed is lower
+
+
+# one leaf, and four leaves that read a state; at agent 1 of a star, each
+# leaf's chain has edges enough that its horizon is read
+ONE_LEAF = "G[0,2] In{g} E[1,inf] [x[0] >= 1]"
+FOUR_LEAVES = ("In{g} E[1,inf] [x[0] >= 1] & In{g} E[1,inf] F[0,1] [x[0] >= 2]"
+               " & F[0,2] In{g} E[0,2] [x[0] <= 0]"
+               " & G[0,1] In{g} E[1,inf] ([x[0] >= 3] | [x[0] <= -1])")
+
+
+def _passes(monkeypatch, call) -> dict:
+    """The lowerings (through ``central.lower``) and folds that call makes."""
+    import stlgo.central
+    import stlgo.formula
+
+    counts = {"lower": 0, "fold": 0}
+    for module, name in ((stlgo.central, "lower"), (stlgo.formula, "fold")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    call()
+    return counts
+
+
+@pytest.mark.parametrize("text, n_leaves", [(ONE_LEAF, 1), (FOUR_LEAVES, 4)])
+def test_determinability_lowers_once_and_folds_twice(monkeypatch, text, n_leaves):
+    run = star_run([1, 0, 2], length=4)
+    mask = KnowledgeMask.self_only(1)
+    f = parse_local(text)
+    found = leaves(lower(f))
+    assert len(found) == n_leaves
+    # every leaf fails somewhere, so every leaf's horizon is read
+    report = is_determinable(run, mask, f, 1, 1)
+    assert {fl.leaf_index for fl in report.failures} == {k for k, _, _ in found}
+    counts = _passes(monkeypatch, lambda: is_determinable(run, mask, f, 1, 1))
+    assert counts == {"lower": 1, "fold": 2}
+
+
+@pytest.mark.parametrize("text", [ONE_LEAF, FOUR_LEAVES])
+def test_a_monitor_call_lowers_once_and_folds_three_times(monkeypatch, text):
+    run = star_run([1, 0, 2], length=4)
+    f, mask = parse_local(text), KnowledgeMask.self_only(1)
+    for call in (lambda: monitor_local(run, f, 1, 1), lambda: monitor_dist(run, mask, f, 1, 1)):
+        assert _passes(monkeypatch, call) == {"lower": 1, "fold": 3}
+    g = parse_global(f"@1.({text})")
+    assert _passes(monkeypatch, lambda: monitor_global(run, g, 1)) == {"lower": 1, "fold": 3}
 
 
 def test_negated_full_count_set_is_determined_false():
@@ -836,7 +891,7 @@ def test_determinability_equals_per_time_step_reference():
         report = is_determinable(run, mask, f, subject, T)
         assert report == reference_is_determinable(run, mask, f, subject, T)
         outcomes.add(report.determinable)
-        chains = [chain for _, _, chain in build_operator_tree(prepare_for_distributed(f))]
+        chains = [chain for _, _, chain in build_operator_tree(_Query(run, f, subject, T))]
         if any(
             len(c) >= 2 and any(op.graphs[0] not in run.graphs.static for op in c)
             for c in chains

@@ -17,7 +17,7 @@ from stlgo import (
     monitor_local,
     parse_local,
 )
-from stlgo.central import Cells, Signal
+from stlgo.central import Cells, Signal, _Query
 from stlgo.formula import GraphOp, lower, nodes
 
 from conftest import random_global_formula, random_local_formula, random_mask, random_run
@@ -87,9 +87,9 @@ def test_monitors_equal_the_full_count():
 class LoggedCells(Cells):
     """Cells that log every call of an atom's cell function."""
 
-    def __init__(self, run, core, mask=None):
+    def __init__(self, query, mask=None):
         self.reads = []
-        super().__init__(run, core, mask)
+        super().__init__(query, mask)
 
     def _atom(self, f):
         cell, reads = super()._atom(f), self.reads
@@ -113,9 +113,9 @@ def _hub_cell(run, text, agent=1, mask=None):
     """The cell of the formula at (agent, 0) and the distinct child cells it
     read, which come in the neighbor index's order; a neighbor's parallel
     edges read its cell again."""
-    core = lower(parse_local(text))
-    cells = LoggedCells(run, core, mask)
-    value = cells[core](agent, 0)
+    query = _Query(run, parse_local(text), agent, 0)
+    cells = LoggedCells(query, mask)
+    value = cells[query.core](agent, 0)
     return value, list(dict.fromkeys(cells.reads))
 
 

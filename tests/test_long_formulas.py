@@ -18,7 +18,6 @@ from stlgo import (
     WeightInterval,
     gen_bike,
     is_determinable,
-    lower,
     monitor_dist,
     monitor_global,
     monitor_local,
@@ -27,7 +26,7 @@ from stlgo import (
     print_formula,
     translate_strel,
 )
-from stlgo.central import Cells, _chain_parts, oracle_eval
+from stlgo.central import Cells, _chain_parts, _Query, oracle_eval
 from stlgo.formula import nodes
 from stlgo.parser import tokenize
 
@@ -128,8 +127,7 @@ def test_ten_thousand_term_arithmetic_chain_monitors_in_a_shallow_stack():
 
 def test_an_and_chain_compiles_to_one_cell_over_its_parts():
     f = parse_local(" & ".join(f"[x[0] >= {k}]" for k in range(1_000)))
-    core = lower(f)
-    assert len(Cells(make_fig_run(length=3), core).rows) == 1_001
+    assert len(Cells(_Query(make_fig_run(length=3), f, 1, 0)).rows) == 1_001
 
 
 def test_shared_and_nodes_compile_to_one_part_each():
@@ -138,10 +136,10 @@ def test_shared_and_nodes_compile_to_one_part_each():
     f = atom
     for _ in range(16):
         f = And(f, f)
-    core = lower(f)
-    assert _chain_parts(core) == (atom,)
-    run = make_fig_run(length=3)
-    assert len(Cells(run, core).rows) == 2
+    query = _Query(make_fig_run(length=3), f, 3, 3)
+    assert _chain_parts(query.core) == (atom,)
+    run = query.run
+    assert len(Cells(query).rows) == 2
     assert monitor_local(run, f, 3, 3) == monitor_local(run, atom, 3, 3)
 
 

@@ -10,9 +10,9 @@ import pytest
 
 from stlgo import monitor_local, parse_global, parse_local
 from stlgo import central
-from stlgo.central import _UNSET, Cells, _signal_end, oracle_eval, signal_cells
+from stlgo.central import _UNSET, Cells, _Query, oracle_eval, signal_cells
 from stlgo.distributed import KnowledgeMask
-from stlgo.formula import And, Eventually, Not, TimeInterval, Until, lower
+from stlgo.formula import And, Eventually, Not, TimeInterval, Until
 
 from conftest import random_global_formula, random_local_formula, random_mask, random_run
 from reference_rows import pointwise_signal_cells
@@ -48,9 +48,9 @@ class GraphOpCells(Cells):
     log: list = []
     row_errors: list = []
 
-    def _signal(self, agent, end):
+    def _signal(self):
         try:
-            return super()._signal(agent, end)
+            return super()._signal()
         except Exception as e:
             self.row_errors.append(e)
             raise
@@ -201,8 +201,7 @@ PLANE_SHAPES = (
 def _rows_signal(run, f, agent, T, strict, mask):
     """``signal_cells`` without its pointwise fallback: the rows' own cells,
     or their own error."""
-    end = _signal_end(run, f, agent, T, strict)
-    return GraphOpCells(run, lower(f), mask)._signal(agent, end)
+    return GraphOpCells(_Query(run, f, agent, T, strict), mask)._signal()
 
 
 def _hidden_stretches(rng, run, observer) -> KnowledgeMask:
